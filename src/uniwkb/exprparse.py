@@ -10,10 +10,13 @@ Grammar (recursive descent):
 Unary minus is accepted ahead of the published grammar line since natural
 inputs like "exp(-2*q)" need it.  Evaluation carries jets (f, f', f'', f''')
 as Taylor coefficients (c0, c1, c2, c3) with c_k = f^(k)(q)/k!, so third
-derivatives come out of plain forward recurrences.
+derivatives come out of plain forward recurrences.  Every jet operation is
+elementwise, so q may be a scalar or a numpy array of any shape.
 """
 
 import math
+
+import numpy as np
 
 FUNCS = ("exp", "ln", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 
@@ -29,6 +32,37 @@ class ExprError(ValueError):
 
 class EvalDomainError(ValueError):
     """Evaluation left the real domain (ln of non-positive, etc.)."""
+
+
+_OVERFLOW = "potential evaluation overflowed at q = %r"
+
+
+def finite_eval(ev):
+    """Wrap a potential evaluator ev(q) -> (V, V', V'', V''').
+
+    ev runs with numpy's floating-point warnings silenced.  A finite q whose
+    value or derivatives come out non-finite raises OverflowError instead,
+    so overflow stays a solver failure rather than an inf that a later
+    stage misreads (as a second minimum, say).
+    """
+    quiet = np.errstate(all="ignore")(ev)
+
+    def evaluate(q):
+        out = quiet(q)
+        if isinstance(q, float):   # cheap path for the scalar marches
+            if math.isfinite(q) and not all(map(math.isfinite, out)):
+                raise OverflowError(_OVERFLOW % q)
+            return out
+        finite = np.isfinite(out[0])
+        for v in out[1:]:
+            finite = finite & np.isfinite(v)
+        bad = np.isfinite(q) & ~finite
+        if bad.any():
+            raise OverflowError(_OVERFLOW
+                                % float(np.broadcast_to(q, bad.shape)[bad][0]))
+        return out
+
+    return evaluate
 
 
 def _tokenize(src):
@@ -175,7 +209,7 @@ def _jmul(a, b):
 
 
 def _jdiv(a, b):
-    if b[0] == 0.0:
+    if np.any(b[0] == 0.0):
         raise EvalDomainError("division by zero")
     d0 = a[0] / b[0]
     d1 = (a[1] - d0 * b[1]) / b[0]
@@ -185,7 +219,7 @@ def _jdiv(a, b):
 
 
 def _jexp(f):
-    e0 = math.exp(f[0])
+    e0 = np.exp(f[0])
     # (k+1) E_{k+1} = sum_{j<=k} (j+1) f_{j+1} E_{k-j}
     e1 = f[1] * e0
     e2 = (2 * f[2] * e0 + f[1] * e1) / 2
@@ -194,20 +228,20 @@ def _jexp(f):
 
 
 def _jln(f):
-    if f[0] <= 0.0:
+    if np.any(f[0] <= 0.0):
         raise EvalDomainError("ln of non-positive value")
     l1 = f[1] / f[0]
     l2 = (2 * f[2] - l1 * f[1]) / (2 * f[0])
     l3 = (3 * f[3] - l1 * f[2] - 2 * l2 * f[1]) / (3 * f[0])
-    return (math.log(f[0]), l1, l2, l3)
+    return (np.log(f[0]), l1, l2, l3)
 
 
 def _jsqrt(f):
-    if f[0] < 0.0:
+    if np.any(f[0] < 0.0):
         raise EvalDomainError("sqrt of negative value")
-    if f[0] == 0.0:
+    if np.any(f[0] == 0.0):
         raise EvalDomainError("sqrt derivative singular at zero")
-    s0 = math.sqrt(f[0])
+    s0 = np.sqrt(f[0])
     s1 = f[1] / (2 * s0)
     s2 = (f[2] - s1 * s1) / (2 * s0)
     s3 = (f[3] - 2 * s1 * s2) / (2 * s0)
@@ -216,10 +250,10 @@ def _jsqrt(f):
 
 def _jsincos(f, hyper=False):
     if hyper:
-        s0, c0 = math.sinh(f[0]), math.cosh(f[0])
+        s0, c0 = np.sinh(f[0]), np.cosh(f[0])
         sgn = 1.0
     else:
-        s0, c0 = math.sin(f[0]), math.cos(f[0])
+        s0, c0 = np.sin(f[0]), np.cos(f[0])
         sgn = -1.0
     s1 = f[1] * c0
     c1 = sgn * f[1] * s0
@@ -243,7 +277,7 @@ def _jpow(f, g, g_const):
         if k < 0:
             acc = _jdiv((1.0, 0.0, 0.0, 0.0), acc)
         return acc
-    if f[0] <= 0.0:
+    if np.any(f[0] <= 0.0):
         raise EvalDomainError("power of non-positive base")
     return _jexp(_jmul(g, _jln(f)))
 
@@ -333,7 +367,10 @@ def _eval_jet(node, qjet, params):
 def compile_expr(src, params):
     """Parse and bind; returns f(q) -> (V, V', V'', V''').
 
-    Raises ExprError (with column) for syntax problems or unbound names.
+    q may be a scalar or an array; a derivative that does not depend on q
+    comes back as a scalar.  Raises ExprError (with column) for syntax
+    problems or unbound names.  Evaluation raises EvalDomainError when any
+    element leaves the real domain and OverflowError when any overflows.
     """
     node = parse(src)
     params = dict(params)
@@ -342,8 +379,9 @@ def compile_expr(src, params):
             raise ExprError("unknown identifier %r" % name, col)
 
     def evaluate(q):
-        c = _eval_jet(node, (float(q), 1.0, 0.0, 0.0), params)
+        q = np.asarray(q, dtype=float)
+        c = _eval_jet(node, (q if q.ndim else float(q), 1.0, 0.0, 0.0), params)
         # back from Taylor coefficients to derivatives
         return (c[0], c[1], 2.0 * c[2], 6.0 * c[3])
 
-    return evaluate
+    return finite_eval(evaluate)

@@ -4,12 +4,15 @@ turning-point location.
 Every model evaluates V together with its first three derivatives, since the
 downstream mean/phase machinery differentiates Q''/Q' once more.  Built-ins
 carry analytic derivatives; expressions get theirs from the degree-3 Taylor
-arithmetic in exprparse.
+arithmetic in exprparse.  Evaluation is elementwise: `PotentialModel.eval`
+takes a scalar or a numpy array of any shape, so a whole grid costs one
+call, and an array gives the same values as its elements one at a time.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import exprparse
 from .rootfind import BracketError, hybrid_root, march_to_sign_change
@@ -29,7 +32,7 @@ class PotentialModel:
     params: dict
     hbar: float
     mass: float
-    eval: Callable  # q -> (V, V', V'', V''')
+    eval: Callable  # q (scalar or array) -> (V, V', V'', V''')
     alpha: float = field(default=1.0)  # inverse length scale for windows
 
 
@@ -90,7 +93,8 @@ def make_builtin(kind, params, hbar=1.0, mass=1.0):
         def ev(q):
             return (k * q * q, 2 * k * q, 2 * k, 0.0)
 
-        return PotentialModel(kind, params, hbar, mass, ev, alpha=1.0)
+        return PotentialModel(kind, params, hbar, mass,
+                              exprparse.finite_eval(ev), alpha=1.0)
     if kind == "morse":
         g = params.setdefault("gamma", 4.5)
         al = params.setdefault("alpha", 1.0)
@@ -99,14 +103,15 @@ def make_builtin(kind, params, hbar=1.0, mass=1.0):
         A = g * g * hbar * hbar * al * al / (2 * mass)
 
         def ev(q):
-            e1 = math.exp(-al * q)
+            e1 = np.exp(-al * q)
             e2 = e1 * e1
             return (A * (e2 - 2 * e1),
                     A * al * (-2 * e2 + 2 * e1),
                     A * al * al * (4 * e2 - 2 * e1),
                     A * al ** 3 * (-8 * e2 + 2 * e1))
 
-        return PotentialModel(kind, params, hbar, mass, ev, alpha=al)
+        return PotentialModel(kind, params, hbar, mass,
+                              exprparse.finite_eval(ev), alpha=al)
     if kind == "poschl_teller":
         lam = params.setdefault("lambda", 5.0)
         al = params.setdefault("alpha", 1.0)
@@ -115,15 +120,16 @@ def make_builtin(kind, params, hbar=1.0, mass=1.0):
         B = lam * (lam - 1) * hbar * hbar * al * al / (2 * mass)
 
         def ev(q):
-            s = 1.0 / math.cosh(al * q)
-            t = math.tanh(al * q)
+            s = 1.0 / np.cosh(al * q)
+            t = np.tanh(al * q)
             s2 = s * s
             return (-B * s2,
                     2 * B * al * s2 * t,
                     2 * B * al * al * (s2 * s2 - 2 * s2 * t * t),
                     2 * B * al ** 3 * (-8 * s2 * s2 * t + 4 * s2 * t * t * t))
 
-        return PotentialModel(kind, params, hbar, mass, ev, alpha=al)
+        return PotentialModel(kind, params, hbar, mass,
+                              exprparse.finite_eval(ev), alpha=al)
     raise ParameterError("unknown builtin potential kind %r" % (kind,))
 
 
@@ -142,12 +148,13 @@ def q_bundle(potential, q, E, mass):
 
 
 def q_bundle_many(potential, q, E, mass):
-    """QBundle with array fields; eval closures stay scalar-only."""
-    import numpy as np
+    """QBundle with array fields of q's shape, from one array evaluation.
 
+    Derivatives that do not depend on q (the harmonic V'' and V''') come
+    back from eval as scalars and are broadcast.
+    """
     q = np.asarray(q, dtype=float)
-    rows = [potential.eval(qi) for qi in q.ravel().tolist()]
-    V, V1, V2, V3 = (np.array(col).reshape(q.shape) for col in zip(*rows))
+    V, V1, V2, V3 = (np.broadcast_to(v, q.shape) for v in potential.eval(q))
     m2 = 2.0 * mass
     return QBundle(q, m2 * (V - E), m2 * V1, m2 * V2, m2 * V3)
 
@@ -156,14 +163,15 @@ def find_minimum(potential):
     """Locate the unique local minimum of V in the search window.
 
     Scans a coarse grid, rejects multi-well shapes, then polishes the zero
-    of V' by bisection with secant refinement.
+    of V' with hybrid_root.
     """
     half = SEARCH_HALF_WIDTH / potential.alpha
     n = 1201
-    qs = [(-half + 2 * half * i / (n - 1)) for i in range(n)]
-    vs = [potential.eval(q)[0] for q in qs]
-    minima = [i for i in range(1, n - 1)
-              if vs[i] <= vs[i - 1] and vs[i] <= vs[i + 1]]
+    grid = -half + 2 * half * np.arange(n) / (n - 1)
+    vs = np.broadcast_to(potential.eval(grid)[0], grid.shape)
+    minima = (1 + np.flatnonzero((vs[1:-1] <= vs[:-2])
+                                 & (vs[1:-1] <= vs[2:]))).tolist()
+    qs = grid.tolist()
     # collapse plateaus of equal samples into one candidate
     distinct = []
     for i in minima:

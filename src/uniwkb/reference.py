@@ -194,6 +194,10 @@ class GridSpec:
     tail_exponent: float = 20.7   # amplitude^2 decays to ~1e-18
 
 
+# grid points per potential evaluation in the oracle's march
+GRID_CHUNK = 32768
+
+
 class NumerovError(RuntimeError):
     """Eigenvalue search failed to bracket or converge."""
 
@@ -228,14 +232,17 @@ def _count_nodes(potential, E, mass, hbar, gs, q_m):
     dr = _tail_margin(potential, E, mass, hbar, tp.q_plus, +1.0, width,
                       gs.tail_exponent)
     lo, hi = tp.q_minus - dl, tp.q_plus + dr
-    probe = np.linspace(lo, hi, 64)
-    max_q = max(abs(q_bundle(potential, float(qq), E, mass).Q) for qq in probe)
+    V = potential.eval(np.linspace(lo, hi, 64))[0]
+    max_q = float(np.max(np.abs(2.0 * mass * (V - E))))
     h = math.sqrt(gs.step_factor * hbar * hbar / max_q)
     m = int(math.ceil((hi - lo) / h)) + 1
     qs = np.linspace(lo, hi, m)
     h = qs[1] - qs[0]
-    V = np.array([potential.eval(float(q))[0] for q in qs])
-    f = 2.0 * mass * (V - E) / (hbar * hbar)
+    f = np.empty(m)
+    # fixed chunks bound the evaluation's temporaries on long grids
+    for s in range(0, m, GRID_CHUNK):
+        V = potential.eval(qs[s:s + GRID_CHUNK])[0]
+        f[s:s + GRID_CHUNK] = 2.0 * mass * (V - E) / (hbar * hbar)
     w = (1.0 - (h * h / 12.0) * f).tolist()
     y_prev, y = 0.0, 1e-280
     nodes = 0
@@ -260,9 +267,8 @@ def numerov_solve(potential, n, hbar=1.0, mass=1.0, grid_spec=None):
     from .potentials import SEARCH_HALF_WIDTH, find_minimum
 
     q_m = find_minimum(potential)
-    v_min = potential.eval(q_m)[0]
-    curv = max(potential.eval(q_m)[2], 1e-12)
-    e_unit = hbar * math.sqrt(curv / mass)
+    v_min, _, curv, _ = potential.eval(q_m)
+    e_unit = hbar * math.sqrt(max(curv, 1e-12) / mass)
     halfw = SEARCH_HALF_WIDTH / potential.alpha
     v_edge = min(potential.eval(q_m - halfw)[0], potential.eval(q_m + halfw)[0])
     cap_e = v_edge - 1e-9 * (v_edge - v_min)

@@ -118,9 +118,12 @@ def _tail_cut(potential, E, mass, hbar, q_start, direction, width):
     raise QuadratureError("forbidden tail failed to reach the decay target")
 
 
-def phase_integral(potential, E, hbar=1.0, mass=1.0):
-    """Accumulated oscillation phase across the classically allowed region."""
-    tp = find_turning_points(potential, E, mass)
+def phase_integral(potential, E, hbar=1.0, mass=1.0, q_m=None):
+    """Accumulated oscillation phase across the classically allowed region.
+
+    q_m, the well minimum, may be passed in when already known.
+    """
+    tp = find_turning_points(potential, E, mass, q_m=q_m)
 
     def f(q):
         return _terms_at(potential, q, E, hbar, mass, "allowed")[1]
@@ -151,12 +154,11 @@ def solve_quantization(potential, n, hbar=1.0, mass=1.0):
                 % (cap, n))
     target = math.pi * (n + 2.0 / 3.0)
     q_m = find_minimum(potential)
-    v_min = potential.eval(q_m)[0]
-    curv = max(potential.eval(q_m)[2], 1e-12)
-    e_unit = hbar * math.sqrt(curv / mass)
+    v_min, _, curv, _ = potential.eval(q_m)
+    e_unit = hbar * math.sqrt(max(curv, 1e-12) / mass)
 
     def g(E):
-        return phase_integral(potential, E, hbar, mass) - target
+        return phase_integral(potential, E, hbar, mass, q_m=q_m) - target
 
     # the second-order terms diverge at the well bottom, so the lower probe
     # starts a modest fraction of the level spacing above it and retreats

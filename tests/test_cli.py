@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -78,6 +79,18 @@ def test_unbound_level_exits_three(capsys):
                  "--levels", "9"])
     assert code == 3
     assert "supports 4 levels" in capsys.readouterr().err
+
+
+def test_overflowing_expression_exits_four(capsys):
+    """exp(q^2) overflows in the search window: a solver failure, not a
+    misread well shape, and no floating-point warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--potential", "expr", "--expr", "exp(q^2)",
+                     "--levels", "0"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "overflow" in err
 
 
 def test_unknown_parameter_exits_two(capsys):

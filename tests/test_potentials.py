@@ -1,14 +1,19 @@
 """Potential construction, expression parsing with jet derivatives, Q
 bundles, and turning-point location."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniwkb import exprparse
-from uniwkb.exprparse import ExprError
+from uniwkb.exprparse import EvalDomainError, ExprError
 from uniwkb.potentials import (
+    SEARCH_HALF_WIDTH,
     NoBoundRegionError,
     ParameterError,
     WellShapeError,
@@ -17,6 +22,7 @@ from uniwkb.potentials import (
     make_builtin,
     parse_potential,
     q_bundle,
+    q_bundle_many,
 )
 from uniwkb.rootfind import BracketError
 
@@ -217,3 +223,135 @@ def test_turning_point_errors():
     m = make_builtin("morse", {"gamma": 4.5})
     with pytest.raises(BracketError):
         find_turning_points(m, 0.5, 1.0)  # above dissociation, right side open
+
+
+# ---- array evaluation ----
+
+def assert_array_matches_scalar(ev, qs):
+    """Array eval equals the elementwise scalar eval bit for bit."""
+    vec = [np.broadcast_to(v, qs.shape) for v in ev(qs)]
+    for i, q in enumerate(qs.tolist()):
+        assert [vec[j][i] for j in range(4)] == list(ev(q)), q
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+_GRID = st.lists(_UNIT, min_size=1, max_size=40)
+
+
+@st.composite
+def builtin_models(draw):
+    kind = draw(st.sampled_from(["harmonic", "morse", "poschl_teller"]))
+    if kind == "harmonic":
+        params = {"k": draw(st.floats(1e-3, 50.0))}
+    else:
+        name, low = ("gamma", 0.5) if kind == "morse" else ("lambda", 1.0)
+        params = {name: low + draw(st.floats(1e-3, 30.0)),
+                  "alpha": draw(st.floats(0.05, 5.0))}
+    return make_builtin(kind, params, hbar=draw(st.floats(0.2, 3.0)),
+                        mass=draw(st.floats(0.2, 3.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtin_models(), _GRID)
+def test_builtin_array_eval_equals_scalar(model, unit):
+    # the whole search window, where find_minimum evaluates
+    half = SEARCH_HALF_WIDTH / model.alpha
+    assert_array_matches_scalar(model.eval, half * np.array(unit))
+
+
+# one fragment per function in FUNCS; arguments stay inside the real domain
+# and away from tan's poles for |q| <= 2
+_FUNC_FRAGMENTS = {
+    "exp": "exp({c}*q)",
+    "ln": "ln({d} + q^2)",
+    "sqrt": "sqrt({d} + q^2)",
+    "sin": "sin({c}*q + {c})",
+    "cos": "cos({c}*q)",
+    "tan": "tan({c}*q/4)",
+    "sinh": "sinh({c}*q)",
+    "cosh": "cosh({c}*q + {c})",
+    "tanh": "tanh({c}*q)",
+}
+# the other operators: division, a real power and an integer power
+_EXTRA_FRAGMENTS = ["1/({d} + q^2)", "({d} + q^2)^{c}", "(q - {c})^3"]
+
+
+@st.composite
+def every_function_exprs(draw):
+    frags = draw(st.permutations(sorted(_FUNC_FRAGMENTS)))
+    parts = [_FUNC_FRAGMENTS[f] for f in frags] + _EXTRA_FRAGMENTS
+    coef = st.floats(-1.5, 1.5).map(lambda x: round(x, 3))
+    dist = st.floats(1.5, 4.0).map(lambda x: round(x, 3))
+    src = ""
+    for k, part in enumerate(parts):
+        if k:
+            src += draw(st.sampled_from([" + ", " - ", " * "]))
+        src += part.replace("{c}", "(%r)" % draw(coef), 1).replace(
+            "{c}", "(%r)" % draw(coef)).replace("{d}", repr(draw(dist)))
+    return src
+
+
+def test_function_fragments_cover_funcs():
+    assert set(_FUNC_FRAGMENTS) == set(exprparse.FUNCS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(every_function_exprs(), _GRID)
+def test_expression_array_eval_equals_scalar(src, unit):
+    assert_array_matches_scalar(parse_potential(src, {}).eval,
+                                2.0 * np.array(unit))
+
+
+def test_q_bundle_many_keeps_2d_shape():
+    q = np.linspace(-1.5, 2.5, 12).reshape(3, 4)
+    for pot in (make_builtin("harmonic", {"k": 0.5}),
+                make_builtin("morse", {"gamma": 4.5}),
+                parse_potential("q^4/4 + q^2/2", {})):
+        b = q_bundle_many(pot, q, 0.7, 1.3)
+        flat = q_bundle_many(pot, q.ravel(), 0.7, 1.3)
+        for name in ("Q", "dQ", "d2Q", "d3Q"):
+            field = getattr(b, name)
+            assert field.shape == (3, 4)
+            assert np.array_equal(field, getattr(flat, name).reshape(3, 4))
+            assert field[1, 2] == getattr(q_bundle(pot, q[1, 2], 0.7, 1.3), name)
+
+
+def test_q_bundle_many_makes_one_eval_call():
+    for pot in (make_builtin("poschl_teller", {"lambda": 5.0}),
+                parse_potential("-10/cosh(q)^2", {})):
+        calls = []
+
+        def ev(q, _ev=pot.eval):
+            calls.append(np.shape(q))
+            return _ev(q)
+
+        counted = dataclasses.replace(pot, eval=ev)
+        q_bundle_many(counted, np.linspace(-3.0, 3.0, 1001), -2.0, 1.0)
+        assert calls == [(1001,)]
+
+
+def test_one_bad_element_raises_domain_error():
+    q = np.array([0.5, 1.0, 2.0, 3.0])
+    for src, bad in (("ln(q)", -1.0), ("1/q", 0.0), ("sqrt(q)", -2.0),
+                     ("q^0.5", 0.0), ("q/tan(q)", 0.0)):
+        ev = exprparse.compile_expr(src, {})
+        ev(q)
+        with pytest.raises(EvalDomainError):
+            ev(np.where(np.arange(4) == 2, bad, q))
+
+
+def test_overflow_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cases = [(make_builtin("morse", {"gamma": 4.5}), -800.0),
+                 (parse_potential("exp(q^2)", {}), 30.0),
+                 (parse_potential("q^2*cosh(q)", {}), -720.0)]
+        for pot, q_bad in cases:
+            pot.eval(0.5)
+            with pytest.raises(OverflowError):
+                pot.eval(q_bad)
+            with pytest.raises(OverflowError):
+                pot.eval(np.array([0.0, 1.0, q_bad, 2.0]))
+        # cosh overflow inside the sech of a far tail is a true zero
+        pt = make_builtin("poschl_teller", {"lambda": 5.0})
+        assert pt.eval(np.array([800.0]))[0][0] == 0.0

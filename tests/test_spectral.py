@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from uniwkb import potentials, spectral
 from uniwkb.potentials import make_builtin, q_bundle
 from uniwkb.spectral import (
     QuantizationError,
@@ -76,6 +77,28 @@ def test_solve_quantization_matches_oracle(kind):
     for n, want in enumerate(ESP_ORACLE[kind]):
         e_sp = solve_quantization(pot, n)
         assert abs(e_sp - want) < 5e-10, (kind, n, e_sp)
+
+
+def test_quantization_work_count(monkeypatch):
+    """Pöschl–Teller n=1 needs few phase integrals, and one minimum search."""
+    calls = []
+    real_phase, real_min = spectral.phase_integral, spectral.find_minimum
+
+    def phase(*args, **kwargs):
+        calls.append("phase")
+        return real_phase(*args, **kwargs)
+
+    def minimum(*args, **kwargs):
+        calls.append("minimum")
+        return real_min(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "phase_integral", phase)
+    monkeypatch.setattr(spectral, "find_minimum", minimum)
+    monkeypatch.setattr(potentials, "find_minimum", minimum)
+    e_sp = solve_quantization(make_builtin("poschl_teller", PARAMS["poschl_teller"]), 1)
+    assert abs(e_sp - ESP_ORACLE["poschl_teller"][1]) < 5e-10
+    assert calls.count("phase") <= 10
+    assert calls.count("minimum") == 1
 
 
 @pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
