@@ -19,17 +19,15 @@ from typing import Optional
 import numpy as np
 
 from .metrics import (METRIC_NAMES, METRIC_SPEC, BenchmarkError,
-                      GoldenDataError, benchmark_table, check_cell, delta_e,
-                      delta_h_psi, delta_psi_prime, discrepancy_d,
-                      load_golden, state_overlap)
+                      GoldenDataError, benchmark_table, check_cell,
+                      level_metrics, load_golden)
 from .potentials import (BUILTIN_KINDS, NoBoundRegionError, WellShapeError,
                          make_builtin, parse_potential)
 from .quadrature import QuadratureError, QuadratureSpec
 from .reference import LevelIndexError, NumerovError, exact_wavefunction
 from .rootfind import BracketError
 from .spectral import (PHASE_RESIDUAL_TOL, PHASE_SPEC, QuantizationError,
-                       airy_argument, assemble, expectation_h2,
-                       solve_quantization)
+                       airy_argument, assemble, solve_quantization)
 
 SCHEMA_VERSION = "uniwkb/1"
 
@@ -168,14 +166,8 @@ def cmd_solve(config):
         if config.kind in BUILTIN_KINDS:
             ex = exact_wavefunction(config.kind, potential.params, n,
                                     config.hbar, config.mass)
-            ov = state_overlap(ex, sol, spec)
-            h2 = expectation_h2(sol, spec)
             rec["e_exact"] = ex.energy
-            rec["metrics"] = {"delta_psi": 1.0 - ov,
-                              "delta_psi_prime": delta_psi_prime(ex, sol, spec),
-                              "delta_h_psi": delta_h_psi(ex.energy, ov, h2),
-                              "d": discrepancy_d(sol.e_bar, h2),
-                              "delta_e": delta_e(sol.e_bar, ex.energy)}
+            rec["metrics"] = level_metrics(ex, sol, spec)
         records.append(rec)
         per_level.append(round(time.perf_counter() - t0, 3))
     e_sps = [rec["e_sp"] for rec in records]

@@ -2,9 +2,16 @@
 the benchmark harness that recomputes the published comparison table.
 
 All overlap-type quantities are quadratures over the truncated support of the
-approximate state, split at its internal matching points.  The golden values
-live in a checksummed CSV inside the package so a corrupted data file is
-detected rather than silently shifting the pass/fail verdicts.
+approximate state, split at its internal matching points.  They come from a
+single metrics pass (`overlap_metrics`): one vector-valued Gauss-Kronrod
+quadrature per break panel integrates <e|a>, <e'|e'>, <a'|a'> and <e'|a'>
+on one shared panel tree, sampling each state and derivative once per node.
+`level_metrics` adds the <H^2> moment and returns all five metrics; both
+`benchmark_row` and `uniwkb solve` take it.
+
+The golden values live in a checksummed CSV inside the package so a
+corrupted data file is detected rather than silently shifting the
+pass/fail verdicts.
 """
 
 import csv
@@ -58,54 +65,74 @@ class MetricsRow:
     delta_e: float
 
 
+def _brackets(samplers, pairs, edges, spec=METRIC_SPEC):
+    """L2 inner products <samplers[i]|samplers[j]> for (i, j) in pairs.
+
+    One vector quadrature per panel between edges: every sampler is called
+    once per node, and all the products share one adaptive panel tree.
+    """
+    def products(t):
+        s = [f(t) for f in samplers]
+        return np.stack([s[i] * s[j] for i, j in pairs])
+
+    return sum(integrate(products, a, b, spec)
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
 def _bracket(f, g, edges, spec=METRIC_SPEC):
     """L2 inner product of two samplers, split panel-wise at edges."""
-    return float(sum(integrate(lambda t: f(t) * g(t), a, b, spec)
-                     for a, b in zip(edges[:-1], edges[1:])))
+    return float(_brackets((f, g), ((0, 1),), edges, spec)[0])
 
 
-def relative_deviation(f1_samples, f2_samples, inner_product=np.dot):
-    """Normalized distance 1 - (<f1|f2>+<f2|f1>)/(<f1|f1>+<f2|f2>).
-
-    Symmetric in its arguments by construction; 0 for identical inputs, 1
-    for orthogonal equal-norm inputs.  inner_product takes the two sample
-    objects (arrays, or samplers when paired with a quadrature closure).
-    """
-    g11 = float(inner_product(f1_samples, f1_samples))
-    g22 = float(inner_product(f2_samples, f2_samples))
+def _gram_deviation(g11, g22, g12, g21):
+    """1 - (g12 + g21)/(g11 + g22) from the Gram entries of two inputs."""
     if not (g11 > 0.0 and g22 > 0.0):
         raise ValueError("zero-norm input to relative_deviation")
-    g12 = float(inner_product(f1_samples, f2_samples))
-    g21 = float(inner_product(f2_samples, f1_samples))
     return 1.0 - (g12 + g21) / (g11 + g22)
 
 
-def state_overlap(exact, approx, spec=METRIC_SPEC):
-    """<exact|approx> over the approximate state's truncated support.
+def relative_deviation(f1_samples, f2_samples):
+    """Normalized distance 1 - (<f1|f2>+<f2|f1>)/(<f1|f1>+<f2|f2>) of two
+    sample arrays.
 
-    Both constructions fix a positive left tail, so a negative overlap means
-    the sign convention was broken somewhere upstream; that is flagged
-    rather than silently absorbed into the metric.
+    Symmetric in its arguments by construction; 0 for identical inputs, 1
+    for orthogonal equal-norm inputs.
     """
-    ov = _bracket(exact.psi, approx.psi, approx.breaks, spec)
+    return _gram_deviation(float(np.dot(f1_samples, f1_samples)),
+                           float(np.dot(f2_samples, f2_samples)),
+                           float(np.dot(f1_samples, f2_samples)),
+                           float(np.dot(f2_samples, f1_samples)))
+
+
+def overlap_metrics(exact, approx, spec=METRIC_SPEC):
+    """(<exact|approx>, delta_psi_prime) from one pass over approx.breaks.
+
+    <e|a>, <e'|e'>, <a'|a'> and <e'|a'> come from one vector quadrature per
+    break panel, so each of exact.psi, exact.dpsi, approx.psi and approx.dpsi
+    is sampled once per node.  For real states <a'|e'> = <e'|a'>, so the
+    derivative deviation is the general (not unit-norm) relative deviation
+    with g12 = g21.  Both constructions fix a positive left tail, so a
+    negative overlap means the sign convention was broken somewhere
+    upstream; that is flagged rather than silently absorbed into the metric.
+    """
+    ov, ee, aa, ea = (float(v) for v in _brackets(
+        (exact.psi, approx.psi, exact.dpsi, approx.dpsi),
+        ((0, 1), (2, 2), (3, 3), (2, 3)), approx.breaks, spec))
     if ov < 0.0:
         raise ValueError("sign alignment failed: overlap is negative")
-    return ov
+    return ov, _gram_deviation(ee, aa, ea, ea)
 
 
-def delta_psi(exact, approx, spec=METRIC_SPEC):
-    """Overlap deficit 1 - <exact|approx> for normalized, sign-aligned states."""
-    return 1.0 - state_overlap(exact, approx, spec)
-
-
-def delta_psi_prime(exact, approx, spec=METRIC_SPEC):
-    """General deviation of the first derivatives (no unit-norm rescaling)."""
-    edges = approx.breaks
-
-    def ip(f, g):
-        return _bracket(f, g, edges, spec)
-
-    return relative_deviation(exact.dpsi, approx.dpsi, ip)
+def level_metrics(exact, approx, spec=METRIC_SPEC):
+    """The five comparison metrics of one assembled level, keyed by
+    METRIC_NAMES: the overlap pass plus the <H^2> moment."""
+    ov, dpp = overlap_metrics(exact, approx, spec)
+    h2 = expectation_h2(approx, spec)
+    return {"delta_psi": 1.0 - ov,
+            "delta_psi_prime": dpp,
+            "delta_h_psi": delta_h_psi(exact.energy, ov, h2),
+            "d": discrepancy_d(approx.e_bar, h2),
+            "delta_e": delta_e(approx.e_bar, exact.energy)}
 
 
 def delta_h_psi(exact_energy, overlap, h2_moment):
@@ -135,14 +162,7 @@ def benchmark_row(kind, params, n, hbar=1.0, mass=1.0):
     e_sp = solve_quantization(potential, n, hbar, mass)
     approx = assemble(potential, e_sp, n, hbar, mass)
     exact = exact_wavefunction(kind, potential.params, n, hbar, mass)
-    ov = state_overlap(exact, approx)
-    h2 = expectation_h2(approx)
-    return MetricsRow(potential=kind, n=n,
-                      delta_psi=1.0 - ov,
-                      delta_psi_prime=delta_psi_prime(exact, approx),
-                      delta_h_psi=delta_h_psi(exact.energy, ov, h2),
-                      d=discrepancy_d(approx.e_bar, h2),
-                      delta_e=delta_e(approx.e_bar, exact.energy))
+    return MetricsRow(potential=kind, n=n, **level_metrics(exact, approx))
 
 
 def benchmark_table():

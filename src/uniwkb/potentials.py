@@ -159,6 +159,45 @@ def q_bundle_many(potential, q, E, mass):
     return QBundle(q, m2 * (V - E), m2 * V1, m2 * V2, m2 * V3)
 
 
+def march_tail(potential, E, mass, hbar, q_start, direction, step, target,
+               cap=np.inf, max_steps=None):
+    """March from q_start into a forbidden tail in equal steps until the
+    trapezoid integral of kappa = sqrt(max(Q, 0))/hbar reaches target or
+    the distance |q - q_start| reaches cap; returns that point, or None
+    when max_steps steps do neither.
+
+    Blocks of steps (64, then doubling) are evaluated with one array call
+    each.  Positions and running integrals are formed by np.cumsum, which
+    adds in order, so the result is bit-identical to stepping one point at
+    a time.  A block whose evaluation raises (a point beyond the stop may
+    lie outside the potential's domain) is retried one step at a time, so
+    only a point the march reaches can raise.
+    """
+    d = direction * step
+    q, kappa_int, k_prev = q_start, 0.0, 0.0
+    taken, block = 0, 64
+    while max_steps is None or taken < max_steps:
+        size = block if max_steps is None else min(block, max_steps - taken)
+        qs = np.cumsum(np.concatenate(([q], np.full(size, d))))[1:]
+        try:
+            Q = q_bundle_many(potential, qs, E, mass).Q
+        except (ArithmeticError, ValueError):
+            if block == 1:
+                raise
+            block = 1
+            continue
+        k = np.sqrt(np.maximum(Q, 0.0)) / hbar
+        inc = 0.5 * (k + np.concatenate(([k_prev], k[:-1]))) * step
+        kap = np.cumsum(np.concatenate(([kappa_int], inc)))[1:]
+        hit = np.flatnonzero((kap >= target) | (np.abs(qs - q_start) >= cap))
+        if hit.size:
+            return float(qs[hit[0]])
+        q, kappa_int, k_prev = qs[-1], kap[-1], k[-1]
+        taken += size
+        block = 2 * block if block > 1 else 1
+    return None
+
+
 def find_minimum(potential):
     """Locate the unique local minimum of V in the search window.
 

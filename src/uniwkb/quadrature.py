@@ -4,6 +4,14 @@ be evaluated as functions of their upper limit.
 
 Integrands are called with numpy arrays of nodes (vectorized); everything
 here is deterministic and stateless.
+
+`integrate` also takes vector-valued integrands: called with n nodes, f may
+return shape (m, n) instead of (n,).  The m integrals then share one
+adaptive panel tree, so f is sampled once per node for all of them.  Each
+component keeps its own error budget, max(abs_tol, rel_tol*|K0_i|) from
+its first-panel estimate, halved at each split, and a panel is accepted
+only when every component passes.  An integrand with a 1-D return takes
+the scalar path, whose arithmetic does not depend on this.
 """
 
 from dataclasses import dataclass
@@ -62,29 +70,54 @@ class QuadratureSpec:
 
 
 def _panel(f, a, b):
+    """Kronrod estimate and |Kronrod - Gauss| on [a, b]: floats for a 1-D
+    integrand, arrays of m for an (m, n) one."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     y = f(mid + half * _NODES)
-    k = half * float(_WFULL @ y)
-    g = half * float(_WGAUSS @ y)
-    return k, abs(k - g)
+    if np.ndim(y) == 1:
+        k = half * float(_WFULL @ y)
+        g = half * float(_WGAUSS @ y)
+        return k, abs(k - g)
+    k = half * (y @ _WFULL)
+    g = half * (y @ _WGAUSS)
+    return k, np.abs(k - g)
 
 
 def integrate(f, a, b, spec=QuadratureSpec()):
-    """Adaptive Gauss-Kronrod integral of a vectorized integrand."""
+    """Adaptive Gauss-Kronrod integral of a vectorized integrand.
+
+    Returns a float for a 1-D integrand and an array of m integrals for an
+    (m, n) one.  A zero-length interval returns 0.0 without sampling f.
+    """
     a, b = float(a), float(b)
     if a == b:
         return 0.0
     k0, e0 = _panel(f, a, b)
-    budget = max(spec.abs_tol, spec.rel_tol * abs(k0), 1e-300)
+    vector = np.ndim(k0) == 1
+    if vector:
+        budget = np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(k0)),
+                            1e-300)
+    else:
+        budget = max(spec.abs_tol, spec.rel_tol * abs(k0), 1e-300)
     stack = [(a, b, k0, e0, budget, 0)]
     total = 0.0
     while stack:
         lo, hi, k, err, tol, depth = stack.pop()
-        if err <= tol or err <= 1e-16 * abs(k):
+        if vector:
+            ok = bool(np.all((err <= tol) | (err <= 1e-16 * np.abs(k))))
+        else:
+            ok = err <= tol or err <= 1e-16 * abs(k)
+        if ok:
             total += k
             continue
         if depth >= spec.max_depth:
+            if vector:
+                # name the component furthest over its budget
+                i = int(np.argmax(err / tol))
+                raise QuadratureError(
+                    "no convergence on [%g, %g] in component %d of %d "
+                    "(err %.2e, tol %.2e)" % (lo, hi, i, len(k), err[i], tol[i]))
             raise QuadratureError(
                 "no convergence on [%g, %g] (err %.2e, tol %.2e)" % (lo, hi, err, tol))
         mid = 0.5 * (lo + hi)

@@ -13,7 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import find_turning_points, q_bundle
+from .potentials import find_turning_points, march_tail
+# unused here, kept importable: perfbench/tracer.py wraps reference.q_bundle
+from .potentials import q_bundle  # noqa: F401
 from .quadrature import QuadratureSpec, integrate
 
 HARMONIC_SENTINEL = 2 ** 31 - 1
@@ -209,19 +211,10 @@ def _tail_margin(potential, E, mass, hbar, q_start, direction, width, target):
     far less than the solver tolerance, so there is no point marching into
     nearly-flat tails near the dissociation threshold.
     """
-    kappa_int = 0.0
     step = max(width / 40.0, 1e-4)
-    cap = 4.0 * width + 40.0 * step
-    q = q_start
-    k_prev = 0.0
-    while True:
-        q += direction * step
-        Q = q_bundle(potential, q, E, mass).Q
-        k = math.sqrt(max(Q, 0.0)) / hbar
-        kappa_int += 0.5 * (k + k_prev) * step
-        k_prev = k
-        if kappa_int >= target or abs(q - q_start) >= cap:
-            return abs(q - q_start)
+    q = march_tail(potential, E, mass, hbar, q_start, direction, step, target,
+                   cap=4.0 * width + 40.0 * step)
+    return abs(q - q_start)
 
 
 def _count_nodes(potential, E, mass, hbar, gs, q_m):

@@ -17,7 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .potentials import (NoBoundRegionError, TurningPoints, find_minimum,
-                         find_turning_points, q_bundle, q_bundle_many)
+                         find_turning_points, march_tail, q_bundle_many)
+# unused here, kept importable: perfbench/tracer.py wraps spectral.q_bundle
+from .potentials import q_bundle  # noqa: F401
 from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integrate
 from .rootfind import BracketError, hybrid_root
 from .wkb_core import A_SWITCH, terms_many
@@ -103,19 +105,11 @@ def _a_crossings(potential, qa, qb, E, hbar, mass):
 
 def _tail_cut(potential, E, mass, hbar, q_start, direction, width):
     """Truncation point where the forbidden decay exponent reaches TAIL_DECAY."""
-    step = max(width / 50.0, 1e-4)
-    kappa_int = 0.0
-    q = q_start
-    k_prev = 0.0
-    for _ in range(200000):
-        q += direction * step
-        b = q_bundle(potential, q, E, mass)
-        k = math.sqrt(max(b.Q, 0.0)) / hbar
-        kappa_int += 0.5 * (k + k_prev) * step
-        k_prev = k
-        if kappa_int >= TAIL_DECAY:
-            return q
-    raise QuadratureError("forbidden tail failed to reach the decay target")
+    q = march_tail(potential, E, mass, hbar, q_start, direction,
+                   max(width / 50.0, 1e-4), TAIL_DECAY, max_steps=200000)
+    if q is None:
+        raise QuadratureError("forbidden tail failed to reach the decay target")
+    return q
 
 
 def phase_integral(potential, E, hbar=1.0, mass=1.0, q_m=None):

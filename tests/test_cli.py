@@ -5,17 +5,19 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import uniwkb
 from uniwkb.cli import (ConfigError, DumpGrid, build_parser, cmd_dump,
                         cmd_solve, cmd_verify, config_from_args, main,
                         render_document, _parse_levels, _parse_params,
                         _parse_range)
-from uniwkb.metrics import GOLDEN_ENV
+from uniwkb.metrics import GOLDEN_ENV, METRIC_NAMES, benchmark_row
 
 
 def make_config(argv):
@@ -146,6 +148,19 @@ def test_solve_document_shape_and_energy():
     assert e_sps == sorted(e_sps)
 
 
+@pytest.mark.parametrize("argv,kind,params,n", [
+    (["--potential", "harmonic", "--param", "k=0.5", "--levels", "1"],
+     "harmonic", {"k": 0.5}, 1),
+    (["--potential", "morse", "--param", "gamma=4.5", "--param", "alpha=1",
+      "--levels", "2"], "morse", {"gamma": 4.5, "alpha": 1.0}, 2),
+])
+def test_solve_metrics_equal_benchmark_row(argv, kind, params, n):
+    # `solve` and `verify` take their metrics from the same code path
+    rec = cmd_solve(make_config(["solve"] + argv))["records"][0]
+    row = benchmark_row(kind, params, n)
+    assert rec["metrics"] == {m: getattr(row, m) for m in METRIC_NAMES}
+
+
 def test_solve_expression_has_no_exact_fields():
     doc = cmd_solve(make_config(["solve", "--potential", "expr", "--expr",
                                  "q^4/4", "--levels", "0"]))
@@ -266,7 +281,11 @@ def test_dump_rejects_multiple_levels():
 # ---- module entry point ----
 
 def test_module_invocation_help():
+    # the child imports the same package as this session, installed or not
+    src = os.path.dirname(os.path.dirname(uniwkb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "uniwkb", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "verify" in proc.stdout

@@ -1,6 +1,7 @@
 """Metric identities, golden-table loader integrity, and live benchmark
 spot checks against the published comparison values."""
 
+import dataclasses
 import hashlib
 from types import SimpleNamespace
 
@@ -9,10 +10,12 @@ import pytest
 
 from uniwkb.metrics import (GOLDEN_ENV, METRIC_NAMES, GoldenDataError,
                             benchmark_row, benchmark_table, check_cell,
-                            delta_e, delta_h_psi, delta_psi, delta_psi_prime,
-                            discrepancy_d, golden_path, load_golden,
-                            relative_deviation, state_overlap)
+                            delta_e, delta_h_psi, discrepancy_d, golden_path,
+                            level_metrics, load_golden, overlap_metrics,
+                            relative_deviation)
+from uniwkb.potentials import make_builtin
 from uniwkb.reference import exact_wavefunction
+from uniwkb.spectral import assemble, solve_quantization
 
 _ROWS = {}
 
@@ -79,15 +82,41 @@ def _self_approx(kind, params, n, breaks):
 
 def test_delta_psi_of_state_with_itself_is_tiny():
     ex, ap = _self_approx("harmonic", {"k": 0.5}, 0, (-13.0, -1.0, 1.0, 13.0))
-    assert abs(delta_psi(ex, ap)) < 1e-9
-    assert abs(delta_psi_prime(ex, ap)) < 1e-9
+    overlap, dpp = overlap_metrics(ex, ap)
+    assert abs(1.0 - overlap) < 1e-9
+    assert abs(dpp) < 1e-9
 
 
 def test_delta_psi_flags_sign_misalignment():
     ex, ap = _self_approx("harmonic", {"k": 0.5}, 0, (-13.0, -1.0, 1.0, 13.0))
-    flipped = SimpleNamespace(psi=lambda q: -ap.psi(q), breaks=ap.breaks)
-    with pytest.raises(ValueError):
-        state_overlap(ex, flipped)
+    flipped = SimpleNamespace(psi=lambda q: -ap.psi(q), dpsi=ap.dpsi,
+                              breaks=ap.breaks)
+    with pytest.raises(ValueError, match="sign alignment"):
+        overlap_metrics(ex, flipped)
+    with pytest.raises(ValueError, match="sign alignment"):
+        level_metrics(ex, flipped)
+
+
+def test_metrics_pass_samples_each_sampler_once_per_node():
+    pot = make_builtin("harmonic", {"k": 0.5})
+    sol = assemble(pot, solve_quantization(pot, 1), 1)
+    ex = exact_wavefunction("harmonic", pot.params, 1)
+    calls = {"psi": 0, "dpsi": 0}
+
+    def counted(name):
+        fn = getattr(sol, name)
+
+        def wrapper(q):
+            calls[name] += 1
+            return fn(q)
+        return wrapper
+
+    counted_sol = dataclasses.replace(sol, psi=counted("psi"),
+                                      dpsi=counted("dpsi"))
+    metrics = level_metrics(ex, counted_sol)
+    assert set(metrics) == set(METRIC_NAMES)
+    assert calls["dpsi"] <= calls["psi"]
+    assert calls["dpsi"] <= 40
 
 
 # ---- golden table loader ----

@@ -2,6 +2,7 @@
 bundles, and turning-point location."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from uniwkb.potentials import (
     find_minimum,
     find_turning_points,
     make_builtin,
+    march_tail,
     parse_potential,
     q_bundle,
     q_bundle_many,
@@ -355,3 +357,79 @@ def test_overflow_raises_without_warnings():
         # cosh overflow inside the sech of a far tail is a true zero
         pt = make_builtin("poschl_teller", {"lambda": 5.0})
         assert pt.eval(np.array([800.0]))[0][0] == 0.0
+
+
+# ---- forbidden-tail march ----
+
+def _scalar_steps(potential, E, mass, hbar, q_start, direction, step):
+    """(q, running kappa integral) after each step, one scalar q_bundle per
+    step: the loop that march_tail replaced."""
+    kappa_int = 0.0
+    q = q_start
+    k_prev = 0.0
+    while True:
+        q += direction * step
+        k = math.sqrt(max(q_bundle(potential, q, E, mass).Q, 0.0)) / hbar
+        kappa_int += 0.5 * (k + k_prev) * step
+        k_prev = k
+        yield q, kappa_int
+
+
+def _scalar_march(potential, E, mass, hbar, q_start, direction, step, target,
+                  cap, max_steps):
+    steps = _scalar_steps(potential, E, mass, hbar, q_start, direction, step)
+    for q, kappa_int in itertools.islice(steps, max_steps):
+        if kappa_int >= target or abs(q - q_start) >= cap:
+            return q
+    return None
+
+
+def _march_outcome(march, *args):
+    """The stop point as exact hex (or None), or the overflow raised."""
+    try:
+        q = march(*args)
+    except OverflowError:
+        return "OverflowError"
+    return None if q is None else float(q).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtin_models(), st.floats(0.0, 2.0), st.floats(-1.0, 1.0),
+       st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 0.5),
+       st.floats(0.5, 80.0), st.one_of(st.none(), st.integers(1, 3000)),
+       st.one_of(st.just(math.inf), st.floats(0.5, 200.0)),
+       st.one_of(st.none(), st.integers(1, 400)))
+def test_march_tail_equals_scalar_loop(model, e_frac, u0, direction, step,
+                                       target, max_steps, cap, tie_step):
+    q_m = find_minimum(model)
+    v_min = model.eval(q_m)[0]
+    E = v_min + e_frac * max(abs(v_min), 1.0)
+    q_start = q_m + u0 * 5.0 / model.alpha
+    step /= model.alpha
+    cap /= model.alpha
+    if max_steps is None and cap == math.inf:
+        max_steps = 3000
+    if tie_step is not None:
+        # a target equal to the loop's running integral at some step stops
+        # there only if the integral is summed in the same order
+        steps = _scalar_steps(model, E, model.mass, model.hbar, q_start,
+                              direction, step)
+        try:
+            _, target = next(itertools.islice(steps, tie_step - 1, None))
+        except OverflowError:
+            pass
+    args = (model, E, model.mass, model.hbar, q_start, direction, step,
+            target, cap, max_steps)
+    want = _march_outcome(_scalar_march, *args)
+    got = _march_outcome(march_tail, *args)
+    assert got == want
+
+
+def test_march_tail_does_not_raise_beyond_its_stop():
+    # blocks reach past q = -354.9, where the Morse exp(-2q) overflows, but
+    # the march stops at q = -340 first
+    morse = make_builtin("morse", {"gamma": 4.5})
+    args = (morse, -1.0, 1.0, 1.0, -330.0, -1.0, 2.0, math.inf, 10.0, None)
+    assert march_tail(*args) == _scalar_march(*args) == -340.0
+    with pytest.raises(OverflowError):
+        march_tail(morse, -1.0, 1.0, 1.0, -330.0, -1.0, 2.0, math.inf, 30.0)
