@@ -15,11 +15,11 @@ combinations:
 The negative-axis modulus Ai^2 + Bi^2 additionally has its own smooth
 asymptotic series so callers never square oscillatory values there.
 
-Public entry points return float64; the *_many bulk variants keep longdouble
-so callers that combine values with large cancellation can defer rounding.
+The module's API is the three array functions eval_many, scaled_many and
+modulus_many.  They take a float or an array of floats and return longdouble
+arrays, so callers that combine values with large cancellation can defer
+rounding.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ SQRT_PI = LD("1.772453850905516027298167483341145")
 
 SERIES_RADIUS = 4.5     # Maclaurin is used at or below this |a|
 ASYM_RADIUS = 9.0       # asymptotic expansions at or beyond this |a|
-UNSCALED_LIMIT = 104.0  # largest a where unscaled Bi(a) fits in float64
 SEED_POINT = 13.0       # asymptotic seed for the inward Ai march
 
 N_MACLAURIN = 30
@@ -44,32 +43,6 @@ N_ASYM = 32
 N_TAYLOR_QUERY = 26
 N_TAYLOR_BUILD = 32
 CHECKPOINT_STEP = 0.25
-
-
-@dataclass(frozen=True)
-class AiryEval:
-    a: float
-    ai: float
-    dai: float
-    bi: float
-    dbi: float
-
-
-@dataclass(frozen=True)
-class ScaledAiryEval:
-    a: float
-    zeta: float
-    ai_s: float
-    dai_s: float
-    bi_s: float
-    dbi_s: float
-
-
-@dataclass(frozen=True)
-class ModulusEval:
-    a: float
-    m2: float
-    dm2: float
 
 
 def _asym_coeffs(n):
@@ -372,37 +345,3 @@ def modulus_many(a):
         dm2[direct] = 2 * (ai * dai + bi * dbi)
     return m2, dm2
 
-
-def airy_eval(a: float) -> AiryEval:
-    """Unscaled Ai, Ai', Bi, Bi' at a real point.
-
-    Raises OverflowError above UNSCALED_LIMIT, where Bi no longer fits in
-    float64; use airy_scaled there.
-    """
-    a = float(a)
-    if not np.isfinite(a):
-        raise ValueError("argument must be finite")
-    if a > UNSCALED_LIMIT:
-        raise OverflowError(
-            "unscaled Bi overflows float64 for a > %g; use airy_scaled" % UNSCALED_LIMIT)
-    ai, dai, bi, dbi = eval_many(a)
-    return AiryEval(a, float(ai[0]), float(dai[0]), float(bi[0]), float(dbi[0]))
-
-
-def airy_scaled(a: float) -> ScaledAiryEval:
-    """Exponentially scaled values Ai*e^{+zeta}, Bi*e^{-zeta} for a >= 0."""
-    a = float(a)
-    if a < 0:
-        raise ValueError("airy_scaled requires a >= 0")
-    ai_s, dai_s, bi_s, dbi_s, zeta = scaled_many(a)
-    return ScaledAiryEval(a, float(zeta[0]), float(ai_s[0]), float(dai_s[0]),
-                          float(bi_s[0]), float(dbi_s[0]))
-
-
-def modulus_sq(a: float) -> ModulusEval:
-    """Ai^2 + Bi^2 and its derivative on the negative axis (a <= 0)."""
-    a = float(a)
-    if a > 0:
-        raise ValueError("modulus_sq requires a <= 0")
-    m2, dm2 = modulus_many(a)
-    return ModulusEval(a, float(m2[0]), float(dm2[0]))

@@ -23,7 +23,7 @@ from .metrics import (METRIC_NAMES, METRIC_SPEC, BenchmarkError,
                       level_metrics, load_golden)
 from .potentials import (BUILTIN_KINDS, NoBoundRegionError, WellShapeError,
                          make_builtin, parse_potential)
-from .quadrature import QuadratureError, QuadratureSpec
+from .quadrature import MIN_REL_TOL, QuadratureError, QuadratureSpec
 from .reference import LevelIndexError, NumerovError, exact_wavefunction
 from .rootfind import BracketError
 from .spectral import (PHASE_RESIDUAL_TOL, PHASE_SPEC, QuantizationError,
@@ -117,12 +117,13 @@ def config_from_args(args):
         kind, expr = args.potential.replace("-", "_"), None
     if not args.hbar > 0 or not args.mass > 0:
         raise ConfigError("hbar and mass must be positive")
-    if args.rel_tol is not None and not 1e-14 <= args.rel_tol < 1.0:
-        raise ConfigError("rel-tol must lie in [1e-14, 1)")
+    rel_tol = getattr(args, "rel_tol", None)   # solve only
+    if rel_tol is not None and not MIN_REL_TOL <= rel_tol < 1.0:
+        raise ConfigError("rel-tol must lie in [%g, 1)" % MIN_REL_TOL)
     return RunConfig(kind=kind, params=_parse_params(args.param), expr=expr,
                      hbar=args.hbar, mass=args.mass,
                      levels=_parse_levels(args.levels),
-                     rel_tol=args.rel_tol, fmt=getattr(args, "fmt", "csv"),
+                     rel_tol=rel_tol, fmt=getattr(args, "fmt", "csv"),
                      out=args.out)
 
 
@@ -284,8 +285,6 @@ def _add_problem_args(sub):
     sub.add_argument("--mass", type=float, default=1.0)
     sub.add_argument("--levels", default="0",
                      help="level list: '0..3', '0,2,5', or a single index")
-    sub.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
-                     help="relative tolerance for the comparison quadratures")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -301,6 +300,8 @@ def build_parser():
     _add_problem_args(p_solve)
     p_solve.add_argument("--format", choices=["json", "csv"], default="json",
                          dest="fmt")
+    p_solve.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
+                         help="relative tolerance for the comparison quadratures")
 
     p_verify = sub.add_parser("verify", help="recompute the benchmark table "
                                              "and check it against golden data")

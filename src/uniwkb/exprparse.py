@@ -49,20 +49,26 @@ def finite_eval(ev):
 
     def evaluate(q):
         out = quiet(q)
-        if isinstance(q, float):   # cheap path for the scalar marches
-            if math.isfinite(q) and not all(map(math.isfinite, out)):
-                raise OverflowError(_OVERFLOW % q)
-            return out
-        finite = np.isfinite(out[0])
-        for v in out[1:]:
-            finite = finite & np.isfinite(v)
-        bad = np.isfinite(q) & ~finite
-        if bad.any():
-            raise OverflowError(_OVERFLOW
-                                % float(np.broadcast_to(q, bad.shape)[bad][0]))
+        check_finite(q, out)
         return out
 
     return evaluate
+
+
+def check_finite(q, values):
+    """Raise OverflowError where a finite q gave a non-finite entry in any
+    of values (arrays or scalars that broadcast against q)."""
+    if isinstance(q, float):   # cheap path for the scalar marches
+        if math.isfinite(q) and not all(map(math.isfinite, values)):
+            raise OverflowError(_OVERFLOW % q)
+        return
+    finite = np.isfinite(values[0])
+    for v in values[1:]:
+        finite = finite & np.isfinite(v)
+    bad = np.isfinite(q) & ~finite
+    if bad.any():
+        raise OverflowError(_OVERFLOW
+                            % float(np.broadcast_to(q, bad.shape)[bad][0]))
 
 
 def _tokenize(src):

@@ -79,29 +79,16 @@ def _brackets(samplers, pairs, edges, spec=METRIC_SPEC):
                for a, b in zip(edges[:-1], edges[1:]))
 
 
-def _bracket(f, g, edges, spec=METRIC_SPEC):
-    """L2 inner product of two samplers, split panel-wise at edges."""
-    return float(_brackets((f, g), ((0, 1),), edges, spec)[0])
-
-
 def _gram_deviation(g11, g22, g12, g21):
-    """1 - (g12 + g21)/(g11 + g22) from the Gram entries of two inputs."""
-    if not (g11 > 0.0 and g22 > 0.0):
-        raise ValueError("zero-norm input to relative_deviation")
-    return 1.0 - (g12 + g21) / (g11 + g22)
+    """Relative deviation 1 - (g12 + g21)/(g11 + g22) of two inputs from
+    their Gram entries g_ij = <f_i|f_j>.
 
-
-def relative_deviation(f1_samples, f2_samples):
-    """Normalized distance 1 - (<f1|f2>+<f2|f1>)/(<f1|f1>+<f2|f2>) of two
-    sample arrays.
-
-    Symmetric in its arguments by construction; 0 for identical inputs, 1
-    for orthogonal equal-norm inputs.
+    Symmetric in its two inputs; 0 for identical inputs, 1 for orthogonal
+    inputs of equal norm.
     """
-    return _gram_deviation(float(np.dot(f1_samples, f1_samples)),
-                           float(np.dot(f2_samples, f2_samples)),
-                           float(np.dot(f1_samples, f2_samples)),
-                           float(np.dot(f2_samples, f1_samples)))
+    if not (g11 > 0.0 and g22 > 0.0):
+        raise ValueError("zero-norm input to the relative deviation")
+    return 1.0 - (g12 + g21) / (g11 + g22)
 
 
 def overlap_metrics(exact, approx, spec=METRIC_SPEC):

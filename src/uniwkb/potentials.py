@@ -142,21 +142,36 @@ def parse_potential(expr, params, hbar=1.0, mass=1.0):
 
 
 def q_bundle(potential, q, E, mass):
-    V, V1, V2, V3 = potential.eval(q)
-    m2 = 2.0 * mass
-    return QBundle(q, m2 * (V - E), m2 * V1, m2 * V2, m2 * V3)
+    """QBundle of 2m(V - E) and 2m times V', V'', V''' at one point q.
+
+    The factor 2m can overflow values that eval found finite; a finite q
+    whose scaled fields are not finite raises OverflowError, as eval does
+    for the potential itself.
+    """
+    # Python floats overflow to inf without a numpy warning
+    V, V1, V2, V3 = map(float, potential.eval(q))
+    m2, E = 2.0 * mass, float(E)
+    fields = (m2 * (V - E), m2 * V1, m2 * V2, m2 * V3)
+    exprparse.check_finite(q, fields)
+    return QBundle(q, *fields)
 
 
 def q_bundle_many(potential, q, E, mass):
-    """QBundle with array fields of q's shape, from one array evaluation.
+    """QBundle with array fields of q's shape, from one array evaluation,
+    with q_bundle's OverflowError.
 
     Derivatives that do not depend on q (the harmonic V'' and V''') come
     back from eval as scalars and are broadcast.
     """
     q = np.asarray(q, dtype=float)
-    V, V1, V2, V3 = (np.broadcast_to(v, q.shape) for v in potential.eval(q))
-    m2 = 2.0 * mass
-    return QBundle(q, m2 * (V - E), m2 * V1, m2 * V2, m2 * V3)
+    fields = np.empty((4,) + q.shape)
+    fields[0], fields[1], fields[2], fields[3] = potential.eval(q)
+    with np.errstate(over="ignore"):
+        fields[0] -= E
+        fields *= 2.0 * mass
+    if not np.isfinite(fields).all():   # locate the bad point only on failure
+        exprparse.check_finite(q, fields)
+    return QBundle(q, *fields)
 
 
 def march_tail(potential, E, mass, hbar, q_start, direction, step, target,

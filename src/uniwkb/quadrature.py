@@ -53,6 +53,10 @@ _WGAUSS = np.zeros(15)
 _WGAUSS[1:14:2] = np.concatenate([_WG[:3], _WG[3:], _WG[2::-1]])
 
 
+# smallest relative tolerance a double-precision quadrature can meet
+MIN_REL_TOL = 1e-13
+
+
 class QuadratureError(RuntimeError):
     """Adaptive refinement failed to reach the requested tolerance."""
 
@@ -62,11 +66,11 @@ class QuadratureSpec:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-14
     max_depth: int = 48
-    tail_decay_cutoff: float = 45.0
 
     def __post_init__(self):
-        if self.rel_tol < 1e-13:
-            raise ValueError("rel_tol below 1e-13 is not attainable in double")
+        if self.rel_tol < MIN_REL_TOL:
+            raise ValueError("rel_tol below %g is not attainable in double"
+                             % MIN_REL_TOL)
 
 
 def _panel(f, a, b):
@@ -173,20 +177,20 @@ def _clenshaw(coeffs, t):
 
 
 class CumulativeCheb:
-    """F(x) = offset + integral of f from the first breakpoint to x.
+    """F(x) = integral of f from the first breakpoint to x.
 
     The integrand is fitted per panel between the supplied breakpoints, so
     callers should place breakpoints at every known kink of f.  Evaluation
     outside the covered range clamps to the nearest endpoint.
     """
 
-    def __init__(self, f, breakpoints, spec=QuadratureSpec(), offset=0.0):
+    def __init__(self, f, breakpoints, spec=QuadratureSpec()):
         edges = [float(x) for x in breakpoints]
         if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
             raise ValueError("breakpoints must be strictly increasing, >= 2")
         self.edges = np.array(edges)
         self.coeffs = []
-        self.base = [float(offset)]
+        self.base = [0.0]
         for a, b in zip(edges[:-1], edges[1:]):
             c = _cheb_fit(f, a, b, spec)
             bc = _antiderivative_coeffs(c, 0.5 * (b - a))

@@ -190,12 +190,8 @@ def exact_wavefunction(kind, params, n, hbar=1.0, mass=1.0):
 
 # ---- Numerov oracle ----
 
-@dataclass(frozen=True)
-class GridSpec:
-    step_factor: float = 2.5e-4   # cap on step^2 * max|Q| / hbar^2
-    tail_exponent: float = 20.7   # amplitude^2 decays to ~1e-18
-
-
+STEP_FACTOR = 2.5e-4   # cap on step^2 * max|Q| / hbar^2
+TAIL_EXPONENT = 20.7   # amplitude^2 decays to ~1e-18
 # grid points per potential evaluation in the oracle's march
 GRID_CHUNK = 32768
 
@@ -217,17 +213,17 @@ def _tail_margin(potential, E, mass, hbar, q_start, direction, width, target):
     return abs(q - q_start)
 
 
-def _count_nodes(potential, E, mass, hbar, gs, q_m):
+def _count_nodes(potential, E, mass, hbar, q_m):
     tp = find_turning_points(potential, E, mass, q_m=q_m)
     width = tp.q_plus - tp.q_minus
     dl = _tail_margin(potential, E, mass, hbar, tp.q_minus, -1.0, width,
-                      gs.tail_exponent)
+                      TAIL_EXPONENT)
     dr = _tail_margin(potential, E, mass, hbar, tp.q_plus, +1.0, width,
-                      gs.tail_exponent)
+                      TAIL_EXPONENT)
     lo, hi = tp.q_minus - dl, tp.q_plus + dr
     V = potential.eval(np.linspace(lo, hi, 64))[0]
     max_q = float(np.max(np.abs(2.0 * mass * (V - E))))
-    h = math.sqrt(gs.step_factor * hbar * hbar / max_q)
+    h = math.sqrt(STEP_FACTOR * hbar * hbar / max_q)
     m = int(math.ceil((hi - lo) / h)) + 1
     qs = np.linspace(lo, hi, m)
     h = qs[1] - qs[0]
@@ -250,13 +246,12 @@ def _count_nodes(potential, E, mass, hbar, gs, q_m):
     return nodes
 
 
-def numerov_solve(potential, n, hbar=1.0, mass=1.0, grid_spec=None):
+def numerov_solve(potential, n, hbar=1.0, mass=1.0):
     """Eigenvalue by Numerov node counting and bisection on E.
 
     The count of interior nodes jumps from n to n+1 exactly at the n-th
     eigenvalue, so bisecting the jump locates it without any matching logic.
     """
-    gs = grid_spec or GridSpec()
     from .potentials import SEARCH_HALF_WIDTH, find_minimum
 
     q_m = find_minimum(potential)
@@ -266,13 +261,13 @@ def numerov_solve(potential, n, hbar=1.0, mass=1.0, grid_spec=None):
     v_edge = min(potential.eval(q_m - halfw)[0], potential.eval(q_m + halfw)[0])
     cap_e = v_edge - 1e-9 * (v_edge - v_min)
     lo = v_min + 0.05 * e_unit
-    if _count_nodes(potential, lo, mass, hbar, gs, q_m) > n:
+    if _count_nodes(potential, lo, mass, hbar, q_m) > n:
         raise NumerovError("lower probe already has too many nodes")
     span = e_unit * (n + 1.5)
     hi = None
     for _ in range(60):
         cand = min(lo + span, cap_e)
-        if _count_nodes(potential, cand, mass, hbar, gs, q_m) >= n + 1:
+        if _count_nodes(potential, cand, mass, hbar, q_m) >= n + 1:
             hi = cand
             break
         if cand == cap_e:
@@ -284,7 +279,7 @@ def numerov_solve(potential, n, hbar=1.0, mass=1.0, grid_spec=None):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-10 * max(abs(mid), e_unit):
             return mid
-        if _count_nodes(potential, mid, mass, hbar, gs, q_m) >= n + 1:
+        if _count_nodes(potential, mid, mass, hbar, q_m) >= n + 1:
             hi = mid
         else:
             lo = mid

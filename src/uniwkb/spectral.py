@@ -361,13 +361,6 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
                          q_lo=t_lo, q_hi=t_hi, breaks=breaks)
 
 
-def expectation_h(solution):
-    """<H> of the assembled state (integration-by-parts form)."""
-    return _energy_moment(solution.potential, solution.e_sp, solution.hbar,
-                          solution.mass, solution.psi, solution.dpsi,
-                          solution.breaks)
-
-
 def expectation_h2(solution, spec=None):
     """<H^2> = int (H psi)^2, split at the matching points."""
     spec = spec or MOMENT_SPEC

@@ -8,12 +8,17 @@ functions of the dimensionless variable a; far from it the truncated series
 are evaluated directly in Q variables, which keeps the composite smooth
 through stationary points of Q where a alone blows up.
 
+The module's API is `terms_many`: it takes the Q bundle sampled on an
+array of points and returns float64 arrays.  `riccati_residual` checks it
+at one point, and `y2_closed_form` is the plain-double form the tests
+compare the kernels against.  The a-variable kernels (the
+`_allowed_*_many` and `_forbidden_*_many` pairs) take longdouble arrays.
+
 Internal arithmetic is longdouble: the combination h2 sits under an O(a^3)
 cancellation and the downstream consistency checks ask for 1e-9 agreement at
 |a| = 30, which double precision cannot deliver.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,42 +31,12 @@ NMAX_SERIES = 20   # series truncation order (terms decay like |a|^{-3n/2})
 EPS_DQNORM = 1e-8  # relative floor below which Q' counts as stationary
 
 
-@dataclass(frozen=True)
-class CoeffTables:
-    n_max: int
-    b1_plus: list
-    b1_minus: list
-    b2_plus: list
-    b2_minus: list
-
-
-@dataclass(frozen=True)
-class AllowedCombos:
-    a: float
-    u: float
-    w: float
-    h2: float
-    g2: float
-
-
-@dataclass(frozen=True)
-class ForbiddenCombos:
-    a: float
-    y1m: float
-    y1p: float
-    y2m: float
-    y2p: float
-
-
-@dataclass(frozen=True)
-class LogDerivTerms:
-    mean: float
-    phase: float
-    dmean: float
-    dphase: float
-
-
 def _b_fractions(n_max):
+    """Branch-series coefficients by their exact rational recursion.
+
+    Index n runs 1..n_max in the j=1 lists and 2..n_max in the j=2 lists; the
+    leading None entries keep indices aligned with n.
+    """
     bp = [None] * (n_max + 1)
     bm = [None] * (n_max + 1)
     bp[1] = Fraction(-1, 4)
@@ -74,19 +49,6 @@ def _b_fractions(n_max):
     b2p = [None, None] + [Fraction(-2 * n, 5) * bp[n] for n in range(2, n_max + 1)]
     b2m = [None, None] + [Fraction(-2 * n, 5) * bm[n] for n in range(2, n_max + 1)]
     return bp, bm, b2p, b2m
-
-
-def b_tables(n_max: int) -> CoeffTables:
-    """Branch-series coefficients, exact rational recursion exposed as floats.
-
-    Index n runs 1..n_max in the j=1 lists and 2..n_max in the j=2 lists; the
-    leading None entries keep indices aligned with n.
-    """
-    if not 1 <= n_max <= 40:
-        raise ValueError("n_max must be in 1..40")
-    bp, bm, b2p, b2m = _b_fractions(n_max)
-    conv = lambda xs: [None if x is None else float(x) for x in xs]
-    return CoeffTables(n_max, conv(bp), conv(bm), conv(b2p), conv(b2m))
 
 
 # module-level real-form tables: the plus-branch series at negative a has
@@ -113,16 +75,6 @@ for _n in range(1, NMAX_SERIES + 1):
         _GC[_n] = -float(_BP2[_n]) * _IM_I[_r]
         _B2M[_n] = float(_BM2[_n])
         _B2P[_n] = float(_BP2[_n])
-
-
-def dimensionless_a(q_bundle, hbar: float) -> float:
-    """Q/(hbar|Q'|)^{2/3} with the sign of Q; 0 exactly at a turning point."""
-    if q_bundle.Q == 0.0:
-        return 0.0
-    if q_bundle.dQ == 0.0:
-        raise ZeroDivisionError(
-            "dimensionless variable is singular where Q' = 0 and Q != 0")
-    return float(q_bundle.Q / (hbar * abs(q_bundle.dQ)) ** (2.0 / 3.0))
 
 
 def _allowed_airy_many(a):
@@ -205,32 +157,6 @@ def _forbidden_series_many(a):
     return y1m, y1p, y2m, y2p
 
 
-def allowed_combos(a: float) -> AllowedCombos:
-    """Real-form combinations of the two branch functions on the allowed side."""
-    a = float(a)
-    if a > 0:
-        raise ValueError("allowed_combos requires a <= 0")
-    arr = np.array([a], dtype=LD)
-    if a > -A_SWITCH:
-        u, w, h2, g2 = _allowed_airy_many(arr)[:4]
-    else:
-        u, w, h2, g2 = _allowed_series_many(arr)
-    return AllowedCombos(a, float(u[0]), float(w[0]), float(h2[0]), float(g2[0]))
-
-
-def forbidden_combos(a: float) -> ForbiddenCombos:
-    """Decaying/growing branch ratios and companions on the forbidden side."""
-    a = float(a)
-    if a < 0:
-        raise ValueError("forbidden_combos requires a >= 0")
-    arr = np.array([a], dtype=LD)
-    if a < A_SWITCH:
-        y1m, y1p, y2m, y2p = _forbidden_airy_many(arr)[:4]
-    else:
-        y1m, y1p, y2m, y2p = _forbidden_series_many(arr)
-    return ForbiddenCombos(a, float(y1m[0]), float(y1p[0]), float(y2m[0]), float(y2p[0]))
-
-
 def y2_closed_form(a: float, y1: float) -> float:
     """Raw closed form of the second-order companion.
 
@@ -245,9 +171,11 @@ def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
     """Vectorized (mean, phase, dmean, dphase) for one region.
 
     Arrays are the Q bundle sampled along q; region is 'allowed' or
-    'forbidden'.  Returns float64 arrays; phase/dphase are zero in the
-    forbidden region.
+    'forbidden' (anything else raises ValueError).  Returns float64 arrays;
+    phase/dphase are zero in the forbidden region.
     """
+    if region not in ("allowed", "forbidden"):
+        raise ValueError("region must be 'allowed' or 'forbidden'")
     Q = np.atleast_1d(np.asarray(Q, dtype=np.float64)).astype(LD)
     dQ = np.atleast_1d(np.asarray(dQ, dtype=np.float64)).astype(LD)
     d2Q = np.atleast_1d(np.asarray(d2Q, dtype=np.float64)).astype(LD)
@@ -402,15 +330,6 @@ def _series_terms_forbidden(Q, Q1, Q2, Q3, hbar, s):
     return mean, dmean
 
 
-def log_deriv_terms(q_bundle, hbar: float, region: str) -> LogDerivTerms:
-    """Mean/phase parts of the approximate log-derivative at one point."""
-    if region not in ("allowed", "forbidden"):
-        raise ValueError("region must be 'allowed' or 'forbidden'")
-    m, p, dm, dp = terms_many(q_bundle.Q, q_bundle.dQ, q_bundle.d2Q, q_bundle.d3Q,
-                              hbar, region)
-    return LogDerivTerms(float(m[0]), float(p[0]), float(dm[0]), float(dp[0]))
-
-
 def riccati_residual(q: float, E: float, potential, hbar: float, mass: float) -> float:
     """|Y' + Y^2 - Q/hbar^2| / (|Q|/hbar^2) in the forbidden region.
 
@@ -418,18 +337,17 @@ def riccati_residual(q: float, E: float, potential, hbar: float, mass: float) ->
     step tied to the local Airy length, so the residual reflects the method
     rather than differencing noise.
     """
-    from .potentials import q_bundle
+    from .potentials import q_bundle_many
 
-    b = q_bundle(potential, q, E, mass)
-    if b.dQ != 0.0:
-        ell = hbar ** (2.0 / 3.0) / abs(b.dQ) ** (1.0 / 3.0)
+    b = q_bundle_many(potential, q, E, mass)
+    Q, dQ, d2Q = float(b.Q), float(b.dQ), float(b.d2Q)
+    if dQ != 0.0:
+        ell = hbar ** (2.0 / 3.0) / abs(dQ) ** (1.0 / 3.0)
     else:
-        ell = np.sqrt(hbar / np.sqrt(abs(b.d2Q))) if b.d2Q else 1.0
-    h = 1e-3 * min(ell, np.sqrt(abs(b.Q / b.d2Q)) if b.d2Q else ell)
-    ys = []
-    for k in (-2, -1, 0, 1, 2):
-        bk = q_bundle(potential, q + k * h, E, mass)
-        ys.append(log_deriv_terms(bk, hbar, "forbidden").mean)
+        ell = np.sqrt(hbar / np.sqrt(abs(d2Q))) if d2Q else 1.0
+    h = 1e-3 * min(ell, np.sqrt(abs(Q / d2Q)) if d2Q else ell)
+    bs = q_bundle_many(potential, q + np.arange(-2, 3) * h, E, mass)
+    ys = terms_many(bs.Q, bs.dQ, bs.d2Q, bs.d3Q, hbar, "forbidden")[0]
     yprime = (ys[0] - 8 * ys[1] + 8 * ys[3] - ys[4]) / (12 * h)
     y = ys[2]
-    return float(abs(yprime + y * y - b.Q / hbar ** 2) / (abs(b.Q) / hbar ** 2))
+    return float(abs(yprime + y * y - Q / hbar ** 2) / (abs(Q) / hbar ** 2))

@@ -20,7 +20,7 @@ import numpy as np
 from uniwkb import airy, wkb_core
 from uniwkb.cli import main
 from uniwkb.exprparse import ExprError, compile_expr
-from uniwkb.metrics import (METRIC_NAMES, _bracket, benchmark_row,
+from uniwkb.metrics import (METRIC_NAMES, _brackets, benchmark_row,
                             benchmark_table, check_cell, load_golden)
 from uniwkb.potentials import make_builtin, parse_potential
 from uniwkb.reference import exact_energy, exact_wavefunction, numerov_solve
@@ -234,10 +234,11 @@ def test_5_kernel_series_switchover(capsys):
             worst = max(worst, abs(float(fd[i][0] / fs[i][0] - 1.0)))
     ok_paths = worst <= 1e-9
 
-    tb = wkb_core.b_tables(2)
-    spots = (tb.b1_plus[1] == -0.25 and tb.b1_minus[1] == -0.25
-             and tb.b1_plus[2] == -5.0 / 32.0 and tb.b1_minus[2] == 5.0 / 32.0
-             and tb.b2_plus[2] == 0.125 and tb.b2_minus[2] == -0.125)
+    # the exact coefficient tables the series evaluator reads
+    bp, bm, b2p, b2m = wkb_core._BP1, wkb_core._BM1, wkb_core._BP2, wkb_core._BM2
+    spots = (bp[1] == -0.25 and bm[1] == -0.25
+             and bp[2] == -5.0 / 32.0 and bm[2] == 5.0 / 32.0
+             and b2p[2] == 0.125 and b2m[2] == -0.125)
     ok = ok_paths and spots
     _report(capsys, 5, ok, "six combinations, both routes, |a| in {10,15,30}: worst "
                    "rel diff %.1e (allowed 1e-9); closed-form coefficient "
@@ -343,8 +344,8 @@ def test_8_quantization_monotonicity_and_variational_minimum(capsys):
     worst_vertex = 0.0
     for kind, _ in CELLS:
         sol = _solution(kind, 0)
-        s2 = _bracket(sol.psi, sol.psi, sol.breaks)
-        cross = _bracket(sol.psi, sol.h_psi, sol.breaks)
+        s2, cross = (float(v) for v in _brackets(
+            (sol.psi, sol.h_psi), ((0, 0), (0, 1)), sol.breaks))
         h2 = expectation_h2(sol)
         vertex = cross / s2
         worst_vertex = max(worst_vertex, abs(vertex - sol.e_bar))

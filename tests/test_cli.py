@@ -74,6 +74,16 @@ def test_missing_subcommand_exits_two():
     assert info.value.code == 2
 
 
+def test_rel_tol_bound_and_solve_only(capsys):
+    # the CLI bound is the quadrature's own floor, so one message covers it
+    assert main(SOLVE_H01 + ["--rel-tol", "5e-14"]) == 2
+    assert "[1e-13, 1)" in capsys.readouterr().err
+    # dump computes no comparison quadratures, so it has no --rel-tol
+    with pytest.raises(SystemExit) as info:
+        main(["dump", "--potential", "harmonic", "--rel-tol", "1e-10"])
+    assert info.value.code == 2
+
+
 # ---- exit codes through main ----
 
 def test_unbound_level_exits_three(capsys):

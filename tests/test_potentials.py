@@ -359,6 +359,20 @@ def test_overflow_raises_without_warnings():
         assert pt.eval(np.array([800.0]))[0][0] == 0.0
 
 
+def test_q_bundle_overflow_raises_without_warnings():
+    # Morse V..V''' are finite at q = -352.5, but 2m*V''' is not
+    morse = make_builtin("morse", {"gamma": 4.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (q_bundle(morse, -352.3, -5.0, 1.0),
+                  q_bundle_many(morse, np.array([-352.3, 0.0]), -5.0, 1.0)):
+            assert np.all(np.isfinite([b.Q, b.dQ, b.d2Q, b.d3Q]))
+        with pytest.raises(OverflowError):
+            q_bundle(morse, -352.5, -5.0, 1.0)
+        with pytest.raises(OverflowError):
+            q_bundle_many(morse, np.array([0.0, -352.5, 1.0]), -5.0, 1.0)
+
+
 # ---- forbidden-tail march ----
 
 def _scalar_steps(potential, E, mass, hbar, q_start, direction, step):

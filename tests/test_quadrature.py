@@ -126,10 +126,11 @@ def test_cumulative_matches_antiderivative():
 
 
 def test_cumulative_offset_and_kink():
-    # |x| has a kink at 0; a breakpoint there keeps panels analytic
-    F = CumulativeCheb(np.abs, [-2.0, 0.0, 2.0], offset=5.0)
+    # |x| has a kink at 0; a breakpoint there keeps panels analytic.  F is
+    # anchored at the first breakpoint, F(-2) = 0.
+    F = CumulativeCheb(np.abs, [-2.0, 0.0, 2.0])
     xs = np.linspace(-2.0, 2.0, 41)
-    want = 5.0 + 0.5 * xs * np.abs(xs) - 0.5 * (-2.0) * 2.0
+    want = 0.5 * xs * np.abs(xs) - 0.5 * (-2.0) * 2.0
     assert np.max(np.abs(F(xs) - want)) < 1e-13
 
 

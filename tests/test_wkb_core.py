@@ -11,16 +11,7 @@ import numpy as np
 import pytest
 
 from uniwkb import wkb_core
-from uniwkb.wkb_core import (
-    A_SWITCH,
-    allowed_combos,
-    b_tables,
-    dimensionless_a,
-    forbidden_combos,
-    log_deriv_terms,
-    terms_many,
-    y2_closed_form,
-)
+from uniwkb.wkb_core import A_SWITCH, LD, _b_fractions, terms_many, y2_closed_form
 
 # u, w, h2, g2 on the allowed side (25-digit independent evaluation)
 ALLOWED_REF = {
@@ -102,7 +93,7 @@ def harm_bundle(q, E):
 
 def morse_bundle(q, E):
     A = 10.125  # well depth factor for gamma = 4.5, alpha = 1
-    e1 = math.exp(-q)
+    e1 = np.exp(-q)
     e2 = e1 * e1
     return SimpleNamespace(
         Q=2 * (A * (e2 - 2 * e1) - E),
@@ -115,60 +106,85 @@ def morse_bundle(q, E):
 BUNDLES = {"harm": harm_bundle, "mors": morse_bundle}
 
 
+def terms(tag, q, E, region):
+    """terms_many (hbar = 1) on the bundle of well tag at the points q."""
+    b = BUNDLES[tag](np.asarray(q, dtype=float), E)
+    return terms_many(*np.broadcast_arrays(b.Q, b.dQ, b.d2Q, b.d3Q), 1.0, region)
+
+
+def _combos(a, near, airy_route, series_route):
+    """The four combo values at the points a as a (4, len(a)) float64
+    array: the Airy route where near, the series elsewhere."""
+    out = np.empty((4, len(a)))
+    out[:, near] = np.asarray(airy_route(a[near])[:4], dtype=float)
+    out[:, ~near] = np.asarray(series_route(a[~near]), dtype=float)
+    return out
+
+
+def allowed(a):
+    """(u, w, h2, g2) at a <= 0, switching routes at |a| = A_SWITCH."""
+    a = np.atleast_1d(np.asarray(a, dtype=float)).astype(LD)
+    return _combos(a, a > -A_SWITCH,
+                   wkb_core._allowed_airy_many, wkb_core._allowed_series_many)
+
+
+def forbidden(a):
+    """(y1m, y1p, y2m, y2p) at a >= 0, switching routes at a = A_SWITCH."""
+    a = np.atleast_1d(np.asarray(a, dtype=float)).astype(LD)
+    return _combos(a, a < A_SWITCH,
+                   wkb_core._forbidden_airy_many, wkb_core._forbidden_series_many)
+
+
 def test_b_table_spot_values():
-    t = b_tables(8)
-    assert t.b1_plus[1] == -0.25
-    assert t.b1_minus[1] == -0.25
-    assert t.b1_plus[2] == -5.0 / 32.0
-    assert t.b1_minus[2] == 5.0 / 32.0
-    assert t.b2_plus[2] == 0.125
-    assert t.b2_minus[2] == -0.125
-    assert t.b1_plus[3] == t.b1_minus[3] == -15.0 / 64.0
+    bp, bm, b2p, b2m = _b_fractions(8)
+    assert bp[1] == -0.25
+    assert bm[1] == -0.25
+    assert bp[2] == -5.0 / 32.0
+    assert bm[2] == 5.0 / 32.0
+    assert b2p[2] == 0.125
+    assert b2m[2] == -0.125
+    assert bp[3] == bm[3] == -15.0 / 64.0
     for n in range(1, 9):
-        assert t.b1_plus[n] == (-1) ** (n + 1) * t.b1_minus[n]
+        assert bp[n] == (-1) ** (n + 1) * bm[n]
         if n >= 2:
-            assert math.isclose(t.b2_plus[n], -0.4 * n * t.b1_plus[n],
-                                rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        b_tables(0)
-    with pytest.raises(ValueError):
-        b_tables(41)
+            assert math.isclose(b2p[n], -0.4 * n * bp[n], rel_tol=1e-15)
+    # the evaluator's order-20 tables start with the same exact entries
+    for table, short in zip((wkb_core._BP1, wkb_core._BM1, wkb_core._BP2,
+                             wkb_core._BM2), (bp, bm, b2p, b2m)):
+        assert table[:9] == short
 
 
 def test_allowed_combo_reference():
-    for a, (u, w, h2, g2) in ALLOWED_REF.items():
-        got = allowed_combos(a)
+    a = np.array(list(ALLOWED_REF))
+    got = allowed(a)
+    for i, (x, ref) in enumerate(ALLOWED_REF.items()):
         # order-20 truncation binds on the series side of the switch
-        tol = 1e-12 if -a < A_SWITCH else 1e-9
-        assert got.a == a
-        assert abs(got.u / u - 1) < tol
-        assert abs(got.w / w - 1) < tol
-        assert abs(got.h2 / h2 - 1) < tol
-        if g2 == 0.0:
-            assert got.g2 == 0.0
+        tol = 1e-12 if -x < A_SWITCH else 1e-9
+        u, w, h2, g2 = got[:, i]
+        assert abs(u / ref[0] - 1) < tol
+        assert abs(w / ref[1] - 1) < tol
+        assert abs(h2 / ref[2] - 1) < tol
+        if ref[3] == 0.0:
+            assert g2 == 0.0
         else:
-            assert abs(got.g2 / g2 - 1) < tol
-    with pytest.raises(ValueError):
-        allowed_combos(0.5)
+            assert abs(g2 / ref[3] - 1) < tol
 
 
 def test_forbidden_combo_reference():
-    for a, (y1, y2) in FORBIDDEN_MINUS_REF.items():
-        got = forbidden_combos(a)
+    got = forbidden(np.array(list(FORBIDDEN_MINUS_REF)))
+    for i, (a, (y1, y2)) in enumerate(FORBIDDEN_MINUS_REF.items()):
         tol = 1e-12 if a < A_SWITCH else 1e-9
         # the y1 -> y2 map amplifies rounding by ~5e3 near the series edge
         tol2 = 1e-10 if a < A_SWITCH else 1e-9
-        assert abs(got.y1m / y1 - 1) < tol
-        assert abs(got.y2m / y2 - 1) < tol2
-    for a, (y1, y2) in FORBIDDEN_PLUS_REF.items():
-        got = forbidden_combos(a)
-        assert abs(got.y1p / y1 - 1) < 1e-9
-        assert abs(got.y2p / y2 - 1) < 1e-9
-    for a, (dbi, bi) in BI_PAIR_REF.items():
-        got = forbidden_combos(a)
-        assert abs(got.y1p / (dbi / bi) - 1) < 1e-12
-    with pytest.raises(ValueError):
-        forbidden_combos(-0.5)
+        assert abs(got[0, i] / y1 - 1) < tol
+        assert abs(got[2, i] / y2 - 1) < tol2
+    got = forbidden(np.array(list(FORBIDDEN_PLUS_REF)))
+    for i, (y1, y2) in enumerate(FORBIDDEN_PLUS_REF.values()):
+        assert abs(got[1, i] / y1 - 1) < 1e-9
+        assert abs(got[3, i] / y2 - 1) < 1e-9
+    got = forbidden(np.array(list(BI_PAIR_REF)))
+    for i, (dbi, bi) in enumerate(BI_PAIR_REF.values()):
+        assert abs(got[1, i] / (dbi / bi) - 1) < 1e-12
 
 
 def test_path_agreement_at_switch():
@@ -188,61 +204,46 @@ def test_path_agreement_at_switch():
 def test_branch_ode_consistency():
     """FD derivatives of the combos must satisfy their defining ODEs."""
     h = 1e-4
-    for a0 in (0.4, 1.7, 3.2, 6.8):
-        vals = [forbidden_combos(a0 + k * h) for k in (-2, -1, 0, 1, 2)]
-        fd1 = (vals[0].y1m - 8 * vals[1].y1m + 8 * vals[3].y1m - vals[4].y1m) / (12 * h)
-        fd2 = (vals[0].y2m - 8 * vals[1].y2m + 8 * vals[3].y2m - vals[4].y2m) / (12 * h)
-        c = vals[2]
-        d1 = a0 - c.y1m ** 2
-        d2 = (2 * a0 * d1 - c.y1m) / 3 - 2 * c.y1m * c.y2m
-        assert abs(fd1 - d1) < 1e-7 * max(1.0, abs(d1))
-        assert abs(fd2 - d2) < 1e-7 * max(1.0, abs(d2))
-    for a0 in (-0.6, -2.3, -5.1, -8.4):
-        vals = [allowed_combos(a0 + k * h) for k in (-2, -1, 0, 1, 2)]
-        fdu = (vals[0].u - 8 * vals[1].u + 8 * vals[3].u - vals[4].u) / (12 * h)
-        fdw = (vals[0].w - 8 * vals[1].w + 8 * vals[3].w - vals[4].w) / (12 * h)
-        c = vals[2]
-        du = a0 - c.u ** 2 + c.w ** 2
-        dw = -2 * c.u * c.w
-        assert abs(fdu - du) < 1e-7 * max(1.0, abs(du))
-        assert abs(fdw - dw) < 1e-7 * max(1.0, abs(dw))
+
+    def fd(vals, i):
+        return (vals[0][i] - 8 * vals[1][i] + 8 * vals[3][i] - vals[4][i]) / (12 * h)
+
+    a0 = np.array([0.4, 1.7, 3.2, 6.8])
+    vals = [forbidden(a0 + k * h) for k in (-2, -1, 0, 1, 2)]
+    y1m, _, y2m, _ = vals[2]
+    d1 = a0 - y1m ** 2
+    d2 = (2 * a0 * d1 - y1m) / 3 - 2 * y1m * y2m
+    assert np.all(np.abs(fd(vals, 0) - d1) < 1e-7 * np.maximum(1.0, np.abs(d1)))
+    assert np.all(np.abs(fd(vals, 2) - d2) < 1e-7 * np.maximum(1.0, np.abs(d2)))
+    a0 = np.array([-0.6, -2.3, -5.1, -8.4])
+    vals = [allowed(a0 + k * h) for k in (-2, -1, 0, 1, 2)]
+    u, w, _, _ = vals[2]
+    du = a0 - u ** 2 + w ** 2
+    dw = -2 * u * w
+    assert np.all(np.abs(fd(vals, 0) - du) < 1e-7 * np.maximum(1.0, np.abs(du)))
+    assert np.all(np.abs(fd(vals, 1) - dw) < 1e-7 * np.maximum(1.0, np.abs(dw)))
 
 
 def test_turning_point_identity():
     # u - sqrt(3) w at the turning point equals the decaying ratio there
-    c0 = allowed_combos(0.0)
-    f0 = forbidden_combos(0.0)
-    assert abs((c0.u - math.sqrt(3.0) * c0.w) - f0.y1m) < 1e-15
+    u, w, _, _ = allowed(0.0)[:, 0]
+    y1m = forbidden(0.0)[0, 0]
+    assert abs((u - math.sqrt(3.0) * w) - y1m) < 1e-15
 
 
 def test_y2_closed_form_agreement_and_breakdown():
-    c = forbidden_combos(2.0)
-    assert abs(y2_closed_form(2.0, c.y1m) / c.y2m - 1) < 5e-12
-    c = forbidden_combos(6.5)
-    assert abs(y2_closed_form(6.5, c.y1m) / c.y2m - 1) < 1e-9
+    y1m, _, y2m, _ = forbidden(np.array([2.0, 6.5, 1e6]))
+    assert abs(y2_closed_form(2.0, float(y1m[0])) / y2m[0] - 1) < 5e-12
+    assert abs(y2_closed_form(6.5, float(y1m[1])) / y2m[1] - 1) < 1e-9
     # at large argument the plain-double form is destroyed by cancellation
-    big = forbidden_combos(1e6)
-    raw = y2_closed_form(1e6, big.y1m)
-    assert abs(raw / big.y2m - 1) > 1e3
-
-
-def test_dimensionless_a():
-    b = SimpleNamespace(Q=4.0, dQ=1.0, d2Q=0.0, d3Q=0.0)
-    assert dimensionless_a(b, 1.0) == 4.0
-    assert abs(dimensionless_a(b, 8.0) - 1.0) < 1e-15
-    b = SimpleNamespace(Q=-4.0, dQ=-1.0, d2Q=0.0, d3Q=0.0)
-    assert dimensionless_a(b, 1.0) == -4.0
-    b = SimpleNamespace(Q=0.0, dQ=0.0, d2Q=1.0, d3Q=0.0)
-    assert dimensionless_a(b, 1.0) == 0.0
-    b = SimpleNamespace(Q=-1.0, dQ=0.0, d2Q=1.0, d3Q=0.0)
-    with pytest.raises(ZeroDivisionError):
-        dimensionless_a(b, 1.0)
+    raw = y2_closed_form(1e6, float(y1m[2]))
+    assert abs(raw / y2m[2] - 1) > 1e3
 
 
 def test_log_deriv_reference_values():
     for (tag, q, E, region), want in TERMS_REF.items():
-        got = log_deriv_terms(BUNDLES[tag](q, E), 1.0, region)
-        for g, w in zip((got.mean, got.phase, got.dmean, got.dphase), want):
+        got = [float(v[0]) for v in terms(tag, [q], E, region)]
+        for g, w in zip(got, want):
             if w == 0.0:
                 assert abs(g) < 1e-15
             else:
@@ -251,28 +252,26 @@ def test_log_deriv_reference_values():
 
 def test_log_deriv_exact_points():
     # left turning point of the harmonic well at E = 1/2
-    t = log_deriv_terms(harm_bundle(-1.0, 0.5), 1.0, "allowed")
-    assert abs(t.mean - (-0.3592482360039607)) < 1e-14
-    assert abs(t.phase - 0.7954412780452425) < 1e-14
+    mean, phase, _, _ = terms("harm", [-1.0], 0.5, "allowed")
+    assert abs(mean[0] - (-0.3592482360039607)) < 1e-14
+    assert abs(phase[0] - 0.7954412780452425) < 1e-14
     # potential minimum: Q' = 0, terms close in finitely many exact pieces
-    t = log_deriv_terms(harm_bundle(0.0, 0.5), 1.0, "allowed")
-    assert t.mean == 0.0
-    assert abs(t.phase - 1.25) < 1e-15
-    assert abs(t.dmean - (-0.625)) < 1e-15
-    assert t.dphase == 0.0
+    mean, phase, dmean, dphase = terms("harm", [0.0], 0.5, "allowed")
+    assert mean[0] == 0.0
+    assert abs(phase[0] - 1.25) < 1e-15
+    assert abs(dmean[0] - (-0.625)) < 1e-15
+    assert dphase[0] == 0.0
 
 
 def test_terms_vectorized_matches_scalar():
+    """One array call equals per-element calls, bit for bit."""
     qs = np.concatenate([np.linspace(-0.99, -0.02, 17),
                          np.linspace(0.002, 0.012, 5)])
-    bs = [harm_bundle(q, 0.5) for q in qs]
-    m, p, dm, dp = terms_many([b.Q for b in bs], [b.dQ for b in bs],
-                              [b.d2Q for b in bs], [b.d3Q for b in bs],
-                              1.0, "allowed")
-    for i, b in enumerate(bs):
-        one = log_deriv_terms(b, 1.0, "allowed")
-        assert m[i] == one.mean and p[i] == one.phase
-        assert dm[i] == one.dmean and dp[i] == one.dphase
+    many = terms("harm", qs, 0.5, "allowed")
+    for i, q in enumerate(qs):
+        one = terms("harm", [q], 0.5, "allowed")
+        for v, w in zip(many, one):
+            assert v[i] == w[0]
 
 
 @pytest.mark.parametrize("region,qs", [
@@ -284,21 +283,16 @@ def test_terms_vectorized_matches_scalar():
 def test_terms_derivative_consistency(region, qs):
     """dmean/dphase must match finite differences of mean/phase in q."""
     h = 1e-5
-    for q in qs:
-        vals = [log_deriv_terms(harm_bundle(q + k * h, 0.5), 1.0, region)
-                for k in (-2, -1, 0, 1, 2)]
-        fdm = (vals[0].mean - 8 * vals[1].mean
-               + 8 * vals[3].mean - vals[4].mean) / (12 * h)
-        fdp = (vals[0].phase - 8 * vals[1].phase
-               + 8 * vals[3].phase - vals[4].phase) / (12 * h)
-        c = vals[2]
-        assert abs(fdm - c.dmean) < 1e-6 * max(1.0, abs(c.dmean))
-        assert abs(fdp - c.dphase) < 1e-6 * max(1.0, abs(c.dphase))
+    vals = [terms("harm", qs + k * h, 0.5, region) for k in (-2, -1, 0, 1, 2)]
+    fdm = (vals[0][0] - 8 * vals[1][0] + 8 * vals[3][0] - vals[4][0]) / (12 * h)
+    fdp = (vals[0][1] - 8 * vals[1][1] + 8 * vals[3][1] - vals[4][1]) / (12 * h)
+    _, _, dmean, dphase = vals[2]
+    assert np.all(np.abs(fdm - dmean) < 1e-6 * np.maximum(1.0, np.abs(dmean)))
+    assert np.all(np.abs(fdp - dphase) < 1e-6 * np.maximum(1.0, np.abs(dphase)))
 
 
 def test_stationary_guard_and_region_validation():
-    b = SimpleNamespace(Q=1e-12, dQ=1e-15, d2Q=1.0, d3Q=0.0)
     with pytest.raises(RuntimeError):
-        log_deriv_terms(b, 1.0, "forbidden")
+        terms_many(1e-12, 1e-15, 1.0, 0.0, 1.0, "forbidden")
     with pytest.raises(ValueError):
-        log_deriv_terms(harm_bundle(0.5, 0.5), 1.0, "elsewhere")
+        terms("harm", [0.5], 0.5, "elsewhere")
