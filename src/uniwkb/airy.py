@@ -23,6 +23,18 @@ rounding.
 
 import numpy as np
 
+
+def _require_extended(finfo):
+    """Raise ImportError unless finfo has x87 extended precision or more
+    (nmant >= 63): where longdouble is double, results are silently wrong."""
+    if finfo.nmant < 63:
+        raise ImportError(
+            "uniwkb needs an 80-bit-or-wider numpy longdouble; this platform's "
+            "has a %d-bit significand" % (finfo.nmant + 1))
+
+
+_require_extended(np.finfo(np.longdouble))
+
 LD = np.longdouble
 
 # Zero-point values, 25 significant digits (enough to saturate longdouble).

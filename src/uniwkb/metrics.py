@@ -4,8 +4,9 @@ the benchmark harness that recomputes the published comparison table.
 All overlap-type quantities are quadratures over the truncated support of the
 approximate state, split at its internal matching points.  They come from a
 single metrics pass (`overlap_metrics`): one vector-valued Gauss-Kronrod
-quadrature per break panel integrates <e|a>, <e'|e'>, <a'|a'> and <e'|a'>
-on one shared panel tree, sampling each state and derivative once per node.
+quadrature over the break intervals integrates <e|a>, <e'|e'>, <a'|a'> and
+<e'|a'> on shared panel trees, sampling each state and derivative once per
+node.
 `level_metrics` adds the <H^2> moment and returns all five metrics; both
 `benchmark_row` and `uniwkb solve` take it.
 
@@ -68,15 +69,15 @@ class MetricsRow:
 def _brackets(samplers, pairs, edges, spec=METRIC_SPEC):
     """L2 inner products <samplers[i]|samplers[j]> for (i, j) in pairs.
 
-    One vector quadrature per panel between edges: every sampler is called
-    once per node, and all the products share one adaptive panel tree.
+    One vector quadrature over the intervals between edges: every sampler is
+    called once per node, and all the products share one panel tree per
+    interval.
     """
     def products(t):
         s = [f(t) for f in samplers]
         return np.stack([s[i] * s[j] for i, j in pairs])
 
-    return sum(integrate(products, a, b, spec)
-               for a, b in zip(edges[:-1], edges[1:]))
+    return integrate(products, edges, spec)
 
 
 def _gram_deviation(g11, g22, g12, g21):
@@ -94,9 +95,9 @@ def _gram_deviation(g11, g22, g12, g21):
 def overlap_metrics(exact, approx, spec=METRIC_SPEC):
     """(<exact|approx>, delta_psi_prime) from one pass over approx.breaks.
 
-    <e|a>, <e'|e'>, <a'|a'> and <e'|a'> come from one vector quadrature per
-    break panel, so each of exact.psi, exact.dpsi, approx.psi and approx.dpsi
-    is sampled once per node.  For real states <a'|e'> = <e'|a'>, so the
+    <e|a>, <e'|e'>, <a'|a'> and <e'|a'> come from one vector quadrature over
+    the break intervals, so each of exact.psi, exact.dpsi, approx.psi and
+    approx.dpsi is sampled once per node.  For real states <a'|e'> = <e'|a'>, so the
     derivative deviation is the general (not unit-norm) relative deviation
     with g12 = g21.  Both constructions fix a positive left tail, so a
     negative overlap means the sign convention was broken somewhere

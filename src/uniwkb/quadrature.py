@@ -1,19 +1,29 @@
-"""Integration utilities: an adaptive Gauss-Kronrod rule for one-off
-integrals and a piecewise Chebyshev antiderivative for integrals that must
-be evaluated as functions of their upper limit.
+"""Integration utilities: an adaptive Gauss-Kronrod rule over consecutive
+break intervals and a piecewise Chebyshev antiderivative for integrals that
+must be evaluated as functions of their upper limit.
 
-Integrands are called with numpy arrays of nodes (vectorized); everything
-here is deterministic and stateless.
+Integrands take numpy arrays of nodes and must be elementwise: a node's
+value may not depend on which other nodes share the call.  The integrands
+here cost per call, not per node, so `integrate` walks the panel trees of
+all its intervals level by level, sampling every pending panel of one
+depth in one call (Shampine's vectorized quadgk, J. Comput. Appl. Math.
+211 (2008) 131-140).  Each tree, and each total bit for bit, is that of a
+right-first depth-first stack per interval: a panel's budget is
+max(abs_tol, rel_tol*|K0|) from its interval's first panel, halved at each
+split; its nodes are mid + half*_NODES; each interval sums its accepted
+panels from 0.0 by descending position, as the stack accepts them, and the
+interval sums are added in order.  The Kronrod and Gauss sums stay one dot
+product per panel, because one (panels, 15) matrix product reduces in
+another order and moves the last bit of most estimates.
 
-`integrate` also takes vector-valued integrands: called with n nodes, f may
-return shape (m, n) instead of (n,).  The m integrals then share one
-adaptive panel tree, so f is sampled once per node for all of them.  Each
-component keeps its own error budget, max(abs_tol, rel_tol*|K0_i|) from
-its first-panel estimate, halved at each split, and a panel is accepted
-only when every component passes.  An integrand with a 1-D return takes
-the scalar path, whose arithmetic does not depend on this.
+Vector-valued integrands: called with n nodes, f may return shape (m, n)
+instead of (n,).  The m integrals then share one panel tree per interval,
+and each component keeps its own budget, max(abs_tol, rel_tol*|K0_i|),
+halved at each split; a panel is accepted only when every component
+passes.  A 1-D integrand returns a float, an (m, n) one an array of m.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +83,11 @@ class QuadratureSpec:
                              % MIN_REL_TOL)
 
 
-def _panel(f, a, b):
-    """Kronrod estimate and |Kronrod - Gauss| on [a, b]: floats for a 1-D
-    integrand, arrays of m for an (m, n) one."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = f(mid + half * _NODES)
-    if np.ndim(y) == 1:
+def _panel(half, y):
+    """Kronrod estimate and |Kronrod - Gauss| of one panel from its samples
+    y, shape (15,) or (m, 15): floats for the first, arrays of m for the
+    second."""
+    if y.ndim == 1:
         k = half * float(_WFULL @ y)
         g = half * float(_WGAUSS @ y)
         return k, abs(k - g)
@@ -88,71 +96,99 @@ def _panel(f, a, b):
     return k, np.abs(k - g)
 
 
-def integrate(f, a, b, spec=QuadratureSpec()):
-    """Adaptive Gauss-Kronrod integral of a vectorized integrand.
+def integrate(f, edges, spec=QuadratureSpec()):
+    """Adaptive Gauss-Kronrod integral of f from edges[0] to edges[-1], with
+    a break at every edge.
 
     Returns a float for a 1-D integrand and an array of m integrals for an
-    (m, n) one.  A zero-length interval returns 0.0 without sampling f.
+    (m, n) one.  A zero-length interval adds 0.0 without sampling f.
     """
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0
-    k0, e0 = _panel(f, a, b)
-    vector = np.ndim(k0) == 1
-    if vector:
-        budget = np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(k0)),
-                            1e-300)
-    else:
-        budget = max(spec.abs_tol, spec.rel_tol * abs(k0), 1e-300)
-    stack = [(a, b, k0, e0, budget, 0)]
-    total = 0.0
-    while stack:
-        lo, hi, k, err, tol, depth = stack.pop()
-        if vector:
-            ok = bool(np.all((err <= tol) | (err <= 1e-16 * np.abs(k))))
-        else:
-            ok = err <= tol or err <= 1e-16 * abs(k)
-        if ok:
-            total += k
-            continue
-        if depth >= spec.max_depth:
-            if vector:
-                # name the component furthest over its budget
-                i = int(np.argmax(err / tol))
-                raise QuadratureError(
-                    "no convergence on [%g, %g] in component %d of %d "
-                    "(err %.2e, tol %.2e)" % (lo, hi, i, len(k), err[i], tol[i]))
-            raise QuadratureError(
-                "no convergence on [%g, %g] (err %.2e, tol %.2e)" % (lo, hi, err, tol))
+    edges = [float(x) for x in edges]
+    if (len(edges) < 2 or not all(map(math.isfinite, edges))
+            or any(b < a for a, b in zip(edges, edges[1:]))):
+        raise ValueError("edges must be finite and non-decreasing, >= 2")
+    accepted = [[] for _ in edges[1:]]    # (tree position, estimate) per interval
+    # pending panels of the current depth: (interval, lo, hi, position, budget)
+    level = [(i, a, b, 0, None)
+             for i, (a, b) in enumerate(zip(edges, edges[1:])) if a != b]
+    depth = 0
+    while level:
+        lo, hi = np.array([p[1:3] for p in level]).T
         mid = 0.5 * (lo + hi)
-        kl, el = _panel(f, lo, mid)
-        kr, er = _panel(f, mid, hi)
-        stack.append((lo, mid, kl, el, 0.5 * tol, depth + 1))
-        stack.append((mid, hi, kr, er, 0.5 * tol, depth + 1))
+        half = 0.5 * (hi - lo)
+        y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+        vector = y.ndim == 2
+        # per panel a (15,) or contiguous (m, 15) block, as one call per panel gives
+        ys = (np.ascontiguousarray(y.reshape(len(y), -1, 15).transpose(1, 0, 2))
+              if vector else y.reshape(-1, 15))
+        pending, failed = [], None
+        for (i, a, b, pos, tol), m, h, yp in zip(level, mid.tolist(),
+                                                half.tolist(), ys):
+            k, err = _panel(h, yp)
+            if tol is None:
+                tol = np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(k)),
+                                 1e-300)
+            if np.all((err <= tol) | (err <= 1e-16 * np.abs(k))):
+                accepted[i].append((pos << (spec.max_depth - depth), k))
+            elif depth < spec.max_depth:
+                pending.append((i, a, m, 2 * pos, 0.5 * tol))
+                pending.append((i, m, b, 2 * pos + 1, 0.5 * tol))
+            elif failed is None or failed[0] == i:
+                # lowest interval, then rightmost panel: the failure a
+                # depth-first traversal meets first
+                failed = (i, a, b, k, err, tol)
+        if failed:
+            i, a, b, k, err, tol = failed
+            where = ""
+            if vector:      # name the component furthest over its budget
+                c = int(np.argmax(err / tol))
+                where, err, tol = " in component %d of %d" % (c, len(k)), err[c], tol[c]
+            raise QuadratureError("no convergence on [%g, %g]%s (err %.2e, tol %.2e)"
+                                  % (a, b, where, err, tol))
+        level = pending
+        depth += 1
+    total = 0.0
+    for panels in accepted:
+        part = 0.0
+        for _, k in sorted(panels, key=lambda p: p[0], reverse=True):
+            part += k
+        total += part
     return total
 
 
-def _cheb_fit(f, a, b, spec, n_max=1024):
-    """Chebyshev coefficients of f on [a, b], degree grown until the tail
-    of the coefficient sequence is negligible."""
+def _cheb_fits(f, edges, spec, n_max=1024):
+    """Chebyshev coefficients of f on each panel between edges, the degree
+    of each grown until the tail of its coefficient sequence is negligible.
+
+    Every panel still growing at a trial degree is sampled in one call of f.
+    """
+    coeffs = [None] * (len(edges) - 1)
+    growing = list(range(len(edges) - 1))
     n = 16
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    while True:
-        theta = np.pi * np.arange(n + 1) / n
-        x = mid + half * np.cos(theta)
-        vals = f(x)
-        ext = np.concatenate([vals, vals[-2:0:-1]])
-        c = np.fft.rfft(ext).real[: n + 1] / n
-        c[0] *= 0.5
-        c[n] *= 0.5
-        scale = np.max(np.abs(c)) + 1e-300
-        tail = np.max(np.abs(c[-3:]))
-        if tail <= max(spec.rel_tol * scale, spec.abs_tol):
-            return c
-        if n >= n_max:
-            raise QuadratureError(
-                "Chebyshev fit on [%g, %g] stalled at degree %d" % (a, b, n))
+    while growing:
+        t = np.cos(np.pi * np.arange(n + 1) / n)
+        x = [0.5 * (edges[i] + edges[i + 1]) + 0.5 * (edges[i + 1] - edges[i]) * t
+             for i in growing]      # mid + half*t per panel
+        vals = f(np.concatenate(x)).reshape(len(growing), n + 1)
+        still = []
+        for i, v in zip(growing, vals):
+            ext = np.concatenate([v, v[-2:0:-1]])
+            c = np.fft.rfft(ext).real[: n + 1] / n
+            c[0] *= 0.5
+            c[n] *= 0.5
+            scale = np.max(np.abs(c)) + 1e-300
+            tail = np.max(np.abs(c[-3:]))
+            if tail <= max(spec.rel_tol * scale, spec.abs_tol):
+                coeffs[i] = c
+            elif n >= n_max:
+                raise QuadratureError(
+                    "Chebyshev fit on [%g, %g] stalled at degree %d"
+                    % (edges[i], edges[i + 1], n))
+            else:
+                still.append(i)
+        growing = still
         n *= 2
+    return coeffs
 
 
 def _antiderivative_coeffs(c, half_width):
@@ -191,8 +227,7 @@ class CumulativeCheb:
         self.edges = np.array(edges)
         self.coeffs = []
         self.base = [0.0]
-        for a, b in zip(edges[:-1], edges[1:]):
-            c = _cheb_fit(f, a, b, spec)
+        for a, b, c in zip(edges[:-1], edges[1:], _cheb_fits(f, edges, spec)):
             bc = _antiderivative_coeffs(c, 0.5 * (b - a))
             self.coeffs.append(bc)
             # panel integral = F(+1) with F(-1) = 0

@@ -170,8 +170,7 @@ def exact_wavefunction(kind, params, n, hbar=1.0, mass=1.0):
 
     tp = find_turning_points(make_builtin(kind, params, hbar, mass), energy, mass)
     edges = [q_lo, tp.q_minus, tp.q_m, tp.q_plus, q_hi]
-    norm2 = sum(integrate(lambda q: u(q) ** 2, a, b, _NORM_SPEC)
-                for a, b in zip(edges[:-1], edges[1:]))
+    norm2 = integrate(lambda q: u(q) ** 2, edges, _NORM_SPEC)
     if not norm2 > 0:
         raise ArithmeticError("normalization quadrature collapsed")
     c = 1.0 / math.sqrt(norm2)

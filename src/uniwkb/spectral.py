@@ -127,8 +127,7 @@ def phase_integral(potential, E, hbar=1.0, mass=1.0, q_m=None):
              + [tp.q_m]
              + _a_crossings(potential, tp.q_m, tp.q_plus, E, hbar, mass)
              + [tp.q_plus])
-    return float(sum(integrate(f, a, b, PHASE_SPEC)
-                     for a, b in zip(edges[:-1], edges[1:])))
+    return float(integrate(f, edges, PHASE_SPEC))
 
 
 def solve_quantization(potential, n, hbar=1.0, mass=1.0):
@@ -215,8 +214,7 @@ def _energy_moment(potential, e_sp, hbar, mass, psi, dpsi, breaks):
         ps = psi(t)
         return pref * dp * dp + V * ps * ps
 
-    return float(sum(integrate(f, a, b, MOMENT_SPEC)
-                     for a, b in zip(breaks[:-1], breaks[1:])))
+    return float(integrate(f, breaks, MOMENT_SPEC))
 
 
 def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
@@ -305,8 +303,7 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
 
     u1, u2, u3 = _psi_pieces(1.0)
     norm_edges = breaks1 + breaks2[1:] + breaks3[1:]
-    norm2 = sum(integrate(lambda t: _masked(t, u1, u2, u3) ** 2, a, b, PHASE_SPEC)
-                for a, b in zip(norm_edges[:-1], norm_edges[1:]))
+    norm2 = integrate(lambda t: _masked(t, u1, u2, u3) ** 2, norm_edges, PHASE_SPEC)
     if not norm2 > 0.0:
         raise QuadratureError("normalization integral collapsed")
     c = 1.0 / math.sqrt(norm2)
@@ -365,5 +362,4 @@ def expectation_h2(solution, spec=None):
     """<H^2> = int (H psi)^2, split at the matching points."""
     spec = spec or MOMENT_SPEC
     f = solution.h_psi
-    return float(sum(integrate(lambda t: f(t) ** 2, a, b, spec)
-                     for a, b in zip(solution.breaks[:-1], solution.breaks[1:])))
+    return float(integrate(lambda t: f(t) ** 2, solution.breaks, spec))

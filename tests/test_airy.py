@@ -232,3 +232,9 @@ def test_ode_residual():
         dy = np.asarray(grids[2][idx + 1], dtype=float)
         env = np.abs(a) * np.hypot(y[2], dy / np.sqrt(1.0 + np.abs(a)))
         assert np.max(np.abs(d2 - target) / env) < 1e-7
+
+
+def test_extended_precision_required():
+    with pytest.raises(ImportError, match="80-bit-or-wider"):
+        airy._require_extended(np.finfo(np.float64))
+    airy._require_extended(np.finfo(np.longdouble))

@@ -100,6 +100,23 @@ def test_quantization_work_count(monkeypatch):
     assert calls.count("minimum") == 1
 
 
+def test_phase_integral_work_count(monkeypatch):
+    """The phase integral samples its terms once per tree level, across all
+    of its break intervals."""
+    pot = make_builtin("harmonic", PARAMS["harmonic"])
+    calls = []
+    real = spectral.terms_many
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "terms_many", counted)
+    phase = phase_integral(pot, ESP_ORACLE["harmonic"][1])
+    assert abs(phase - math.pi * (1 + 2.0 / 3.0)) < 1e-9
+    assert len(calls) <= 4
+
+
 @pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
 def test_phase_residual_at_levels(kind):
     pot = make_builtin(kind, PARAMS[kind])
