@@ -57,10 +57,16 @@ def finite_eval(ev):
 
 def check_finite(q, values):
     """Raise OverflowError where a finite q gave a non-finite entry in any
-    of values (arrays or scalars that broadcast against q)."""
-    if isinstance(q, float):   # cheap path for the scalar marches
+    of values (arrays or scalars that broadcast against q).
+
+    One finiteness test over all the values comes first; the bad point is
+    located only when it fails.
+    """
+    if isinstance(q, float):   # cheap path for scalar evaluation
         if math.isfinite(q) and not all(map(math.isfinite, values)):
             raise OverflowError(_OVERFLOW % q)
+        return
+    if np.isfinite(np.concatenate(values, axis=None)).all():
         return
     finite = np.isfinite(values[0])
     for v in values[1:]:

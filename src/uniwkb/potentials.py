@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import exprparse
-from .rootfind import BracketError, hybrid_root, march_to_sign_change
+from .rootfind import BracketError, hybrid_root
 
 BUILTIN_KINDS = ("harmonic", "morse", "poschl_teller")
 _PARAM_ALIASES = {"g": "gamma", "lam": "lambda", "l": "lambda"}
@@ -169,8 +169,7 @@ def q_bundle_many(potential, q, E, mass):
     with np.errstate(over="ignore"):
         fields[0] -= E
         fields *= 2.0 * mass
-    if not np.isfinite(fields).all():   # locate the bad point only on failure
-        exprparse.check_finite(q, fields)
+    exprparse.check_finite(q, fields)
     return QBundle(q, *fields)
 
 
@@ -255,6 +254,9 @@ def find_minimum(potential):
 def find_turning_points(potential, E, mass, q_m=None):
     """Classical turning points around the well minimum at energy E.
 
+    Each side is walked out from q_m, one q_bundle per point, in steps
+    that grow by 1.5 until Q = 2m(V - E) changes sign; the sign change is
+    then polished with Brent's method.
     q_m may be passed in when already known to skip the minimum search.
     """
     if q_m is None:
@@ -268,11 +270,20 @@ def find_turning_points(potential, E, mass, q_m=None):
     Qf = lambda q: q_bundle(potential, q, E, mass).Q
     f0 = Qf(q_m)
     step = max(1e-3 * half, 1e-6)
-    try:
-        a, b, fa, fb = march_to_sign_change(Qf, q_m, f0, -step, limit)
-        q_minus = hybrid_root(Qf, b, a, flo=fb, fhi=fa, rel_tol=TP_REL_TOL)
-        a, b, fa, fb = march_to_sign_change(Qf, q_m, f0, step, limit)
-        q_plus = hybrid_root(Qf, a, b, flo=fa, fhi=fb, rel_tol=TP_REL_TOL)
-    except BracketError as exc:
-        raise BracketError("turning point search left the window: %s" % exc)
-    return TurningPoints(q_minus, q_plus, q_m)
+    found = []
+    for h in (-step, step):
+        a, fa = q_m, f0
+        while True:
+            b = a + h
+            if abs(b) > limit:
+                raise BracketError(
+                    "turning point search left the window: no sign change "
+                    "between %g and the search limit %g" % (q_m, limit))
+            fb = Qf(b)
+            if fb == 0.0 or (fb > 0) != (f0 > 0):
+                break
+            a, fa, h = b, fb, h * 1.5
+        if h < 0:
+            a, b, fa, fb = b, a, fb, fa
+        found.append(hybrid_root(Qf, a, b, flo=fa, fhi=fb, rel_tol=TP_REL_TOL))
+    return TurningPoints(found[0], found[1], q_m)

@@ -77,24 +77,3 @@ def hybrid_root(f, lo, hi, flo=None, fhi=None, rel_tol=1e-12, abs_tol=0.0,
             d = e = b - a
     return b if abs(fb) <= abs(fc) else c
 
-
-def march_to_sign_change(f, x0, f0, step, limit, grow=1.5):
-    """Walk from x0 in the direction of step until f changes sign.
-
-    Returns (a, b, fa, fb) with the sign change inside; raises BracketError
-    if |x| exceeds limit first.
-    """
-    if f0 == 0.0:
-        return x0, x0, 0.0, 0.0
-    x_prev, f_prev = x0, f0
-    h = step
-    while True:
-        x = x_prev + h
-        if abs(x) > limit:
-            raise BracketError(
-                "no sign change between %g and the search limit %g" % (x0, limit))
-        fx = f(x)
-        if fx == 0.0 or (fx > 0) != (f0 > 0):
-            return x_prev, x, f_prev, fx
-        x_prev, f_prev = x, fx
-        h *= grow

@@ -2,12 +2,15 @@
 wavefunction assembly with turning-point matching, and energy moments.
 
 The allowed-region amplitude exponent and oscillation phase are accumulated
-once per solution as piecewise Chebyshev antiderivatives; the samplers then
-combine those with pointwise analytic mean/phase terms so psi, dpsi and
-h_psi stay mutually consistent to quadrature accuracy.  All exponent
-integrals are anchored at the turning points, which makes the amplitude
-matching exact by construction and leaves only the phase condition to the
-root solver.
+once per solution as piecewise Chebyshev antiderivatives.  The assembled
+state is defined once, unnormalized, as u = amp*cos(theta) in each region
+(theta = 0 in the forbidden tails); u' and Hu come from the same pieces
+and one bundle of pointwise analytic mean/phase terms, so psi, dpsi and
+h_psi stay mutually consistent to quadrature accuracy.  <u|u> and <u|H|u>
+come from one two-row quadrature, and the samplers return c*u, c*u' and
+c*Hu with c = <u|u>^(-1/2).  All exponent integrals are anchored at the
+turning points, which makes the amplitude matching exact by construction
+and leaves only the phase condition to the root solver.
 """
 
 import math
@@ -24,9 +27,9 @@ from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integra
 from .rootfind import BracketError, hybrid_root
 from .wkb_core import A_SWITCH, terms_many
 
-# phase/normalization quadrature is tighter than the moment quadrature; the
-# quantization root is resolved to 1e-10 in phase and everything downstream
-# inherits that accuracy
+# the phase and <u|u>, <u|H|u> quadratures are tighter than the <H^2>
+# moment's; the quantization root is resolved to 1e-10 in phase and
+# everything downstream inherits that accuracy
 PHASE_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
 MOMENT_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 PHASE_RESIDUAL_TOL = 1e-11
@@ -80,27 +83,27 @@ def airy_argument(potential, q, E, hbar, mass):
     return np.where(b.Q == 0, 0.0, a)
 
 
-def _a_crossings(potential, qa, qb, E, hbar, mass):
-    """Points in (qa, qb) where |a| crosses the Airy/series switch."""
-    if not qb > qa:
-        return []
-    qs = np.linspace(qa, qb, 257)
-    g = np.abs(airy_argument(potential, qs, E, hbar, mass)) - A_SWITCH
-    g = np.where(np.isnan(g), 1.0, g)
-
+def _breaks(potential, anchors, E, hbar, mass):
+    """The anchors with every point where |a| crosses the Airy/series switch
+    inserted between consecutive anchors."""
     def g_of(q):
         val = abs(float(airy_argument(potential, np.array([q]), E, hbar, mass)[0]))
         return (val if math.isfinite(val) else 1e12) - A_SWITCH
 
-    out = []
-    for i in range(len(qs) - 1):
-        if (g[i] > 0) != (g[i + 1] > 0):
-            # refine to the ulp so the evaluation-path switch lands exactly
-            # on a quadrature panel edge instead of just inside one
-            out.append(hybrid_root(g_of, qs[i], qs[i + 1],
-                                   flo=float(g[i]), fhi=float(g[i + 1]),
-                                   rel_tol=5e-16, abs_tol=1e-300))
-    return out
+    edges = [anchors[0]]
+    for qa, qb in zip(anchors, anchors[1:]):
+        if qb > qa:
+            qs = np.linspace(qa, qb, 257)
+            g = np.abs(airy_argument(potential, qs, E, hbar, mass)) - A_SWITCH
+            g = np.where(np.isnan(g), 1.0, g)
+            for i in np.flatnonzero((g[:-1] > 0) != (g[1:] > 0)).tolist():
+                # refine to the ulp so the evaluation-path switch lands
+                # exactly on a quadrature panel edge instead of just inside one
+                edges.append(hybrid_root(g_of, qs[i], qs[i + 1],
+                                         flo=float(g[i]), fhi=float(g[i + 1]),
+                                         rel_tol=5e-16, abs_tol=1e-300))
+        edges.append(qb)
+    return edges
 
 
 def _tail_cut(potential, E, mass, hbar, q_start, direction, width):
@@ -122,11 +125,7 @@ def phase_integral(potential, E, hbar=1.0, mass=1.0, q_m=None):
     def f(q):
         return _terms_at(potential, q, E, hbar, mass, "allowed")[1]
 
-    edges = ([tp.q_minus]
-             + _a_crossings(potential, tp.q_minus, tp.q_m, E, hbar, mass)
-             + [tp.q_m]
-             + _a_crossings(potential, tp.q_m, tp.q_plus, E, hbar, mass)
-             + [tp.q_plus])
+    edges = _breaks(potential, [tp.q_minus, tp.q_m, tp.q_plus], E, hbar, mass)
     return float(integrate(f, edges, PHASE_SPEC))
 
 
@@ -203,159 +202,117 @@ def solve_quantization(potential, n, hbar=1.0, mass=1.0):
                              rel_tol=1e-13, f_tol=PHASE_RESIDUAL_TOL))
 
 
-def _energy_moment(potential, e_sp, hbar, mass, psi, dpsi, breaks):
-    """<H> in integration-by-parts form: (hbar^2/2m) int psi'^2 + int V psi^2."""
-    pref = hbar * hbar / (2.0 * mass)
-
-    def f(t):
-        b = q_bundle_many(potential, t, e_sp, mass)
-        V = b.Q / (2.0 * mass) + e_sp
-        dp = dpsi(t)
-        ps = psi(t)
-        return pref * dp * dp + V * ps * ps
-
-    return float(integrate(f, breaks, MOMENT_SPEC))
-
-
 def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
     """Piecewise bound-state solution at energy e_sp for level n.
 
-    Left of q- the state is half the decaying branch; between the turning
-    points it is the cosine form with amplitude and phase integrals anchored
-    at q-; right of q+ the decaying branch returns with the (-1)^n parity of
-    the accumulated half-integer phase.
+    The unnormalized state u is, left of q-, half the decaying branch;
+    between the turning points, the cosine form with amplitude and phase
+    integrals anchored at q-; right of q+, the decaying branch again with
+    the (-1)^n parity of the accumulated half-integer phase.  One two-row
+    quadrature gives <u|u> and <u|H|u>, the latter in integration-by-parts
+    form (hbar^2/2m) int u'^2 + int V u^2.  Then psi = c*u, dpsi = c*u' and
+    h_psi = c*Hu with c = <u|u>^(-1/2), and e_bar = <u|H|u>/<u|u>.
     """
     tp = find_turning_points(potential, e_sp, mass)
     width = tp.q_plus - tp.q_minus
     t_lo = _tail_cut(potential, e_sp, mass, hbar, tp.q_minus, -1.0, width)
     t_hi = _tail_cut(potential, e_sp, mass, hbar, tp.q_plus, +1.0, width)
-
-    def mean_allowed(q):
-        return _terms_at(potential, q, e_sp, hbar, mass, "allowed")[0]
-
-    def phase_allowed(q):
-        return _terms_at(potential, q, e_sp, hbar, mass, "allowed")[1]
+    edges = _breaks(potential, [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi],
+                    e_sp, hbar, mass)
+    i_minus, i_plus = edges.index(tp.q_minus), edges.index(tp.q_plus)
 
     def mean_forbidden(q):
         return _terms_at(potential, q, e_sp, hbar, mass, "forbidden")[0]
 
-    breaks2 = ([tp.q_minus]
-               + _a_crossings(potential, tp.q_minus, tp.q_m, e_sp, hbar, mass)
-               + [tp.q_m]
-               + _a_crossings(potential, tp.q_m, tp.q_plus, e_sp, hbar, mass)
-               + [tp.q_plus])
-    breaks1 = ([t_lo]
-               + _a_crossings(potential, t_lo, tp.q_minus, e_sp, hbar, mass)
-               + [tp.q_minus])
-    breaks3 = ([tp.q_plus]
-               + _a_crossings(potential, tp.q_plus, t_hi, e_sp, hbar, mass)
-               + [t_hi])
+    allowed = edges[i_minus:i_plus + 1]
+    amp_cheb = CumulativeCheb(
+        lambda q: _terms_at(potential, q, e_sp, hbar, mass, "allowed")[0],
+        allowed, PHASE_SPEC)
+    ph_cheb = CumulativeCheb(
+        lambda q: _terms_at(potential, q, e_sp, hbar, mass, "allowed")[1],
+        allowed, PHASE_SPEC)
+    left_cheb = CumulativeCheb(mean_forbidden, edges[:i_minus + 1], PHASE_SPEC)
+    right_cheb = CumulativeCheb(mean_forbidden, edges[i_plus:], PHASE_SPEC)
 
-    amp_cheb = CumulativeCheb(mean_allowed, breaks2, PHASE_SPEC)
-    ph_cheb = CumulativeCheb(phase_allowed, breaks2, PHASE_SPEC)
-    left_cheb = CumulativeCheb(mean_forbidden, breaks1, PHASE_SPEC)
-    right_cheb = CumulativeCheb(mean_forbidden, breaks3, PHASE_SPEC)
-    amp_total = amp_cheb.total()
-    left_total = left_cheb.total()
-    sign_n = -1.0 if n % 2 else 1.0
-    # log-slopes at the truncation points extend the tails linearly
-    slope_lo = float(mean_forbidden(np.array([t_lo]))[0])
-    slope_hi = float(mean_forbidden(np.array([t_hi]))[0])
+    # u = amp*cos(theta) in each region (theta = 0 in the tails)
+    def tail(cheb, offset, scale, t_cut):
+        """scale*exp(cheb(x) - offset), extended past the truncation point
+        t_cut along its log-slope there."""
+        slope = float(mean_forbidden(np.array([t_cut]))[0])
+        lo, hi = cheb.edges[0], cheb.edges[-1]
+        return lambda x: (scale * np.exp(cheb(x) - offset
+                                         + slope * (x - np.clip(x, lo, hi))), 0.0)
 
-    def _masked(q, f1, f2, f3):
+    left = tail(left_cheb, left_cheb.total(), 0.5, t_lo)
+    right = tail(right_cheb, 0.0, (-0.5 if n % 2 else 0.5)
+                 * math.exp(amp_cheb.total()), t_hi)
+
+    def middle(x):
+        return np.exp(amp_cheb(x)), ph_cheb(x) - math.pi / 3.0
+
+    def stitch(q, f, rows=()):
+        """f(x, piece, region) on each region's share of q, joined into an
+        array of shape rows + q's shape."""
         qf = np.atleast_1d(np.asarray(q, dtype=float))
-        out = np.empty(qf.shape)
+        out = np.empty(rows + qf.shape)
         m1 = qf < tp.q_minus
         m3 = qf > tp.q_plus
-        m2 = ~(m1 | m3)
-        for m, f in ((m1, f1), (m2, f2), (m3, f3)):
+        for m, piece, region in ((m1, left, "forbidden"),
+                                 (~(m1 | m3), middle, "allowed"),
+                                 (m3, right, "forbidden")):
             if m.any():
-                out[m] = f(qf[m])
-        if np.ndim(q) == 0:
-            return float(out[0])
-        return out
+                out[..., m] = f(qf[m], piece, region)
+        return out.reshape(rows + np.shape(q))
 
-    def _left_exponent(x):
-        ex = left_cheb(x) - left_total
-        below = x < t_lo
-        if below.any():
-            ex[below] += slope_lo * (x[below] - t_lo)
-        return ex
+    def u_of(x, piece, region):
+        amp, theta = piece(x)
+        return amp * np.cos(theta)
 
-    def _right_exponent(x):
-        ex = right_cheb(x)
-        above = x > t_hi
-        if above.any():
-            ex[above] += slope_hi * (x[above] - t_hi)
-        return ex
-
-    def _psi_pieces(c):
-        def p1(x):
-            return 0.5 * c * np.exp(_left_exponent(x))
-
-        def p2(x):
-            return c * np.exp(amp_cheb(x)) * np.cos(ph_cheb(x) - math.pi / 3.0)
-
-        def p3(x):
-            return sign_n * 0.5 * c * math.exp(amp_total) * np.exp(_right_exponent(x))
-
-        return p1, p2, p3
-
-    u1, u2, u3 = _psi_pieces(1.0)
-    norm_edges = breaks1 + breaks2[1:] + breaks3[1:]
-    norm2 = integrate(lambda t: _masked(t, u1, u2, u3) ** 2, norm_edges, PHASE_SPEC)
-    if not norm2 > 0.0:
-        raise QuadratureError("normalization integral collapsed")
-    c = 1.0 / math.sqrt(norm2)
-    p1, p2, p3 = _psi_pieces(c)
-
-    def psi(q):
-        return _masked(q, p1, p2, p3)
-
-    def d1(x):
-        return mean_forbidden(x) * p1(x)
-
-    def d2(x):
-        mean, phase, _, _ = _terms_at(potential, x, e_sp, hbar, mass, "allowed")
-        ph = ph_cheb(x) - math.pi / 3.0
-        return c * np.exp(amp_cheb(x)) * (mean * np.cos(ph) - phase * np.sin(ph))
-
-    def d3(x):
-        return mean_forbidden(x) * p3(x)
-
-    def dpsi(q):
-        return _masked(q, d1, d2, d3)
+    def jet(x, piece, region):
+        """u, u', u'' and V from one bundle: with the log-derivative
+        Y = mean + i*phase, u' = Re[Y u_c] and u'' = Re[(Y' + Y^2) u_c] for
+        u_c = amp*exp(i*theta)."""
+        amp, theta = piece(x)
+        b = q_bundle_many(potential, x, e_sp, mass)
+        mean, phase, dmean, dphase = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q,
+                                                hbar, region)
+        cos, sin = np.cos(theta), np.sin(theta)
+        re_part = dmean + mean * mean - phase * phase
+        im_part = dphase + 2.0 * mean * phase
+        return (amp * cos, amp * (mean * cos - phase * sin),
+                amp * (re_part * cos - im_part * sin), b.Q / (2.0 * mass) + e_sp)
 
     pref = hbar * hbar / (2.0 * mass)
 
-    def h1(x, piece):
-        b = q_bundle_many(potential, x, e_sp, mass)
-        mean, _, dmean, _ = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q, hbar, "forbidden")
-        V = b.Q / (2.0 * mass) + e_sp
-        return (V - pref * (dmean + mean * mean)) * piece(x)
+    def du_of(x, piece, region):
+        return jet(x, piece, region)[1]
 
-    def h2(x):
-        b = q_bundle_many(potential, x, e_sp, mass)
-        mean, phase, dmean, dphase = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q,
-                                                hbar, "allowed")
-        V = b.Q / (2.0 * mass) + e_sp
-        ph = ph_cheb(x) - math.pi / 3.0
-        amp = c * np.exp(amp_cheb(x))
-        # complexified log-derivative: psi'' = Re[(Yc' + Yc^2) psi_c]
-        re_part = dmean + mean * mean - phase * phase
-        im_part = dphase + 2.0 * mean * phase
-        d2psi = amp * (re_part * np.cos(ph) - im_part * np.sin(ph))
-        return V * amp * np.cos(ph) - pref * d2psi
+    def hu_of(x, piece, region):
+        u, _, d2u, V = jet(x, piece, region)
+        return V * u - pref * d2u
+
+    def moments(x, piece, region):
+        u, du, _, V = jet(x, piece, region)
+        return u * u, pref * du * du + V * u * u
+
+    norm2, u_h_u = integrate(lambda t: stitch(t, moments, (2,)), edges, PHASE_SPEC)
+    if not norm2 > 0.0:
+        raise QuadratureError("normalization integral collapsed")
+    c = 1.0 / math.sqrt(norm2)
+
+    def psi(q):
+        return c * stitch(q, u_of)
+
+    def dpsi(q):
+        return c * stitch(q, du_of)
 
     def h_psi(q):
-        return _masked(q, lambda x: h1(x, p1), h2, lambda x: h1(x, p3))
+        return c * stitch(q, hu_of)
 
-    breaks = tuple(norm_edges)
-    e_bar = _energy_moment(potential, e_sp, hbar, mass, psi, dpsi, breaks)
-    return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, norm_c=c,
-                         turning=tp, psi=psi, dpsi=dpsi, h_psi=h_psi,
+    return EigenSolution(n=n, e_sp=float(e_sp), e_bar=float(u_h_u / norm2),
+                         norm_c=c, turning=tp, psi=psi, dpsi=dpsi, h_psi=h_psi,
                          potential=potential, hbar=hbar, mass=mass,
-                         q_lo=t_lo, q_hi=t_hi, breaks=breaks)
+                         q_lo=t_lo, q_hi=t_hi, breaks=tuple(edges))
 
 
 def expectation_h2(solution, spec=None):

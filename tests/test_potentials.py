@@ -15,8 +15,10 @@ from uniwkb import exprparse
 from uniwkb.exprparse import EvalDomainError, ExprError
 from uniwkb.potentials import (
     SEARCH_HALF_WIDTH,
+    TP_REL_TOL,
     NoBoundRegionError,
     ParameterError,
+    TurningPoints,
     WellShapeError,
     find_minimum,
     find_turning_points,
@@ -26,7 +28,7 @@ from uniwkb.potentials import (
     q_bundle,
     q_bundle_many,
 )
-from uniwkb.rootfind import BracketError
+from uniwkb.rootfind import BracketError, hybrid_root
 
 
 def test_builtin_values():
@@ -204,6 +206,11 @@ def test_find_turning_points():
     y = 1.0 - math.sqrt(1.0 - 16.0 / 20.25)
     assert abs(tp.q_plus - (-math.log(y))) < 1e-10
     assert tp.q_minus < tp.q_m < tp.q_plus
+    # exp(q^2/2) overflows past |q| = 37.7, inside the search limit; the
+    # walk must stop at the sign change before it evaluates there
+    tp = find_turning_points(parse_potential("exp(q^2/2)", {}), 2.0, 1.0)
+    q_t = math.sqrt(2.0 * math.log(2.0))
+    assert abs(tp.q_minus + q_t) < 1e-12 and abs(tp.q_plus - q_t) < 1e-12
 
 
 def test_turning_point_residual_bound():
@@ -354,6 +361,9 @@ def test_overflow_raises_without_warnings():
                 pot.eval(q_bad)
             with pytest.raises(OverflowError):
                 pot.eval(np.array([0.0, 1.0, q_bad, 2.0]))
+        # the harmonic V'' = 2k is a scalar beside array V and V'
+        with pytest.raises(OverflowError):
+            make_builtin("harmonic", {"k": 1e308}).eval(np.array([0.0, 1.0]))
         # cosh overflow inside the sech of a far tail is a true zero
         pt = make_builtin("poschl_teller", {"lambda": 5.0})
         assert pt.eval(np.array([800.0]))[0][0] == 0.0
@@ -371,6 +381,60 @@ def test_q_bundle_overflow_raises_without_warnings():
             q_bundle(morse, -352.5, -5.0, 1.0)
         with pytest.raises(OverflowError):
             q_bundle_many(morse, np.array([0.0, -352.5, 1.0]), -5.0, 1.0)
+
+
+# ---- turning-point walk ----
+
+def _scalar_turning_points(potential, E, mass):
+    """Turning points from a walk of one scalar q_bundle per step, with
+    steps growing by 1.5 from 1e-3 of the search half-width, then Brent.
+    Kept independent of find_turning_points, so that any rewrite of its
+    walk (in blocks, say) has to reproduce these bits."""
+    q_m = find_minimum(potential)
+    if not E > potential.eval(q_m)[0]:
+        raise NoBoundRegionError("no allowed region")
+    half = SEARCH_HALF_WIDTH / potential.alpha
+    limit = abs(q_m) + 2 * half
+    Qf = lambda q: q_bundle(potential, q, E, mass).Q
+    f0 = Qf(q_m)
+
+    def walk(h):
+        a, fa = q_m, f0
+        while f0 != 0.0:
+            b = a + h
+            if abs(b) > limit:
+                raise BracketError("left the window")
+            fb = Qf(b)
+            if fb == 0.0 or (fb > 0) != (f0 > 0):
+                return a, b, fa, fb
+            a, fa, h = b, fb, h * 1.5
+        return a, a, fa, fa
+
+    step = max(1e-3 * half, 1e-6)
+    a, b, fa, fb = walk(-step)
+    q_minus = hybrid_root(Qf, b, a, flo=fb, fhi=fa, rel_tol=TP_REL_TOL)
+    a, b, fa, fb = walk(step)
+    q_plus = hybrid_root(Qf, a, b, flo=fa, fhi=fb, rel_tol=TP_REL_TOL)
+    return TurningPoints(q_minus, q_plus, q_m)
+
+
+def _turning_outcome(search, *args):
+    """The turning points as exact hex, or the name of the error raised."""
+    try:
+        found = search(*args)
+    except (BracketError, NoBoundRegionError, ArithmeticError) as exc:
+        return type(exc).__name__
+    return [float(q).hex() for q in (found.q_minus, found.q_plus, found.q_m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtin_models(), st.floats(-0.1, 2.0))
+def test_turning_points_equal_scalar_walk(model, e_frac):
+    v_min = model.eval(find_minimum(model))[0]
+    E = v_min + e_frac * max(abs(v_min), 1.0)
+    want = _turning_outcome(_scalar_turning_points, model, E, model.mass)
+    got = _turning_outcome(find_turning_points, model, E, model.mass)
+    assert got == want
 
 
 # ---- forbidden-tail march ----

@@ -117,6 +117,21 @@ def test_phase_integral_work_count(monkeypatch):
     assert len(calls) <= 4
 
 
+def test_assemble_makes_one_integrate_call(monkeypatch):
+    """<u|u> and <u|H|u> come from one two-row quadrature."""
+    pot = make_builtin("morse", PARAMS["morse"])
+    calls = []
+    real = spectral.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "integrate", counted)
+    assemble(pot, ESP_ORACLE["morse"][1], 1)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
 def test_phase_residual_at_levels(kind):
     pot = make_builtin(kind, PARAMS[kind])
