@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -67,6 +68,8 @@ def _parse_params(items):
             params[name] = float(value)
         except ValueError:
             raise ConfigError("parameter %r has a non-numeric value" % item)
+        if not math.isfinite(params[name]):
+            raise ConfigError("--param %r is not finite" % item)
     return params
 
 
@@ -101,8 +104,8 @@ def _parse_range(text):
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         sep = ""
-    if not sep or not lo < hi:
-        raise ConfigError("range must be QMIN:QMAX with QMIN < QMAX, got %r" % text)
+    if not sep or not lo < hi or not math.isfinite(hi - lo):
+        raise ConfigError("--range must be finite QMIN:QMAX, QMIN < QMAX, got %r" % text)
     return lo, hi
 
 
@@ -115,8 +118,9 @@ def config_from_args(args):
         if args.expr is not None:
             raise ConfigError("--expr is only meaningful with --potential expr")
         kind, expr = args.potential.replace("-", "_"), None
-    if not args.hbar > 0 or not args.mass > 0:
-        raise ConfigError("hbar and mass must be positive")
+    for flag, value in (("--hbar", args.hbar), ("--mass", args.mass)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError("%s must be finite and positive, got %r" % (flag, value))
     rel_tol = getattr(args, "rel_tol", None)   # solve only
     if rel_tol is not None and not MIN_REL_TOL <= rel_tol < 1.0:
         raise ConfigError("rel-tol must lie in [%g, 1)" % MIN_REL_TOL)

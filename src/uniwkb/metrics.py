@@ -207,8 +207,8 @@ def load_golden(path=None):
                     "golden table %s has unknown cell %r/%r" % (path, kind, metric))
             n = int(row["n"])
             value = float(row["value"])
-            if not math.isfinite(value):
-                raise GoldenDataError("golden table %s has non-finite value" % path)
+            if not math.isfinite(value) or value == 0.0:    # bands are relative
+                raise GoldenDataError("golden table %s: zero or non-finite value" % path)
             key = (kind, n, metric)
             if key in table:
                 raise GoldenDataError(

@@ -156,11 +156,18 @@ def integrate(f, edges, spec=QuadratureSpec()):
     return total
 
 
-def _cheb_fits(f, edges, spec, n_max=1024):
-    """Chebyshev coefficients of f on each panel between edges, the degree
-    of each grown until the tail of its coefficient sequence is negligible.
+def _per_row(fn, a):
+    """fn of each last-axis row of a: a stacked reduction may sum in another order."""
+    return np.reshape([fn(r) for r in a.reshape(-1, a.shape[-1])], a.shape[:-1])
 
-    Every panel still growing at a trial degree is sampled in one call of f.
+
+def _cheb_fits(f, edges, spec, n_max=1024):
+    """Chebyshev coefficients of f on each panel between edges, shape
+    rows + (degree + 1,) for f returning rows + (n,) on n nodes.
+
+    All rows of a panel share its degree, grown until the tail of every
+    row's coefficient sequence is negligible.  Every panel still growing at
+    a trial degree is sampled in one call of f.
     """
     coeffs = [None] * (len(edges) - 1)
     growing = list(range(len(edges) - 1))
@@ -169,16 +176,17 @@ def _cheb_fits(f, edges, spec, n_max=1024):
         t = np.cos(np.pi * np.arange(n + 1) / n)
         x = [0.5 * (edges[i] + edges[i + 1]) + 0.5 * (edges[i + 1] - edges[i]) * t
              for i in growing]      # mid + half*t per panel
-        vals = f(np.concatenate(x)).reshape(len(growing), n + 1)
+        y = f(np.concatenate(x))    # rows + (panels * (n + 1),)
+        vals = np.moveaxis(y.reshape(y.shape[:-1] + (len(growing), n + 1)), -2, 0)
         still = []
         for i, v in zip(growing, vals):
-            ext = np.concatenate([v, v[-2:0:-1]])
-            c = np.fft.rfft(ext).real[: n + 1] / n
-            c[0] *= 0.5
-            c[n] *= 0.5
-            scale = np.max(np.abs(c)) + 1e-300
-            tail = np.max(np.abs(c[-3:]))
-            if tail <= max(spec.rel_tol * scale, spec.abs_tol):
+            ext = np.concatenate([v, v[..., -2:0:-1]], axis=-1)
+            c = np.fft.rfft(ext, axis=-1).real[..., : n + 1] / n
+            c[..., 0] *= 0.5
+            c[..., n] *= 0.5
+            scale = np.max(np.abs(c), axis=-1) + 1e-300
+            tail = np.max(np.abs(c[..., -3:]), axis=-1)
+            if np.all(tail <= np.maximum(spec.rel_tol * scale, spec.abs_tol)):
                 coeffs[i] = c
             elif n >= n_max:
                 raise QuadratureError(
@@ -192,32 +200,39 @@ def _cheb_fits(f, edges, spec, n_max=1024):
 
 
 def _antiderivative_coeffs(c, half_width):
-    """Coefficients of the antiderivative vanishing at the left panel edge."""
-    n = len(c) - 1
-    cp = np.concatenate([c, [0.0, 0.0]])
-    b = np.zeros(n + 2)
+    """Coefficients of the antiderivative vanishing at the left panel edge,
+    along the last axis of c."""
+    n = c.shape[-1] - 1
+    cp = np.concatenate([c, np.zeros(c.shape[:-1] + (2,))], axis=-1)
+    b = np.zeros(c.shape[:-1] + (n + 2,))
     k = np.arange(1, n + 2)
-    b[1:] = half_width * (cp[0:n + 1] - cp[2:n + 3]) / (2 * k)
-    b[1] = half_width * (2 * cp[0] - cp[2]) / 2.0  # T_0 integrates to T_1 whole
+    b[..., 1:] = half_width * (cp[..., 0:n + 1] - cp[..., 2:n + 3]) / (2 * k)
+    b[..., 1] = half_width * (2 * cp[..., 0] - cp[..., 2]) / 2.0  # T_0 -> T_1 whole
     signs = np.where(k % 2 == 0, 1.0, -1.0)
-    b[0] = -float(signs @ b[1:])
+    b[..., 0] = -_per_row(lambda r: signs @ r, b[..., 1:])
     return b
 
 
 def _clenshaw(coeffs, t):
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    for ck in coeffs[:0:-1]:
-        b1, b2 = 2.0 * t * b1 - b2 + ck, b1
-    return t * b1 - b2 + coeffs[0]
+    """Chebyshev series along the last axis of coeffs at the points t."""
+    t2 = 2.0 * t
+    b1, b2, tmp = (np.zeros(coeffs.shape[:-1] + t.shape) for _ in range(3))
+    # b1, b2 = 2t*b1 - b2 + ck, b1 in place: fresh temporaries cost more
+    for ck in np.moveaxis(coeffs[..., :0:-1], -1, 0):
+        np.subtract(np.multiply(t2, b1, out=tmp), b2, out=b2)
+        b2 += ck[..., None]
+        b1, b2 = b2, b1
+    return t * b1 - b2 + coeffs[..., :1]
 
 
 class CumulativeCheb:
     """F(x) = integral of f from the first breakpoint to x.
 
-    The integrand is fitted per panel between the supplied breakpoints, so
-    callers should place breakpoints at every known kink of f.  Evaluation
-    outside the covered range clamps to the nearest endpoint.
+    f may return shape (m, n) for n nodes, as in `integrate`; F(x) then has
+    shape (m,) + x.shape and total() shape (m,).  The integrand is fitted
+    per panel between the supplied breakpoints, so callers should place
+    breakpoints at every known kink of f.  Evaluation outside the covered
+    range clamps to the nearest endpoint.
     """
 
     def __init__(self, f, breakpoints, spec=QuadratureSpec()):
@@ -225,29 +240,27 @@ class CumulativeCheb:
         if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
             raise ValueError("breakpoints must be strictly increasing, >= 2")
         self.edges = np.array(edges)
-        self.coeffs = []
-        self.base = [0.0]
-        for a, b, c in zip(edges[:-1], edges[1:], _cheb_fits(f, edges, spec)):
-            bc = _antiderivative_coeffs(c, 0.5 * (b - a))
-            self.coeffs.append(bc)
-            # panel integral = F(+1) with F(-1) = 0
-            self.base.append(self.base[-1] + float(np.sum(bc[1:]) + bc[0]))
+        self.coeffs = [_antiderivative_coeffs(c, 0.5 * (b - a)) for a, b, c in
+                       zip(edges[:-1], edges[1:], _cheb_fits(f, edges, spec))]
+        self.rows = self.coeffs[0].shape[:-1]
+        # panel integral = F(+1) with F(-1) = 0
+        self.base = np.cumsum([np.zeros(self.rows)] + [
+            _per_row(np.sum, bc[..., 1:]) + bc[..., 0] for bc in self.coeffs], axis=0)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
         xf = np.clip(np.atleast_1d(x), self.edges[0], self.edges[-1])
         idx = np.clip(np.searchsorted(self.edges, xf, side="right") - 1,
                       0, len(self.coeffs) - 1)
-        out = np.empty_like(xf)
+        out = np.empty(self.rows + xf.shape)
         for i in range(len(self.coeffs)):
             m = idx == i
             if not np.any(m):
                 continue
             a, b = self.edges[i], self.edges[i + 1]
             t = (2.0 * xf[m] - (a + b)) / (b - a)
-            out[m] = self.base[i] + _clenshaw(self.coeffs[i], t)
-        return float(out[0]) if scalar else out
+            out[..., m] = self.base[i][..., None] + _clenshaw(self.coeffs[i], t)
+        return out.reshape(self.rows + x.shape)[()]
 
     def total(self):
         return self.base[-1]

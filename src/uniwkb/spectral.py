@@ -1,16 +1,16 @@
 """Spectral solver: quantization condition, eigenenergy search, piecewise
 wavefunction assembly with turning-point matching, and energy moments.
 
-The allowed-region amplitude exponent and oscillation phase are accumulated
-once per solution as piecewise Chebyshev antiderivatives.  The assembled
-state is defined once, unnormalized, as u = amp*cos(theta) in each region
-(theta = 0 in the forbidden tails); u' and Hu come from the same pieces
-and one bundle of pointwise analytic mean/phase terms, so psi, dpsi and
-h_psi stay mutually consistent to quadrature accuracy.  <u|u> and <u|H|u>
-come from one two-row quadrature, and the samplers return c*u, c*u' and
-c*Hu with c = <u|u>^(-1/2).  All exponent integrals are anchored at the
-turning points, which makes the amplitude matching exact by construction
-and leaves only the phase condition to the root solver.
+The assembled state is one formula on every region, unnormalized:
+u = exp(F_mean + offset_mean)*cos(F_phase + offset_phase - pi/3), where F
+is one two-row Chebyshev antiderivative of the (mean, phase) terms per
+region.  All exponent integrals are anchored at the turning points, which
+makes the amplitude matching exact by construction and leaves only the
+phase condition to the root solver.  u' and Hu come from the same
+amplitude and phase and one bundle of pointwise mean/phase terms, so psi,
+dpsi and h_psi stay mutually consistent to quadrature accuracy.  <u|u> and
+<u|H|u> come from one two-row quadrature, and the samplers return c*u, c*u'
+and c*Hu with c = <u|u>^(-1/2).
 """
 
 import math
@@ -205,13 +205,14 @@ def solve_quantization(potential, n, hbar=1.0, mass=1.0):
 def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
     """Piecewise bound-state solution at energy e_sp for level n.
 
-    The unnormalized state u is, left of q-, half the decaying branch;
-    between the turning points, the cosine form with amplitude and phase
-    integrals anchored at q-; right of q+, the decaying branch again with
-    the (-1)^n parity of the accumulated half-integer phase.  One two-row
-    quadrature gives <u|u> and <u|H|u>, the latter in integration-by-parts
-    form (hbar^2/2m) int u'^2 + int V u^2.  Then psi = c*u, dpsi = c*u' and
-    h_psi = c*Hu with c = <u|u>^(-1/2), and e_bar = <u|H|u>/<u|u>.
+    On each region u = exp(F_mean + offset_mean)*cos(F_phase + offset_phase
+    - pi/3), with F the region's (mean, phase) fit from its left edge.  The
+    offsets are -F_left(q-) on the left tail, which cos(-pi/3) halves; zero
+    between the turning points; and (F_mean(q+), pi*(n + 2/3)) on the right
+    tail, whose target phase gives it (-1)^n/2.  One two-row quadrature gives
+    <u|u> and <u|H|u> = (hbar^2/2m) int u'^2 + int V u^2.  Then psi = c*u,
+    dpsi = c*u' and h_psi = c*Hu with c = <u|u>^(-1/2), and
+    e_bar = <u|H|u>/<u|u>.
     """
     tp = find_turning_points(potential, e_sp, mass)
     width = tp.q_plus - tp.q_minus
@@ -221,58 +222,44 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
                     e_sp, hbar, mass)
     i_minus, i_plus = edges.index(tp.q_minus), edges.index(tp.q_plus)
 
-    def mean_forbidden(q):
-        return _terms_at(potential, q, e_sp, hbar, mass, "forbidden")[0]
+    def exponents(region):
+        return lambda q: np.stack(_terms_at(potential, q, e_sp, hbar, mass, region)[:2])
 
-    allowed = edges[i_minus:i_plus + 1]
-    amp_cheb = CumulativeCheb(
-        lambda q: _terms_at(potential, q, e_sp, hbar, mass, "allowed")[0],
-        allowed, PHASE_SPEC)
-    ph_cheb = CumulativeCheb(
-        lambda q: _terms_at(potential, q, e_sp, hbar, mass, "allowed")[1],
-        allowed, PHASE_SPEC)
-    left_cheb = CumulativeCheb(mean_forbidden, edges[:i_minus + 1], PHASE_SPEC)
-    right_cheb = CumulativeCheb(mean_forbidden, edges[i_plus:], PHASE_SPEC)
-
-    # u = amp*cos(theta) in each region (theta = 0 in the tails)
-    def tail(cheb, offset, scale, t_cut):
-        """scale*exp(cheb(x) - offset), extended past the truncation point
-        t_cut along its log-slope there."""
-        slope = float(mean_forbidden(np.array([t_cut]))[0])
-        lo, hi = cheb.edges[0], cheb.edges[-1]
-        return lambda x: (scale * np.exp(cheb(x) - offset
-                                         + slope * (x - np.clip(x, lo, hi))), 0.0)
-
-    left = tail(left_cheb, left_cheb.total(), 0.5, t_lo)
-    right = tail(right_cheb, 0.0, (-0.5 if n % 2 else 0.5)
-                 * math.exp(amp_cheb.total()), t_hi)
-
-    def middle(x):
-        return np.exp(amp_cheb(x)), ph_cheb(x) - math.pi / 3.0
+    # F = (amplitude exponent, phase) integrals of (mean, phase) per region
+    left = CumulativeCheb(exponents("forbidden"), edges[:i_minus + 1], PHASE_SPEC)
+    middle = CumulativeCheb(exponents("allowed"), edges[i_minus:i_plus + 1], PHASE_SPEC)
+    right = CumulativeCheb(exponents("forbidden"), edges[i_plus:], PHASE_SPEC)
+    # past a truncation point a tail goes on along its log-slope there
+    slope_lo, slope_hi = _terms_at(potential, np.array([t_lo, t_hi]), e_sp, hbar,
+                                   mass, "forbidden")[0]
+    regions = ((left, -left.total(), slope_lo, "forbidden"),
+               (middle, (0.0, 0.0), 0.0, "allowed"),
+               (right, (middle.total()[0], math.pi * (n + 2.0 / 3.0)), slope_hi,
+                "forbidden"))
 
     def stitch(q, f, rows=()):
-        """f(x, piece, region) on each region's share of q, joined into an
-        array of shape rows + q's shape."""
+        """f(x, amp, theta, region) on each region's share of q, joined into
+        an array of shape rows + q's shape, where u = amp*cos(theta)."""
         qf = np.atleast_1d(np.asarray(q, dtype=float))
         out = np.empty(rows + qf.shape)
         m1 = qf < tp.q_minus
         m3 = qf > tp.q_plus
-        for m, piece, region in ((m1, left, "forbidden"),
-                                 (~(m1 | m3), middle, "allowed"),
-                                 (m3, right, "forbidden")):
+        for m, (fit, offset, slope, region) in zip((m1, ~(m1 | m3), m3), regions):
             if m.any():
-                out[..., m] = f(qf[m], piece, region)
+                x = qf[m]
+                mean, phase = fit(x)
+                amp = np.exp(mean + offset[0]
+                             + slope * (x - np.clip(x, fit.edges[0], fit.edges[-1])))
+                out[..., m] = f(x, amp, phase + offset[1] - math.pi / 3.0, region)
         return out.reshape(rows + np.shape(q))
 
-    def u_of(x, piece, region):
-        amp, theta = piece(x)
+    def u_of(x, amp, theta, region):
         return amp * np.cos(theta)
 
-    def jet(x, piece, region):
+    def jet(x, amp, theta, region):
         """u, u', u'' and V from one bundle: with the log-derivative
         Y = mean + i*phase, u' = Re[Y u_c] and u'' = Re[(Y' + Y^2) u_c] for
         u_c = amp*exp(i*theta)."""
-        amp, theta = piece(x)
         b = q_bundle_many(potential, x, e_sp, mass)
         mean, phase, dmean, dphase = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q,
                                                 hbar, region)
@@ -284,15 +271,15 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
 
     pref = hbar * hbar / (2.0 * mass)
 
-    def du_of(x, piece, region):
-        return jet(x, piece, region)[1]
+    def du_of(x, amp, theta, region):
+        return jet(x, amp, theta, region)[1]
 
-    def hu_of(x, piece, region):
-        u, _, d2u, V = jet(x, piece, region)
+    def hu_of(x, amp, theta, region):
+        u, _, d2u, V = jet(x, amp, theta, region)
         return V * u - pref * d2u
 
-    def moments(x, piece, region):
-        u, du, _, V = jet(x, piece, region)
+    def moments(x, amp, theta, region):
+        u, du, _, V = jet(x, amp, theta, region)
         return u * u, pref * du * du + V * u * u
 
     norm2, u_h_u = integrate(lambda t: stitch(t, moments, (2,)), edges, PHASE_SPEC)
@@ -300,17 +287,12 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
         raise QuadratureError("normalization integral collapsed")
     c = 1.0 / math.sqrt(norm2)
 
-    def psi(q):
-        return c * stitch(q, u_of)
-
-    def dpsi(q):
-        return c * stitch(q, du_of)
-
-    def h_psi(q):
-        return c * stitch(q, hu_of)
+    def sampler(f):
+        return lambda q: c * stitch(q, f)
 
     return EigenSolution(n=n, e_sp=float(e_sp), e_bar=float(u_h_u / norm2),
-                         norm_c=c, turning=tp, psi=psi, dpsi=dpsi, h_psi=h_psi,
+                         norm_c=c, turning=tp, psi=sampler(u_of),
+                         dpsi=sampler(du_of), h_psi=sampler(hu_of),
                          potential=potential, hbar=hbar, mass=mass,
                          q_lo=t_lo, q_hi=t_hi, breaks=tuple(edges))
 

@@ -42,14 +42,15 @@ def test_parse_levels_forms():
 
 def test_parse_params_forms():
     assert _parse_params(["k=0.5", "alpha=2"]) == {"k": 0.5, "alpha": 2.0}
-    for bad in (["k"], ["k=abc"], ["=1"]):
+    for bad in (["k"], ["k=abc"], ["=1"], ["k=nan"], ["k=inf"], ["k=-inf"]):
         with pytest.raises(ConfigError):
             _parse_params(bad)
 
 
 def test_parse_range_forms():
     assert _parse_range("-5:5") == (-5.0, 5.0)
-    for bad in ("5:-5", "abc", "1:abc", "3"):
+    for bad in ("5:-5", "abc", "1:abc", "3", "-inf:0", "0:1e400", "nan:1",
+                "0:nan", "-1e308:1e308"):
         with pytest.raises(ConfigError):
             _parse_range(bad)
 
@@ -64,8 +65,24 @@ def test_config_validation():
         make_config(SOLVE_H01 + ["--hbar", "0"])
     with pytest.raises(ConfigError):
         make_config(SOLVE_H01 + ["--rel-tol", "2.0"])
+    for flag, value in (("--hbar", "inf"), ("--hbar", "nan"), ("--mass", "inf")):
+        with pytest.raises(ConfigError, match=flag):
+            make_config(SOLVE_H01 + [flag, value])
     cfg = make_config(["solve", "--potential", "poschl-teller", "--levels", "0"])
     assert cfg.kind == "poschl_teller"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (SOLVE_H01 + ["--hbar", "inf"], "--hbar"),
+    (SOLVE_H01 + ["--param", "k=nan"], "--param"),
+    (["solve", "--potential", "morse", "--param", "gamma=nan"], "--param"),
+    (["dump", "--potential", "harmonic", "--range=-inf:0"], "--range"),
+    (["dump", "--potential", "harmonic", "--range=0:1e400"], "--range"),
+])
+def test_non_finite_input_exits_two_naming_the_flag(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and flag in err
 
 
 def test_missing_subcommand_exits_two():

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from uniwkb import cli
 from uniwkb.metrics import (GOLDEN_ENV, METRIC_NAMES, GoldenDataError,
                             _gram_deviation, benchmark_row, benchmark_table,
                             check_cell, delta_e, delta_h_psi, discrepancy_d,
@@ -154,6 +155,24 @@ def test_golden_checksum_catches_corruption(tmp_path, monkeypatch):
     assert golden_path() == str(bad)
     with pytest.raises(GoldenDataError):
         load_golden()
+
+
+def test_golden_zero_value_rejected(tmp_path, monkeypatch, capsys):
+    """check_cell's band is relative, so a zero golden value is corrupt data
+    even under a valid checksum: verify exits 2 before computing a cell."""
+    raw = open(golden_path(), "rb").read()
+    _, _, body = raw.partition(b"\n")
+    body = body.replace(b"2.16e-4", b"0.0", 1)
+    zero = tmp_path / "golden_zero.csv"
+    zero.write_bytes(b"# sha256=" + hashlib.sha256(body).hexdigest().encode()
+                     + b"\n" + body)
+    with pytest.raises(GoldenDataError, match="zero or non-finite"):
+        load_golden(str(zero))
+    monkeypatch.setenv(GOLDEN_ENV, str(zero))
+    monkeypatch.setattr(cli, "benchmark_table",
+                        lambda: pytest.fail("cells computed before the golden check"))
+    assert cli.main(["verify"]) == 2
+    assert "zero or non-finite" in capsys.readouterr().err
 
 
 def test_golden_missing_checksum_line_rejected(tmp_path):

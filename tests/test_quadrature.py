@@ -281,6 +281,13 @@ def test_spec_validation():
 
 # ---- cumulative Chebyshev antiderivative ----
 
+CHEB_CASES = [
+    (np.cos, [0.0, 0.3, 1.0, 2.5, 7.0, 19.0]),
+    (lambda x: np.cos(9.0 * x) * np.exp(-x), [0.0, 1e-3, 0.4, 6.0]),
+    (np.abs, [-2.0, 0.0, 2.0]),
+]
+
+
 def _panel_fit(f, a, b, spec, n_max=1024):
     """One panel's Chebyshev coefficients, fitted on its own."""
     n = 16
@@ -302,11 +309,7 @@ def _panel_fit(f, a, b, spec, n_max=1024):
         n *= 2
 
 
-@pytest.mark.parametrize("f,edges", [
-    (np.cos, [0.0, 0.3, 1.0, 2.5, 7.0, 19.0]),
-    (lambda x: np.cos(9.0 * x) * np.exp(-x), [0.0, 1e-3, 0.4, 6.0]),
-    (np.abs, [-2.0, 0.0, 2.0]),
-])
+@pytest.mark.parametrize("f,edges", CHEB_CASES)
 def test_cumulative_coefficients_equal_per_panel_fits(f, edges):
     spec = QuadratureSpec(rel_tol=1e-12)
     F = CumulativeCheb(f, edges, spec)
@@ -314,6 +317,32 @@ def test_cumulative_coefficients_equal_per_panel_fits(f, edges):
     for a, b, got in zip(edges[:-1], edges[1:], F.coeffs):
         want = _antiderivative_coeffs(_panel_fit(f, a, b, spec), 0.5 * (b - a))
         assert got.tobytes() == want.tobytes()
+
+
+def test_cumulative_two_rows_match_antiderivatives():
+    F = CumulativeCheb(lambda x: np.stack([np.cos(x), np.sin(x)]),
+                       [0.0, 1.0, 2.5, 7.0])
+    xs = np.linspace(0.0, 7.0, 113)
+    got = F(xs)
+    assert got.shape == (2, 113)
+    assert np.max(np.abs(got[0] - np.sin(xs))) < 1e-12
+    assert np.max(np.abs(got[1] - (1.0 - np.cos(xs)))) < 1e-12
+    assert F.total().shape == (2,) and F(3.0).shape == (2,)
+    assert np.max(np.abs(F.total() - [np.sin(7.0), 1.0 - np.cos(7.0)])) < 1e-12
+
+
+@pytest.mark.parametrize("f,edges", CHEB_CASES)
+def test_cumulative_zero_row_leaves_first_row_bit_equal(f, edges):
+    """A row that is identically zero changes neither the shared degrees nor
+    any bit of the other row's fit, sums or values."""
+    one = CumulativeCheb(f, edges)
+    two = CumulativeCheb(lambda x: np.stack([f(x), np.zeros_like(x)]), edges)
+    for c1, c2 in zip(one.coeffs, two.coeffs):
+        assert c2[0].tobytes() == c1.tobytes()
+        assert not np.any(c2[1])
+    xs = np.linspace(edges[0], edges[-1], 97)
+    assert two(xs)[0].tobytes() == one(xs).tobytes()
+    assert two.total()[0] == one.total()
 
 
 def test_cumulative_stall_names_first_stalling_panel():

@@ -132,6 +132,41 @@ def test_assemble_makes_one_integrate_call(monkeypatch):
     assert len(calls) == 1
 
 
+def test_assemble_fits_each_region_once(monkeypatch):
+    """One two-row (mean, phase) fit per region, left tail, allowed region
+    and right tail, so no Chebyshev node is sampled by two fits."""
+    pot = make_builtin("morse", PARAMS["morse"])
+    fits = []
+    real = spectral.CumulativeCheb
+
+    def counted(f, breakpoints, *args, **kwargs):
+        fits.append(list(breakpoints))
+        return real(f, breakpoints, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "CumulativeCheb", counted)
+    sol = assemble(pot, ESP_ORACLE["morse"][1], 1)
+    assert len(fits) == 3
+    left, middle, right = fits
+    assert (left[-1], middle[0]) == (sol.turning.q_minus,) * 2
+    assert (middle[-1], right[0]) == (sol.turning.q_plus,) * 2
+    assert left + middle[1:] + right[1:] == list(sol.breaks)
+
+
+def _right_tail_parity(sol):
+    return np.sign(sol.psi(sol.q_hi)) == (-1) ** sol.n * np.sign(sol.psi(sol.q_lo))
+
+
+def test_right_tail_parity():
+    """psi(q_hi) carries (-1)^n times the sign of psi(q_lo)."""
+    for kind in ESP_ORACLE:
+        for n in range(4):
+            assert _right_tail_parity(get_solution(kind, n)), (kind, n)
+    quartic = potentials.parse_potential("q^4/4 + q^2/2", {})
+    for n in range(4):
+        sol = assemble(quartic, solve_quantization(quartic, n), n)
+        assert _right_tail_parity(sol), ("quartic", n)
+
+
 @pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
 def test_phase_residual_at_levels(kind):
     pot = make_builtin(kind, PARAMS[kind])
