@@ -279,11 +279,16 @@ def _jsincos(f, hyper=False):
     return (s0, s1, s2, s3), (c0, c1, c2, c3)
 
 
+# largest constant exponent (in magnitude) raised by repeated products; a
+# larger or non-finite one takes the exp(g*ln f) path, so the loop stays short
+MAX_INT_EXPONENT = 1024
+
+
 def _jpow(f, g, g_const):
     # integer constant exponents stay in polynomial arithmetic so that
     # negative bases (q^2 left of the origin) remain legal; g_const is None
     # for an exponent that varies with q
-    if (g_const is not None and math.isfinite(g_const)
+    if (g_const is not None and abs(g_const) <= MAX_INT_EXPONENT
             and abs(g_const - round(g_const)) < 1e-12):
         k = int(round(g_const))
         if k == 0:

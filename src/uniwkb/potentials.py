@@ -9,6 +9,7 @@ takes a scalar or a numpy array of any shape, so a whole grid costs one
 call, and an array gives the same values as its elements one at a time.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,8 +21,8 @@ from .rootfind import BracketError, hybrid_root
 BUILTIN_KINDS = ("harmonic", "morse", "poschl_teller")
 _PARAM_ALIASES = {"g": "gamma", "lam": "lambda", "l": "lambda"}
 
-# search window half-width for minima and turning points, divided by the
-# potential's inverse length scale alpha
+# search window half-width for minima, divided by the potential's inverse
+# length scale alpha; turning points are searched out to |q_m| plus twice it
 SEARCH_HALF_WIDTH = 30.0
 TP_REL_TOL = 1e-12
 
@@ -74,6 +75,22 @@ def _normalize_params(params):
 _BUILTIN_PARAMS = {"harmonic": ("k",),
                    "morse": ("gamma", "alpha"),
                    "poschl_teller": ("lambda", "alpha")}
+HARMONIC_SENTINEL = 2 ** 31 - 1
+
+
+def bound_count(kind, params):
+    """Number of bound levels of a builtin well (HARMONIC_SENTINEL for the
+    unbounded harmonic spectrum)."""
+    if kind == "harmonic":
+        return HARMONIC_SENTINEL
+    if kind == "morse":
+        x = float(params["gamma"]) - 0.5
+    elif kind == "poschl_teller":
+        x = float(params["lambda"]) - 1.0
+    else:
+        raise ValueError("no closed-form spectrum for kind %r" % (kind,))
+    c = math.ceil(x)
+    return int(c if c > x else x)
 
 
 def make_builtin(kind, params, hbar=1.0, mass=1.0):
@@ -251,12 +268,63 @@ def find_minimum(potential):
     return q_m
 
 
+def _walk_points(potential, q_m):
+    """The points the turning-point walk visits on each side, left side first.
+
+    Steps from q_m grow by 1.5 from 1e-3 of the search half-width; the last
+    one is cut short to land on the search reach, -/+(|q_m| + twice the
+    half-width).
+    """
+    half = SEARCH_HALF_WIDTH / potential.alpha
+    step = max(1e-3 * half, 1e-6)
+    reach = abs(q_m) + 2 * half
+    sides = []
+    for h, end in ((-step, -reach), (step, reach)):
+        points, b = [], q_m
+        while b != end:
+            b = b + h
+            if (b - end) * h > 0:
+                b = end
+            points.append(b)
+            h *= 1.5
+        sides.append(points)
+    return sides
+
+
+def energy_ceiling(potential, q_m, v_min):
+    """Highest energy at which the turning-point walk brackets both turning
+    points.
+
+    On each side, the largest V at the points the walk visits, up to the
+    first where eval raises or is not finite (outside the potential's
+    domain, say); the lower of the two sides, less a sliver of 1e-9 of its
+    height above v_min.  A side that turns down beyond a barrier is bounded
+    by its barrier, not by V at the reach.  A side that never rises above
+    v_min gives a ceiling no higher than v_min.
+    """
+    tops = []
+    for points in _walk_points(potential, q_m):
+        top = -math.inf
+        for q in points:
+            try:
+                jet = [float(x) for x in potential.eval(q)]
+            except (ArithmeticError, ValueError):
+                break
+            if not all(map(math.isfinite, jet)):
+                break
+            top = max(top, jet[0])
+        tops.append(top)
+    v_top = min(tops)
+    return v_top - 1e-9 * (v_top - v_min) if v_top > v_min else v_top
+
+
 def find_turning_points(potential, E, mass, q_m=None):
     """Classical turning points around the well minimum at energy E.
 
-    Each side is walked out from q_m, one q_bundle per point, in steps
-    that grow by 1.5 until Q = 2m(V - E) changes sign; the sign change is
-    then polished with Brent's method.
+    Each side is walked out from q_m, one q_bundle per point of
+    _walk_points, until Q = 2m(V - E) changes sign; the sign change is then
+    polished with Brent's method.  Every E below energy_ceiling finds both
+    turning points.
     q_m may be passed in when already known to skip the minimum search.
     """
     if q_m is None:
@@ -265,25 +333,21 @@ def find_turning_points(potential, E, mass, q_m=None):
     if not E > v_min:
         raise NoBoundRegionError(
             "E = %g does not exceed the well minimum %g" % (E, v_min))
-    half = SEARCH_HALF_WIDTH / potential.alpha
-    limit = abs(q_m) + 2 * half
     Qf = lambda q: q_bundle(potential, q, E, mass).Q
     f0 = Qf(q_m)
-    step = max(1e-3 * half, 1e-6)
     found = []
-    for h in (-step, step):
+    for points in _walk_points(potential, q_m):
         a, fa = q_m, f0
-        while True:
-            b = a + h
-            if abs(b) > limit:
-                raise BracketError(
-                    "turning point search left the window: no sign change "
-                    "between %g and the search limit %g" % (q_m, limit))
+        for b in points:
             fb = Qf(b)
             if fb == 0.0 or (fb > 0) != (f0 > 0):
                 break
-            a, fa, h = b, fb, h * 1.5
-        if h < 0:
+            a, fa = b, fb
+        else:
+            raise BracketError(
+                "turning point search left the window: no sign change "
+                "between %g and the search limit %g" % (q_m, points[-1]))
+        if b < a:
             a, b, fa, fb = b, a, fb, fa
         found.append(hybrid_root(Qf, a, b, flo=fa, fhi=fb, rel_tol=TP_REL_TOL))
     return TurningPoints(found[0], found[1], q_m)

@@ -13,12 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import find_turning_points, march_tail
+from .potentials import (bound_count, energy_ceiling, find_turning_points,
+                         march_tail)
 # unused here, kept importable: perfbench/tracer.py wraps reference.q_bundle
 from .potentials import q_bundle  # noqa: F401
 from .quadrature import QuadratureSpec, integrate
-
-HARMONIC_SENTINEL = 2 ** 31 - 1
 
 _NORM_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
 
@@ -33,19 +32,6 @@ class ExactLevel:
 
 class LevelIndexError(IndexError):
     """Requested level does not exist for the given parameters."""
-
-
-def bound_count(kind, params):
-    if kind == "harmonic":
-        return HARMONIC_SENTINEL
-    if kind == "morse":
-        x = float(params["gamma"]) - 0.5
-    elif kind == "poschl_teller":
-        x = float(params["lambda"]) - 1.0
-    else:
-        raise ValueError("no closed-form spectrum for kind %r" % (kind,))
-    c = math.ceil(x)
-    return int(c if c > x else x)
 
 
 def exact_energy(kind, params, n, hbar=1.0, mass=1.0):
@@ -251,14 +237,12 @@ def numerov_solve(potential, n, hbar=1.0, mass=1.0):
     The count of interior nodes jumps from n to n+1 exactly at the n-th
     eigenvalue, so bisecting the jump locates it without any matching logic.
     """
-    from .potentials import SEARCH_HALF_WIDTH, find_minimum
+    from .potentials import find_minimum
 
     q_m = find_minimum(potential)
     v_min, _, curv, _ = potential.eval(q_m)
     e_unit = hbar * math.sqrt(max(curv, 1e-12) / mass)
-    halfw = SEARCH_HALF_WIDTH / potential.alpha
-    v_edge = min(potential.eval(q_m - halfw)[0], potential.eval(q_m + halfw)[0])
-    cap_e = v_edge - 1e-9 * (v_edge - v_min)
+    cap_e = energy_ceiling(potential, q_m, v_min)
     lo = v_min + 0.05 * e_unit
     if _count_nodes(potential, lo, mass, hbar, q_m) > n:
         raise NumerovError("lower probe already has too many nodes")

@@ -19,12 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import (NoBoundRegionError, TurningPoints, find_minimum,
-                         find_turning_points, march_tail, q_bundle_many)
+from .potentials import (TurningPoints, bound_count, energy_ceiling,
+                         find_minimum, find_turning_points, march_tail,
+                         q_bundle_many)
 # unused here, kept importable: perfbench/tracer.py wraps spectral.q_bundle
 from .potentials import q_bundle  # noqa: F401
 from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integrate
-from .rootfind import BracketError, hybrid_root
+from .rootfind import hybrid_root
 from .wkb_core import A_SWITCH, terms_many
 
 # the phase and <u|u>, <u|H|u> quadratures are tighter than the <H^2>
@@ -137,8 +138,6 @@ def solve_quantization(potential, n, hbar=1.0, mass=1.0):
         # the second-order phase grows without bound as E approaches the
         # dissociation threshold, so an unguarded search would return a
         # spurious root there; gate on the closed-form level count instead
-        from .reference import bound_count
-
         cap = bound_count(potential.kind, potential.params)
         if n >= cap:
             raise QuantizationError(
@@ -165,35 +164,21 @@ def solve_quantization(potential, n, hbar=1.0, mass=1.0):
                 "phase at the well bottom already exceeds the level-%d target" % n)
         lo = v_min + frac * e_unit
         g_lo = g(lo)
+    # no energy above the ceiling has both turning points in the search reach
+    ceiling = energy_ceiling(potential, q_m, v_min)
     hi = g_hi = None
     span = 0.5 * e_unit * (n + 1.0)
     for _ in range(200):
-        cand = lo + span
-        try:
-            g_c = g(cand)
-        except (BracketError, NoBoundRegionError):
-            # walked above the well top; creep toward it from the last good
-            # energy until the phase target is met or the gap closes
-            bad = cand
-            while True:
-                cand = 0.5 * (lo + bad)
-                if not lo < cand < bad:
-                    raise QuantizationError(
-                        "level n=%d is not supported by the quantization "
-                        "condition in this well" % n)
-                try:
-                    g_c = g(cand)
-                except (BracketError, NoBoundRegionError):
-                    bad = cand
-                    continue
-                if g_c >= 0.0:
-                    break
-                lo, g_lo = cand, g_c
-            hi, g_hi = cand, g_c
-            break
+        cand = min(lo + span, ceiling)
+        g_c = g(cand)
         if g_c >= 0.0:
             hi, g_hi = cand, g_c
             break
+        if cand == ceiling:
+            raise QuantizationError(
+                "level n=%d is not supported by this well: at its energy "
+                "ceiling %.10g the phase falls %.4g short of the target"
+                % (n, ceiling, -g_c))
         lo, g_lo = cand, g_c
         span *= 2.0
     if hi is None:

@@ -20,6 +20,7 @@ from uniwkb.potentials import (
     ParameterError,
     TurningPoints,
     WellShapeError,
+    energy_ceiling,
     find_minimum,
     find_turning_points,
     make_builtin,
@@ -125,6 +126,16 @@ def test_expression_errors_carry_positions():
     # negative base, not an escaped float-pow OverflowError
     with pytest.raises(exprparse.EvalDomainError, match="non-positive base"):
         exprparse.compile_expr("q^(2^2000)", {})(-1.0)
+    # nor is one too large to raise by repeated products, which must come
+    # back at once for a positive base
+    huge = exprparse.compile_expr("q^(10^15)", {})
+    with pytest.raises(exprparse.EvalDomainError, match="non-positive base"):
+        huge(-1.0)
+    assert huge(0.5) == (0.0, 0.0, 0.0, 0.0)
+    # up to that size an integer exponent takes any base
+    assert exprparse.compile_expr("q^1024", {})(-1.0)[0] == 1.0
+    with pytest.raises(exprparse.EvalDomainError, match="non-positive base"):
+        exprparse.compile_expr("q^1025", {})(-1.0)
 
 
 # expression fragments combined at random; all total functions of q
@@ -227,6 +238,50 @@ def test_turning_point_residual_bound():
         q_cap = max(abs(q_bundle(pot, tp.q_m, E, 1.0).Q), 2.0 * abs(E))
         assert abs(q_bundle(pot, tp.q_minus, E, 1.0).Q) <= 1e-10 * q_cap
         assert abs(q_bundle(pot, tp.q_plus, E, 1.0).Q) <= 1e-10 * q_cap
+
+
+def test_turning_points_found_up_to_the_energy_ceiling():
+    # the reach of q^2/2 is +/-60: at the ceiling the walk lands its last
+    # step on the reach's end, and just above V there it finds no sign change
+    pot = parse_potential("q^2/2", {})
+    q_m = find_minimum(pot)
+    E = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
+    assert E == 1800.0 - 1e-9 * 1800.0
+    tp = find_turning_points(pot, E, 1.0, q_m=q_m)
+    assert abs(tp.q_minus + 60.0) < 1e-6 and abs(tp.q_plus - 60.0) < 1e-6
+    with pytest.raises(BracketError):
+        find_turning_points(pot, 1800.0 * (1.0 + 1e-9), 1.0, q_m=q_m)
+
+
+@pytest.mark.parametrize("src", [
+    "q^2/2 - q^3/100",     # turns down beyond a barrier at q = 33.3
+    "q^2/2 - ln(q + 50)",  # undefined left of q = -50
+    "exp(q^2/2)",          # overflows before the reach's ends
+    "exp(q-25) - (q-25)",  # minimum at q = 25, shallow to its left
+])
+def test_turning_points_found_at_the_energy_ceiling(src):
+    """Wherever the walk stops short of V at the reach's ends, the ceiling
+    stops with it: both turning points are found at the ceiling itself."""
+    pot = parse_potential(src, {})
+    q_m = find_minimum(pot)
+    v_min = pot.eval(q_m)[0]
+    E = energy_ceiling(pot, q_m, v_min)
+    assert v_min < E < math.inf
+    tp = find_turning_points(pot, E, 1.0, q_m=q_m)
+    assert tp.q_minus < q_m < tp.q_plus
+
+
+def test_energy_ceiling_bounds():
+    # below the barrier of q^2/2 - q^3/100 (185.2 at q = 100/3), not at
+    # V(60) = -360, which lies below the well minimum
+    pot = parse_potential("q^2/2 - q^3/100", {})
+    assert 150.0 < energy_ceiling(pot, find_minimum(pot), 0.0) < 185.2
+    # the reach is -/+(|q_m| + 60), not q_m -/+ 60: left of q_m = 25 the
+    # walk lands on -85, where V = 110
+    pot = parse_potential("exp(q-25) - (q-25)", {})
+    q_m = find_minimum(pot)
+    v_edge = pot.eval(-85.0)[0]
+    assert energy_ceiling(pot, q_m, 0.0) == v_edge - 1e-9 * v_edge
 
 
 def test_turning_point_errors():
@@ -391,23 +446,26 @@ def test_q_bundle_overflow_raises_without_warnings():
 
 def _scalar_turning_points(potential, E, mass):
     """Turning points from a walk of one scalar q_bundle per step, with
-    steps growing by 1.5 from 1e-3 of the search half-width, then Brent.
+    steps growing by 1.5 from 1e-3 of the search half-width and the last
+    step cut short at -/+(|q_m| + twice the half-width), then Brent.
     Kept independent of find_turning_points, so that any rewrite of its
     walk (in blocks, say) has to reproduce these bits."""
     q_m = find_minimum(potential)
     if not E > potential.eval(q_m)[0]:
         raise NoBoundRegionError("no allowed region")
     half = SEARCH_HALF_WIDTH / potential.alpha
-    limit = abs(q_m) + 2 * half
     Qf = lambda q: q_bundle(potential, q, E, mass).Q
     f0 = Qf(q_m)
 
     def walk(h):
+        end = math.copysign(abs(q_m) + 2 * half, h)
         a, fa = q_m, f0
         while f0 != 0.0:
-            b = a + h
-            if abs(b) > limit:
+            if a == end:
                 raise BracketError("left the window")
+            b = a + h
+            if b > end if h > 0 else b < end:
+                b = end
             fb = Qf(b)
             if fb == 0.0 or (fb > 0) != (f0 > 0):
                 return a, b, fa, fb

@@ -235,8 +235,10 @@ def _assert_same_as_dfs(f, edges, spec):
     got = integrate(g, edges, spec)
     assert type(got) is type(want)
     assert _bits(got) == _bits(want)
-    nodes = np.sort(np.concatenate(seen)) if seen else np.empty(0)
-    ref_nodes = np.sort(np.concatenate(ref_seen)) if ref_seen else np.empty(0)
+    # sorted by bit pattern: a value sort leaves -0.0 and 0.0 in either order
+    nodes = np.sort(np.concatenate(seen).view(np.int64)) if seen else np.empty(0)
+    ref_nodes = (np.sort(np.concatenate(ref_seen).view(np.int64)) if ref_seen
+                 else np.empty(0))
     assert nodes.tobytes() == ref_nodes.tobytes()
 
 

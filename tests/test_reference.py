@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from uniwkb.potentials import make_builtin
+from uniwkb.potentials import (HARMONIC_SENTINEL, bound_count, make_builtin,
+                               parse_potential)
 from uniwkb.reference import (
-    HARMONIC_SENTINEL,
     LevelIndexError,
     NumerovError,
-    bound_count,
     exact_energy,
     exact_wavefunction,
     numerov_solve,
@@ -152,6 +151,13 @@ def test_numerov_matches_exact(kind, params, n):
     e = numerov_solve(pot, n)
     ex = exact_energy(kind, params, n)
     assert abs(e - ex) / abs(ex) < 1e-8, (kind, n, e, ex)
+
+
+def test_numerov_below_a_barrier():
+    """A well that turns down beyond its barrier (V(60) = -360, below the
+    minimum) is still capped below the barrier, and n = 0 solves."""
+    pot = parse_potential("q^2/2 - q^3/100", {})
+    assert numerov_solve(pot, 0) == 0.4998623543331633
 
 
 def test_numerov_rejects_unbound_level():

@@ -1,13 +1,15 @@
 """Tests for the quantization solver and piecewise eigenstate assembly."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from uniwkb import potentials, spectral
-from uniwkb.potentials import make_builtin, q_bundle
+from uniwkb.potentials import (energy_ceiling, find_minimum, make_builtin,
+                               parse_potential, q_bundle)
 from uniwkb.spectral import (
     QuantizationError,
     assemble,
@@ -186,6 +188,45 @@ def test_no_root_above_well_capacity():
     pot = make_builtin("morse", PARAMS["morse"])
     with pytest.raises(QuantizationError):
         solve_quantization(pot, 4)
+
+
+def test_level_above_the_ceiling_fails_fast(monkeypatch):
+    """One past the last level of an expression well (no closed-form level
+    count) is refused after one phase integral at the energy ceiling, and
+    the error names the ceiling."""
+    pot = parse_potential("-20/cosh(q)^2", {})
+    q_m = find_minimum(pot)
+    ceiling = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
+    calls = []
+    real = spectral.phase_integral
+
+    def phase(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "phase_integral", phase)
+    with pytest.raises(QuantizationError, match=re.escape("ceiling %.10g" % ceiling)):
+        solve_quantization(pot, 6)
+    assert len(calls) <= 3
+    assert calls[-1] == ceiling
+
+
+@pytest.mark.parametrize("src, n, e_sp", [
+    # V at the right end of the reach, -360, lies below the well minimum;
+    # the ceiling sits below the barrier instead
+    ("q^2/2 - q^3/100", 0, 0.5109532959643104),
+    # the reach left of q_m = 25 ends at -85 (V = 110), not at -35 (V = 60)
+    ("exp(q-25) - (q-25)", 220, 77.63679657430595),
+])
+def test_levels_below_the_ceiling_solve(src, n, e_sp):
+    assert solve_quantization(parse_potential(src, {}), n) == e_sp
+
+
+def test_level_near_the_reach_solves():
+    """The ceiling sits at the turning-point search reach, +/-60 for q^2/2,
+    so level 460 (turning points near +/-30.3) still solves."""
+    e_sp = solve_quantization(parse_potential("q^2/2", {}), 460)
+    assert e_sp == 460.5000027982119
 
 
 @pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
