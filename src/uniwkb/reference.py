@@ -5,10 +5,16 @@ Wavefunctions are built from stable forward recurrences for the polynomial
 factors, normalized numerically, and sign-fixed positive on the left tail.
 Closed-form normalization constants are deliberately avoided; the
 Schrödinger-residual checks in the test suite validate the shapes instead.
+
+The Numerov oracle counts nodes only to bracket a level, converges on the
+matching of outward and inward solutions on one grid per level, and
+removes the O(h^4) grid error by Richardson extrapolation from that grid
+and its every other node.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -18,6 +24,7 @@ from .potentials import (bound_count, energy_ceiling, find_turning_points,
 # unused here, kept importable: perfbench/tracer.py wraps reference.q_bundle
 from .potentials import q_bundle  # noqa: F401
 from .quadrature import QuadratureSpec, integrate
+from .rootfind import BracketError, hybrid_root
 
 _NORM_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
 
@@ -179,6 +186,7 @@ STEP_FACTOR = 2.5e-4   # cap on step^2 * max|Q| / hbar^2
 TAIL_EXPONENT = 20.7   # amplitude^2 decays to ~1e-18
 # grid points per potential evaluation in the oracle's march
 GRID_CHUNK = 32768
+ROOT_TOL = 1e-12       # matching root's stop width, relative to |E| + e_unit
 
 
 class NumerovError(RuntimeError):
@@ -198,7 +206,16 @@ def _tail_margin(potential, E, mass, hbar, q_start, direction, width, target):
     return abs(q - q_start)
 
 
-def _count_nodes(potential, E, mass, hbar, q_m):
+def _grid(potential, E, mass, hbar, q_m):
+    """Numerov grid for energy E: its first node, its step and V on it.
+
+    The grid spans both turning points at E and tails beyond them in which
+    the decay exponent reaches TAIL_EXPONENT.  The step keeps
+    step^2 * max|Q| / hbar^2 at most STEP_FACTOR, and the number of intervals
+    is even, so every other node is the grid of twice the step.  No march
+    on it needs rescaling: a solution grows by about exp(TAIL_EXPONENT)
+    across each tail, hundreds of orders of magnitude short of overflow.
+    """
     tp = find_turning_points(potential, E, mass, q_m=q_m)
     width = tp.q_plus - tp.q_minus
     dl = _tail_margin(potential, E, mass, hbar, tp.q_minus, -1.0, width,
@@ -209,33 +226,73 @@ def _count_nodes(potential, E, mass, hbar, q_m):
     V = potential.eval(np.linspace(lo, hi, 64))[0]
     max_q = float(np.max(np.abs(2.0 * mass * (V - E))))
     h = math.sqrt(STEP_FACTOR * hbar * hbar / max_q)
-    m = int(math.ceil((hi - lo) / h)) + 1
+    m = 2 * int(math.ceil(0.5 * (hi - lo) / h)) + 1
     qs = np.linspace(lo, hi, m)
-    h = qs[1] - qs[0]
-    f = np.empty(m)
+    V = np.empty(m)
     # fixed chunks bound the evaluation's temporaries on long grids
     for s in range(0, m, GRID_CHUNK):
-        V = potential.eval(qs[s:s + GRID_CHUNK])[0]
-        f[s:s + GRID_CHUNK] = 2.0 * mass * (V - E) / (hbar * hbar)
-    w = (1.0 - (h * h / 12.0) * f).tolist()
-    y_prev, y = 0.0, 1e-280
-    nodes = 0
-    for i in range(1, m - 1):
-        y_next = ((12.0 - 10.0 * w[i]) * y - w[i - 1] * y_prev) / w[i + 1]
-        if (y_next > 0.0) != (y > 0.0) and y_next != 0.0:
+        V[s:s + GRID_CHUNK] = potential.eval(qs[s:s + GRID_CHUNK])[0]
+    return lo, qs[1] - lo, V
+
+
+def _coefficients(V, E, h, mass, hbar):
+    """c_i of Numerov's recurrence z_{i+1} + z_{i-1} = c_i z_i, as a list.
+
+    z = w y with w = 1 - h^2 Q / (12 hbar^2), and c = (12 - 10 w) / w.
+    """
+    c = (V - E) * (-h * h * mass / (6.0 * hbar * hbar))
+    c += 1.0
+    np.divide(12.0, c, out=c)
+    c -= 10.0
+    return c.tolist()
+
+
+def _march(coeffs):
+    """Last two z of z_{i+1} = c_i z_i - z_{i-1} from z = (0, 1) over coeffs."""
+    z_prev, z = 0.0, 1.0
+    for c in coeffs:
+        z_prev, z = z, c * z - z_prev
+    return z_prev, z
+
+
+def _count_nodes(potential, E, mass, hbar, q_m):
+    """Nodes of the solution marched across the grid at E from z_0 = 0: the
+    number of levels below E."""
+    _, h, V = _grid(potential, E, mass, hbar, q_m)
+    z_prev, z = 0.0, 1.0
+    nodes, positive = 0, True
+    for c in _coefficients(V[1:-1], E, h, mass, hbar):
+        z_prev, z = z, c * z - z_prev
+        if (z > 0.0) is not positive:
+            positive = not positive
             nodes += 1
-        y_prev, y = y, y_next
-        if y > 1e250 or y < -1e250:
-            y_prev *= 1e-250
-            y *= 1e-250
     return nodes
 
 
-def numerov_solve(potential, n, hbar=1.0, mass=1.0):
-    """Eigenvalue by Numerov node counting and bisection on E.
+def _casoratian(c, k):
+    """Normalized Casoratian at node k of the solutions marched outward from
+    z_0 = 0 and inward from z_{m-1} = 0, m = len(c).
 
-    The count of interior nodes jumps from n to n+1 exactly at the n-th
-    eigenvalue, so bisecting the jump locates it without any matching logic.
+    It changes sign exactly at the grid's eigenvalues.
+    """
+    z_k, z_k1 = _march(islice(c, 1, k + 1))
+    u_k1, u_k = _march(islice(reversed(c), 1, len(c) - 1 - k))
+    return ((z_k * u_k1 - z_k1 * u_k)
+            / (math.hypot(z_k, z_k1) * math.hypot(u_k, u_k1)))
+
+
+def numerov_solve(potential, n, hbar=1.0, mass=1.0):
+    """Eigenvalue of level n by Numerov's method: node counting brackets it,
+    matching converges on it (J. W. Cooley, *Math. Comp.* 15 (1961) 363).
+
+    The solution marched across the grid at E has as many nodes as there
+    are levels below E, so node counts, on a grid built afresh at each E,
+    isolate level n in [lo, hi]: n nodes at lo, n + 1 at hi, and hi below
+    the energy ceiling.  One grid, built at hi, then serves the whole
+    bracket.  hybrid_root finds the zero of the normalized Casoratian of
+    the solutions marched outward and inward to q+ at the bracket's
+    midpoint, on that grid (E_h) and on every other node of it (E_2h), and
+    Richardson's E_h + (E_h - E_2h) / 15 removes Numerov's O(h^4) error.
     """
     from .potentials import find_minimum
 
@@ -244,26 +301,50 @@ def numerov_solve(potential, n, hbar=1.0, mass=1.0):
     e_unit = hbar * math.sqrt(max(curv, 1e-12) / mass)
     cap_e = energy_ceiling(potential, q_m, v_min)
     lo = v_min + 0.05 * e_unit
-    if _count_nodes(potential, lo, mass, hbar, q_m) > n:
+    n_lo = _count_nodes(potential, lo, mass, hbar, q_m)
+    if n_lo > n:
         raise NumerovError("lower probe already has too many nodes")
     span = e_unit * (n + 1.5)
-    hi = None
     for _ in range(60):
         cand = min(lo + span, cap_e)
-        if _count_nodes(potential, cand, mass, hbar, q_m) >= n + 1:
-            hi = cand
+        count = _count_nodes(potential, cand, mass, hbar, q_m)
+        if count > n:
+            hi, n_hi = cand, count
             break
         if cand == cap_e:
             raise NumerovError("level n=%d is not bound by this well" % n)
+        lo, n_lo = cand, count
         span *= 2.0
-    if hi is None:
+    else:
         raise NumerovError("could not bracket level n=%d" % n)
-    for _ in range(200):
+    for _ in range(60):
+        if n_lo == n and n_hi == n + 1 and hi < cap_e:
+            break
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-10 * max(abs(mid), e_unit):
-            return mid
-        if _count_nodes(potential, mid, mass, hbar, q_m) >= n + 1:
-            hi = mid
+        count = _count_nodes(potential, mid, mass, hbar, q_m)
+        if count > n:
+            hi, n_hi = mid, count
         else:
-            lo = mid
-    raise NumerovError("bisection failed to converge for n=%d" % n)
+            lo, n_lo = mid, count
+    else:
+        raise NumerovError("could not isolate level n=%d in [%r, %r]"
+                           % (n, lo, hi))
+    q_0, h, V = _grid(potential, hi, mass, hbar, q_m)
+    q_match = find_turning_points(potential, 0.5 * (lo + hi), mass,
+                                  q_m=q_m).q_plus
+    k = 2 * int(round(0.5 * (q_match - q_0) / h))
+    energies = []
+    for stride in (1, 2):
+        V_s, h_s, k_s = V[::stride], stride * h, k // stride
+
+        def mismatch(E):
+            return _casoratian(_coefficients(V_s, E, h_s, mass, hbar), k_s)
+        try:
+            energies.append(hybrid_root(mismatch, lo, hi, rel_tol=ROOT_TOL,
+                                        abs_tol=ROOT_TOL * e_unit))
+        except BracketError:
+            raise NumerovError(
+                "level n=%d: the matching function does not change sign on "
+                "[%r, %r] (grid step %g)" % (n, lo, hi, h_s)) from None
+    e_h, e_2h = energies
+    return e_h + (e_h - e_2h) / 15.0

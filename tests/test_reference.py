@@ -1,10 +1,13 @@
 """Tests for the exact eigenpairs and the Numerov eigenvalue oracle."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uniwkb import reference
 from uniwkb.potentials import (HARMONIC_SENTINEL, bound_count, make_builtin,
                                parse_potential)
 from uniwkb.reference import (
@@ -153,11 +156,64 @@ def test_numerov_matches_exact(kind, params, n):
     assert abs(e - ex) / abs(ex) < 1e-8, (kind, n, e, ex)
 
 
+def test_numerov_golden_cells():
+    """All twelve golden cells, well inside ACCEPTANCE 6's 1e-8."""
+    for kind, params in CELLS:
+        pot = make_builtin(kind, params)
+        for n in range(4):
+            e = numerov_solve(pot, n)
+            ex = exact_energy(kind, params, n)
+            assert abs(e - ex) / abs(ex) <= 2e-10, (kind, n, e, ex)
+
+
+def test_numerov_work_per_level(monkeypatch):
+    """Node sweeps only bracket a level; matching marches converge on it."""
+    work = {"sweeps": 0, "marches": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            work[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reference, "_count_nodes",
+                        counted(reference._count_nodes, "sweeps"))
+    monkeypatch.setattr(reference, "_casoratian",
+                        counted(reference._casoratian, "marches"))
+    for kind, params in CELLS:
+        pot = make_builtin(kind, params)
+        for n in range(4):
+            work.update(sweeps=0, marches=0)
+            numerov_solve(pot, n)
+            # the worst levels make 7 sweeps and 28 marches; bisecting the
+            # node count to 1e-10 made about 36 sweeps per level
+            assert work["sweeps"] <= 8, (kind, n, work)
+            assert work["marches"] <= 32, (kind, n, work)
+
+
+def test_numerov_unbracketed_match_names_the_level(monkeypatch):
+    monkeypatch.setattr(reference, "_casoratian", lambda c, k: 1.0)
+    pot = make_builtin("harmonic", {"k": 0.5})
+    with pytest.raises(NumerovError, match=r"n=1: .* on \[[-+.e0-9]+, [-+.e0-9]+\]"):
+        numerov_solve(pot, 1)
+
+
+def test_numerov_quartic_matches_frozen_values():
+    """expr-solve checks the quartic's e_bar against these frozen energies."""
+    path = Path(__file__).resolve().parents[1] / "perfbench/data/expected.json"
+    frozen = json.loads(path.read_text())["quartic_numerov"]
+    pot = parse_potential("q^4/4 + q^2/2", {})
+    for n, e_ref in enumerate(frozen):
+        e = numerov_solve(pot, n)
+        assert abs(e / e_ref - 1.0) <= 1e-9, (n, e, e_ref)
+
+
 def test_numerov_below_a_barrier():
     """A well that turns down beyond its barrier (V(60) = -360, below the
-    minimum) is still capped below the barrier, and n = 0 solves."""
+    minimum) is still capped below the barrier, and n = 0 solves.  The
+    reference is the bisection oracle's value; 1e-10 was its stop width."""
     pot = parse_potential("q^2/2 - q^3/100", {})
-    assert numerov_solve(pot, 0) == 0.4998623543331633
+    assert abs(numerov_solve(pot, 0) - 0.4998623543331633) <= 1e-10
 
 
 def test_numerov_rejects_unbound_level():
