@@ -3,9 +3,9 @@ the benchmark harness that recomputes the published comparison table.
 
 All overlap-type quantities are quadratures over the truncated support of the
 approximate state, split at its internal matching points.  They come from a
-single metrics pass (`overlap_metrics`): one vector-valued Gauss-Kronrod
-quadrature over the break intervals integrates <e|a>, <e'|e'>, <a'|a'> and
-<e'|a'> on shared panel trees, sampling each state and derivative once per
+single metrics pass (`overlap_metrics`): one vector-valued quadrature over
+the break intervals integrates <e|a>, <e'|e'>, <a'|a'> and <e'|a'> on one
+shared Chebyshev fit per panel, sampling each state and derivative once per
 node.
 `level_metrics` adds the <H^2> moment and returns all five metrics; both
 `benchmark_row` and `uniwkb solve` take it.
@@ -70,7 +70,7 @@ def _brackets(samplers, pairs, edges, spec=METRIC_SPEC):
     """L2 inner products <samplers[i]|samplers[j]> for (i, j) in pairs.
 
     One vector quadrature over the intervals between edges: every sampler is
-    called once per node, and all the products share one panel tree per
+    called once per node, and all the products share one Chebyshev fit per
     interval.
     """
     def products(t):

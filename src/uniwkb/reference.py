@@ -1,10 +1,12 @@
 """Exact eigenpairs for the verification wells and an independent Numerov
 eigenvalue oracle.
 
-Wavefunctions are built from stable forward recurrences for the polynomial
-factors, normalized numerically, and sign-fixed positive on the left tail.
-Closed-form normalization constants are deliberately avoided; the
-Schrödinger-residual checks in the test suite validate the shapes instead.
+Harmonic states are Hermite functions from their normalized recurrence;
+Morse and Pöschl-Teller states use stable forward recurrences for their
+polynomial factors.  All are normalized numerically and sign-fixed positive
+on the left tail.  Closed-form normalization constants are deliberately
+avoided; the Schrödinger-residual checks in the test suite validate the
+shapes instead.
 
 The Numerov oracle counts nodes only to bracket a level, converges on the
 matching of outward and inward solutions on one grid per level, and
@@ -54,13 +56,17 @@ def exact_energy(kind, params, n, hbar=1.0, mass=1.0):
     return -pref * (params["lambda"] - 1.0 - n) ** 2
 
 
-def _hermite_pair(n, xi):
-    """H_n and H_{n-1} by the three-term recurrence."""
-    h_prev = np.zeros_like(xi)
-    h = np.ones_like(xi)
+def _hermite_functions(n, xi):
+    """Normalized Hermite functions psi_n and psi_{n-1} by the recurrence
+    psi_{k+1} = sqrt(2/(k+1)) xi psi_k - sqrt(k/(k+1)) psi_{k-1} from
+    psi_0 = pi^(-1/4) exp(-xi^2/2).  The Gaussian rides inside, so no
+    intermediate exceeds 1 in size, where H_n alone overflows near n = 150."""
+    p_prev = np.zeros_like(xi)
+    p = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     for k in range(n):
-        h, h_prev = 2.0 * xi * h - 2.0 * k * h_prev, h
-    return h, h_prev
+        p, p_prev = (math.sqrt(2.0 / (k + 1)) * xi * p
+                     - math.sqrt(k / (k + 1.0)) * p_prev), p
+    return p, p_prev
 
 
 def _laguerre(n, a, x):
@@ -93,14 +99,12 @@ def _raw_state(kind, params, n, hbar, mass):
         xi_cut = 13.0 + 1.5 * n
 
         def u(q):
-            xi = scale * np.asarray(q, dtype=float)
-            h, _ = _hermite_pair(n, xi)
-            return h * np.exp(-0.5 * xi * xi)
+            return _hermite_functions(n, scale * np.asarray(q, dtype=float))[0]
 
         def du(q):
             xi = scale * np.asarray(q, dtype=float)
-            h, hm1 = _hermite_pair(n, xi)
-            return scale * (2.0 * n * hm1 - xi * h) * np.exp(-0.5 * xi * xi)
+            p, p_prev = _hermite_functions(n, xi)
+            return scale * (math.sqrt(2.0 * n) * p_prev - xi * p)
 
         return u, du, -xi_cut / scale, xi_cut / scale
 
@@ -167,8 +171,9 @@ def exact_wavefunction(kind, params, n, hbar=1.0, mass=1.0):
     if not norm2 > 0:
         raise ArithmeticError("normalization quadrature collapsed")
     c = 1.0 / math.sqrt(norm2)
-    probe = float(u(np.array([q_lo + 1e-3 * (q_hi - q_lo)]))[0])
-    if probe < 0:
+    # a bound state has no node where it is classically forbidden, so its
+    # sign at q- is its left tail's, which may underflow to 0 further out
+    if float(u(np.array([tp.q_minus]))[0]) < 0:
         c = -c
 
     def psi(q, _c=c):

@@ -271,11 +271,19 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
     if not norm2 > 0.0:
         raise QuadratureError("normalization integral collapsed")
     c = 1.0 / math.sqrt(norm2)
+    e_bar = float(u_h_u / norm2)
+    # near the threshold the second-order phase can return a spurious root
+    # below the ceiling whose state's energy lies above it
+    ceiling = energy_ceiling(potential, tp.q_m, potential.eval(tp.q_m)[0])
+    if e_bar >= ceiling:
+        raise QuantizationError(
+            "level n=%d: its assembled energy %.10g is at or "
+            "above the energy ceiling %.10g" % (n, e_bar, ceiling))
 
     def sampler(f):
         return lambda q: c * stitch(q, f)
 
-    return EigenSolution(n=n, e_sp=float(e_sp), e_bar=float(u_h_u / norm2),
+    return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar,
                          norm_c=c, turning=tp, psi=sampler(u_of),
                          dpsi=sampler(du_of), h_psi=sampler(hu_of),
                          potential=potential, hbar=hbar, mass=mass,

@@ -111,6 +111,28 @@ def test_unbound_level_exits_three(capsys):
     assert "supports 4 levels" in capsys.readouterr().err
 
 
+def test_spurious_threshold_level_exits_three(capsys):
+    """Just below the threshold of A(exp(-2q) - 2exp(-q)), A = 10.125, the
+    phase condition has an n=4 root whose assembled energy lies above the
+    energy ceiling: the level is refused, and n=3 still solves."""
+    argv = ["solve", "--potential", "expr", "--expr", "A*(exp(-2*q)-2*exp(-q))",
+            "--param", "A=10.125", "--levels"]
+    assert main(argv + ["4"]) == 3
+    assert "above the energy ceiling" in capsys.readouterr().err
+    assert main(argv + ["3"]) == 0
+
+
+def test_high_harmonic_level_solves_without_warnings(capsys):
+    """n = 150, where the unscaled Hermite polynomial of the exact state
+    overflows, solves with its metrics and no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--potential", "harmonic", "--levels", "150"]) == 0
+    rec = json.loads(capsys.readouterr().out)["records"][0]
+    assert abs(rec["e_bar"] / rec["e_exact"] - 1.0) < 1e-11
+    assert all(0.0 <= v < 1e-9 for v in rec["metrics"].values())
+
+
 def test_overflowing_expression_exits_four(capsys):
     """exp(q^2) overflows in the search window: a solver failure, not a
     misread well shape, and no floating-point warning escapes."""
@@ -324,15 +346,16 @@ def test_module_invocation_help():
 
 
 def test_unreachable_rel_tol_exits_four_quickly():
-    """--rel-tol below the noise floor of the <H^2> integrand is accepted,
-    then fails fast with exit 4, well inside a 3 GB address space."""
+    """--rel-tol 1e-13, the smallest accepted, lies below the noise floor of
+    the metric integrands: a fit stalls at the degree cap, and the run
+    exits 4 well inside a 3 GB address space."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (3 * 1024 ** 3,) * 2)
 
     proc = subprocess.run(
         [sys.executable, "-m", "uniwkb", "solve", "--potential", "harmonic",
-         "--levels", "0..3", "--rel-tol", "1e-12"],
+         "--levels", "0..3", "--rel-tol", "1e-13"],
         capture_output=True, text=True, env=_child_env(), timeout=120,
         preexec_fn=cap_memory)
     assert proc.returncode == 4, proc.stderr
-    assert "solver failure" in proc.stderr and "panels pending" in proc.stderr
+    assert "solver failure" in proc.stderr and "stalled at degree 1024" in proc.stderr

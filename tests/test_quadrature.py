@@ -1,4 +1,4 @@
-"""Adaptive integrator (scalar and vector-valued integrands) and
+"""Per-panel Chebyshev integrals (scalar and vector-valued integrands) and
 cumulative Chebyshev antiderivative checks."""
 
 import math
@@ -9,10 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniwkb.quadrature import (
-    _NODES,
-    _WFULL,
-    _WGAUSS,
-    MAX_LEVEL_PANELS,
     CumulativeCheb,
     QuadratureError,
     QuadratureSpec,
@@ -37,10 +33,11 @@ def test_integrate_oscillatory():
 
 
 def test_integrate_nonconvergence():
-    spec = QuadratureSpec(rel_tol=1e-11, max_depth=2)
-    f = lambda x: np.cos(400.0 * x)
-    with pytest.raises(QuadratureError):
-        integrate(f, [0.0, 3.0], spec)
+    # a jump inside a panel: no degree fits it, and panels are never split
+    f = lambda x: np.where(x < 1.3, 0.0, 1.0)
+    with pytest.raises(QuadratureError,
+                       match=r"on \[0, 3\] stalled at degree 1024 \(tail"):
+        integrate(f, [0.0, 3.0])
 
 
 class _SampledTooMuch(Exception):
@@ -48,8 +45,9 @@ class _SampledTooMuch(Exception):
 
 
 def test_noise_floor_fails_fast():
-    """An integrand whose noise never meets its budget doubles the pending
-    level at each depth; integrate must give up long before max_depth."""
+    """An integrand whose noise never meets its budget grows every panel's
+    degree; integrate must give up at the degree cap, naming the first
+    panel, after about 2,000 nodes per panel."""
     nodes = 0
 
     def noisy(x):
@@ -60,7 +58,7 @@ def test_noise_floor_fails_fast():
         return np.cos(1e9 * x)
 
     with pytest.raises(QuadratureError,
-                       match=r"on \[0, 1\]: more than \d+ panels pending"):
+                       match=r"on \[0, 1\] stalled at degree 1024"):
         integrate(noisy, [0.0, 1.0, 2.0])
 
 
@@ -107,139 +105,8 @@ def test_zero_length_intervals_add_nothing_and_sample_nothing():
     assert sum(seen) == nodes
 
 
-# ---- the depth-first reference ----
-
-def _dfs_panel(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = f(mid + half * _NODES)
-    if np.ndim(y) == 1:
-        k = half * float(_WFULL @ y)
-        g = half * float(_WGAUSS @ y)
-        return k, abs(k - g)
-    k = half * (y @ _WFULL)
-    g = half * (y @ _WGAUSS)
-    return k, np.abs(k - g)
-
-
-def _budget(spec, k0):
-    """A tree's first-panel budget, max(abs_tol, rel_tol*|K0|)."""
-    if np.ndim(k0) == 1:
-        return np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(k0)),
-                          1e-300)
-    return max(spec.abs_tol, spec.rel_tol * abs(k0), 1e-300)
-
-
-def _passes(k, err, tol):
-    if np.ndim(k) == 1:
-        return bool(np.all((err <= tol) | (err <= 1e-16 * np.abs(k))))
-    return err <= tol or err <= 1e-16 * abs(k)
-
-
-def _dfs_interval(f, a, b, spec):
-    """One interval on a right-first depth-first stack."""
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0
-    k0, e0 = _dfs_panel(f, a, b)
-    vector = np.ndim(k0) == 1
-    stack = [(a, b, k0, e0, _budget(spec, k0), 0)]
-    total = 0.0
-    while stack:
-        lo, hi, k, err, tol, depth = stack.pop()
-        if _passes(k, err, tol):
-            total += k
-            continue
-        if depth >= spec.max_depth:
-            if vector:
-                i = int(np.argmax(err / tol))
-                raise QuadratureError(
-                    "no convergence on [%g, %g] in component %d of %d "
-                    "(err %.2e, tol %.2e)" % (lo, hi, i, len(k), err[i], tol[i]))
-            raise QuadratureError(
-                "no convergence on [%g, %g] (err %.2e, tol %.2e)" % (lo, hi, err, tol))
-        mid = 0.5 * (lo + hi)
-        kl, el = _dfs_panel(f, lo, mid)
-        kr, er = _dfs_panel(f, mid, hi)
-        stack.append((lo, mid, kl, el, 0.5 * tol, depth + 1))
-        stack.append((mid, hi, kr, er, 0.5 * tol, depth + 1))
-    return total
-
-
-def _dfs_integrate(f, edges, spec):
-    return sum(_dfs_interval(f, a, b, spec) for a, b in zip(edges[:-1], edges[1:]))
-
-
-def _crowded_level(f, edges, spec):
-    """The error for the first depth at which the depth-first trees of all
-    intervals hold more than MAX_LEVEL_PANELS panels together, naming the
-    interval with most of them (lowest on a tie); None when every depth up
-    to max_depth fits.  Panels are sampled one by one, and a crowded level
-    is counted before it is sampled."""
-    level = []
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        if a != b:
-            k, err = _dfs_panel(f, a, b)
-            level.append((i, a, b, k, err, _budget(spec, k)))
-    for depth in range(spec.max_depth):
-        split = [(i, lo, hi, tol) for i, lo, hi, k, err, tol in level
-                 if not _passes(k, err, tol)]
-        if 2 * len(split) > MAX_LEVEL_PANELS:
-            count = {}
-            for i, *_ in split:
-                count[i] = count.get(i, 0) + 2
-            i = max(count, key=lambda j: (count[j], -j))
-            return ("no convergence on [%g, %g]: more than %d panels pending at "
-                    "depth %d" % (edges[i], edges[i + 1], MAX_LEVEL_PANELS, depth + 1))
-        level = []
-        for i, lo, hi, tol in split:
-            mid = 0.5 * (lo + hi)
-            for a, b in ((lo, mid), (mid, hi)):
-                k, err = _dfs_panel(f, a, b)
-                level.append((i, a, b, k, err, 0.5 * tol))
-    return None
-
-
-def _recorded(f):
-    seen = []
-
-    def g(x):
-        seen.append(np.array(x))
-        return f(x)
-    return g, seen
-
-
 def _bits(value):
     return np.asarray(value, dtype=float).tobytes()
-
-
-def _assert_same_as_dfs(f, edges, spec):
-    """integrate equals the depth-first reference bit for bit (or raises the
-    same error), having sampled the same nodes.  A tree level too crowded
-    for integrate must raise integrate's own error instead."""
-    g, seen = _recorded(f)
-    h, ref_seen = _recorded(f)
-    crowded = _crowded_level(f, edges, spec)
-    if crowded is not None:
-        with pytest.raises(QuadratureError) as info:
-            integrate(g, edges, spec)
-        assert str(info.value) == crowded
-        return
-    try:
-        want = _dfs_integrate(h, edges, spec)
-    except QuadratureError as exc:
-        with pytest.raises(QuadratureError) as info:
-            integrate(g, edges, spec)
-        assert str(info.value) == str(exc)
-        return
-    got = integrate(g, edges, spec)
-    assert type(got) is type(want)
-    assert _bits(got) == _bits(want)
-    # sorted by bit pattern: a value sort leaves -0.0 and 0.0 in either order
-    nodes = np.sort(np.concatenate(seen).view(np.int64)) if seen else np.empty(0)
-    ref_nodes = (np.sort(np.concatenate(ref_seen).view(np.int64)) if ref_seen
-                 else np.empty(0))
-    assert nodes.tobytes() == ref_nodes.tobytes()
 
 
 @st.composite
@@ -277,27 +144,22 @@ def stacked_components(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(stacked_components(), break_edges(), st.floats(1e-13, 1e-6), st.booleans())
-def test_level_synchronous_equals_depth_first(comps, edges, rel_tol, stacked):
+def test_integrate_equals_cumulative_total(comps, edges, rel_tol, stacked):
+    """integrate returns CumulativeCheb's total on the same breaks bit for
+    bit, repeated edges dropped, and meets the closed form."""
     spec = QuadratureSpec(rel_tol=rel_tol)
     if stacked:
         f = lambda x: np.stack([g(x) for g, _ in comps])
+        exact = np.array([e for _, e in comps])
     else:
-        f = comps[0][0]
-    _assert_same_as_dfs(f, edges, spec)
-
-
-@pytest.mark.parametrize("stacked", [False, True])
-@pytest.mark.parametrize("edges", [[0.0, 3.0], [0.0, 1.0, 3.0], [0.0, 0.0, 2.5, 3.0],
-                                   [-1.0, 0.0, 0.5, 3.0]])
-def test_depth_limit_names_the_panel_depth_first_meets(edges, stacked):
-    spec = QuadratureSpec(rel_tol=1e-11, max_depth=2)
-    if stacked:
-        f = lambda x: np.stack([np.exp(-x), np.cos(400.0 * x), np.cos(300.0 * x)])
-    else:
-        f = lambda x: np.cos(400.0 * x)
-    with pytest.raises(QuadratureError):
-        _dfs_integrate(f, edges, spec)
-    _assert_same_as_dfs(f, edges, spec)
+        f, exact = comps[0]
+    got = integrate(f, edges, spec)
+    total = CumulativeCheb(f, sorted(set(edges)), spec).total()
+    assert _bits(got) == _bits(total)
+    assert type(got) is (np.ndarray if stacked else float)
+    # each panel's fit is within rel_tol of the row's size, over a width of 5
+    size = np.max(np.abs(f(np.linspace(-2.0, 3.0, 2001))), axis=-1)
+    assert np.all(np.abs(got - exact) <= 10.0 * rel_tol * 5.0 * size + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -331,13 +193,38 @@ def test_tiny_component_meets_its_own_relative_budget():
 
 
 def test_vector_nonconvergence_names_component():
-    spec = QuadratureSpec(rel_tol=1e-11, max_depth=2)
-
+    # both rows jump inside the panel; row 1 is furthest over its budget
     def f(x):
-        return np.stack([np.exp(-x), np.cos(400.0 * x)])
+        jump = np.where(x < 1.3, 0.0, 1.0)
+        return np.stack([np.exp(-x) + 1e-6 * jump, jump])
 
-    with pytest.raises(QuadratureError, match="component 1 of 2"):
-        integrate(f, [0.0, 3.0], spec)
+    with pytest.raises(QuadratureError,
+                       match=r"on \[0, 3\] stalled at degree 1024 in component 1 of 2"):
+        integrate(f, [0.0, 3.0])
+
+
+def _step(x, at):
+    return np.where(x < at, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("edges", [[0.0, 3.0], [0.0, 1.0, 3.0], [0.0, 0.0, 2.5, 3.0],
+                                   [-1.0, 0.0, 0.5, 3.0]])
+def test_integrate_stall_names_the_first_stalling_panel(edges, stacked):
+    """Steps at 0.2 and 2.7 stall every panel holding one; the error names
+    the lowest such panel and, for rows, the row furthest over its budget:
+    the unit step at 2.7 over the 1e-6 one at 0.2 where a panel holds both."""
+    a, b = next((a, b) for a, b in zip(edges, edges[1:]) if a < 0.2 < b)
+    want = "Chebyshev fit on [%g, %g] stalled at degree 1024" % (a, b)
+    if stacked:
+        f = lambda x: np.stack([np.exp(-x), _step(x, 2.7),
+                                np.exp(-x) + 1e-6 * _step(x, 0.2)])
+        want += " in component %d of 3" % (1 if b > 2.7 else 2)
+    else:
+        f = lambda x: _step(x, 0.2) + _step(x, 2.7)
+    with pytest.raises(QuadratureError) as info:
+        integrate(f, edges)
+    assert want in str(info.value)
 
 
 def test_spec_validation():
@@ -355,16 +242,16 @@ CHEB_CASES = [
 
 
 def _panel_fit(f, a, b, spec, n_max=1024):
-    """One panel's Chebyshev coefficients, fitted on its own."""
+    """One panel's Chebyshev coefficients, fitted on its own at the N
+    first-kind points by the explicit cosine sum."""
     n = 16
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     while True:
-        theta = np.pi * np.arange(n + 1) / n
+        N = n + 1
+        theta = np.pi * (np.arange(N) + 0.5) / N
         vals = f(mid + half * np.cos(theta))
-        ext = np.concatenate([vals, vals[-2:0:-1]])
-        c = np.fft.rfft(ext).real[: n + 1] / n
+        c = 2.0 / N * np.array([np.sum(vals * np.cos(k * theta)) for k in range(N)])
         c[0] *= 0.5
-        c[n] *= 0.5
         scale = np.max(np.abs(c)) + 1e-300
         tail = np.max(np.abs(c[-3:]))
         if tail <= max(spec.rel_tol * scale, spec.abs_tol):
@@ -377,12 +264,30 @@ def _panel_fit(f, a, b, spec, n_max=1024):
 
 @pytest.mark.parametrize("f,edges", CHEB_CASES)
 def test_cumulative_coefficients_equal_per_panel_fits(f, edges):
+    """The FFT fit of all panels at once agrees with each panel's direct
+    cosine sum: same degree, and coefficients within a few ulps of the
+    largest, which is what summing N terms in two orders allows."""
     spec = QuadratureSpec(rel_tol=1e-12)
     F = CumulativeCheb(f, edges, spec)
     assert len(F.coeffs) == len(edges) - 1
     for a, b, got in zip(edges[:-1], edges[1:], F.coeffs):
         want = _antiderivative_coeffs(_panel_fit(f, a, b, spec), 0.5 * (b - a))
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_value_at_a_break_is_never_sampled():
+    """A jump exactly at a break, whose value at the break belongs to the
+    left piece (as in a stitched state), integrates to its tolerance: fit
+    points never include a panel end, where the right panel would see the
+    left piece's value."""
+    f = lambda x: np.where(x <= 1.0, np.cos(x), 5.0 + np.sin(x))
+    exact = np.sin(1.0) + 5.0 - np.cos(2.0) + np.cos(1.0)
+    spec = QuadratureSpec()
+    assert abs(integrate(f, [0.0, 1.0, 2.0], spec) - exact) <= 1e-11 * exact
+    F = CumulativeCheb(f, [0.0, 1.0, 2.0], spec)
+    assert abs(F.total() - exact) <= 1e-11 * exact
+    assert abs(F(1.5) - (np.sin(1.0) + 2.5 - np.cos(1.5) + np.cos(1.0))) <= 1e-11 * exact
 
 
 def test_cumulative_two_rows_match_antiderivatives():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,27 @@ def test_node_counts_and_left_tail_sign(kind, params):
         s = s[s != 0]
         assert int(np.sum(s[1:] != s[:-1])) == n
         assert float(lev.psi(np.array([probe]))[0]) > 0.0
+
+
+@pytest.mark.parametrize("n", [150, 151])
+def test_high_harmonic_states(n):
+    """The normalized Hermite-function recurrence holds where H_n alone
+    overflows: no floating-point warning, unit norm, n nodes, a positive
+    left tail (for odd n too, where it underflows far out), and dpsi
+    matching a finite difference."""
+    qs = np.linspace(-24.0, 24.0, 480001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lev = exact_wavefunction("harmonic", {"k": 0.5}, n)
+        y = lev.psi(qs)
+        dy = lev.dpsi(qs[2:-2])
+    assert abs(np.trapezoid(y * y, qs) - 1.0) < 1e-10
+    s = np.sign(y[y != 0])
+    assert int(np.sum(s[1:] != s[:-1])) == n
+    assert s[0] > 0
+    h = qs[1] - qs[0]
+    fd = (8.0 * (y[3:-1] - y[1:-3]) - (y[4:] - y[:-4])) / (12.0 * h)
+    assert np.max(np.abs(dy - fd)) < 1e-8 * np.max(np.abs(dy))
 
 
 @pytest.mark.parametrize("kind,params", CELLS)

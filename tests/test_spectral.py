@@ -214,9 +214,9 @@ def test_level_above_the_ceiling_fails_fast(monkeypatch):
 @pytest.mark.parametrize("src, n, e_sp", [
     # V at the right end of the reach, -360, lies below the well minimum;
     # the ceiling sits below the barrier instead
-    ("q^2/2 - q^3/100", 0, 0.5109532959643104),
+    ("q^2/2 - q^3/100", 0, 0.5109532959643105),
     # the reach left of q_m = 25 ends at -85 (V = 110), not at -35 (V = 60)
-    ("exp(q-25) - (q-25)", 220, 77.63679657430595),
+    ("exp(q-25) - (q-25)", 220, 77.63679657430593),
 ])
 def test_levels_below_the_ceiling_solve(src, n, e_sp):
     assert solve_quantization(parse_potential(src, {}), n) == e_sp
@@ -226,7 +226,7 @@ def test_level_near_the_reach_solves():
     """The ceiling sits at the turning-point search reach, +/-60 for q^2/2,
     so level 460 (turning points near +/-30.3) still solves."""
     e_sp = solve_quantization(parse_potential("q^2/2", {}), 460)
-    assert e_sp == 460.5000027982119
+    assert e_sp == 460.5000027982118
 
 
 @pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
