@@ -133,32 +133,25 @@ def _clenshaw(coeffs, t):
     return t * b1 - b2 + coeffs[..., :1]
 
 
-def _fit(f, edges, spec):
-    """Per panel between edges, the antiderivative coefficients of f, each
-    vanishing at its panel's left edge; and the integrals of f from
-    edges[0] to every edge, stacked along the first axis."""
-    coeffs = [_antiderivative_coeffs(c, 0.5 * (b - a)) for a, b, c in
-              zip(edges[:-1], edges[1:], _cheb_fits(f, edges, spec))]
-    # panel integral = F(+1) with F(-1) = 0
-    base = np.cumsum([np.zeros(coeffs[0].shape[:-1])] + [
-        _per_row(np.sum, bc[..., 1:]) + bc[..., 0] for bc in coeffs], axis=0)
-    return coeffs, base
+def _edges(points):
+    """Finite, non-decreasing points (two or more), zero-length spans dropped."""
+    edges = [float(x) for x in points]
+    if (len(edges) < 2 or not all(map(math.isfinite, edges))
+            or any(b < a for a, b in zip(edges, edges[1:]))):
+        raise ValueError("edges must be finite and non-decreasing, >= 2")
+    return edges[:1] + [b for a, b in zip(edges, edges[1:]) if b > a]
 
 
 def integrate(f, edges, spec=QuadratureSpec()):
-    """Integral of f from edges[0] to edges[-1], with a break at every edge.
+    """Integral of f from edges[0] to edges[-1], with a break at every edge:
+    `CumulativeCheb(f, edges, spec).total()`.
 
     Returns a float for a 1-D integrand and an array of m integrals for an
     (m, n) one.  A zero-length interval adds 0.0 without sampling f.
     """
-    edges = [float(x) for x in edges]
-    if (len(edges) < 2 or not all(map(math.isfinite, edges))
-            or any(b < a for a, b in zip(edges, edges[1:]))):
-        raise ValueError("edges must be finite and non-decreasing, >= 2")
-    edges = edges[:1] + [b for a, b in zip(edges, edges[1:]) if b > a]
-    if len(edges) < 2:
+    if len(_edges(edges)) < 2:
         return 0.0
-    total = _fit(f, edges, spec)[1][-1]
+    total = CumulativeCheb(f, edges, spec).total()
     return float(total) if total.ndim == 0 else total
 
 
@@ -168,17 +161,23 @@ class CumulativeCheb:
     f may return shape (m, n) for n nodes, as in `integrate`; F(x) then has
     shape (m,) + x.shape and total() shape (m,).  The integrand is fitted
     per panel between the supplied breakpoints, so callers should place
-    breakpoints at every known kink of f.  Evaluation outside the covered
-    range clamps to the nearest endpoint.
+    breakpoints at every known kink of f; at least one interval must have
+    positive length.  Evaluation outside the covered range clamps to the
+    nearest endpoint.
     """
 
     def __init__(self, f, breakpoints, spec=QuadratureSpec()):
-        edges = [float(x) for x in breakpoints]
-        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("breakpoints must be strictly increasing, >= 2")
+        edges = _edges(breakpoints)
+        if len(edges) < 2:
+            raise ValueError("breakpoints span no interval")
         self.edges = np.array(edges)
-        self.coeffs, self.base = _fit(f, edges, spec)
+        # per panel, the antiderivative vanishing at its left edge; base holds
+        # the integrals from edges[0] to every edge, with panel integral F(+1)
+        self.coeffs = [_antiderivative_coeffs(c, 0.5 * (b - a)) for a, b, c in
+                       zip(edges[:-1], edges[1:], _cheb_fits(f, edges, spec))]
         self.rows = self.coeffs[0].shape[:-1]
+        self.base = np.cumsum([np.zeros(self.rows)] + [
+            _per_row(np.sum, bc[..., 1:]) + bc[..., 0] for bc in self.coeffs], axis=0)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -157,8 +157,6 @@ def _raw_state(kind, params, n, hbar, mass):
 
 def exact_wavefunction(kind, params, n, hbar=1.0, mass=1.0):
     """Normalized exact level with vectorized psi and dpsi samplers."""
-    if not 0 <= n < bound_count(kind, params):
-        raise LevelIndexError("level n=%d out of range for %s" % (n, kind))
     energy = exact_energy(kind, params, n, hbar, mass)
     u, du, q_lo, q_hi = _raw_state(kind, params, n, hbar, mass)
     # split the norm integral at the turning points: the domain is dominated

@@ -1,6 +1,10 @@
 """Spectral solver: quantization condition, eigenenergy search, piecewise
 wavefunction assembly with turning-point matching, and energy moments.
 
+Level n solves the second-order phase condition, whose phase diverges
+near a dissociation threshold; the first-order (Bohr-Sommerfeld) phase,
+finite there, decides which levels exist and seeds the search.
+
 The assembled state is one formula on every region, unnormalized:
 u = exp(F_mean + offset_mean)*cos(F_phase + offset_phase - pi/3), where F
 is one two-row Chebyshev antiderivative of the (mean, phase) terms per
@@ -19,9 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import (TurningPoints, bound_count, energy_ceiling,
-                         find_minimum, find_turning_points, march_tail,
-                         q_bundle_many)
+from .potentials import (TurningPoints, energy_ceiling, find_minimum,
+                         find_turning_points, march_tail, q_bundle_many)
 # unused here, kept importable: perfbench/tracer.py wraps spectral.q_bundle
 from .potentials import q_bundle  # noqa: F401
 from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integrate
@@ -130,61 +133,61 @@ def phase_integral(potential, E, hbar=1.0, mass=1.0, q_m=None):
     return float(integrate(f, edges, PHASE_SPEC))
 
 
+def _first_order_phase(potential, E, hbar, mass, q_m):
+    """Bohr-Sommerfeld phase: the integral of sqrt(2m(E - V))/hbar between
+    the turning points, each half over s with q = q-/+ +/- s^2 from the
+    turning point (s = 0) to q_m, which takes out the square-root zeros."""
+    tp = find_turning_points(potential, E, mass, q_m=q_m)
+    s_lo, s_hi = math.sqrt(q_m - tp.q_minus), math.sqrt(tp.q_plus - q_m)
+
+    def f(x):   # x in [-s_lo, 0] covers the left half, [0, s_hi] the right
+        s = np.where(x < 0.0, x + s_lo, s_hi - x)
+        q = np.where(x < 0.0, tp.q_minus + s * s, tp.q_plus - s * s)
+        Q = q_bundle_many(potential, q, E, mass).Q
+        return 2.0 * s * np.sqrt(np.maximum(-Q, 0.0)) / hbar
+
+    return float(integrate(f, [-s_lo, 0.0, s_hi], PHASE_SPEC))
+
+
 def solve_quantization(potential, n, hbar=1.0, mass=1.0):
-    """Energy where the accumulated phase equals pi*(n + 2/3)."""
+    """Energy where the accumulated phase equals pi*(n + 2/3).
+
+    Level n is refused when the first-order phase Phi1 at the energy
+    ceiling falls short of pi*(n + 1/2).  Otherwise steps out from the root
+    of Phi1 = pi*(n + 1/2), doubling from a twentieth of its height above
+    v_min per level and clamped inside (v_min, ceiling], bracket the root.
+    """
     if n < 0:
         raise ValueError("level index must be non-negative")
-    if potential.kind in ("morse", "poschl_teller"):
-        # the second-order phase grows without bound as E approaches the
-        # dissociation threshold, so an unguarded search would return a
-        # spurious root there; gate on the closed-form level count instead
-        cap = bound_count(potential.kind, potential.params)
-        if n >= cap:
-            raise QuantizationError(
-                "the well supports %d levels; no quantization root for n=%d"
-                % (cap, n))
-    target = math.pi * (n + 2.0 / 3.0)
     q_m = find_minimum(potential)
-    v_min, _, curv, _ = potential.eval(q_m)
-    e_unit = hbar * math.sqrt(max(curv, 1e-12) / mass)
-
-    def g(E):
-        return phase_integral(potential, E, hbar, mass, q_m=q_m) - target
-
-    # the second-order terms diverge at the well bottom, so the lower probe
-    # starts a modest fraction of the level spacing above it and retreats
-    # only if the target is somehow below that
-    frac = 0.02
-    lo = v_min + frac * e_unit
-    g_lo = g(lo)
-    while g_lo >= 0.0:
-        frac *= 0.25
-        if frac < 1e-9:
-            raise QuantizationError(
-                "phase at the well bottom already exceeds the level-%d target" % n)
-        lo = v_min + frac * e_unit
-        g_lo = g(lo)
+    v_min = float(potential.eval(q_m)[0])
     # no energy above the ceiling has both turning points in the search reach
     ceiling = energy_ceiling(potential, q_m, v_min)
-    hi = g_hi = None
-    span = 0.5 * e_unit * (n + 1.0)
-    for _ in range(200):
-        cand = min(lo + span, ceiling)
-        g_c = g(cand)
-        if g_c >= 0.0:
-            hi, g_hi = cand, g_c
-            break
-        if cand == ceiling:
+    first, target = math.pi * (n + 0.5), math.pi * (n + 2.0 / 3.0)
+    phi_top = _first_order_phase(potential, ceiling, hbar, mass, q_m)
+    if phi_top < first:
+        raise QuantizationError(
+            "level n=%d lies above the energy ceiling %.10g: below it the well "
+            "supports %d levels" % (n, ceiling, math.floor(phi_top / math.pi + 0.5)))
+    lo = hybrid_root(lambda E: _first_order_phase(potential, E, hbar, mass, q_m)
+                     - first, v_min, ceiling, flo=-first, fhi=phi_top - first,
+                     rel_tol=1e-8)
+    g = lambda E: phase_integral(potential, E, hbar, mass, q_m=q_m) - target
+    g_lo = g(lo)
+    step = math.copysign(0.05 * (lo - v_min) / (n + 0.5), -g_lo)
+    for _ in range(100):
+        hi = min(max(lo + step, 0.5 * (v_min + lo)), ceiling)
+        g_hi = g(hi)
+        if (g_hi >= 0.0) != (g_lo >= 0.0):
+            return float(hybrid_root(g, lo, hi, flo=g_lo, fhi=g_hi,
+                                     rel_tol=1e-13, f_tol=PHASE_RESIDUAL_TOL))
+        if hi == ceiling:
             raise QuantizationError(
                 "level n=%d is not supported by this well: at its energy "
                 "ceiling %.10g the phase falls %.4g short of the target"
-                % (n, ceiling, -g_c))
-        lo, g_lo = cand, g_c
-        span *= 2.0
-    if hi is None:
-        raise QuantizationError("could not bracket the level-%d root" % n)
-    return float(hybrid_root(g, lo, hi, flo=g_lo, fhi=g_hi,
-                             rel_tol=1e-13, f_tol=PHASE_RESIDUAL_TOL))
+                % (n, ceiling, -g_hi))
+        lo, g_lo, step = hi, g_hi, 2.0 * step
+    raise QuantizationError("could not bracket the level-%d root" % n)
 
 
 def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):

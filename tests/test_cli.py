@@ -113,13 +113,26 @@ def test_unbound_level_exits_three(capsys):
 
 def test_spurious_threshold_level_exits_three(capsys):
     """Just below the threshold of A(exp(-2q) - 2exp(-q)), A = 10.125, the
-    phase condition has an n=4 root whose assembled energy lies above the
-    energy ceiling: the level is refused, and n=3 still solves."""
+    second-order phase condition has a spurious n=4 root; the first-order
+    phase at the energy ceiling refuses the level, and n=3 still solves."""
     argv = ["solve", "--potential", "expr", "--expr", "A*(exp(-2*q)-2*exp(-q))",
             "--param", "A=10.125", "--levels"]
     assert main(argv + ["4"]) == 3
-    assert "above the energy ceiling" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "above the energy ceiling" in err and "supports 4 levels" in err
     assert main(argv + ["3"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    # n=4 lies 5e-5 below the threshold, too close for the second-order phase
+    ["--potential", "poschl-teller", "--param", "lambda=5.01"],
+    # the spurious n=4 root's left tail would march until cosh overflows
+    ["--potential", "expr", "--expr=-B/cosh(q)^2", "--param", "B=10"],
+])
+def test_unresolvable_threshold_level_exits_three(argv, capsys):
+    assert main(["solve"] + argv + ["--levels", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "above the energy ceiling" in err and "supports 4 levels" in err
 
 
 def test_high_harmonic_level_solves_without_warnings(capsys):

@@ -349,3 +349,22 @@ def test_cumulative_validation():
         CumulativeCheb(np.cos, [0.0])
     with pytest.raises(ValueError):
         CumulativeCheb(np.cos, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("edges", [
+    [0.0, math.nan],
+    [math.nan, 1.0],
+    [0.0, math.inf],
+    [1.0, 0.0],
+    [0.0, 2.0, 1.0],
+])
+def test_bad_edges_rejected_before_sampling(edges):
+    """Both entry points share one edge check, which runs before the
+    integrand is ever called."""
+    def never(x):
+        raise AssertionError("sampled an integrand on bad edges")
+
+    with pytest.raises(ValueError):
+        CumulativeCheb(never, edges)
+    with pytest.raises(ValueError):
+        integrate(never, edges)

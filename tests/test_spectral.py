@@ -8,9 +8,11 @@ import pytest
 from scipy.integrate import simpson
 
 from uniwkb import potentials, spectral
-from uniwkb.potentials import (energy_ceiling, find_minimum, make_builtin,
-                               parse_potential, q_bundle)
+from uniwkb.potentials import (bound_count, energy_ceiling, find_minimum,
+                               make_builtin, parse_potential, q_bundle)
+from uniwkb.rootfind import hybrid_root
 from uniwkb.spectral import (
+    PHASE_RESIDUAL_TOL,
     QuantizationError,
     assemble,
     expectation_h2,
@@ -191,9 +193,9 @@ def test_no_root_above_well_capacity():
 
 
 def test_level_above_the_ceiling_fails_fast(monkeypatch):
-    """One past the last level of an expression well (no closed-form level
-    count) is refused after one phase integral at the energy ceiling, and
-    the error names the ceiling."""
+    """One past the last level of an expression well is refused by the
+    first-order phase at the energy ceiling, before any second-order phase
+    integral, and the error names the ceiling and the level count."""
     pot = parse_potential("-20/cosh(q)^2", {})
     q_m = find_minimum(pot)
     ceiling = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
@@ -205,16 +207,88 @@ def test_level_above_the_ceiling_fails_fast(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "phase_integral", phase)
-    with pytest.raises(QuantizationError, match=re.escape("ceiling %.10g" % ceiling)):
+    with pytest.raises(QuantizationError, match=re.escape("ceiling %.10g" % ceiling)
+                       + ".*supports 6 levels"):
         solve_quantization(pot, 6)
-    assert len(calls) <= 3
-    assert calls[-1] == ceiling
+    assert calls == []
+
+
+# Morse gamma and Pöschl–Teller lambda of the level-gate survey; each well
+# is taken at alpha = 0.5, 1 and 2
+GATE_SURVEY = ([("morse", "gamma", g) for g in (1.2, 2.5, 4.5, 4.51, 5, 8, 8.49, 12.3)]
+               + [("poschl_teller", "lambda", lam)
+                  for lam in (2, 3.5, 5, 5.01, 5.05, 9, 9.2)])
+
+
+class _PastTheGate(Exception):
+    pass
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kind, name, value", GATE_SURVEY)
+def test_level_gate_counts_the_bound_levels(monkeypatch, kind, name, value, alpha):
+    """The first-order phase at the energy ceiling admits levels 0..K-1 and
+    refuses level K, with K the closed-form level count, except at lambda =
+    5.01: its n=4 lies 5e-5*alpha^2 below the threshold, where the
+    second-order phase cannot resolve it, and the gate refuses it."""
+    pot = make_builtin(kind, {name: value, "alpha": alpha})
+    K = bound_count(kind, {name: value}) - (value == 5.01)
+    with pytest.raises(QuantizationError, match="supports %d levels" % K):
+        solve_quantization(pot, K)
+
+    def past(*args, **kwargs):
+        raise _PastTheGate
+
+    monkeypatch.setattr(spectral, "phase_integral", past)
+    with pytest.raises(_PastTheGate):
+        solve_quantization(pot, K - 1)
+
+
+@pytest.mark.parametrize("pot", [
+    make_builtin("harmonic", PARAMS["harmonic"]),
+    make_builtin("morse", PARAMS["morse"]),
+    make_builtin("poschl_teller", PARAMS["poschl_teller"]),
+    parse_potential("q^4/4 + q^2/2", {}),
+    parse_potential("q^4", {}),
+], ids=["harmonic", "morse", "poschl_teller", "quartic", "q^4"])
+def test_seeded_bracket_work_count(monkeypatch, pot):
+    """Seeded at the first-order root, each level takes at most five
+    second-order phase integrals, and its phase residual stays in budget."""
+    calls = []
+    real = spectral.phase_integral
+
+    def phase(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "phase_integral", phase)
+    for n in range(4):
+        calls.clear()
+        e_sp = solve_quantization(pot, n)
+        assert len(calls) <= 5, (n, len(calls))
+        assert abs(real(pot, e_sp) - math.pi * (n + 2.0 / 3.0)) < PHASE_RESIDUAL_TOL
+
+
+def test_assemble_refuses_a_state_above_the_ceiling():
+    """Just below the threshold of A(exp(-2q) - 2exp(-q)), A = 10.125, the
+    second-order phase condition has a spurious n=4 root; the gate refuses
+    that level, and assemble refuses the root itself, whose state's energy
+    lies above the energy ceiling."""
+    pot = parse_potential("A*(exp(-2*q)-2*exp(-q))", {"A": 10.125})
+    q_m = find_minimum(pot)
+    ceiling = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
+    target = math.pi * (4 + 2.0 / 3.0)
+    root = hybrid_root(lambda E: phase_integral(pot, E, q_m=q_m) - target,
+                       -3e-3, ceiling, rel_tol=1e-13, f_tol=PHASE_RESIDUAL_TOL)
+    assert -3e-3 < root < ceiling
+    with pytest.raises(QuantizationError, match="above the energy ceiling"):
+        assemble(pot, root, 4)
 
 
 @pytest.mark.parametrize("src, n, e_sp", [
     # V at the right end of the reach, -360, lies below the well minimum;
     # the ceiling sits below the barrier instead
-    ("q^2/2 - q^3/100", 0, 0.5109532959643105),
+    ("q^2/2 - q^3/100", 0, 0.5109532959643102),
     # the reach left of q_m = 25 ends at -85 (V = 110), not at -35 (V = 60)
     ("exp(q-25) - (q-25)", 220, 77.63679657430593),
 ])
