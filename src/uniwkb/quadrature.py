@@ -32,6 +32,7 @@ import numpy as np
 
 # smallest relative tolerance a double-precision quadrature can meet
 MIN_REL_TOL = 1e-13
+MAX_DEGREE = 1024   # a panel still over its budget at this degree fails
 
 
 class QuadratureError(RuntimeError):
@@ -66,7 +67,7 @@ def _cheb_coeffs(v):
     return c
 
 
-def _cheb_fits(f, edges, spec, n_max=1024):
+def _cheb_fits(f, edges, spec):
     """Chebyshev coefficients of f on each panel between edges, shape
     rows + (degree + 1,) for f returning rows + (n,) on n nodes.
 
@@ -90,7 +91,7 @@ def _cheb_fits(f, edges, spec, n_max=1024):
             tol = np.maximum(spec.rel_tol * scale, spec.abs_tol)
             if np.all(tail <= tol):
                 coeffs[i] = c
-            elif n >= n_max:
+            elif n >= MAX_DEGREE:
                 where = ""
                 if tail.ndim:   # name the row furthest over its budget
                     r = int(np.argmax((tail / tol).ravel()))
@@ -185,10 +186,9 @@ class CumulativeCheb:
         idx = np.clip(np.searchsorted(self.edges, xf, side="right") - 1,
                       0, len(self.coeffs) - 1)
         out = np.empty(self.rows + xf.shape)
-        for i in range(len(self.coeffs)):
+        # only the panels that hold a point: one fit may span many panels
+        for i in np.flatnonzero(np.bincount(idx.ravel())):
             m = idx == i
-            if not np.any(m):
-                continue
             a, b = self.edges[i], self.edges[i + 1]
             t = (2.0 * xf[m] - (a + b)) / (b - a)
             out[..., m] = self.base[i][..., None] + _clenshaw(self.coeffs[i], t)

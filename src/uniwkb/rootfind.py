@@ -8,13 +8,15 @@ and safe on functions that are merely continuous.
 
 import math
 
+MAX_ITER = 200   # steps before the better end of the bracket is returned
+
 
 class BracketError(ValueError):
     """No sign change in the supplied or searched interval."""
 
 
 def hybrid_root(f, lo, hi, flo=None, fhi=None, rel_tol=1e-12, abs_tol=0.0,
-                max_iter=200, f_tol=0.0):
+                f_tol=0.0):
     """Root of f in [lo, hi] with f(lo), f(hi) of opposite sign.
 
     Brent's zeroin (R. P. Brent, *Algorithms for Minimization without
@@ -39,7 +41,7 @@ def hybrid_root(f, lo, hi, flo=None, fhi=None, rel_tol=1e-12, abs_tol=0.0,
         raise BracketError("no sign change on [%g, %g]" % (lo, hi))
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb

@@ -1,15 +1,15 @@
-"""Spectral solver: quantization condition, eigenenergy search, piecewise
-wavefunction assembly with turning-point matching, and energy moments.
+"""Spectral solver: quantization condition, eigenenergy search, wavefunction
+assembly through the turning points, and energy moments.
 
 Level n solves the second-order phase condition, whose phase diverges
 near a dissociation threshold; the first-order (Bohr-Sommerfeld) phase,
 finite there, decides which levels exist and seeds the search.
 
-The assembled state is one formula on every region, unnormalized:
-u = exp(F_mean + offset_mean)*cos(F_phase + offset_phase - pi/3), where F
-is one two-row Chebyshev antiderivative of the (mean, phase) terms per
-region.  All exponent integrals are anchored at the turning points, which
-makes the amplitude matching exact by construction and leaves only the
+The assembled state is one formula on the whole line, unnormalized:
+u = exp(F_mean(q) - F_mean(q-))*cos(F_phase(q) - pi/3), where F is one
+two-row Chebyshev antiderivative of the (mean, phase) terms over the whole
+support, each region contributing its own terms.  One fit makes u
+continuous at both turning points by construction and leaves only the
 phase condition to the root solver.  u' and Hu come from the same
 amplitude and phase and one bundle of pointwise mean/phase terms, so psi,
 dpsi and h_psi stay mutually consistent to quadrature accuracy.  <u|u> and
@@ -31,11 +31,10 @@ from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integra
 from .rootfind import hybrid_root
 from .wkb_core import A_SWITCH, terms_many
 
-# the phase and <u|u>, <u|H|u> quadratures are tighter than the <H^2>
-# moment's; the quantization root is resolved to 1e-10 in phase and
-# everything downstream inherits that accuracy
+# the phase and <u|u>, <u|H|u> quadratures are tighter than the metrics';
+# the quantization root is resolved to 1e-10 in phase and everything
+# downstream inherits that accuracy
 PHASE_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
-MOMENT_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 PHASE_RESIDUAL_TOL = 1e-11
 TAIL_DECAY = 45.0   # truncate forbidden tails once exp(-integral kappa) ~ 3e-20
 
@@ -191,15 +190,16 @@ def solve_quantization(potential, n, hbar=1.0, mass=1.0):
 
 
 def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
-    """Piecewise bound-state solution at energy e_sp for level n.
+    """Bound-state solution at energy e_sp for level n.
 
-    On each region u = exp(F_mean + offset_mean)*cos(F_phase + offset_phase
-    - pi/3), with F the region's (mean, phase) fit from its left edge.  The
-    offsets are -F_left(q-) on the left tail, which cos(-pi/3) halves; zero
-    between the turning points; and (F_mean(q+), pi*(n + 2/3)) on the right
-    tail, whose target phase gives it (-1)^n/2.  One two-row quadrature gives
-    <u|u> and <u|H|u> = (hbar^2/2m) int u'^2 + int V u^2.  Then psi = c*u,
-    dpsi = c*u' and h_psi = c*Hu with c = <u|u>^(-1/2), and
+    u = exp(F_mean(q) - F_mean(q-))*cos(F_phase(q) - pi/3) on the whole
+    line, F being one (mean, phase) fit from the left truncation point,
+    each region (left tail, allowed, right tail) giving its own terms.  The
+    forbidden phase is zero: F_phase is 0 up to q- and the whole allowed
+    phase from q+ on, so u is continuous at both turning points and the
+    phase condition gives the right tail (-1)^n/2.  One two-row quadrature
+    gives <u|u> and <u|H|u> = (hbar^2/2m) int u'^2 + int V u^2.  Then
+    psi = c*u, dpsi = c*u' and h_psi = c*Hu with c = <u|u>^(-1/2), and
     e_bar = <u|H|u>/<u|u>.
     """
     tp = find_turning_points(potential, e_sp, mass)
@@ -208,69 +208,60 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
     t_hi = _tail_cut(potential, e_sp, mass, hbar, tp.q_plus, +1.0, width)
     edges = _breaks(potential, [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi],
                     e_sp, hbar, mass)
-    i_minus, i_plus = edges.index(tp.q_minus), edges.index(tp.q_plus)
 
-    def exponents(region):
-        return lambda q: np.stack(_terms_at(potential, q, e_sp, hbar, mass, region)[:2])
-
-    # F = (amplitude exponent, phase) integrals of (mean, phase) per region
-    left = CumulativeCheb(exponents("forbidden"), edges[:i_minus + 1], PHASE_SPEC)
-    middle = CumulativeCheb(exponents("allowed"), edges[i_minus:i_plus + 1], PHASE_SPEC)
-    right = CumulativeCheb(exponents("forbidden"), edges[i_plus:], PHASE_SPEC)
-    # past a truncation point a tail goes on along its log-slope there
-    slope_lo, slope_hi = _terms_at(potential, np.array([t_lo, t_hi]), e_sp, hbar,
-                                   mass, "forbidden")[0]
-    regions = ((left, -left.total(), slope_lo, "forbidden"),
-               (middle, (0.0, 0.0), 0.0, "allowed"),
-               (right, (middle.total()[0], math.pi * (n + 2.0 / 3.0)), slope_hi,
-                "forbidden"))
-
-    def stitch(q, f, rows=()):
-        """f(x, amp, theta, region) on each region's share of q, joined into
-        an array of shape rows + q's shape, where u = amp*cos(theta)."""
+    def by_region(q, f, rows=()):
+        """f(x, region) on each region's share of q (q < q-, [q-, q+],
+        q > q+), joined into an array of shape rows + q's shape."""
         qf = np.atleast_1d(np.asarray(q, dtype=float))
         out = np.empty(rows + qf.shape)
-        m1 = qf < tp.q_minus
-        m3 = qf > tp.q_plus
-        for m, (fit, offset, slope, region) in zip((m1, ~(m1 | m3), m3), regions):
+        left, right = qf < tp.q_minus, qf > tp.q_plus
+        for m, region in ((left, "left"), (~(left | right), "allowed"),
+                          (right, "right")):
             if m.any():
-                x = qf[m]
-                mean, phase = fit(x)
-                amp = np.exp(mean + offset[0]
-                             + slope * (x - np.clip(x, fit.edges[0], fit.edges[-1])))
-                out[..., m] = f(x, amp, phase + offset[1] - math.pi / 3.0, region)
+                out[..., m] = f(qf[m], region)
         return out.reshape(rows + np.shape(q))
 
-    def u_of(x, amp, theta, region):
+    def exponents(x, region):
+        return np.stack(_terms_at(potential, x, e_sp, hbar, mass, region)[:2])
+
+    F = CumulativeCheb(lambda t: by_region(t, exponents, (2,)), edges, PHASE_SPEC)
+    mean_minus = F(tp.q_minus)[0]
+    # past a truncation point the exponent goes on along its log-slope there
+    slope_lo, slope_hi = by_region(np.array([t_lo, t_hi]), exponents, (2,))[0]
+
+    def polar(x):
+        mean, phase = F(x)
+        amp = np.exp(mean - mean_minus + slope_lo * np.minimum(x - t_lo, 0.0)
+                     + slope_hi * np.maximum(x - t_hi, 0.0))
+        return amp, phase - math.pi / 3.0
+
+    def u_of(x, region):
+        amp, theta = polar(x)
         return amp * np.cos(theta)
 
-    def jet(x, amp, theta, region):
-        """u, u', u'' and V from one bundle: with the log-derivative
+    pref = hbar * hbar / (2.0 * mass)
+
+    def jet(x, region):
+        """u, u', Hu and V from one bundle: with the log-derivative
         Y = mean + i*phase, u' = Re[Y u_c] and u'' = Re[(Y' + Y^2) u_c] for
         u_c = amp*exp(i*theta)."""
+        amp, theta = polar(x)
         b = q_bundle_many(potential, x, e_sp, mass)
         mean, phase, dmean, dphase = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q,
                                                 hbar, region)
         cos, sin = np.cos(theta), np.sin(theta)
         re_part = dmean + mean * mean - phase * phase
         im_part = dphase + 2.0 * mean * phase
-        return (amp * cos, amp * (mean * cos - phase * sin),
-                amp * (re_part * cos - im_part * sin), b.Q / (2.0 * mass) + e_sp)
+        u, V = amp * cos, b.Q / (2.0 * mass) + e_sp
+        return (u, amp * (mean * cos - phase * sin),
+                V * u - pref * (amp * (re_part * cos - im_part * sin)), V)
 
-    pref = hbar * hbar / (2.0 * mass)
-
-    def du_of(x, amp, theta, region):
-        return jet(x, amp, theta, region)[1]
-
-    def hu_of(x, amp, theta, region):
-        u, _, d2u, V = jet(x, amp, theta, region)
-        return V * u - pref * d2u
-
-    def moments(x, amp, theta, region):
-        u, du, _, V = jet(x, amp, theta, region)
+    def moments(x, region):
+        u, du, _, V = jet(x, region)
         return u * u, pref * du * du + V * u * u
 
-    norm2, u_h_u = integrate(lambda t: stitch(t, moments, (2,)), edges, PHASE_SPEC)
+    norm2, u_h_u = integrate(lambda t: by_region(t, moments, (2,)), edges,
+                             PHASE_SPEC)
     if not norm2 > 0.0:
         raise QuadratureError("normalization integral collapsed")
     c = 1.0 / math.sqrt(norm2)
@@ -284,17 +275,17 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
             "above the energy ceiling %.10g" % (n, e_bar, ceiling))
 
     def sampler(f):
-        return lambda q: c * stitch(q, f)
+        return lambda q: c * by_region(q, f)
 
-    return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar,
-                         norm_c=c, turning=tp, psi=sampler(u_of),
-                         dpsi=sampler(du_of), h_psi=sampler(hu_of),
+    return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, norm_c=c,
+                         turning=tp, psi=sampler(u_of),
+                         dpsi=sampler(lambda x, region: jet(x, region)[1]),
+                         h_psi=sampler(lambda x, region: jet(x, region)[2]),
                          potential=potential, hbar=hbar, mass=mass,
                          q_lo=t_lo, q_hi=t_hi, breaks=tuple(edges))
 
 
-def expectation_h2(solution, spec=None):
+def expectation_h2(solution, spec):
     """<H^2> = int (H psi)^2, split at the matching points."""
-    spec = spec or MOMENT_SPEC
     f = solution.h_psi
     return float(integrate(lambda t: f(t) ** 2, solution.breaks, spec))

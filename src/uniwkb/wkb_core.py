@@ -8,7 +8,8 @@ functions of the dimensionless variable a, by one formula on both sides.
 Far from it one truncated series in Q variables, summed by one kernel
 (`_series_terms`) for both regions, gives the terms directly; working in Q
 rather than a keeps the composite smooth through stationary points of Q,
-where a alone blows up.
+where a alone blows up, and the forbidden side takes its orientation
+from its tail, left or right, not from the sign of Q'.
 
 The module's API is `terms_many`: it takes the Q bundle sampled on an
 array of points and returns float64 arrays.  `riccati_residual` checks it
@@ -172,12 +173,14 @@ def y2_closed_form(a: float, y1: float) -> float:
 def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
     """Vectorized (mean, phase, dmean, dphase) for one region.
 
-    Arrays are the Q bundle sampled along q; region is 'allowed' or
-    'forbidden' (anything else raises ValueError).  Returns float64 arrays;
-    phase/dphase are zero in the forbidden region.
+    Arrays are the Q bundle sampled along q; region is 'allowed', or
+    'left'/'right' for the forbidden tail on that side of the well, which
+    sets the decaying orientation (+kappa on the left, -kappa on the right)
+    even where Q' is 0 (anything else raises ValueError).  Returns float64
+    arrays; phase/dphase are zero in the forbidden region.
     """
-    if region not in ("allowed", "forbidden"):
-        raise ValueError("region must be 'allowed' or 'forbidden'")
+    if region not in ("allowed", "left", "right"):
+        raise ValueError("region must be 'allowed', 'left' or 'right'")
     Q = np.atleast_1d(np.asarray(Q, dtype=np.float64)).astype(LD)
     dQ = np.atleast_1d(np.asarray(dQ, dtype=np.float64)).astype(LD)
     d2Q = np.atleast_1d(np.asarray(d2Q, dtype=np.float64)).astype(LD)
@@ -235,10 +238,10 @@ def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
             mean[far], phase[far], dmean[far], dphase[far] = _series_terms(
                 -Qf, -Q1, Q1, Q2, Q2, Q3, hbar, region)
         else:
-            sf = s[far]
-            m, _, dm, _ = _series_terms(Qf, Q1, np.abs(Q1), sf * Q2, Q2, Q3,
+            side = LD(-1 if region == "left" else 1)
+            m, _, dm, _ = _series_terms(Qf, Q1, side * Q1, side * Q2, Q2, Q3,
                                         hbar, region)
-            mean[far], dmean[far] = sf * m, sf * dm
+            mean[far], dmean[far] = side * m, side * dm
 
     out = (np.asarray(mean, dtype=float), np.asarray(phase, dtype=float),
            np.asarray(dmean, dtype=float), np.asarray(dphase, dtype=float))
@@ -253,9 +256,10 @@ def _series_terms(X, dX, P, dP, Q2, Q3, hbar, region):
     dX and dP are the q-derivatives of X and P.  On the allowed side
     X = -Q and P = Q': odd orders (_UC, _HC) feed the mean, even orders
     (_WC, _GC) and the lead the phase.  On the forbidden side X = Q and
-    P = |Q'|: every order (_B1M, _B2M) and the negated lead feed the mean,
-    which the caller multiplies by sign(Q').  Returns (mean, phase, dmean,
-    dphase); phase and dphase are zero on the forbidden side.
+    P = sigma*Q' for the tail side sigma (-1 left, +1 right): every order
+    (_B1M, _B2M) and the negated lead feed the mean, which the caller
+    multiplies by sigma.  Returns (mean, phase, dmean, dphase); phase and
+    dphase are zero on the forbidden side.
     """
     allowed = region == "allowed"
     sX = np.sqrt(X)
@@ -314,7 +318,8 @@ def riccati_residual(q: float, E: float, potential, hbar: float, mass: float) ->
         ell = np.sqrt(hbar / np.sqrt(abs(d2Q))) if d2Q else 1.0
     h = 1e-3 * min(ell, np.sqrt(abs(Q / d2Q)) if d2Q else ell)
     bs = q_bundle_many(potential, q + np.arange(-2, 3) * h, E, mass)
-    ys = terms_many(bs.Q, bs.dQ, bs.d2Q, bs.d3Q, hbar, "forbidden")[0]
+    side = "right" if dQ >= 0 else "left"
+    ys = terms_many(bs.Q, bs.dQ, bs.d2Q, bs.d3Q, hbar, side)[0]
     yprime = (ys[0] - 8 * ys[1] + 8 * ys[3] - ys[4]) / (12 * h)
     y = ys[2]
     return float(abs(yprime + y * y - Q / hbar ** 2) / (abs(Q) / hbar ** 2))

@@ -20,8 +20,9 @@ import numpy as np
 from uniwkb import airy, wkb_core
 from uniwkb.cli import main
 from uniwkb.exprparse import ExprError, compile_expr
-from uniwkb.metrics import (METRIC_NAMES, _brackets, benchmark_row,
-                            benchmark_table, check_cell, load_golden)
+from uniwkb.metrics import (METRIC_NAMES, METRIC_SPEC, _brackets,
+                            benchmark_row, benchmark_table, check_cell,
+                            load_golden)
 from uniwkb.potentials import make_builtin, parse_potential
 from uniwkb.reference import exact_energy, exact_wavefunction, numerov_solve
 from uniwkb.spectral import (assemble, expectation_h2, phase_integral,
@@ -346,7 +347,7 @@ def test_8_quantization_monotonicity_and_variational_minimum(capsys):
         sol = _solution(kind, 0)
         s2, cross = (float(v) for v in _brackets(
             (sol.psi, sol.h_psi), ((0, 0), (0, 1)), sol.breaks))
-        h2 = expectation_h2(sol)
+        h2 = expectation_h2(sol, METRIC_SPEC)
         vertex = cross / s2
         worst_vertex = max(worst_vertex, abs(vertex - sol.e_bar))
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import simpson
 
 from uniwkb import potentials, spectral
+from uniwkb.metrics import METRIC_SPEC
 from uniwkb.potentials import (bound_count, energy_ceiling, find_minimum,
                                make_builtin, parse_potential, q_bundle)
 from uniwkb.rootfind import hybrid_root
@@ -137,8 +138,9 @@ def test_assemble_makes_one_integrate_call(monkeypatch):
 
 
 def test_assemble_fits_each_region_once(monkeypatch):
-    """One two-row (mean, phase) fit per region, left tail, allowed region
-    and right tail, so no Chebyshev node is sampled by two fits."""
+    """One two-row (mean, phase) fit over the whole support, left tail,
+    allowed region and right tail alike, with a break at every panel edge
+    of the state, so no Chebyshev node is sampled twice."""
     pot = make_builtin("morse", PARAMS["morse"])
     fits = []
     real = spectral.CumulativeCheb
@@ -149,11 +151,33 @@ def test_assemble_fits_each_region_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "CumulativeCheb", counted)
     sol = assemble(pot, ESP_ORACLE["morse"][1], 1)
-    assert len(fits) == 3
-    left, middle, right = fits
-    assert (left[-1], middle[0]) == (sol.turning.q_minus,) * 2
-    assert (middle[-1], right[0]) == (sol.turning.q_plus,) * 2
-    assert left + middle[1:] + right[1:] == list(sol.breaks)
+    assert fits == [list(sol.breaks)]
+
+
+@pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
+def test_psi_continuous_at_turning_points(kind):
+    """psi is one formula through q- and q+: the one-ulp steps across
+    either turning point agree to 1e-13, the right tail continuing the
+    allowed phase rather than taking the quantization target."""
+    for n in range(4):
+        sol = get_solution(kind, n)
+        for qt in (sol.turning.q_minus, sol.turning.q_plus):
+            above, below = sol.psi(np.array([np.nextafter(qt, np.inf),
+                                             np.nextafter(qt, -np.inf)]))
+            assert abs(above / below - 1.0) <= 1e-13, (kind, n, qt)
+
+
+def test_near_threshold_left_tail_decays_monotonically():
+    """Poschl-Teller lambda=5.05 n=4 sits at -1.25e-3 with its left tail
+    cut near q = -461, past where V' underflows to -0.0 (q ~ -373): over
+    the far-series panel of that tail psi keeps decaying away from the
+    well instead of turning round."""
+    pot = make_builtin("poschl_teller", {"lambda": 5.05, "alpha": 1.0})
+    sol = assemble(pot, solve_quantization(pot, 4), 4)
+    assert sol.q_lo < -373.0
+    q = np.linspace(sol.q_lo, sol.breaks[1], 4001)
+    psi = sol.psi(q)
+    assert np.all(psi > 0.0) and np.all(np.diff(psi) > 0.0)
 
 
 def _right_tail_parity(sol):
@@ -377,13 +401,13 @@ def test_h2_dominates_ebar_squared():
     for kind in ESP_ORACLE:
         for n in (0, 2):
             sol = get_solution(kind, n)
-            assert expectation_h2(sol) >= sol.e_bar ** 2
+            assert expectation_h2(sol, METRIC_SPEC) >= sol.e_bar ** 2
 
 
 def test_mean_square_functional_vertex():
     """<(H-e)psi|(H-e)psi> = h2 - 2e*ebar + e^2 has its minimum at e=ebar."""
     sol = get_solution("harmonic", 1)
-    h2 = expectation_h2(sol)
+    h2 = expectation_h2(sol, METRIC_SPEC)
     eb = sol.e_bar
 
     def j(e):

@@ -69,11 +69,11 @@ TERMS_REF = {
     ("harm", -0.01, 0.5, "allowed"):
         (0.0062022541840842426, 1.2493637924770975,
          -0.61076931353191743, 0.12636928033928299),
-    ("harm", 1.3, 0.5, "forbidden"):
+    ("harm", 1.3, 0.5, "right"):
         (-1.306328163097759, 0.0, -0.97926152371570097, 0.0),
-    ("harm", 7.0, 0.5, "forbidden"):
+    ("harm", 7.0, 0.5, "right"):
         (-7.0000005707080089, 0.0, -0.9999994641227995, 0.0),
-    ("harm", 12.0, 0.5, "forbidden"):
+    ("harm", 12.0, 0.5, "right"):
         (-12.00000001522757, 0.0, -0.999999991324517, 0.0),
     ("mors", 0.1, -8.0, "allowed"):
         (0.0038639243436723592, 2.3193893217065051,
@@ -81,11 +81,11 @@ TERMS_REF = {
     ("mors", 0.55, -8.0, "allowed"):
         (0.67536983416050644, 1.4927493963424316,
          1.4461276249964299, -2.0506232522876169),
-    ("mors", -0.5, -8.0, "forbidden"):
+    ("mors", -0.5, -8.0, "left"):
         (3.4239157260642834, 0.0, -7.2728443900974709, 0.0),
-    ("mors", 2.5, -8.0, "forbidden"):
+    ("mors", 2.5, -8.0, "right"):
         (-3.6300436541077872, 0.0, -0.36977016743223901, 0.0),
-    ("mors", 6.0, -8.0, "forbidden"):
+    ("mors", 6.0, -8.0, "right"):
         (-3.9888239335971289, 0.0, -0.011175961268344449, 0.0),
 }
 
@@ -281,8 +281,8 @@ def test_terms_vectorized_matches_scalar():
 @pytest.mark.parametrize("region,qs", [
     ("allowed", np.linspace(-0.95, -0.03, 11)),
     ("allowed", np.linspace(0.002, 0.012, 5)),
-    ("forbidden", np.linspace(1.05, 2.5, 9)),
-    ("forbidden", np.linspace(10.0, 12.0, 5)),
+    ("right", np.linspace(1.05, 2.5, 9)),
+    ("right", np.linspace(10.0, 12.0, 5)),
 ])
 def test_terms_derivative_consistency(region, qs):
     """dmean/dphase must match finite differences of mean/phase in q."""
@@ -295,9 +295,19 @@ def test_terms_derivative_consistency(region, qs):
     assert np.all(np.abs(fdp - dphase) < 1e-6 * np.maximum(1.0, np.abs(dphase)))
 
 
+@pytest.mark.parametrize("dQ", [0.0, -0.0])
+def test_far_forbidden_series_oriented_by_side(dQ):
+    """Where Q' is zero, or has underflowed to -0.0 far out on a tail, the
+    decaying branch still follows the side: mean = +kappa on the left tail
+    and -kappa on the right, with kappa = sqrt(Q)/hbar."""
+    for region, want in (("left", 2.0), ("right", -2.0)):
+        mean, phase, dmean, _ = terms_many(4.0, dQ, 0.0, 0.0, 1.0, region)
+        assert (mean[0], phase[0], dmean[0]) == (want, 0.0, 0.0)
+
+
 def test_stationary_guard_and_region_validation():
     with pytest.raises(RuntimeError):
-        terms_many(1e-12, 1e-15, 1.0, 0.0, 1.0, "forbidden")
+        terms_many(1e-12, 1e-15, 1.0, 0.0, 1.0, "right")
     with pytest.raises(ValueError):
         terms("harm", [0.5], 0.5, "elsewhere")
 
@@ -422,10 +432,12 @@ def wells(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(wells(), st.floats(0.02, 0.98), st.sampled_from(["allowed", "forbidden"]))
+@given(wells(), st.floats(0.02, 0.98),
+       st.sampled_from(["allowed", "left", "right"]))
 def test_series_terms_equal_per_region_references(pot, e_frac, region):
     """_series_terms, called as terms_many calls it, reproduces the bits of
-    the two per-region series at every far-field point."""
+    the two per-region series at every far-field point; on a forbidden
+    tail, orienting by the side gives the bits of orienting by sign(Q')."""
     v_min = pot.eval(find_minimum(pot))[0]
     E = v_min + e_frac * (-v_min if v_min < 0 else 10.0)
     tp = find_turning_points(pot, E, pot.mass)
@@ -437,18 +449,21 @@ def test_series_terms_equal_per_region_references(pot, e_frac, region):
     hbar = LD(pot.hbar)
     with np.errstate(divide="ignore"):
         a = Q / (hbar * np.abs(Q1)) ** (LD(2) / 3)
-    far = (np.abs(a) >= A_SWITCH) & ((Q < 0) if region == "allowed" else (Q > 0))
+    share = {"allowed": Q < 0, "left": (Q > 0) & (qs < tp.q_m),
+             "right": (Q > 0) & (qs > tp.q_m)}[region]
+    far = (np.abs(a) >= A_SWITCH) & share
     assume(np.any(far))
     Q, Q1, Q2, Q3 = Q[far], Q1[far], Q2[far], Q3[far]
     if region == "allowed":
         got = wkb_core._series_terms(-Q, -Q1, Q1, Q2, Q2, Q3, hbar, region)
         want = _ref_series_allowed(Q, Q1, Q2, Q3, hbar)
     else:
-        s = np.where(Q1 >= 0, LD(1), LD(-1))
-        m, phase, dm, dphase = wkb_core._series_terms(Q, Q1, np.abs(Q1), s * Q2,
+        side = LD(-1 if region == "left" else 1)
+        m, phase, dm, dphase = wkb_core._series_terms(Q, Q1, side * Q1, side * Q2,
                                                       Q2, Q3, hbar, region)
         assert np.all(phase == 0) and np.all(dphase == 0)
-        got = s * m, s * dm
+        got = side * m, side * dm
+        s = np.where(Q1 >= 0, LD(1), LD(-1))
         want = _ref_series_forbidden(Q, Q1, Q2, Q3, hbar, s)
     # == rather than bytes: an 80-bit longdouble carries uninitialised padding
     for g, w in zip(got, want):
