@@ -29,7 +29,7 @@ from .potentials import (TurningPoints, energy_ceiling, find_minimum,
 from .potentials import q_bundle  # noqa: F401
 from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integrate
 from .rootfind import hybrid_root
-from .wkb_core import A_SWITCH, terms_many
+from .wkb_core import A_SWITCH, airy_variable, terms_many
 
 # the phase and <u|u>, <u|H|u> quadratures are tighter than the metrics';
 # the quantization root is resolved to 1e-10 in phase and everything
@@ -73,17 +73,14 @@ def _terms_at(potential, q, E, hbar, mass, region):
 
 
 def airy_argument(potential, q, E, hbar, mass):
-    """Dimensionless turning-point coordinate fed to the Airy-kernel terms.
+    """Dimensionless turning-point coordinate fed to the Airy-kernel terms:
+    `wkb_core.airy_variable` of the Q bundle at q.
 
     Zero at the turning points, +/-inf where the potential is stationary
     away from them.
     """
     b = q_bundle_many(potential, q, E, mass)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(np.abs(b.dQ) > 0,
-                     b.Q / (hbar * np.abs(b.dQ)) ** (2.0 / 3.0),
-                     np.inf * np.sign(b.Q))
-    return np.where(b.Q == 0, 0.0, a)
+    return airy_variable(b.Q, b.dQ, hbar)
 
 
 def _breaks(potential, anchors, E, hbar, mass):

@@ -4,22 +4,30 @@ Builds the dyadic coefficient tables of the two branch series, converts them
 into real-arithmetic combination series, and evaluates the mean/phase parts of
 the approximate logarithmic derivative (with q-derivatives) on either side of
 a turning point.  Near the turning point everything is expressed through Airy
-functions of the dimensionless variable a, by one formula on both sides.
-Far from it one truncated series in Q variables, summed by one kernel
-(`_series_terms`) for both regions, gives the terms directly; working in Q
-rather than a keeps the composite smooth through stationary points of Q,
-where a alone blows up, and the forbidden side takes its orientation
-from its tail, left or right, not from the sign of Q'.
+functions of the dimensionless variable a (`airy_variable`), by one formula
+on both sides.  Far from it the truncated series in Q variables is, on each
+side, sqrt(X)/hbar * A(z) + w * B(z) with z = hbar*P/X^(3/2) and
+w = hbar*Q''/X^(3/2), for fixed polynomials A and B summed by Horner in
+`_series_terms`; working in Q rather than a keeps the composite smooth
+through stationary points of Q, where a alone blows up, and the forbidden
+side takes its orientation from its tail, left or right, not from the sign
+of Q'.
 
 The module's API is `terms_many`: it takes the Q bundle sampled on an
 array of points and returns float64 arrays.  `riccati_residual` checks it
 at one point, and `y2_closed_form` is the plain-double form the tests
-compare the kernels against.  The a-variable kernels (the
-`_allowed_*_many` and `_forbidden_*_many` pairs) take longdouble arrays.
+compare the kernels against.
 
-Internal arithmetic is longdouble: the combination h2 sits under an O(a^3)
-cancellation and the downstream consistency checks ask for 1e-9 agreement at
-|a| = 30, which double precision cannot deliver.
+Extended precision (longdouble) lives only in the a-variable kernels, the
+`_allowed_*_many` and `_forbidden_*_many` pairs.  `terms_many` works in
+float64 and casts only a to longdouble at the Airy kernels' input, rounding
+their outputs to float64 once.  Inside them the combination h2 sits under an
+O(a^3) cancellation and the downstream consistency checks ask for 1e-9
+agreement at |a| = 30, which double precision cannot deliver.  The far
+field needs no such headroom: |z| = |a|^(-3/2) <= A_SWITCH^(-3/2), so the
+lead term dominates and float64 Horner is good to a few ulps.  The
+a-variable series `_allowed_series_many` and `_forbidden_series_many`
+serve only as the reference the Airy routes are checked against.
 """
 
 from fractions import Fraction
@@ -80,9 +88,25 @@ for _n in range(1, NMAX_SERIES + 1):
         _B2P[_n] = float(_BP2[_n])
 
 
+def _series_polys(leads, firsts, seconds):
+    """Horner table of the far-field polynomials of one side: a column
+    A(z) = lead + sum_n c1_n z^n per output, then a column
+    B(z) = sum_n c2_n z^(n-2) per output, lowest order first."""
+    cols = [np.concatenate(([lead], c1[1:])) for lead, c1 in zip(leads, firsts)]
+    cols += [np.concatenate((c2[2:], [0.0, 0.0])) for c2 in seconds]
+    return np.array(cols).T
+
+
+# allowed side: (mean, phase); forbidden side: the decaying branch's mean
+_ALLOWED_POLYS = _series_polys((0.0, 1.0), (_UC, _WC), (_HC, _GC))
+_FORBIDDEN_POLYS = _series_polys((-1.0,), (_B1M,), (_B2M,))
+
+
 def _allowed_airy_many(a):
     """u, w, h2, g2 and their a-derivatives from the modulus function.
 
+    a is a longdouble array and so are the results: this kernel and its
+    forbidden-side twin are where `terms_many` keeps extended precision.
     h2/g2 use the closed form with the branch ODE substituted (du = a-u^2+w^2,
     dw = -2uw), which removes the 8a^3-size cancellation of the raw expression.
     """
@@ -125,7 +149,11 @@ def _allowed_series_many(a):
 
 
 def _forbidden_airy_many(a):
-    """Both branch ratios and their second-order companions for 0 <= a < A_SWITCH."""
+    """Both branch ratios and their second-order companions for 0 <= a < A_SWITCH.
+
+    Longdouble in and out, like `_allowed_airy_many`: y2 carries the same
+    O(a^3) cancellation.
+    """
     ai_s, dai_s, bi_s, dbi_s, _ = airy.scaled_many(a)
     y1m = dai_s / ai_s
     y1p = dbi_s / bi_s
@@ -170,38 +198,43 @@ def y2_closed_form(a: float, y1: float) -> float:
     return (-8.0 * a * a * y1 * y1 - 4.0 * a * y1 + 8.0 * a ** 3 - 3.0) / 30.0
 
 
+def airy_variable(Q, dQ, hbar):
+    """The dimensionless turning-point coordinate a = Q/(hbar|Q'|)^(2/3).
+
+    Zero where Q is, +/-inf where Q' vanishes away from it, in float64;
+    `terms_many` splits near from far by it and `spectral` places the
+    |a| = A_SWITCH seams by it, so the two agree by construction.
+    """
+    adQ = np.abs(dQ)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = np.where(adQ > 0, Q / (hbar * adQ) ** (2.0 / 3.0), np.inf * np.sign(Q))
+    return np.where(Q == 0, 0.0, a)
+
+
 def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
     """Vectorized (mean, phase, dmean, dphase) for one region.
 
     Arrays are the Q bundle sampled along q; region is 'allowed', or
     'left'/'right' for the forbidden tail on that side of the well, which
     sets the decaying orientation (+kappa on the left, -kappa on the right)
-    even where Q' is 0 (anything else raises ValueError).  Returns float64
-    arrays; phase/dphase are zero in the forbidden region.
+    even where Q' is 0 (anything else raises ValueError).  Takes and
+    returns float64 arrays; only a, at the Airy kernels' input, goes to
+    longdouble.  phase/dphase are zero in the forbidden region.
     """
     if region not in ("allowed", "left", "right"):
         raise ValueError("region must be 'allowed', 'left' or 'right'")
-    Q = np.atleast_1d(np.asarray(Q, dtype=np.float64)).astype(LD)
-    dQ = np.atleast_1d(np.asarray(dQ, dtype=np.float64)).astype(LD)
-    d2Q = np.atleast_1d(np.asarray(d2Q, dtype=np.float64)).astype(LD)
-    d3Q = np.atleast_1d(np.asarray(d3Q, dtype=np.float64)).astype(LD)
-    hbar = LD(hbar)
-    s = np.where(dQ >= 0, LD(1), LD(-1))
-    adQ = np.abs(dQ)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(adQ > 0, Q / (hbar * adQ) ** (LD(2) / 3), np.inf * np.sign(Q))
-    a = np.where(Q == 0, LD(0), a)
+    Q, dQ, d2Q, d3Q = (np.atleast_1d(np.asarray(v, dtype=np.float64))
+                       for v in (Q, dQ, d2Q, d3Q))
+    hbar = float(hbar)
+    a = airy_variable(Q, dQ, hbar)
     # turning points are located to finite precision, so points meant to sit
     # exactly on a matching edge can land a hair on the wrong side; the
     # combos are smooth through a = 0, so snap those to the limit
     if region == "allowed":
-        a = np.where((a > 0) & (a < 1e-9), LD(0), a)
+        a = np.where((a > 0) & (a < 1e-9), 0.0, a)
     else:
-        a = np.where((a < 0) & (a > -1e-9), LD(0), a)
-    stationary = adQ * adQ < (LD(EPS_DQNORM) ** 2) * np.abs(Q * d2Q)
+        a = np.where((a < 0) & (a > -1e-9), 0.0, a)
     near = np.abs(a) < A_SWITCH
-    if np.any(stationary & near):
-        raise RuntimeError("Q' vanishes inside the Airy window; bundle inconsistent")
     far = ~near
 
     mean = np.zeros_like(Q)
@@ -210,95 +243,84 @@ def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
     dphase = np.zeros_like(Q)
 
     if np.any(near):
-        an = a[near]
         Qn, Q1, Q2, Q3 = Q[near], dQ[near], d2Q[near], d3Q[near]
-        sn = s[near]
-        hm23 = hbar ** (-LD(2) / 3)
-        F1 = hm23 * sn * np.abs(Q1) ** (LD(1) / 3)
+        # |Q'| < EPS_DQNORM*sqrt|Q Q''|, with no product leaving double range
+        if np.any(np.abs(Q1) < EPS_DQNORM * np.sqrt(np.abs(Qn)) * np.sqrt(np.abs(Q2))):
+            raise RuntimeError("Q' vanishes inside the Airy window; bundle inconsistent")
+        sn = np.where(Q1 >= 0, 1.0, -1.0)
+        F1 = hbar ** (-2.0 / 3.0) * sn * np.cbrt(np.abs(Q1))
         F2 = Q2 / Q1
-        da = F1 * (1 - LD(2) / 3 * Qn * Q2 / (Q1 * Q1))
-        dF1 = LD(1) / 3 * hm23 * Q2 * np.abs(Q1) ** (-LD(2) / 3)
-        dF2 = Q3 / Q1 - (Q2 / Q1) ** 2
+        da = F1 * (1 - 2.0 / 3.0 * (Qn / Q1) * F2)
+        dF1 = F1 * F2 / 3
+        dF2 = Q3 / Q1 - F2 * F2
 
         def combine(v1, v2, d1, d2):
             """F1*v1 + F2*v2 and its q-derivative, from a-derivatives d1, d2."""
             return F1 * v1 + F2 * v2, dF1 * v1 + F1 * d1 * da + dF2 * v2 + F2 * d2 * da
 
+        an = a[near].astype(LD)
         if region == "allowed":
-            u, w, h2, g2, du, dw, dh2, dg2 = _allowed_airy_many(an)
+            u, w, h2, g2, du, dw, dh2, dg2 = np.asarray(_allowed_airy_many(an),
+                                                        dtype=np.float64)
             p, dp = combine(w, g2, dw, dg2)
             phase[near], dphase[near] = sn * p, sn * dp
         else:   # the decaying branch
-            u, _, h2, _, du, _, dh2, _ = _forbidden_airy_many(an)
+            u, _, h2, _, du, _, dh2, _ = np.asarray(_forbidden_airy_many(an),
+                                                    dtype=np.float64)
         mean[near], dmean[near] = combine(u, h2, du, dh2)
 
     if np.any(far):
         Qf, Q1, Q2, Q3 = Q[far], dQ[far], d2Q[far], d3Q[far]
         if region == "allowed":
-            mean[far], phase[far], dmean[far], dphase[far] = _series_terms(
-                -Qf, -Q1, Q1, Q2, Q2, Q3, hbar, region)
+            (mean[far], phase[far]), (dmean[far], dphase[far]) = _series_terms(
+                -Qf, -Q1, Q1, Q2, Q2, Q3, hbar, _ALLOWED_POLYS)
         else:
-            side = LD(-1 if region == "left" else 1)
-            m, _, dm, _ = _series_terms(Qf, Q1, side * Q1, side * Q2, Q2, Q3,
-                                        hbar, region)
+            side = -1.0 if region == "left" else 1.0
+            (m,), (dm,) = _series_terms(Qf, Q1, side * Q1, side * Q2, Q2, Q3,
+                                        hbar, _FORBIDDEN_POLYS)
             mean[far], dmean[far] = side * m, side * dm
-
-    out = (np.asarray(mean, dtype=float), np.asarray(phase, dtype=float),
-           np.asarray(dmean, dtype=float), np.asarray(dphase, dtype=float))
-    return out
+    return mean, phase, dmean, dphase
 
 
-def _series_terms(X, dX, P, dP, Q2, Q3, hbar, region):
+def _series_terms(X, dX, P, dP, Q2, Q3, hbar, polys):
     """The truncated series in Q variables, smooth through Q' = 0.
 
     Order n contributes c1_n hbar^(n-1) P^n X^((1-3n)/2) and, from n = 2,
     c2_n hbar^(n-1) Q'' P^(n-2) X^((3-3n)/2), after the lead sqrt(X)/hbar;
-    dX and dP are the q-derivatives of X and P.  On the allowed side
-    X = -Q and P = Q': odd orders (_UC, _HC) feed the mean, even orders
-    (_WC, _GC) and the lead the phase.  On the forbidden side X = Q and
-    P = sigma*Q' for the tail side sigma (-1 left, +1 right): every order
-    (_B1M, _B2M) and the negated lead feed the mean, which the caller
-    multiplies by sigma.  Returns (mean, phase, dmean, dphase); phase and
-    dphase are zero on the forbidden side.
+    dX and dP are the q-derivatives of X and P.  With z = hbar*P/X^(3/2)
+    and w = hbar*Q''/X^(3/2) that is sqrt(X)/hbar * A(z) + w * B(z), for
+    the polynomials of `polys` (`_series_polys`): the allowed side passes X = -Q,
+    P = Q' and gets (mean, phase); the forbidden side passes X = Q and
+    P = sigma*Q' for the tail side sigma (-1 left, +1 right) and gets the
+    mean, which the caller multiplies by sigma.  z and w are formed as
+    hbar*(P/X)/sqrt(X), so no intermediate overflows where the result does
+    not.  Returns (values, q-derivatives), each with one row per output.
     """
-    allowed = region == "allowed"
     sX = np.sqrt(X)
-    iX = 1 / X
-    step = iX / sX  # X^{-3/2}
-    # (value, q-derivative) of the mean and of the phase, seeded with the
-    # lead term; a scalar zero adds as a zero array would, without one
-    sign = 1 if allowed else -1
-    lead = [sign * sX / hbar, sign * dX / (2 * hbar * sX)]
-    acc = [[LD(0), LD(0)], lead] if allowed else [lead, [LD(0), LD(0)]]
-    pa = iX          # X^{(1-3n)/2}, n = 1
-    pb = iX / sX     # X^{(3-3n)/2}, n = 2
-    q_m3 = None
-    q_m2 = np.zeros_like(X)  # P^{n-2}, valid from n = 2
-    q_m1 = np.ones_like(X)   # P^{n-1}
-    q_n = P.copy()           # P^n
-    hn = LD(1)
-    for n in range(1, NMAX_SERIES + 1):
-        odd = n % 2 == 1
-        row = acc[1] if allowed and not odd else acc[0]
-        c = LD((_UC if odd else _WC)[n] if allowed else _B1M[n])
-        pdrop = LD(1 - 3 * n) / 2   # exponent of X in the first family
-        row[0] = row[0] + c * hn * q_n * pa
-        row[1] = row[1] + c * hn * (n * q_m1 * dP * pa + pdrop * q_n * dX * pa * iX)
-        if n >= 2:
-            c2 = LD((_HC if odd else _GC)[n] if allowed else _B2M[n])
-            pd2 = LD(3 - 3 * n) / 2
-            t = c2 * hn * Q2 * q_m2 * pb
-            dt = c2 * hn * (Q3 * q_m2 * pb + pd2 * Q2 * q_m2 * dX * pb * iX)
-            if n > 2:
-                dt = dt + c2 * hn * (n - 2) * Q2 * dP * q_m3 * pb
-            row[0] = row[0] + t
-            row[1] = row[1] + dt
-            pb = pb * step
-        pa = pa * step
-        q_m3, q_m2, q_m1, q_n = q_m2, q_m1, q_n, q_n * P
-        hn = hn * hbar
-    (mean, dmean), (phase, dphase) = acc
-    return mean, phase, dmean, dphase
+    r = dX / X
+    lead = sX / hbar
+    pX = P / X
+    g = dP / X - 1.5 * pX * r           # sqrt(X)/hbar * dz/dq
+    z = hbar * pX / sX
+    dz = hbar * g / sX
+    qX = Q2 / X
+    w = hbar * qX / sX
+    dw = hbar * (Q3 / X - 1.5 * qX * r) / sX
+    k = polys.shape[1] // 2
+    p, dp = _horner(polys, z)
+    A, B, dA, dB = p[:k], p[k:], dp[:k], dp[k:]
+    return lead * A + w * B, 0.5 * r * lead * A + g * dA + dw * B + w * dz * dB
+
+
+def _horner(coef, z):
+    """Every column of coef (lowest order first) as a polynomial at the
+    1-D array z, and its z-derivative, each of shape (columns, len(z))."""
+    p = coef[-1][:, None] * np.ones_like(z)
+    dp = np.zeros_like(p)
+    for c in coef[-2::-1]:
+        dp = dp * z + p
+        p = p * z + c[:, None]
+    return p, dp
 
 
 def riccati_residual(q: float, E: float, potential, hbar: float, mass: float) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from uniwkb import potentials, spectral
+from uniwkb import potentials, spectral, wkb_core
 from uniwkb.metrics import METRIC_SPEC
 from uniwkb.potentials import (bound_count, energy_ceiling, find_minimum,
                                make_builtin, parse_potential, q_bundle)
@@ -20,6 +20,7 @@ from uniwkb.spectral import (
     phase_integral,
     solve_quantization,
 )
+from uniwkb.wkb_core import A_SWITCH
 
 PARAMS = {
     "harmonic": {"k": 0.5},
@@ -165,6 +166,27 @@ def test_psi_continuous_at_turning_points(kind):
             above, below = sol.psi(np.array([np.nextafter(qt, np.inf),
                                              np.nextafter(qt, -np.inf)]))
             assert abs(above / below - 1.0) <= 1e-13, (kind, n, qt)
+
+
+def test_airy_variable_is_airy_argument_at_the_seams():
+    """terms_many splits near from far by wkb_core.airy_variable and
+    _breaks places the |a| = A_SWITCH seams by airy_argument: on the 12
+    golden states the two agree bit for bit one ulp either side of every
+    seam in sol.breaks."""
+    for kind in sorted(ESP_ORACLE):
+        for n in range(4):
+            sol = get_solution(kind, n)
+            args = (sol.e_sp, sol.hbar, sol.mass)
+            b = np.array(sol.breaks)
+            a = spectral.airy_argument(sol.potential, b, *args)
+            seams = b[np.abs(np.abs(a) - A_SWITCH) <= 1e-9 * A_SWITCH]
+            assert len(seams) >= 2, (kind, n)
+            q = np.concatenate([np.nextafter(seams, -np.inf),
+                                np.nextafter(seams, np.inf)])
+            bundle = potentials.q_bundle_many(sol.potential, q, sol.e_sp, sol.mass)
+            got = wkb_core.airy_variable(bundle.Q, bundle.dQ, sol.hbar)
+            want = spectral.airy_argument(sol.potential, q, *args)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_near_threshold_left_tail_decays_monotonically():
