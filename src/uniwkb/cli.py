@@ -165,12 +165,10 @@ def cmd_solve(config):
     per_level = []
     for n in config.levels:
         t0 = time.perf_counter()
-        e_sp = solve_quantization(potential, n, config.hbar, config.mass)
-        sol = assemble(potential, e_sp, n, config.hbar, config.mass)
+        sol = assemble(potential, solve_quantization(potential, n), n)
         rec = {"n": n, "e_sp": sol.e_sp, "e_bar": sol.e_bar}
         if config.kind in BUILTIN_KINDS:
-            ex = exact_wavefunction(config.kind, potential.params, n,
-                                    config.hbar, config.mass)
+            ex = exact_wavefunction(potential, n)
             rec["e_exact"] = ex.energy
             rec["metrics"] = level_metrics(ex, sol, spec)
         records.append(rec)
@@ -244,21 +242,19 @@ def cmd_dump(config, grid):
         raise ConfigError("grid needs at least 2 points")
     n = config.levels[0]
     potential = build_potential(config)
-    e_sp = solve_quantization(potential, n, config.hbar, config.mass)
-    sol = assemble(potential, e_sp, n, config.hbar, config.mass)
+    sol = assemble(potential, solve_quantization(potential, n), n)
     lo = grid.q_min if grid.q_min is not None else sol.q_lo
     hi = grid.q_max if grid.q_max is not None else sol.q_hi
     if not lo < hi:
         raise ConfigError("dump range is empty")
     qs = np.linspace(lo, hi, grid.npoints)
-    a_col = airy_argument(potential, qs, e_sp, config.hbar, config.mass)
+    a_col = airy_argument(potential, qs, sol.e_sp, sol.hbar, sol.mass)
     psi_ap = sol.psi(qs)
     dpsi_ap = sol.dpsi(qs)
     h_col = sol.h_psi(qs)
     psi_ex = None
     if config.kind in BUILTIN_KINDS:
-        psi_ex = exact_wavefunction(config.kind, potential.params, n,
-                                    config.hbar, config.mass).psi(qs)
+        psi_ex = exact_wavefunction(potential, n).psi(qs)
     tp = sol.turning
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -147,9 +147,9 @@ def delta_e(e_bar, e_exact):
 def benchmark_row(kind, params, n, hbar=1.0, mass=1.0):
     """All five metrics for one (potential, level) cell."""
     potential = make_builtin(kind, params, hbar, mass)
-    e_sp = solve_quantization(potential, n, hbar, mass)
-    approx = assemble(potential, e_sp, n, hbar, mass)
-    exact = exact_wavefunction(kind, potential.params, n, hbar, mass)
+    e_sp = solve_quantization(potential, n)
+    approx = assemble(potential, e_sp, n)
+    exact = exact_wavefunction(potential, n)
     return MetricsRow(potential=kind, n=n, **level_metrics(exact, approx))
 
 

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import exprparse
+from .quadrature import QuadratureError
 from .rootfind import BracketError, hybrid_root
 
 BUILTIN_KINDS = ("harmonic", "morse", "poschl_teller")
@@ -25,10 +26,12 @@ _PARAM_ALIASES = {"g": "gamma", "lam": "lambda", "l": "lambda"}
 # length scale alpha; turning points are searched out to |q_m| plus twice it
 SEARCH_HALF_WIDTH = 30.0
 TP_REL_TOL = 1e-12
+TAIL_DECAY = 45.0   # truncate forbidden tails once exp(-integral kappa) ~ 3e-20
 
 
 @dataclass(frozen=True)
 class PotentialModel:
+    """A well V(q) and the units of its problem, which every solver reads."""
     kind: str
     params: dict
     hbar: float
@@ -93,8 +96,16 @@ def bound_count(kind, params):
     return int(c if c > x else x)
 
 
+def _check_units(**units):
+    for name, value in units.items():
+        if not 0.0 < value < math.inf:
+            raise ParameterError("%s must be finite and positive, got %r"
+                                 % (name, value))
+
+
 def make_builtin(kind, params, hbar=1.0, mass=1.0):
     """Construct one of the closed-form wells with analytic derivatives."""
+    _check_units(hbar=hbar, mass=mass)
     params = _normalize_params(params)
     known = _BUILTIN_PARAMS.get(kind)
     if known is not None:
@@ -152,6 +163,7 @@ def make_builtin(kind, params, hbar=1.0, mass=1.0):
 
 def parse_potential(expr, params, hbar=1.0, mass=1.0):
     """Expression-defined potential; derivatives via Taylor-mode jets."""
+    _check_units(hbar=hbar, mass=mass)
     params = {k: float(v) for k, v in params.items()}
     ev = exprparse.compile_expr(expr, params)
     return PotentialModel("expression", dict(params, _expr=expr), hbar, mass,
@@ -190,19 +202,21 @@ def q_bundle_many(potential, q, E, mass):
     return QBundle(q, *fields)
 
 
-def march_tail(potential, E, mass, hbar, q_start, direction, step, target,
-               cap=np.inf, max_steps=None):
+def march_tail(potential, E, q_start, direction, step, target, cap=np.inf,
+               max_steps=None):
     """March from q_start into a forbidden tail in equal steps until the
     trapezoid integral of kappa = sqrt(max(Q, 0))/hbar reaches target or
     the distance |q - q_start| reaches cap; returns that point, or None
     when max_steps steps do neither.
 
+    A step whose Q bundle cannot be evaluated (raises, or is not finite)
+    stops the march at the last point before it, the stop rule of
+    energy_ceiling: beyond it the tail has no potential to decay in.
+
     Blocks of steps (64, then doubling) are evaluated with one array call
     each.  Positions and running integrals are formed by np.cumsum, which
     adds in order, so the result is bit-identical to stepping one point at
-    a time.  A block whose evaluation raises (a point beyond the stop may
-    lie outside the potential's domain) is retried one step at a time, so
-    only a point the march reaches can raise.
+    a time.  A block whose evaluation raises is retried one step at a time.
     """
     d = direction * step
     q, kappa_int, k_prev = q_start, 0.0, 0.0
@@ -211,13 +225,13 @@ def march_tail(potential, E, mass, hbar, q_start, direction, step, target,
         size = block if max_steps is None else min(block, max_steps - taken)
         qs = np.cumsum(np.concatenate(([q], np.full(size, d))))[1:]
         try:
-            Q = q_bundle_many(potential, qs, E, mass).Q
+            Q = q_bundle_many(potential, qs, E, potential.mass).Q
         except (ArithmeticError, ValueError):
             if block == 1:
-                raise
+                return float(q)
             block = 1
             continue
-        k = np.sqrt(np.maximum(Q, 0.0)) / hbar
+        k = np.sqrt(np.maximum(Q, 0.0)) / potential.hbar
         inc = 0.5 * (k + np.concatenate(([k_prev], k[:-1]))) * step
         kap = np.cumsum(np.concatenate(([kappa_int], inc)))[1:]
         hit = np.flatnonzero((kap >= target) | (np.abs(qs - q_start) >= cap))
@@ -227,6 +241,17 @@ def march_tail(potential, E, mass, hbar, q_start, direction, step, target,
         taken += size
         block = 2 * block if block > 1 else 1
     return None
+
+
+def tail_cut(potential, E, q_start, direction, width):
+    """Truncation point of the forbidden tail beyond the turning point
+    q_start, where the decay exponent reaches TAIL_DECAY: march_tail in
+    steps of a fiftieth of the well width."""
+    q = march_tail(potential, E, q_start, direction, max(width / 50.0, 1e-4),
+                   TAIL_DECAY, max_steps=200000)
+    if q is None:
+        raise QuadratureError("forbidden tail failed to reach the decay target")
+    return q
 
 
 def find_minimum(potential):
@@ -318,7 +343,7 @@ def energy_ceiling(potential, q_m, v_min):
     return v_top - 1e-9 * (v_top - v_min) if v_top > v_min else v_top
 
 
-def find_turning_points(potential, E, mass, q_m=None):
+def find_turning_points(potential, E, q_m=None):
     """Classical turning points around the well minimum at energy E.
 
     Each side is walked out from q_m, one q_bundle per point of
@@ -333,7 +358,7 @@ def find_turning_points(potential, E, mass, q_m=None):
     if not E > v_min:
         raise NoBoundRegionError(
             "E = %g does not exceed the well minimum %g" % (E, v_min))
-    Qf = lambda q: q_bundle(potential, q, E, mass).Q
+    Qf = lambda q: q_bundle(potential, q, E, potential.mass).Q
     f0 = Qf(q_m)
     found = []
     for points in _walk_points(potential, q_m):

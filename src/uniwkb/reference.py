@@ -1,12 +1,13 @@
 """Exact eigenpairs for the verification wells and an independent Numerov
 eigenvalue oracle.
 
-Harmonic states are Hermite functions from their normalized recurrence;
-Morse and Pöschl-Teller states use stable forward recurrences for their
-polynomial factors.  All are normalized numerically and sign-fixed positive
-on the left tail.  Closed-form normalization constants are deliberately
-avoided; the Schrödinger-residual checks in the test suite validate the
-shapes instead.
+Harmonic and Morse states are Hermite and Laguerre functions from their
+normalized recurrences, with the weight inside, so they stay in double
+range at any level; Pöschl-Teller states are a Gegenbauer recurrence
+times cosh^(-mu), formed from log cosh.  Each is normalized numerically,
+on the support the assembled states use (potentials.tail_cut), and
+sign-fixed positive on the left tail; the Schrödinger-residual checks in
+the test suite validate the shapes.
 
 The Numerov oracle counts nodes only to bracket a level, converges on the
 matching of outward and inward solutions on one grid per level, and
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .potentials import (bound_count, energy_ceiling, find_turning_points,
-                         march_tail)
+                         march_tail, tail_cut)
 # unused here, kept importable: perfbench/tracer.py wraps reference.q_bundle
 from .potentials import q_bundle  # noqa: F401
 from .quadrature import QuadratureSpec, integrate
@@ -69,15 +70,23 @@ def _hermite_functions(n, xi):
     return p, p_prev
 
 
-def _laguerre(n, a, x):
-    """Generalized Laguerre L_n^{(a)} by forward recurrence."""
-    if n == 0:
-        return np.ones_like(x)
-    lm1 = np.ones_like(x)
-    l = 1.0 + a - x
-    for k in range(2, n + 1):
-        l, lm1 = ((2 * k - 1 + a - x) * l - (k - 1 + a) * lm1) / k, l
-    return l
+def _laguerre_functions(n, s, t):
+    """Laguerre functions phi_n and phi_{n-1} of order a = 2s at
+    xi = 2s e^t, up to one common factor: phi_k = sqrt(k!/Gamma(k+a+1)) w
+    L_k^(a)(xi) by the recurrence (DLMF 18.9.13)
+    sqrt((k+1)(k+a+1)) phi_{k+1} = (2k+1+a-xi) phi_k - sqrt(k(k+a)) phi_{k-1}
+    from phi_0 = w, the weight xi^s exp(-xi/2) over its peak value at
+    xi = 2s: w = exp(-s (e^t - 1 - t)).  Formed in log space and riding
+    inside, the weight keeps every intermediate in double range where xi^s
+    alone or the squared state leaves it (Morse gamma ~ 100)."""
+    a = 2.0 * s
+    xi = a * np.exp(t)
+    p_prev = np.zeros_like(xi)
+    p = np.exp(-s * (np.expm1(t) - t))
+    for k in range(n):
+        p, p_prev = (((2 * k + 1 + a - xi) * p - math.sqrt(k * (k + a)) * p_prev)
+                     / math.sqrt((k + 1) * (k + a + 1))), p
+    return p, p_prev
 
 
 def _gegenbauer(n, beta, t):
@@ -91,12 +100,19 @@ def _gegenbauer(n, beta, t):
     return c
 
 
-def _raw_state(kind, params, n, hbar, mass):
-    """Unnormalized (u, du, q_lo, q_hi) for the requested level."""
+def _log_cosh(x):
+    """log(cosh(x)), finite wherever x is: cosh itself overflows past
+    |x| = 710."""
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+
+
+def _raw_state(potential, n):
+    """Unnormalized samplers (u, du) of level n of a builtin well."""
+    kind, params = potential.kind, potential.params
     if kind == "harmonic":
-        omega = math.sqrt(2.0 * params["k"] / mass)
-        scale = math.sqrt(mass * omega / hbar)
-        xi_cut = 13.0 + 1.5 * n
+        omega = math.sqrt(2.0 * params["k"] / potential.mass)
+        scale = math.sqrt(potential.mass * omega / potential.hbar)
 
         def u(q):
             return _hermite_functions(n, scale * np.asarray(q, dtype=float))[0]
@@ -106,31 +122,26 @@ def _raw_state(kind, params, n, hbar, mass):
             p, p_prev = _hermite_functions(n, xi)
             return scale * (math.sqrt(2.0 * n) * p_prev - xi * p)
 
-        return u, du, -xi_cut / scale, xi_cut / scale
+        return u, du
 
     if kind == "morse":
         g, al = params["gamma"], params["alpha"]
         s = g - n - 0.5
-
-        def xi_of(q):
-            return 2.0 * g * np.exp(-al * np.asarray(q, dtype=float))
+        # xi = 2 gamma exp(-alpha q) = 2s e^t; with phi_k of
+        # _laguerre_functions, DLMF 18.9.14 gives
+        # xi dphi_n/dxi = (s + n - xi/2) phi_n - sqrt(n(n + 2s)) phi_{n-1}
+        t_0 = math.log(g / s)
 
         def u(q):
-            xi = xi_of(q)
-            return xi ** s * np.exp(-0.5 * xi) * _laguerre(n, 2 * s, xi)
+            return _laguerre_functions(n, s, t_0 - al * np.asarray(q, dtype=float))[0]
 
         def du(q):
-            xi = xi_of(q)
-            lag = _laguerre(n, 2 * s, xi)
-            dlag = -_laguerre(n - 1, 2 * s + 1, xi) if n > 0 else 0.0
-            du_dxi = xi ** s * np.exp(-0.5 * xi) * (
-                (s / xi - 0.5) * lag + dlag)
-            return du_dxi * (-al) * xi
+            t = t_0 - al * np.asarray(q, dtype=float)
+            p, p_prev = _laguerre_functions(n, s, t)
+            return -al * ((s + n - s * np.exp(t)) * p
+                          - math.sqrt(n * (n + 2.0 * s)) * p_prev)
 
-        xi_hi = 260.0 + 60.0 * n
-        q_lo = -math.log(xi_hi / (2 * g)) / al
-        q_hi = (55.0 + s * math.log1p(2 * g)) / (s * al)
-        return u, du, q_lo, q_hi
+        return u, du
 
     if kind == "poschl_teller":
         lam, al = params["lambda"], params["alpha"]
@@ -139,31 +150,35 @@ def _raw_state(kind, params, n, hbar, mass):
 
         def u(q):
             aq = al * np.asarray(q, dtype=float)
-            return np.cosh(aq) ** (-mu) * _gegenbauer(n, beta, np.tanh(aq))
+            return np.exp(-mu * _log_cosh(aq)) * _gegenbauer(n, beta, np.tanh(aq))
 
         def du(q):
             aq = al * np.asarray(q, dtype=float)
-            t = np.tanh(aq)
-            sech = 1.0 / np.cosh(aq)
+            t, lc = np.tanh(aq), _log_cosh(aq)
             p = _gegenbauer(n, beta, t)
             dp = 2.0 * beta * _gegenbauer(n - 1, beta + 1, t) if n > 0 else 0.0
-            return al * sech ** mu * (-mu * t * p + sech * sech * dp)
+            return al * np.exp(-mu * lc) * (-mu * t * p + np.exp(-2.0 * lc) * dp)
 
-        cut = (55.0 + n) / (2.0 * mu * al) + 3.0 / al
-        return u, du, -cut, cut
+        return u, du
 
     raise ValueError("no closed-form states for kind %r" % (kind,))
 
 
-def exact_wavefunction(kind, params, n, hbar=1.0, mass=1.0):
-    """Normalized exact level with vectorized psi and dpsi samplers."""
-    energy = exact_energy(kind, params, n, hbar, mass)
-    u, du, q_lo, q_hi = _raw_state(kind, params, n, hbar, mass)
+def exact_wavefunction(potential, n):
+    """Normalized exact level n of a builtin well, with vectorized samplers.
+
+    Its support is the assembled states' rule: each tail is cut by
+    tail_cut, where its decay exponent reaches TAIL_DECAY.
+    """
+    energy = exact_energy(potential.kind, potential.params, n, potential.hbar,
+                          potential.mass)
+    u, du = _raw_state(potential, n)
+    tp = find_turning_points(potential, energy)
+    width = tp.q_plus - tp.q_minus
+    q_lo = tail_cut(potential, energy, tp.q_minus, -1.0, width)
+    q_hi = tail_cut(potential, energy, tp.q_plus, +1.0, width)
     # split the norm integral at the turning points: the domain is dominated
     # by long tails and a whole-range estimate would misjudge the peak
-    from .potentials import make_builtin
-
-    tp = find_turning_points(make_builtin(kind, params, hbar, mass), energy, mass)
     edges = [q_lo, tp.q_minus, tp.q_m, tp.q_plus, q_hi]
     norm2 = integrate(lambda q: u(q) ** 2, edges, _NORM_SPEC)
     if not norm2 > 0:
@@ -196,7 +211,7 @@ class NumerovError(RuntimeError):
     """Eigenvalue search failed to bracket or converge."""
 
 
-def _tail_margin(potential, E, mass, hbar, q_start, direction, width, target):
+def _tail_margin(potential, E, q_start, direction, width, target):
     """Distance beyond a turning point where the decay exponent hits target.
 
     Length-capped: a hard wall four well-widths out shifts eigenvalues by
@@ -204,12 +219,12 @@ def _tail_margin(potential, E, mass, hbar, q_start, direction, width, target):
     nearly-flat tails near the dissociation threshold.
     """
     step = max(width / 40.0, 1e-4)
-    q = march_tail(potential, E, mass, hbar, q_start, direction, step, target,
+    q = march_tail(potential, E, q_start, direction, step, target,
                    cap=4.0 * width + 40.0 * step)
     return abs(q - q_start)
 
 
-def _grid(potential, E, mass, hbar, q_m):
+def _grid(potential, E, q_m):
     """Numerov grid for energy E: its first node, its step and V on it.
 
     The grid spans both turning points at E and tails beyond them in which
@@ -219,16 +234,14 @@ def _grid(potential, E, mass, hbar, q_m):
     on it needs rescaling: a solution grows by about exp(TAIL_EXPONENT)
     across each tail, hundreds of orders of magnitude short of overflow.
     """
-    tp = find_turning_points(potential, E, mass, q_m=q_m)
+    tp = find_turning_points(potential, E, q_m=q_m)
     width = tp.q_plus - tp.q_minus
-    dl = _tail_margin(potential, E, mass, hbar, tp.q_minus, -1.0, width,
-                      TAIL_EXPONENT)
-    dr = _tail_margin(potential, E, mass, hbar, tp.q_plus, +1.0, width,
-                      TAIL_EXPONENT)
+    dl = _tail_margin(potential, E, tp.q_minus, -1.0, width, TAIL_EXPONENT)
+    dr = _tail_margin(potential, E, tp.q_plus, +1.0, width, TAIL_EXPONENT)
     lo, hi = tp.q_minus - dl, tp.q_plus + dr
     V = potential.eval(np.linspace(lo, hi, 64))[0]
-    max_q = float(np.max(np.abs(2.0 * mass * (V - E))))
-    h = math.sqrt(STEP_FACTOR * hbar * hbar / max_q)
+    max_q = float(np.max(np.abs(2.0 * potential.mass * (V - E))))
+    h = math.sqrt(STEP_FACTOR * potential.hbar * potential.hbar / max_q)
     m = 2 * int(math.ceil(0.5 * (hi - lo) / h)) + 1
     qs = np.linspace(lo, hi, m)
     V = np.empty(m)
@@ -258,13 +271,13 @@ def _march(coeffs):
     return z_prev, z
 
 
-def _count_nodes(potential, E, mass, hbar, q_m):
+def _count_nodes(potential, E, q_m):
     """Nodes of the solution marched across the grid at E from z_0 = 0: the
     number of levels below E."""
-    _, h, V = _grid(potential, E, mass, hbar, q_m)
+    _, h, V = _grid(potential, E, q_m)
     z_prev, z = 0.0, 1.0
     nodes, positive = 0, True
-    for c in _coefficients(V[1:-1], E, h, mass, hbar):
+    for c in _coefficients(V[1:-1], E, h, potential.mass, potential.hbar):
         z_prev, z = z, c * z - z_prev
         if (z > 0.0) is not positive:
             positive = not positive
@@ -284,7 +297,7 @@ def _casoratian(c, k):
             / (math.hypot(z_k, z_k1) * math.hypot(u_k, u_k1)))
 
 
-def numerov_solve(potential, n, hbar=1.0, mass=1.0):
+def numerov_solve(potential, n):
     """Eigenvalue of level n by Numerov's method: node counting brackets it,
     matching converges on it (J. W. Cooley, *Math. Comp.* 15 (1961) 363).
 
@@ -299,18 +312,19 @@ def numerov_solve(potential, n, hbar=1.0, mass=1.0):
     """
     from .potentials import find_minimum
 
+    hbar, mass = potential.hbar, potential.mass
     q_m = find_minimum(potential)
     v_min, _, curv, _ = potential.eval(q_m)
     e_unit = hbar * math.sqrt(max(curv, 1e-12) / mass)
     cap_e = energy_ceiling(potential, q_m, v_min)
     lo = v_min + 0.05 * e_unit
-    n_lo = _count_nodes(potential, lo, mass, hbar, q_m)
+    n_lo = _count_nodes(potential, lo, q_m)
     if n_lo > n:
         raise NumerovError("lower probe already has too many nodes")
     span = e_unit * (n + 1.5)
     for _ in range(60):
         cand = min(lo + span, cap_e)
-        count = _count_nodes(potential, cand, mass, hbar, q_m)
+        count = _count_nodes(potential, cand, q_m)
         if count > n:
             hi, n_hi = cand, count
             break
@@ -324,7 +338,7 @@ def numerov_solve(potential, n, hbar=1.0, mass=1.0):
         if n_lo == n and n_hi == n + 1 and hi < cap_e:
             break
         mid = 0.5 * (lo + hi)
-        count = _count_nodes(potential, mid, mass, hbar, q_m)
+        count = _count_nodes(potential, mid, q_m)
         if count > n:
             hi, n_hi = mid, count
         else:
@@ -332,9 +346,8 @@ def numerov_solve(potential, n, hbar=1.0, mass=1.0):
     else:
         raise NumerovError("could not isolate level n=%d in [%r, %r]"
                            % (n, lo, hi))
-    q_0, h, V = _grid(potential, hi, mass, hbar, q_m)
-    q_match = find_turning_points(potential, 0.5 * (lo + hi), mass,
-                                  q_m=q_m).q_plus
+    q_0, h, V = _grid(potential, hi, q_m)
+    q_match = find_turning_points(potential, 0.5 * (lo + hi), q_m=q_m).q_plus
     k = 2 * int(round(0.5 * (q_match - q_0) / h))
     energies = []
     for stride in (1, 2):

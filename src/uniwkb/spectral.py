@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .potentials import (TurningPoints, energy_ceiling, find_minimum,
-                         find_turning_points, march_tail, q_bundle_many)
+                         find_turning_points, q_bundle_many, tail_cut)
 # unused here, kept importable: perfbench/tracer.py wraps spectral.q_bundle
 from .potentials import q_bundle  # noqa: F401
 from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integrate
@@ -36,7 +36,6 @@ from .wkb_core import A_SWITCH, airy_variable, terms_many
 # downstream inherits that accuracy
 PHASE_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
 PHASE_RESIDUAL_TOL = 1e-11
-TAIL_DECAY = 45.0   # truncate forbidden tails once exp(-integral kappa) ~ 3e-20
 
 
 class QuantizationError(RuntimeError):
@@ -60,16 +59,16 @@ class EigenSolution:
     dpsi: Callable
     h_psi: Callable
     potential: object
-    hbar: float
-    mass: float
     q_lo: float
     q_hi: float
     breaks: tuple
+    hbar = property(lambda self: self.potential.hbar)
+    mass = property(lambda self: self.potential.mass)
 
 
-def _terms_at(potential, q, E, hbar, mass, region):
-    b = q_bundle_many(potential, q, E, mass)
-    return terms_many(b.Q, b.dQ, b.d2Q, b.d3Q, hbar, region)
+def _terms_at(potential, q, E, region):
+    b = q_bundle_many(potential, q, E, potential.mass)
+    return terms_many(b.Q, b.dQ, b.d2Q, b.d3Q, potential.hbar, region)
 
 
 def airy_argument(potential, q, E, hbar, mass):
@@ -77,24 +76,26 @@ def airy_argument(potential, q, E, hbar, mass):
     `wkb_core.airy_variable` of the Q bundle at q.
 
     Zero at the turning points, +/-inf where the potential is stationary
-    away from them.
+    away from them.  Callers pass the potential's own hbar and mass.
     """
     b = q_bundle_many(potential, q, E, mass)
     return airy_variable(b.Q, b.dQ, hbar)
 
 
-def _breaks(potential, anchors, E, hbar, mass):
+def _breaks(potential, anchors, E):
     """The anchors with every point where |a| crosses the Airy/series switch
     inserted between consecutive anchors."""
+    units = (potential.hbar, potential.mass)
+
     def g_of(q):
-        val = abs(float(airy_argument(potential, np.array([q]), E, hbar, mass)[0]))
+        val = abs(float(airy_argument(potential, np.array([q]), E, *units)[0]))
         return (val if math.isfinite(val) else 1e12) - A_SWITCH
 
     edges = [anchors[0]]
     for qa, qb in zip(anchors, anchors[1:]):
         if qb > qa:
             qs = np.linspace(qa, qb, 257)
-            g = np.abs(airy_argument(potential, qs, E, hbar, mass)) - A_SWITCH
+            g = np.abs(airy_argument(potential, qs, E, *units)) - A_SWITCH
             g = np.where(np.isnan(g), 1.0, g)
             for i in np.flatnonzero((g[:-1] > 0) != (g[1:] > 0)).tolist():
                 # refine to the ulp so the evaluation-path switch lands
@@ -106,46 +107,37 @@ def _breaks(potential, anchors, E, hbar, mass):
     return edges
 
 
-def _tail_cut(potential, E, mass, hbar, q_start, direction, width):
-    """Truncation point where the forbidden decay exponent reaches TAIL_DECAY."""
-    q = march_tail(potential, E, mass, hbar, q_start, direction,
-                   max(width / 50.0, 1e-4), TAIL_DECAY, max_steps=200000)
-    if q is None:
-        raise QuadratureError("forbidden tail failed to reach the decay target")
-    return q
-
-
-def phase_integral(potential, E, hbar=1.0, mass=1.0, q_m=None):
+def phase_integral(potential, E, q_m=None):
     """Accumulated oscillation phase across the classically allowed region.
 
     q_m, the well minimum, may be passed in when already known.
     """
-    tp = find_turning_points(potential, E, mass, q_m=q_m)
+    tp = find_turning_points(potential, E, q_m=q_m)
 
     def f(q):
-        return _terms_at(potential, q, E, hbar, mass, "allowed")[1]
+        return _terms_at(potential, q, E, "allowed")[1]
 
-    edges = _breaks(potential, [tp.q_minus, tp.q_m, tp.q_plus], E, hbar, mass)
+    edges = _breaks(potential, [tp.q_minus, tp.q_m, tp.q_plus], E)
     return float(integrate(f, edges, PHASE_SPEC))
 
 
-def _first_order_phase(potential, E, hbar, mass, q_m):
+def _first_order_phase(potential, E, q_m):
     """Bohr-Sommerfeld phase: the integral of sqrt(2m(E - V))/hbar between
     the turning points, each half over s with q = q-/+ +/- s^2 from the
     turning point (s = 0) to q_m, which takes out the square-root zeros."""
-    tp = find_turning_points(potential, E, mass, q_m=q_m)
+    tp = find_turning_points(potential, E, q_m=q_m)
     s_lo, s_hi = math.sqrt(q_m - tp.q_minus), math.sqrt(tp.q_plus - q_m)
 
     def f(x):   # x in [-s_lo, 0] covers the left half, [0, s_hi] the right
         s = np.where(x < 0.0, x + s_lo, s_hi - x)
         q = np.where(x < 0.0, tp.q_minus + s * s, tp.q_plus - s * s)
-        Q = q_bundle_many(potential, q, E, mass).Q
-        return 2.0 * s * np.sqrt(np.maximum(-Q, 0.0)) / hbar
+        Q = q_bundle_many(potential, q, E, potential.mass).Q
+        return 2.0 * s * np.sqrt(np.maximum(-Q, 0.0)) / potential.hbar
 
     return float(integrate(f, [-s_lo, 0.0, s_hi], PHASE_SPEC))
 
 
-def solve_quantization(potential, n, hbar=1.0, mass=1.0):
+def solve_quantization(potential, n):
     """Energy where the accumulated phase equals pi*(n + 2/3).
 
     Level n is refused when the first-order phase Phi1 at the energy
@@ -160,15 +152,15 @@ def solve_quantization(potential, n, hbar=1.0, mass=1.0):
     # no energy above the ceiling has both turning points in the search reach
     ceiling = energy_ceiling(potential, q_m, v_min)
     first, target = math.pi * (n + 0.5), math.pi * (n + 2.0 / 3.0)
-    phi_top = _first_order_phase(potential, ceiling, hbar, mass, q_m)
+    phi_top = _first_order_phase(potential, ceiling, q_m)
     if phi_top < first:
         raise QuantizationError(
             "level n=%d lies above the energy ceiling %.10g: below it the well "
             "supports %d levels" % (n, ceiling, math.floor(phi_top / math.pi + 0.5)))
-    lo = hybrid_root(lambda E: _first_order_phase(potential, E, hbar, mass, q_m)
+    lo = hybrid_root(lambda E: _first_order_phase(potential, E, q_m)
                      - first, v_min, ceiling, flo=-first, fhi=phi_top - first,
                      rel_tol=1e-8)
-    g = lambda E: phase_integral(potential, E, hbar, mass, q_m=q_m) - target
+    g = lambda E: phase_integral(potential, E, q_m=q_m) - target
     g_lo = g(lo)
     step = math.copysign(0.05 * (lo - v_min) / (n + 0.5), -g_lo)
     for _ in range(100):
@@ -186,7 +178,7 @@ def solve_quantization(potential, n, hbar=1.0, mass=1.0):
     raise QuantizationError("could not bracket the level-%d root" % n)
 
 
-def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
+def assemble(potential, e_sp, n):
     """Bound-state solution at energy e_sp for level n.
 
     u = exp(F_mean(q) - F_mean(q-))*cos(F_phase(q) - pi/3) on the whole
@@ -199,12 +191,13 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
     psi = c*u, dpsi = c*u' and h_psi = c*Hu with c = <u|u>^(-1/2), and
     e_bar = <u|H|u>/<u|u>.
     """
-    tp = find_turning_points(potential, e_sp, mass)
+    hbar, mass = potential.hbar, potential.mass
+    tp = find_turning_points(potential, e_sp)
     width = tp.q_plus - tp.q_minus
-    t_lo = _tail_cut(potential, e_sp, mass, hbar, tp.q_minus, -1.0, width)
-    t_hi = _tail_cut(potential, e_sp, mass, hbar, tp.q_plus, +1.0, width)
+    t_lo = tail_cut(potential, e_sp, tp.q_minus, -1.0, width)
+    t_hi = tail_cut(potential, e_sp, tp.q_plus, +1.0, width)
     edges = _breaks(potential, [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi],
-                    e_sp, hbar, mass)
+                    e_sp)
 
     def by_region(q, f, rows=()):
         """f(x, region) on each region's share of q (q < q-, [q-, q+],
@@ -219,7 +212,7 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
         return out.reshape(rows + np.shape(q))
 
     def exponents(x, region):
-        return np.stack(_terms_at(potential, x, e_sp, hbar, mass, region)[:2])
+        return np.stack(_terms_at(potential, x, e_sp, region)[:2])
 
     F = CumulativeCheb(lambda t: by_region(t, exponents, (2,)), edges, PHASE_SPEC)
     mean_minus = F(tp.q_minus)[0]
@@ -278,8 +271,8 @@ def assemble(potential, e_sp, n, hbar=1.0, mass=1.0):
                          turning=tp, psi=sampler(u_of),
                          dpsi=sampler(lambda x, region: jet(x, region)[1]),
                          h_psi=sampler(lambda x, region: jet(x, region)[2]),
-                         potential=potential, hbar=hbar, mass=mass,
-                         q_lo=t_lo, q_hi=t_hi, breaks=tuple(edges))
+                         potential=potential, q_lo=t_lo, q_hi=t_hi,
+                         breaks=tuple(edges))
 
 
 def expectation_h2(solution, spec):

@@ -323,7 +323,7 @@ def _horner(coef, z):
     return p, dp
 
 
-def riccati_residual(q: float, E: float, potential, hbar: float, mass: float) -> float:
+def riccati_residual(q: float, E: float, potential) -> float:
     """|Y' + Y^2 - Q/hbar^2| / (|Q|/hbar^2) in the forbidden region.
 
     Y' comes from a five-point central difference of the mean term with the
@@ -332,6 +332,7 @@ def riccati_residual(q: float, E: float, potential, hbar: float, mass: float) ->
     """
     from .potentials import q_bundle_many
 
+    hbar, mass = potential.hbar, potential.mass
     b = q_bundle_many(potential, q, E, mass)
     Q, dQ, d2Q = float(b.Q), float(b.dQ), float(b.d2Q)
     if dQ != 0.0:

@@ -128,8 +128,7 @@ def test_2_linear_well_forbidden_riccati(capsys):
         qt = E / k
         span = 14.0 / (2.0 * k) ** (1.0 / 3.0)
         qs = np.linspace(qt + 0.1, qt + span, 100)
-        res = max(wkb_core.riccati_residual(float(q), E, pot, 1.0, 1.0)
-                  for q in qs)
+        res = max(wkb_core.riccati_residual(float(q), E, pot) for q in qs)
         worst = max(worst, res)
     ok = worst <= 1e-8
     _report(capsys, 2, ok, "max relative Riccati residual %.2e (allowed 1e-8) over "
@@ -267,7 +266,7 @@ def test_6_reference_solutions_cross_check(capsys):
         win = np.linspace(a, b, 3001)
         V = np.array([pot.eval(float(q))[0] for q in win])
         for n in LEVELS:
-            lev = exact_wavefunction(kind, params, n)
+            lev = exact_wavefunction(pot, n)
             d2 = (-lev.psi(win + 2 * h) + 16.0 * lev.psi(win + h)
                   - 30.0 * lev.psi(win) + 16.0 * lev.psi(win - h)
                   - lev.psi(win - 2 * h)) / (12.0 * h * h)
@@ -280,7 +279,8 @@ def test_6_reference_solutions_cross_check(capsys):
     worst_ov = 0.0
     for kind, params in CELLS:
         qs = DENSE_GRID[kind]
-        ys = [exact_wavefunction(kind, params, n).psi(qs) for n in LEVELS]
+        pot = make_builtin(kind, params)
+        ys = [exact_wavefunction(pot, n).psi(qs) for n in LEVELS]
         for i in range(4):
             for j in range(4):
                 ov = np.trapezoid(ys[i] * ys[j], qs)

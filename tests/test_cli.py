@@ -317,7 +317,7 @@ def test_dump_airy_argument_vanishes_at_turning_points():
     from uniwkb.spectral import solve_quantization
     pot = make_builtin("harmonic", {"k": 0.5})
     e_sp = solve_quantization(pot, 0)
-    tp = find_turning_points(pot, e_sp, 1.0)
+    tp = find_turning_points(pot, e_sp)
     cfg = make_config(["dump", "--potential", "harmonic", "--param", "k=0.5",
                        "--levels", "0"])
     text = cmd_dump(cfg, DumpGrid(11, tp.q_minus, tp.q_plus))

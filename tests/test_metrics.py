@@ -3,6 +3,7 @@ spot checks against the published comparison values."""
 
 import dataclasses
 import hashlib
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from uniwkb.metrics import (GOLDEN_ENV, METRIC_NAMES, GoldenDataError,
                             golden_path, level_metrics, load_golden,
                             overlap_metrics)
 from uniwkb.potentials import make_builtin
-from uniwkb.reference import exact_wavefunction
+from uniwkb.reference import exact_energy, exact_wavefunction, numerov_solve
 from uniwkb.spectral import assemble, solve_quantization
 
 _ROWS = {}
@@ -83,7 +84,7 @@ def test_delta_e_trivial_and_zero_division():
 
 def _self_approx(kind, params, n, breaks):
     """Exact state dressed with the sampler fields the overlap metrics use."""
-    ex = exact_wavefunction(kind, params, n)
+    ex = exact_wavefunction(make_builtin(kind, params), n)
     return ex, SimpleNamespace(psi=ex.psi, dpsi=ex.dpsi, breaks=breaks)
 
 
@@ -107,7 +108,7 @@ def test_delta_psi_flags_sign_misalignment():
 def test_metrics_pass_samples_each_sampler_once_per_node():
     pot = make_builtin("harmonic", {"k": 0.5})
     sol = assemble(pot, solve_quantization(pot, 1), 1)
-    ex = exact_wavefunction("harmonic", pot.params, 1)
+    ex = exact_wavefunction(pot, 1)
     calls = {"psi": 0, "dpsi": 0, "h_psi": 0}
 
     def counted(name):
@@ -284,3 +285,34 @@ def test_metrics_invariant_under_unit_rescaling():
                            hbar=0.7, mass=3.0)
     for metric in METRIC_NAMES:
         assert abs(getattr(scaled, metric) - getattr(base, metric)) < 1e-6
+
+
+def test_every_solver_reads_the_units_of_the_potential():
+    # Morse gamma = 4.5 built at hbar = 2: the quantizer, the assembly, the
+    # Numerov oracle and the exact state all solve the problem the
+    # potential states, whose ground level is -hbar^2 (gamma - 1/2)^2 / 2
+    pot = make_builtin("morse", {"gamma": 4.5}, hbar=2.0)
+    e_exact = exact_energy("morse", pot.params, 0, hbar=2.0)
+    assert e_exact == -32.0
+    # in units of hbar^2 alpha^2 / 2m the problem is the hbar = 1 one
+    e_unit = solve_quantization(make_builtin("morse", {"gamma": 4.5}), 0)
+    e_sp = solve_quantization(pot, 0)
+    assert abs(e_sp / e_exact - e_unit / -8.0) < 1e-9
+    sol = assemble(pot, e_sp, 0)
+    assert (sol.hbar, sol.mass) == (2.0, 1.0)
+    row = benchmark_row("morse", {"gamma": 4.5}, 0, hbar=2.0)
+    assert delta_e(sol.e_bar, e_exact) == row.delta_e
+    assert abs(row.delta_e) < 2e-3
+    assert abs(numerov_solve(pot, 0) / e_exact - 1.0) < 1e-8
+    ex = exact_wavefunction(pot, 0)
+    assert ex.energy == e_exact
+    assert level_metrics(ex, sol) == {m: getattr(row, m) for m in METRIC_NAMES}
+    # H psi = E psi with H = -(hbar^2/2m) d^2/dq^2 + V
+    win = np.linspace(sol.turning.q_minus - 0.5, sol.turning.q_plus + 0.5, 3001)
+    h = 1e-3
+    d2 = (-ex.psi(win + 2 * h) + 16.0 * ex.psi(win + h) - 30.0 * ex.psi(win)
+          + 16.0 * ex.psi(win - h) - ex.psi(win - 2 * h)) / (12.0 * h * h)
+    hpsi = -2.0 * d2 + pot.eval(win)[0] * ex.psi(win)
+    num = math.sqrt(np.trapezoid((hpsi - e_exact * ex.psi(win)) ** 2, win))
+    den = abs(e_exact) * math.sqrt(np.trapezoid(ex.psi(win) ** 2, win))
+    assert num / den < 1e-7

@@ -79,6 +79,20 @@ def test_parameter_validation():
         make_builtin("coulomb", {})
 
 
+@pytest.mark.parametrize("name,value", [("hbar", 0.0), ("hbar", -1.0),
+                                        ("hbar", math.inf), ("mass", 0.0),
+                                        ("mass", math.nan), ("mass", -2.0)])
+def test_constructors_check_the_units(name, value):
+    # hbar = 0 used to end as a quadrature stall, hbar = -1 as a well with
+    # -1800 levels, and mass = 0 as a ZeroDivisionError in the Morse depth
+    units = {name: value}
+    for build in (lambda: make_builtin("morse", {"gamma": 4.5}, **units),
+                  lambda: make_builtin("harmonic", {}, **units),
+                  lambda: parse_potential("q^2", {}, **units)):
+        with pytest.raises(ParameterError, match=name):
+            build()
+
+
 def test_param_aliases():
     m = make_builtin("morse", {"g": 4.5})
     assert m.params["gamma"] == 4.5
@@ -210,12 +224,12 @@ def test_find_minimum():
 
 def test_find_turning_points():
     h = make_builtin("harmonic", {"k": 0.5})
-    tp = find_turning_points(h, 0.5, 1.0)
+    tp = find_turning_points(h, 0.5)
     assert abs(tp.q_minus + 1.0) < 1e-12
     assert abs(tp.q_plus - 1.0) < 1e-12
     assert abs(tp.q_m) < 1e-12
     m = make_builtin("morse", {"gamma": 4.5, "alpha": 1.0})
-    tp = find_turning_points(m, -8.0, 1.0)
+    tp = find_turning_points(m, -8.0)
     y = 1.0 + math.sqrt(1.0 - 16.0 / 20.25)
     assert abs(tp.q_minus - (-math.log(y))) < 1e-10
     y = 1.0 - math.sqrt(1.0 - 16.0 / 20.25)
@@ -223,7 +237,7 @@ def test_find_turning_points():
     assert tp.q_minus < tp.q_m < tp.q_plus
     # exp(q^2/2) overflows past |q| = 37.7, inside the search limit; the
     # walk must stop at the sign change before it evaluates there
-    tp = find_turning_points(parse_potential("exp(q^2/2)", {}), 2.0, 1.0)
+    tp = find_turning_points(parse_potential("exp(q^2/2)", {}), 2.0)
     q_t = math.sqrt(2.0 * math.log(2.0))
     assert abs(tp.q_minus + q_t) < 1e-12 and abs(tp.q_plus - q_t) < 1e-12
 
@@ -234,7 +248,7 @@ def test_turning_point_residual_bound():
         (make_builtin("morse", {"gamma": 4.5}), -0.504),
         (make_builtin("poschl_teller", {"lambda": 5.0}), -0.495),
     ]:
-        tp = find_turning_points(pot, E, 1.0)
+        tp = find_turning_points(pot, E)
         q_cap = max(abs(q_bundle(pot, tp.q_m, E, 1.0).Q), 2.0 * abs(E))
         assert abs(q_bundle(pot, tp.q_minus, E, 1.0).Q) <= 1e-10 * q_cap
         assert abs(q_bundle(pot, tp.q_plus, E, 1.0).Q) <= 1e-10 * q_cap
@@ -247,10 +261,10 @@ def test_turning_points_found_up_to_the_energy_ceiling():
     q_m = find_minimum(pot)
     E = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
     assert E == 1800.0 - 1e-9 * 1800.0
-    tp = find_turning_points(pot, E, 1.0, q_m=q_m)
+    tp = find_turning_points(pot, E, q_m=q_m)
     assert abs(tp.q_minus + 60.0) < 1e-6 and abs(tp.q_plus - 60.0) < 1e-6
     with pytest.raises(BracketError):
-        find_turning_points(pot, 1800.0 * (1.0 + 1e-9), 1.0, q_m=q_m)
+        find_turning_points(pot, 1800.0 * (1.0 + 1e-9), q_m=q_m)
 
 
 @pytest.mark.parametrize("src", [
@@ -267,7 +281,7 @@ def test_turning_points_found_at_the_energy_ceiling(src):
     v_min = pot.eval(q_m)[0]
     E = energy_ceiling(pot, q_m, v_min)
     assert v_min < E < math.inf
-    tp = find_turning_points(pot, E, 1.0, q_m=q_m)
+    tp = find_turning_points(pot, E, q_m=q_m)
     assert tp.q_minus < q_m < tp.q_plus
 
 
@@ -287,10 +301,10 @@ def test_energy_ceiling_bounds():
 def test_turning_point_errors():
     h = make_builtin("harmonic", {"k": 0.5})
     with pytest.raises(NoBoundRegionError):
-        find_turning_points(h, 0.0, 1.0)  # E = V_min
+        find_turning_points(h, 0.0)  # E = V_min
     m = make_builtin("morse", {"gamma": 4.5})
     with pytest.raises(BracketError):
-        find_turning_points(m, 0.5, 1.0)  # above dissociation, right side open
+        find_turning_points(m, 0.5)  # above dissociation, right side open
 
 
 # ---- array evaluation ----
@@ -444,7 +458,7 @@ def test_q_bundle_overflow_raises_without_warnings():
 
 # ---- turning-point walk ----
 
-def _scalar_turning_points(potential, E, mass):
+def _scalar_turning_points(potential, E):
     """Turning points from a walk of one scalar q_bundle per step, with
     steps growing by 1.5 from 1e-3 of the search half-width and the last
     step cut short at -/+(|q_m| + twice the half-width), then Brent.
@@ -454,7 +468,7 @@ def _scalar_turning_points(potential, E, mass):
     if not E > potential.eval(q_m)[0]:
         raise NoBoundRegionError("no allowed region")
     half = SEARCH_HALF_WIDTH / potential.alpha
-    Qf = lambda q: q_bundle(potential, q, E, mass).Q
+    Qf = lambda q: q_bundle(potential, q, E, potential.mass).Q
     f0 = Qf(q_m)
 
     def walk(h):
@@ -494,14 +508,14 @@ def _turning_outcome(search, *args):
 def test_turning_points_equal_scalar_walk(model, e_frac):
     v_min = model.eval(find_minimum(model))[0]
     E = v_min + e_frac * max(abs(v_min), 1.0)
-    want = _turning_outcome(_scalar_turning_points, model, E, model.mass)
-    got = _turning_outcome(find_turning_points, model, E, model.mass)
+    want = _turning_outcome(_scalar_turning_points, model, E)
+    got = _turning_outcome(find_turning_points, model, E)
     assert got == want
 
 
 # ---- forbidden-tail march ----
 
-def _scalar_steps(potential, E, mass, hbar, q_start, direction, step):
+def _scalar_steps(potential, E, q_start, direction, step):
     """(q, running kappa integral) after each step, one scalar q_bundle per
     step: the loop that march_tail replaced."""
     kappa_int = 0.0
@@ -509,27 +523,32 @@ def _scalar_steps(potential, E, mass, hbar, q_start, direction, step):
     k_prev = 0.0
     while True:
         q += direction * step
-        k = math.sqrt(max(q_bundle(potential, q, E, mass).Q, 0.0)) / hbar
+        Q = q_bundle(potential, q, E, potential.mass).Q
+        k = math.sqrt(max(Q, 0.0)) / potential.hbar
         kappa_int += 0.5 * (k + k_prev) * step
         k_prev = k
         yield q, kappa_int
 
 
-def _scalar_march(potential, E, mass, hbar, q_start, direction, step, target,
-                  cap, max_steps):
-    steps = _scalar_steps(potential, E, mass, hbar, q_start, direction, step)
-    for q, kappa_int in itertools.islice(steps, max_steps):
-        if kappa_int >= target or abs(q - q_start) >= cap:
-            return q
+def _scalar_march(potential, E, q_start, direction, step, target, cap,
+                  max_steps):
+    """The loop's stop point: where the integral reaches target or the
+    distance reaches cap, else the last point before one whose Q bundle
+    raises; None when max_steps steps do none of these."""
+    steps = _scalar_steps(potential, E, q_start, direction, step)
+    q = q_start
+    try:
+        for q, kappa_int in itertools.islice(steps, max_steps):
+            if kappa_int >= target or abs(q - q_start) >= cap:
+                return q
+    except (ArithmeticError, ValueError):
+        return q
     return None
 
 
 def _march_outcome(march, *args):
-    """The stop point as exact hex (or None), or the overflow raised."""
-    try:
-        q = march(*args)
-    except OverflowError:
-        return "OverflowError"
+    """The stop point as exact hex, or None."""
+    q = march(*args)
     return None if q is None else float(q).hex()
 
 
@@ -552,24 +571,26 @@ def test_march_tail_equals_scalar_loop(model, e_frac, u0, direction, step,
     if tie_step is not None:
         # a target equal to the loop's running integral at some step stops
         # there only if the integral is summed in the same order
-        steps = _scalar_steps(model, E, model.mass, model.hbar, q_start,
-                              direction, step)
+        steps = _scalar_steps(model, E, q_start, direction, step)
         try:
             _, target = next(itertools.islice(steps, tie_step - 1, None))
         except OverflowError:
             pass
-    args = (model, E, model.mass, model.hbar, q_start, direction, step,
-            target, cap, max_steps)
+    args = (model, E, q_start, direction, step, target, cap, max_steps)
     want = _march_outcome(_scalar_march, *args)
     got = _march_outcome(march_tail, *args)
     assert got == want
 
 
 def test_march_tail_does_not_raise_beyond_its_stop():
-    # blocks reach past q = -354.9, where the Morse exp(-2q) overflows, but
+    # blocks reach past q = -352.5, where the Morse 2m*V''' overflows, but
     # the march stops at q = -340 first
     morse = make_builtin("morse", {"gamma": 4.5})
-    args = (morse, -1.0, 1.0, 1.0, -330.0, -1.0, 2.0, math.inf, 10.0, None)
+    args = (morse, -1.0, -330.0, -1.0, 2.0, math.inf, 10.0, None)
     assert march_tail(*args) == _scalar_march(*args) == -340.0
-    with pytest.raises(OverflowError):
-        march_tail(morse, -1.0, 1.0, 1.0, -330.0, -1.0, 2.0, math.inf, 30.0)
+    # with its cap past the overflow, the march stops at the last point it
+    # can evaluate, as energy_ceiling's walk does
+    args = (morse, -1.0, -330.0, -1.0, 2.0, math.inf, 30.0, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert march_tail(*args) == _scalar_march(*args) == -352.0

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from uniwkb import reference
-from uniwkb.potentials import (HARMONIC_SENTINEL, bound_count, make_builtin,
+from uniwkb.potentials import (HARMONIC_SENTINEL, bound_count,
+                               find_turning_points, make_builtin,
                                parse_potential)
 from uniwkb.reference import (
     LevelIndexError,
@@ -71,12 +72,12 @@ def test_level_index_error():
     with pytest.raises(LevelIndexError):
         exact_energy("morse", {"gamma": 4.5, "alpha": 1.0}, 4)
     with pytest.raises(LevelIndexError):
-        exact_wavefunction("poschl_teller", {"lambda": 5.0, "alpha": 1.0}, -1)
+        exact_wavefunction(make_builtin("poschl_teller", {"lambda": 5.0}), -1)
 
 
 def test_harmonic_ground_state_value():
     # psi_0(0) = pi^(-1/4) for k = m = hbar = 1/2-unit oscillator
-    lev = exact_wavefunction("harmonic", {"k": 0.5}, 0)
+    lev = exact_wavefunction(make_builtin("harmonic", {"k": 0.5}), 0)
     want = math.pi ** -0.25
     assert abs(float(lev.psi(np.array([0.0]))[0]) - want) < 1e-12
 
@@ -85,7 +86,7 @@ def test_harmonic_ground_state_value():
 def test_normalization_on_independent_grid(kind, params):
     qs = DENSE_GRID[kind]
     for n in range(4):
-        lev = exact_wavefunction(kind, params, n)
+        lev = exact_wavefunction(make_builtin(kind, params), n)
         y = lev.psi(qs)
         norm = np.trapezoid(y * y, qs)
         assert abs(norm - 1.0) < 1e-10, (kind, n, norm)
@@ -96,7 +97,7 @@ def test_node_counts_and_left_tail_sign(kind, params):
     qs = DENSE_GRID[kind]
     probe = qs[0] + 1e-3 * (qs[-1] - qs[0])
     for n in range(4):
-        lev = exact_wavefunction(kind, params, n)
+        lev = exact_wavefunction(make_builtin(kind, params), n)
         y = lev.psi(qs)
         s = np.sign(y)
         s = s[s != 0]
@@ -113,7 +114,7 @@ def test_high_harmonic_states(n):
     qs = np.linspace(-24.0, 24.0, 480001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lev = exact_wavefunction("harmonic", {"k": 0.5}, n)
+        lev = exact_wavefunction(make_builtin("harmonic", {"k": 0.5}), n)
         y = lev.psi(qs)
         dy = lev.dpsi(qs[2:-2])
     assert abs(np.trapezoid(y * y, qs) - 1.0) < 1e-10
@@ -128,7 +129,7 @@ def test_high_harmonic_states(n):
 @pytest.mark.parametrize("kind,params", CELLS)
 def test_orthonormality(kind, params):
     qs = DENSE_GRID[kind]
-    ys = [exact_wavefunction(kind, params, n).psi(qs) for n in range(4)]
+    ys = [exact_wavefunction(make_builtin(kind, params), n).psi(qs) for n in range(4)]
     for i in range(4):
         for j in range(4):
             ov = np.trapezoid(ys[i] * ys[j], qs)
@@ -144,7 +145,7 @@ def test_schrodinger_residual(kind, params):
     V = np.array([pot.eval(float(q))[0] for q in win])
     h = 1e-3
     for n in range(4):
-        lev = exact_wavefunction(kind, params, n)
+        lev = exact_wavefunction(pot, n)
         d2 = (-lev.psi(win + 2 * h) + 16.0 * lev.psi(win + h)
               - 30.0 * lev.psi(win) + 16.0 * lev.psi(win - h)
               - lev.psi(win - 2 * h)) / (12.0 * h * h)
@@ -159,11 +160,54 @@ def test_dpsi_matches_finite_difference(kind, params):
     qt = np.linspace(-0.8, 1.1, 7)
     h = 1e-5
     for n in range(4):
-        lev = exact_wavefunction(kind, params, n)
+        lev = exact_wavefunction(make_builtin(kind, params), n)
         fd = (lev.psi(qt + h) - lev.psi(qt - h)) / (2.0 * h)
         dp = lev.dpsi(qt)
         err = np.max(np.abs(fd - dp) / np.maximum(1.0, np.abs(dp)))
         assert err < 1e-8, (kind, n, err)
+
+
+@pytest.mark.parametrize("gamma,n", [(100.5, 0), (100.5, 10), (130.5, 0),
+                                     (130.5, 10), (200.5, 0), (200.5, 10),
+                                     (200.5, 150)])
+def test_large_gamma_morse_states(gamma, n):
+    """Deep Morse wells, where the squared state left double range at its
+    peak and the support cut fell inside the well: no floating-point
+    warning, and the unit norm, node count, left-tail sign, Schrödinger
+    residual and dpsi checks of the benchmark cells at their thresholds.
+    The difference steps scale with the level's shortest length 1/k_max,
+    k_max = sqrt(2(E - V_min)); the benchmark cells' fixed steps serve
+    1/k_max between 0.2 and 1."""
+    pot = make_builtin("morse", {"gamma": gamma})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lev = exact_wavefunction(pot, n)
+        tp = find_turning_points(pot, lev.energy)
+        width = tp.q_plus - tp.q_minus
+        ell = 1.0 / math.sqrt(2.0 * (lev.energy - pot.eval(tp.q_m)[0]))
+        qs = np.linspace(tp.q_minus - 5 * width, tp.q_plus + 5 * width, 400001)
+        y = lev.psi(qs)
+        win = np.linspace(tp.q_minus - 0.25 * width, tp.q_plus + 0.25 * width,
+                          3001)
+        V = pot.eval(win)[0]
+        h = 1e-2 * ell
+        ys = [lev.psi(win + k * h) for k in (-2, -1, 0, 1, 2)]
+        d2 = (-ys[0] + 16.0 * ys[1] - 30.0 * ys[2] + 16.0 * ys[3]
+              - ys[4]) / (12.0 * h * h)
+        h = 3e-3 * ell
+        fd = (8.0 * (lev.psi(win + h) - lev.psi(win - h))
+              - (lev.psi(win + 2 * h) - lev.psi(win - 2 * h))) / (12.0 * h)
+        dp = lev.dpsi(win)
+    assert abs(np.trapezoid(y * y, qs) - 1.0) < 1e-10
+    s = np.sign(y[y != 0])
+    assert int(np.sum(s[1:] != s[:-1])) == n
+    assert s[0] > 0
+    hpsi = -0.5 * d2 + V * ys[2]
+    num = math.sqrt(np.trapezoid((hpsi - lev.energy * ys[2]) ** 2, win))
+    den = abs(lev.energy) * math.sqrt(np.trapezoid(ys[2] ** 2, win))
+    assert num / den < 1e-7, num / den
+    err = np.max(np.abs(fd - dp) / np.maximum(1.0, np.abs(dp)))
+    assert err < 1e-8, err
 
 
 @pytest.mark.parametrize("kind,params,n", [

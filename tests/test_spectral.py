@@ -202,6 +202,20 @@ def test_near_threshold_left_tail_decays_monotonically():
     assert np.all(psi > 0.0) and np.all(np.diff(psi) > 0.0)
 
 
+def test_tail_cut_stops_where_the_potential_overflows():
+    """The expression twin of that well overflows cosh(q)^2 at |q| = 355.3,
+    before its n = 4 tails reach the decay target: each cut stops at the
+    last point the march can evaluate, and the level agrees with the
+    builtin's, whose sech is a true zero out there."""
+    twin = parse_potential("-B/cosh(q)^2", {"B": 10.22625})
+    pot = make_builtin("poschl_teller", {"lambda": 5.05, "alpha": 1.0})
+    got = assemble(twin, solve_quantization(twin, 4), 4)
+    want = assemble(pot, solve_quantization(pot, 4), 4)
+    assert -355.3 < got.q_lo < -354.0 and 354.0 < got.q_hi < 355.3
+    assert abs(got.e_sp / want.e_sp - 1.0) < 1e-12
+    assert abs(got.e_bar / want.e_bar - 1.0) < 1e-11
+
+
 def _right_tail_parity(sol):
     return np.sign(sol.psi(sol.q_hi)) == (-1) ** sol.n * np.sign(sol.psi(sol.q_lo))
 
@@ -446,8 +460,7 @@ def test_scale_invariance_of_energy_ratio():
     base = get_solution("harmonic", 0)
     ratio0 = base.e_bar / 0.5
     pot = make_builtin("harmonic", {"k": 0.5}, hbar=3.0, mass=2.0)
-    e_sp = solve_quantization(pot, 0, hbar=3.0, mass=2.0)
-    sol = assemble(pot, e_sp, 0, hbar=3.0, mass=2.0)
+    sol = assemble(pot, solve_quantization(pot, 0), 0)
     e_ex = 3.0 * math.sqrt(2.0 * 0.5 / 2.0) * 0.5
     assert abs(sol.e_bar / e_ex - ratio0) < 1e-8
 

@@ -498,7 +498,7 @@ def test_series_terms_equal_per_region_references(pot, e_frac, region):
     orienting by the side matches orienting by sign(Q')."""
     v_min = pot.eval(find_minimum(pot))[0]
     E = v_min + e_frac * (-v_min if v_min < 0 else 10.0)
-    tp = find_turning_points(pot, E, pot.mass)
+    tp = find_turning_points(pot, E)
     width = tp.q_plus - tp.q_minus
     qs = np.linspace(tp.q_minus - 2 * width, tp.q_plus + 4 * width, 2001)
     b = q_bundle_many(pot, qs, E, pot.mass)
