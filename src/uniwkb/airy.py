@@ -8,17 +8,37 @@ combinations:
 * 4.5 < |a| < 9         one local Taylor step away from precomputed checkpoint
                         values; checkpoints are marched once per process along
                         the numerically stable direction for each function.
-* |a| >= 9              large-argument asymptotic expansions (scaled forms on
-                        the positive axis, phase/modulus form on the negative
-                        axis), truncated per element at the smallest term.
+* |a| >= 9              large-argument asymptotic expansions (DLMF 9.7: scaled
+                        forms on the positive axis, phase/modulus form on the
+                        negative axis).
 
 The negative-axis modulus Ai^2 + Bi^2 additionally has its own smooth
-asymptotic series so callers never square oscillatory values there.
+asymptotic series (DLMF 9.8.20) so callers never square oscillatory values
+there.
+
+The solver calls these kernels on a few dozen points at a time, so their
+cost is the number of numpy operations per call, not the work per point.
+Each regime therefore runs one loop over a (rows, n) block rather than one
+loop per function, and every element still goes through the same operations
+in the same order as it would in a loop per function:
+
+* Maclaurin: the running terms of f, g, g' and f' are one (4, n) block.
+* Midrange: the Taylor coefficients of a step from a checkpoint depend only
+  on the checkpoint, so _grids tabulates them once; a query gathers them per
+  order and steps the Ai and Bi rows of every point, either sign, as one
+  (2, n) block.
+* Asymptotic: each family of sums is one (rows, n) block.  The U/V families
+  (Ai, Bi and derivatives) are summed through all N_ASYM terms with no
+  truncation: their terms shrink for k below about 2*zeta, which is 36 at
+  |a| = ASYM_RADIUS and grows with |a|, so they shrink through the last term
+  wherever the expansions are used.  The modulus series' terms turn over
+  inside N_ASYM below |a| of about 12.8, so each of its elements stops at
+  its smallest term.
 
 The module's API is the three array functions eval_many, scaled_many and
 modulus_many.  They take a float or an array of floats and return longdouble
 arrays, so callers that combine values with large cancellation can defer
-rounding.
+rounding.  Each output element depends on its own input element only.
 """
 
 import numpy as np
@@ -73,13 +93,12 @@ def _asym_coeffs(n):
 
 _U, _V = _asym_coeffs(N_ASYM)
 _ALT = np.where(np.arange(N_ASYM) % 2 == 0, LD(1), LD(-1))
-_U_ALT = _U * _ALT
-_V_ALT = _V * _ALT
-# even/odd splits with (-1)^k folded in, for the oscillatory (negative-axis) form
-_U_EVEN = _U[0::2] * _ALT[: len(_U[0::2])]
-_U_ODD = _U[1::2] * _ALT[: len(_U[1::2])]
-_V_EVEN = _V[0::2] * _ALT[: len(_V[0::2])]
-_V_ODD = _V[1::2] * _ALT[: len(_V[1::2])]
+# one row per sum, one column per power of the row's variable
+# positive axis, in 1/zeta: U and V with (-1)^k (Ai), then without (Bi)
+_POS_FAMILIES = np.stack([_U * _ALT, _V * _ALT, _U, _V])
+# negative axis, in 1/xi^2: even and odd halves of U, then of V, (-1)^k folded in
+_NEG_FAMILIES = np.stack([f[s::2] * _ALT[: N_ASYM // 2]
+                          for f in (_U, _V) for s in (0, 1)])
 
 
 def _m2_coeffs(n):
@@ -97,79 +116,106 @@ def _m2_coeffs(n):
 
 
 _M2 = _m2_coeffs(N_ASYM)
-_M2D = _M2 * (LD(6) * np.arange(N_ASYM, dtype=LD) + 1) / 2
+# rows: the modulus series and the series of its a-derivative
+_MODULUS_FAMILIES = np.stack([_M2, _M2 * (LD(6) * np.arange(N_ASYM, dtype=LD) + 1) / 2])
 
 
-def _asym_sum(coef, y):
-    """sum coef[k]*y^k with per-element truncation where terms stop shrinking."""
-    s = np.full(y.shape, coef[0], dtype=LD)
-    p = np.ones(y.shape, dtype=LD)
-    prev = np.full(y.shape, np.abs(coef[0]), dtype=LD)
-    alive = np.ones(y.shape, dtype=bool)
-    for c in coef[1:]:
+def _power_sums(coef, y):
+    """Rows sum_k coef[r, k]*y^k for every element of y, summed in full.
+
+    Only for families whose terms still shrink at the last power wherever
+    they are used (see the module docstring).  Returns (rows,) + y.shape.
+    """
+    p = y
+    s = coef[:, :1] + coef[:, 1:2] * p
+    for c in coef[:, 2:].T:
         p = p * y
-        t = c * p
+        s = s + c[:, None] * p
+    return s
+
+
+def _truncated_sums(coef, y):
+    """Rows sum_k coef[r, k]*y^k, each (row, element) truncated at the first
+    term that does not shrink."""
+    s = coef[:, :1] + np.zeros_like(y)
+    prev = np.abs(s)
+    alive = np.ones(s.shape, dtype=bool)
+    p = np.ones_like(y)
+    for c in coef[:, 1:].T:
+        p = p * y
+        t = c[:, None] * p
         mag = np.abs(t)
+        # once an entry dies its prev no longer matters, so prev is just mag
         alive &= mag < prev
         s = np.where(alive, s + t, s)
-        prev = np.where(alive, mag, prev)
+        prev = mag
     return s
+
+
+# Maclaurin running terms, rows (f, g, g', f') of the two standard solutions
+# f = 1 + a^3/(2*3) + ..., g = a + a^4/(3*4) + ...: step k multiplies every
+# row by a^3, the f' row also by k, and divides each row by _MAC_DEN[k - 1];
+# f' has no k = 1 step, so rows 0-2 run alone there (its entry 0 is unused)
+_MAC_K = np.arange(1, N_MACLAURIN + 1)
+_MAC_DEN = np.stack([(3 * _MAC_K - 1) * (3 * _MAC_K), (3 * _MAC_K) * (3 * _MAC_K + 1),
+                     (3 * _MAC_K - 2) * (3 * _MAC_K),
+                     (_MAC_K - 1) * (3 * _MAC_K - 1) * (3 * _MAC_K)],
+                    axis=1).astype(LD)[:, :, None]
+# Ai, Ai', Bi, Bi' = _MAC_C0 * (f, f', f, f') + _MAC_C1 * (g, g', g, g')
+_MAC_C0 = np.array([AI0, AI0, BI0, BI0], dtype=LD)[:, None]
+_MAC_C1 = np.array([DAI0, DAI0, DBI0, DBI0], dtype=LD)[:, None]
 
 
 def _maclaurin(a):
     """Ai, Ai', Bi, Bi' from the two Maclaurin solutions of y'' = a y."""
     a3 = a * a * a
-    f = np.ones_like(a)
-    g = a.copy()
-    tf = np.ones_like(a)
-    tg = a.copy()
-    f1 = a * a / 2
-    g1 = np.ones_like(a)
-    uf = a * a / 2
-    vg = np.ones_like(a)
-    for k in range(1, N_MACLAURIN + 1):
-        tf = tf * a3 / LD((3 * k - 1) * (3 * k))
-        tg = tg * a3 / LD((3 * k) * (3 * k + 1))
-        f = f + tf
-        g = g + tg
-        if k >= 2:
-            uf = uf * a3 * LD(k) / LD((k - 1) * (3 * k - 1) * (3 * k))
-            f1 = f1 + uf
-        if k >= 1:
-            vg = vg * a3 / LD((3 * k - 2) * (3 * k))
-            g1 = g1 + vg
-    ai = AI0 * f + DAI0 * g
-    dai = AI0 * f1 + DAI0 * g1
-    bi = BI0 * f + DBI0 * g
-    dbi = BI0 * f1 + DBI0 * g1
+    t = np.stack([np.ones_like(a), a, np.ones_like(a), a * a / 2])
+    s = t.copy()
+    t3, s3 = t[:3], s[:3]
+    t3 *= a3
+    t3 /= _MAC_DEN[0, :3]
+    s3 += t3
+    uf = t[3]
+    for k in range(2, N_MACLAURIN + 1):
+        t *= a3
+        uf *= LD(k)
+        t /= _MAC_DEN[k - 1]
+        s += t
+    ai, dai, bi, dbi = _MAC_C0 * s[[0, 3, 0, 3]] + _MAC_C1 * s[[1, 2, 1, 2]]
     return ai, dai, bi, dbi
 
 
-def _taylor_step(t0, y, dy, h, nterms):
-    """One Taylor step for y'' = t*y from t0 to t0+h (vectorized over points)."""
+def _taylor_coeffs(t0, y, dy, nterms):
+    """Taylor coefficients c_k = y^(k+2)(t0)/(k+2)! of y'' = t*y about t0,
+    and d_k = (k+2)*c_k, for k < nterms, each of shape (nterms,) + y.shape."""
     aprev = np.zeros_like(y)
     a0 = y
     a1 = dy
-    val = y + dy * h
-    der = dy.copy() if isinstance(dy, np.ndarray) else dy
-    hp = h * np.ones_like(y)
+    c, d = [], []
     for k in range(nterms):
         a2 = (t0 * a0 + aprev) / LD((k + 2) * (k + 1))
-        der = der + a2 * LD(k + 2) * hp
-        hp = hp * h
-        val = val + a2 * hp
+        c.append(a2)
+        d.append(a2 * LD(k + 2))
         aprev, a0, a1 = a0, a1, a2
+    return np.array(c), np.array(d)
+
+
+def _taylor_sum(y, dy, h, coeffs):
+    """Value and derivative at t0+h from y, dy at t0 and the (c_k, d_k) pairs."""
+    val = y + dy * h
+    der = dy
+    hp = h
+    for c, d in coeffs:
+        der = der + d * hp
+        hp = hp * h
+        val = val + c * hp
     return val, der
 
 
 def _scaled_pos_ld(a):
     """Scaled positive-axis asymptotics; a is a longdouble array with a >= ASYM_RADIUS."""
     zeta = LD(2) / 3 * a * np.sqrt(a)
-    yi = 1 / zeta
-    su_m = _asym_sum(_U_ALT, yi)
-    sv_m = _asym_sum(_V_ALT, yi)
-    su_p = _asym_sum(_U, yi)
-    sv_p = _asym_sum(_V, yi)
+    su_m, sv_m, su_p, sv_p = _power_sums(_POS_FAMILIES, 1 / zeta)
     q = np.sqrt(np.sqrt(a))
     ai_s = su_m / (2 * SQRT_PI * q)
     dai_s = -q * sv_m / (2 * SQRT_PI)
@@ -185,11 +231,9 @@ def _asym_neg(a):
     om = xi - PI_L / 4
     c = np.cos(om)
     s = np.sin(om)
-    y2 = 1 / (xi * xi)
-    se_u = _asym_sum(_U_EVEN, y2)
-    so_u = _asym_sum(_U_ODD, y2) / xi
-    se_v = _asym_sum(_V_EVEN, y2)
-    so_v = _asym_sum(_V_ODD, y2) / xi
+    se_u, so_u, se_v, so_v = _power_sums(_NEG_FAMILIES, 1 / (xi * xi))
+    so_u = so_u / xi
+    so_v = so_v / xi
     q = np.sqrt(np.sqrt(x))
     pre = 1 / (SQRT_PI * q)
     dpre = q / SQRT_PI
@@ -202,9 +246,7 @@ def _asym_neg(a):
 
 def _m2_series_ld(x):
     """Smooth modulus series; x = -a >= ASYM_RADIUS. Returns (m2, dm2/da)."""
-    y = 1 / (x * x * x)
-    s0 = _asym_sum(_M2, y)
-    s1 = _asym_sum(_M2D, y)
+    s0, s1 = _truncated_sums(_MODULUS_FAMILIES, 1 / (x * x * x))
     rx = np.sqrt(x)
     m2 = s0 / (PI_L * rx)
     dm2 = s1 / (PI_L * x * rx)
@@ -221,7 +263,9 @@ def _march(t_start, y, dy, t_stop, step):
     dys = np.empty(n + 1, LD)
     ys[0], dys[0] = y, dy
     for i in range(n):
-        y, dy = _taylor_step(ts[i], np.asarray(y), np.asarray(dy), LD(step), N_TAYLOR_BUILD)
+        y, dy = np.asarray(y), np.asarray(dy)
+        c, d = _taylor_coeffs(ts[i], y, dy, N_TAYLOR_BUILD)
+        y, dy = _taylor_sum(y, dy, LD(step), zip(c, d))
         ys[i + 1], dys[i + 1] = y, dy
     return ys, dys
 
@@ -234,6 +278,12 @@ def _grids():
     excite the Bi mode); Bi marches outward from a Maclaurin seed at 4.25 for
     the mirrored reason.  The oscillatory negative axis is neutrally stable,
     so both functions march outward from 4.25 together.
+
+    The four grids are stored end to end, in the order (Ai, Bi) x (a > 0,
+    a <= 0): "origin", "step" and "offset" hold each grid's first
+    checkpoint, spacing and first flat index as (2, 2) tables, and "y",
+    "dy", "c", "d" the values, derivatives and query Taylor coefficients
+    (`_taylor_coeffs`) at every checkpoint.
     """
     if _GRIDS:
         return _GRIDS
@@ -241,45 +291,45 @@ def _grids():
     ai_s, dai_s, _, _, zeta = _scaled_pos_ld(seed)
     es = np.exp(-zeta)
     ai13, dai13 = ai_s[0] * es[0], dai_s[0] * es[0]
-    _GRIDS["ai_pos"] = _march(SEED_POINT, ai13, dai13, 4.25, -CHECKPOINT_STEP)
-
-    p = np.array([4.25], dtype=LD)
-    _, _, bi, dbi = _maclaurin(p)
-    _GRIDS["bi_pos"] = _march(4.25, bi[0], dbi[0], 9.25, CHECKPOINT_STEP)
-
-    m = np.array([-4.25], dtype=LD)
-    ai, dai, bi, dbi = _maclaurin(m)
-    _GRIDS["ai_neg"] = _march(-4.25, ai[0], dai[0], -9.25, -CHECKPOINT_STEP)
-    _GRIDS["bi_neg"] = _march(-4.25, bi[0], dbi[0], -9.25, -CHECKPOINT_STEP)
+    _, _, bi_p, dbi_p = _maclaurin(np.array([4.25], dtype=LD))
+    ai_m, dai_m, bi_m, dbi_m = _maclaurin(np.array([-4.25], dtype=LD))
+    grids = [  # (origin, step, seed value, seed derivative, stop)
+        (SEED_POINT, -CHECKPOINT_STEP, ai13, dai13, 4.25),
+        (-4.25, -CHECKPOINT_STEP, ai_m[0], dai_m[0], -9.25),
+        (4.25, CHECKPOINT_STEP, bi_p[0], dbi_p[0], 9.25),
+        (-4.25, -CHECKPOINT_STEP, bi_m[0], dbi_m[0], -9.25),
+    ]
+    ys, dys, t0s, offsets = [], [], [], [0]
+    for origin, step, y, dy, stop in grids:
+        gy, gdy = _march(origin, y, dy, stop, step)
+        ys.append(gy)
+        dys.append(gdy)
+        # the checkpoint abscissae exactly as _midrange forms them
+        t0s.append(LD(origin) + LD(step) * np.arange(gy.size))
+        offsets.append(offsets[-1] + gy.size)
+    y, dy = np.concatenate(ys), np.concatenate(dys)
+    c, d = _taylor_coeffs(np.concatenate(t0s), y, dy, N_TAYLOR_QUERY)
+    _GRIDS.update(
+        origin=np.array([g[0] for g in grids], dtype=LD).reshape(2, 2),
+        step=np.array([g[1] for g in grids], dtype=LD).reshape(2, 2),
+        offset=np.array(offsets[:4]).reshape(2, 2), y=y, dy=dy, c=c, d=d)
     return _GRIDS
 
 
-def _from_checkpoint(grid, origin, step, a):
-    """Value and derivative at a by one Taylor step from the nearest point
-    of grid, whose checkpoints sit at origin + step*i (step may be < 0)."""
-    idx = np.rint((a - LD(origin)) / LD(step)).astype(int)
-    t0 = LD(origin) + LD(step) * idx
-    ys, dys = grid
-    return _taylor_step(t0, ys[idx], dys[idx], a - t0, N_TAYLOR_QUERY)
-
-
 def _midrange(a):
-    """Checkpoint + one Taylor step, for 4.5 < |a| < 9 (longdouble array)."""
+    """Checkpoint + one Taylor step, for 4.5 < |a| < 9 (longdouble array).
+
+    One (2, n) block, rows Ai and Bi: each row steps from the nearest
+    checkpoint of its own grid for the sign of a."""
     g = _grids()
-    ai = np.empty_like(a)
-    dai = np.empty_like(a)
-    bi = np.empty_like(a)
-    dbi = np.empty_like(a)
-    pos = a > 0
-    if np.any(pos):
-        ap = a[pos]
-        ai[pos], dai[pos] = _from_checkpoint(g["ai_pos"], SEED_POINT, -CHECKPOINT_STEP, ap)
-        bi[pos], dbi[pos] = _from_checkpoint(g["bi_pos"], 4.25, CHECKPOINT_STEP, ap)
-    neg = ~pos
-    if np.any(neg):
-        an = a[neg]
-        ai[neg], dai[neg] = _from_checkpoint(g["ai_neg"], -4.25, -CHECKPOINT_STEP, an)
-        bi[neg], dbi[neg] = _from_checkpoint(g["bi_neg"], -4.25, -CHECKPOINT_STEP, an)
+    side = np.where(a > 0, 0, 1)
+    origin = g["origin"][:, side]
+    step = g["step"][:, side]
+    idx = np.rint((a - origin) / step).astype(int)
+    t0 = origin + step * idx
+    at = g["offset"][:, side] + idx
+    coeffs = ((c[at], d[at]) for c, d in zip(g["c"], g["d"]))
+    (ai, bi), (dai, dbi) = _taylor_sum(g["y"][at], g["dy"][at], a - t0, coeffs)
     return ai, dai, bi, dbi
 
 

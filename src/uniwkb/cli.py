@@ -2,9 +2,14 @@
 the golden data, and dump wavefunction grids for plotting.
 
 Exit codes: 0 success, 1 failed verification cell, 2 invalid configuration
-or corrupted golden data, 3 no bound state for a requested level, 4 solver
-non-convergence.  Output documents are rendered fully in memory before any
-file is opened, so a failed run never leaves a partial output file.
+or corrupted golden data, 3 no level to report, 4 solver non-convergence.
+Exit 3 names its cause: "no bound state" (the well has no such level),
+"second-order state unresolved" (the phase condition has a root, but the
+state assembled there has its energy above the energy ceiling; the level
+may exist this close to the threshold) or "not a single well" (no single
+interior minimum in the search window the message names).  Output
+documents are rendered fully in memory before any file is opened, so a
+failed run never leaves a partial output file.
 """
 
 import argparse
@@ -28,7 +33,8 @@ from .quadrature import MIN_REL_TOL, QuadratureError, QuadratureSpec
 from .reference import LevelIndexError, NumerovError, exact_wavefunction
 from .rootfind import BracketError
 from .spectral import (PHASE_RESIDUAL_TOL, PHASE_SPEC, QuantizationError,
-                       airy_argument, assemble, solve_quantization)
+                       UnresolvedStateError, airy_argument, assemble,
+                       solve_quantization)
 
 SCHEMA_VERSION = "uniwkb/1"
 
@@ -343,8 +349,14 @@ def main(argv=None):
             text = cmd_dump(config, DumpGrid(args.grid, span[0], span[1]))
         _emit(text, config.out)
         return 0
-    except (QuantizationError, WellShapeError, NoBoundRegionError,
-            LevelIndexError) as exc:
+    except UnresolvedStateError as exc:
+        print("uniwkb: second-order state unresolved: %s" % exc,
+              file=sys.stderr)
+        return 3
+    except WellShapeError as exc:
+        print("uniwkb: not a single well: %s" % exc, file=sys.stderr)
+        return 3
+    except (QuantizationError, NoBoundRegionError, LevelIndexError) as exc:
         print("uniwkb: no bound state: %s" % exc, file=sys.stderr)
         return 3
     except (BracketError, QuadratureError, NumerovError, BenchmarkError,

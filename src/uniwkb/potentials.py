@@ -25,6 +25,8 @@ _PARAM_ALIASES = {"g": "gamma", "lam": "lambda", "l": "lambda"}
 # search window half-width for minima, divided by the potential's inverse
 # length scale alpha; turning points are searched out to |q_m| plus twice it
 SEARCH_HALF_WIDTH = 30.0
+# find_minimum moves its window downhill at most this many times
+MAX_WINDOW_MOVES = 8
 TP_REL_TOL = 1e-12
 TAIL_DECAY = 45.0   # truncate forbidden tails once exp(-integral kappa) ~ 3e-20
 
@@ -257,25 +259,40 @@ def tail_cut(potential, E, q_start, direction, width):
 def find_minimum(potential):
     """Locate the unique local minimum of V in the search window.
 
-    Scans a coarse grid, rejects multi-well shapes, then polishes the zero
-    of V' with hybrid_root.
+    Scans a coarse grid of the window, centre -/+ SEARCH_HALF_WIDTH/alpha
+    about q = 0 at first, rejects multi-well shapes, then polishes the zero
+    of V' with hybrid_root.  While the grid has no interior minimum and its
+    lowest sample sits on a window edge, the window moves downhill by one
+    half-width, so that edge becomes its centre, at most MAX_WINDOW_MOVES
+    times.
     """
     half = SEARCH_HALF_WIDTH / potential.alpha
     n = 1201
-    grid = -half + 2 * half * np.arange(n) / (n - 1)
-    vs = np.broadcast_to(potential.eval(grid)[0], grid.shape)
-    minima = (1 + np.flatnonzero((vs[1:-1] <= vs[:-2])
-                                 & (vs[1:-1] <= vs[2:]))).tolist()
-    qs = grid.tolist()
-    # collapse plateaus of equal samples into one candidate
-    distinct = []
-    for i in minima:
-        if not distinct or i - distinct[-1] > 1:
-            distinct.append(i)
+    offsets = -half + 2 * half * np.arange(n) / (n - 1)
+    grid, moves = offsets, 0
+    while True:
+        vs = np.broadcast_to(potential.eval(grid)[0], grid.shape)
+        minima = (1 + np.flatnonzero((vs[1:-1] <= vs[:-2])
+                                     & (vs[1:-1] <= vs[2:]))).tolist()
+        # collapse plateaus of equal samples into one candidate
+        distinct = []
+        for i in minima:
+            if not distinct or i - distinct[-1] > 1:
+                distinct.append(i)
+        lowest = int(np.argmin(vs))
+        if distinct or lowest not in (0, n - 1) or moves == MAX_WINDOW_MOVES:
+            break
+        grid, moves = grid[lowest] + offsets, moves + 1
+    window = "the search window [%g, %g]" % (grid[0], grid[-1])
+    if moves:
+        window += " (moved downhill %d times from [%g, %g])" % (
+            moves, offsets[0], offsets[-1])
     if not distinct:
-        raise WellShapeError("no interior minimum in the search window")
+        raise WellShapeError("no interior minimum in %s" % window)
     if len(distinct) > 1:
-        raise WellShapeError("multiple local minima; single-well methods only")
+        raise WellShapeError("multiple local minima in %s; single-well "
+                             "methods only" % window)
+    qs = grid.tolist()
     i = distinct[0]
     dv = lambda q: potential.eval(q)[1]
     lo, hi = qs[i - 1], qs[i + 1]

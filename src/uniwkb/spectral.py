@@ -42,6 +42,12 @@ class QuantizationError(RuntimeError):
     """No root of the quantization condition for the requested level."""
 
 
+class UnresolvedStateError(QuantizationError):
+    """The quantization condition has a root below the energy ceiling, but
+    the second-order state assembled there has its energy above it: the
+    level may exist, too close to the threshold for the state to resolve."""
+
+
 @dataclass(frozen=True)
 class EigenSolution:
     """Assembled bound state at the spectral energy of level n.
@@ -260,7 +266,7 @@ def assemble(potential, e_sp, n):
     # below the ceiling whose state's energy lies above it
     ceiling = energy_ceiling(potential, tp.q_m, potential.eval(tp.q_m)[0])
     if e_bar >= ceiling:
-        raise QuantizationError(
+        raise UnresolvedStateError(
             "level n=%d: its assembled energy %.10g is at or "
             "above the energy ceiling %.10g" % (n, e_bar, ceiling))
 

@@ -6,6 +6,8 @@ in verbatim; the implementation under test never touches mpmath.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniwkb import airy
 
@@ -216,6 +218,56 @@ def test_regime_overlap_windows():
     ai, dai, bi, dbi = airy.eval_many(win)
     m_direct = ai * ai + bi * bi
     assert float(np.max(np.abs(np.asarray(m_series / m_direct - 1, dtype=float)))) < 1e-11
+
+
+# regime seams and their neighbours, on both sides of each
+_SEAMS = [0.0, airy.SERIES_RADIUS, airy.ASYM_RADIUS, 10.0]
+_POINTS = st.one_of(
+    st.sampled_from([s for x in _SEAMS for s in (x, np.nextafter(x, 0.0),
+                                                 np.nextafter(x, np.inf))]),
+    st.floats(0.0, 60.0))
+
+
+def _bits_equal(many, one):
+    return all(np.array_equal(m, o) and np.array_equal(np.signbit(m), np.signbit(o))
+               for m, o in zip(many, one))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_POINTS, st.booleans()), min_size=1, max_size=40))
+def test_every_point_is_its_own_one_point_call(draws):
+    """The kernels are elementwise: a point's value does not depend on the
+    other points of its call, bit for bit.  The quadratures sample them on
+    arbitrary node sets and rely on that; stacked rows and gathered
+    checkpoint tables must not break it."""
+    x = np.array([v for v, _ in draws])
+    a = np.where([neg for _, neg in draws], -x, x)
+    for fn, arg in ((airy.eval_many, a), (airy.scaled_many, x),
+                    (airy.modulus_many, -x)):
+        many = fn(arg)
+        for i, v in enumerate(arg):
+            assert _bits_equal((m[i:i + 1] for m in many), fn(v)), (fn.__name__, v)
+
+
+def _asym_terms(coef, y):
+    """|coef[r, k] y^k| for every row r and power k."""
+    return np.abs(coef * y ** np.arange(coef.shape[1], dtype=airy.LD))
+
+
+def test_asymptotic_families_shrink_through_their_last_term():
+    """_power_sums sums the U/V families with no truncation: at a =
+    ASYM_RADIUS, where the terms shrink slowest, every one of them still
+    shrinks through k = N_ASYM - 1.  The modulus families turn over before
+    that, which is why _m2_series_ld keeps its per-element truncation."""
+    a = airy.LD(airy.ASYM_RADIUS)
+    zeta = airy.LD(2) / 3 * a * np.sqrt(a)
+    assert airy._POS_FAMILIES.shape[1] == airy.N_ASYM
+    assert 2 * airy._NEG_FAMILIES.shape[1] == airy.N_ASYM
+    for terms in (_asym_terms(airy._POS_FAMILIES, 1 / zeta),
+                  _asym_terms(airy._NEG_FAMILIES, 1 / (zeta * zeta))):
+        assert np.all(terms[:, 1:] < terms[:, :-1])
+    m2 = _asym_terms(airy._MODULUS_FAMILIES, 1 / (a * a * a))
+    assert np.all(np.any(m2[:, 1:] >= m2[:, :-1], axis=1))
 
 
 def test_ode_residual():

@@ -135,6 +135,26 @@ def test_unresolvable_threshold_level_exits_three(argv, capsys):
     assert "above the energy ceiling" in err and "supports 4 levels" in err
 
 
+def test_unresolved_threshold_level_names_its_cause(capsys):
+    """Morse gamma=4.51 n=4 is a true level, 5e-5 below the threshold: the
+    level gate admits it, but the state assembled at the second-order root
+    has its energy above the energy ceiling.  Exit 3 says the second-order
+    state is unresolved, not that there is no bound state."""
+    assert main(["solve", "--potential", "morse", "--param", "gamma=4.51",
+                 "--levels", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "second-order state unresolved" in err
+    assert "above the energy ceiling" in err and "no bound state" not in err
+
+
+def test_well_without_minimum_names_the_search_window(capsys):
+    assert main(["solve", "--potential", "expr", "--expr=-q",
+                 "--levels", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "not a single well" in err and "no bound state" not in err
+    assert "search window [210, 270]" in err and "from [-30, 30]" in err
+
+
 def test_high_harmonic_level_solves_without_warnings(capsys):
     """n = 150, where the unscaled Hermite polynomial of the exact state
     overflows, solves with its metrics and no floating-point warning."""

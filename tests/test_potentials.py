@@ -4,6 +4,7 @@ bundles, and turning-point location."""
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from uniwkb import exprparse
 from uniwkb.exprparse import EvalDomainError, ExprError
 from uniwkb.potentials import (
+    MAX_WINDOW_MOVES,
     SEARCH_HALF_WIDTH,
     TP_REL_TOL,
     NoBoundRegionError,
@@ -220,6 +222,41 @@ def test_find_minimum():
     assert abs(find_minimum(shifted) - 1.25) < 1e-10
     with pytest.raises(WellShapeError):
         find_minimum(parse_potential("(q^2 - 4)^2", {}))  # double well
+
+
+def test_find_minimum_moves_its_window_downhill():
+    """A minimum outside the first window -/+SEARCH_HALF_WIDTH/alpha is
+    found by moving the window downhill, one half-width at a time, while
+    its lowest sample sits on an edge."""
+    for centre in (40.0, -75.0):
+        pot = parse_potential("(q - c)^2/2", {"c": centre})
+        assert abs(find_minimum(pot) - centre) < 1e-10
+
+
+class _CountingModel:
+    """A potential whose eval calls are recorded."""
+
+    def __init__(self, model):
+        self.model, self.alpha, self.calls = model, model.alpha, 0
+
+    def eval(self, q):
+        self.calls += 1
+        return self.model.eval(q)
+
+
+def test_find_minimum_gives_up_after_its_last_move():
+    """-q has no minimum: the window moves downhill MAX_WINDOW_MOVES times,
+    one grid scan each, and the error names the windows searched."""
+    pot = _CountingModel(parse_potential("-q", {}))
+    with pytest.raises(WellShapeError, match=re.escape(
+            "no interior minimum in the search window [210, 270] (moved "
+            "downhill 8 times from [-30, 30])")):
+        find_minimum(pot)
+    assert MAX_WINDOW_MOVES == 8
+    assert pot.calls == MAX_WINDOW_MOVES + 1
+    with pytest.raises(WellShapeError, match=re.escape(
+            "multiple local minima in the search window [-30, 30]")):
+        find_minimum(parse_potential("(q^2 - 4)^2", {}))
 
 
 def test_find_turning_points():

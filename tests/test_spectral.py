@@ -252,6 +252,16 @@ def test_no_root_above_well_capacity():
         solve_quantization(pot, 4)
 
 
+def test_shifted_well_has_the_levels_of_the_centred_one():
+    """(q-40)^2/2 lies outside find_minimum's first window; once the window
+    has moved to it, its levels are those of q^2/2."""
+    shifted = parse_potential("(q-40)^2/2", {})
+    centred = parse_potential("q^2/2", {})
+    for n in range(4):
+        e_sp = solve_quantization(shifted, n)
+        assert abs(e_sp / solve_quantization(centred, n) - 1.0) < 1e-9
+
+
 def test_level_above_the_ceiling_fails_fast(monkeypatch):
     """One past the last level of an expression well is refused by the
     first-order phase at the energy ceiling, before any second-order phase
