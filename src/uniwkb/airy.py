@@ -341,14 +341,15 @@ def _as_ld(a):
 def eval_many(a):
     """Bulk Ai, Ai', Bi, Bi' as longdouble arrays (unscaled values)."""
     a = _as_ld(a)
-    ai = np.empty_like(a)
-    dai = np.empty_like(a)
-    bi = np.empty_like(a)
-    dbi = np.empty_like(a)
+    # a NaN falls in no regime and stays NaN in every row
+    ai = np.full_like(a, np.nan)
+    dai = ai.copy()
+    bi = ai.copy()
+    dbi = ai.copy()
     mac = np.abs(a) <= SERIES_RADIUS
     asp = a >= ASYM_RADIUS
     asn = a <= -ASYM_RADIUS
-    mid = ~(mac | asp | asn)
+    mid = (np.abs(a) > SERIES_RADIUS) & (np.abs(a) < ASYM_RADIUS)
     if np.any(mac):
         ai[mac], dai[mac], bi[mac], dbi[mac] = _maclaurin(a[mac])
     if np.any(mid):

@@ -4,10 +4,17 @@ and antiderivatives evaluated as functions of their upper limit
 (`CumulativeCheb`) alike.
 
 Each panel's integrand is interpolated at the N = n + 1 first-kind
-Chebyshev points mid + half*cos(pi*(j + 1/2)/N), for degrees n = 16, 32,
+Chebyshev points mid + half*cos(pi*(j + 1/2)/N), for degrees n = 64, 128,
 ..., 1024, until the last three coefficients of every row are at most
-max(abs_tol, rel_tol*max|c|) of that row.  One FFT gives the coefficients
-(a DCT-II after Makhoul's even/odd reordering).  Panels are never split: a
+max(abs_tol, rel_tol*max|c|) of that row, its budget.  One FFT gives the
+coefficients (a DCT-II after Makhoul's even/odd reordering).  The schedule
+starts at 64 because an integrand call costs mostly fixed numpy overhead,
+whatever its number of nodes, and nearly every panel the solver fits has
+converged by then, so most integrals take one call.  A converged panel then
+drops the trailing coefficients whose absolute sum is at most 1/100 of each
+row's budget (chopping, as in Aurentz & Trefethen, ACM TOMS 43 (2017) 33),
+so antiderivatives evaluate at the degree the panel needs, within a
+hundredth of the budget of the full interpolant.  Panels are never split: a
 panel still over its budget at degree 1024 raises QuadratureError, which
 names the panel and, for several rows, the row furthest over its budget.
 The points never include a panel end, so a value that an integrand takes
@@ -32,7 +39,17 @@ import numpy as np
 
 # smallest relative tolerance a double-precision quadrature can meet
 MIN_REL_TOL = 1e-13
+# An integrand call costs mostly fixed numpy overhead, and nearly every
+# panel of the solver's integrals has converged by degree 64: starting
+# there makes most fits one call, where starting at 16 took two to four.
+FIRST_DEGREE = 64
 MAX_DEGREE = 1024   # a panel still over its budget at this degree fails
+# A converged panel keeps the shortest head of its series whose dropped
+# terms sum, in absolute value, to at most this fraction of the row's budget.
+# The chopped series then evaluates at the degree the panel needs, not the
+# trial degree, and stays within a hundredth of the budget of the full
+# interpolant, so antiderivatives keep the accuracy of the unchopped fit.
+CHOP_FRACTION = 1e-2
 
 
 class QuadratureError(RuntimeError):
@@ -77,7 +94,7 @@ def _cheb_fits(f, edges, spec):
     """
     coeffs = [None] * (len(edges) - 1)
     growing = list(range(len(edges) - 1))
-    n = 16
+    n = FIRST_DEGREE
     while growing:
         t = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
         x = [0.5 * (edges[i] + edges[i + 1]) + 0.5 * (edges[i + 1] - edges[i]) * t
@@ -90,7 +107,7 @@ def _cheb_fits(f, edges, spec):
             tail = np.max(np.abs(c[..., -3:]), axis=-1)
             tol = np.maximum(spec.rel_tol * scale, spec.abs_tol)
             if np.all(tail <= tol):
-                coeffs[i] = c
+                coeffs[i] = _chop(c, tol)
             elif n >= MAX_DEGREE:
                 where = ""
                 if tail.ndim:   # name the row furthest over its budget
@@ -106,6 +123,16 @@ def _cheb_fits(f, edges, spec):
         growing = still
         n *= 2
     return coeffs
+
+
+def _chop(c, tol):
+    """c[..., :k] for the smallest k >= 1 at which every row's dropped
+    coefficients sum, in absolute value, to at most CHOP_FRACTION of its tol."""
+    dropped = np.cumsum(np.abs(c[..., ::-1]), axis=-1)[..., ::-1]  # sum_{j>=k}|c_j|
+    ok = (dropped <= CHOP_FRACTION * tol[..., None]).reshape(-1, c.shape[-1])
+    # dropped never grows with k, so the k that pass form a suffix
+    k = c.shape[-1] - int(np.sum(np.all(ok, axis=0)))
+    return c[..., :max(k, 1)]
 
 
 def _antiderivative_coeffs(c, half_width):
@@ -191,7 +218,12 @@ class CumulativeCheb:
             m = idx == i
             a, b = self.edges[i], self.edges[i + 1]
             t = (2.0 * xf[m] - (a + b)) / (b - a)
-            out[..., m] = self.base[i][..., None] + _clenshaw(self.coeffs[i], t)
+            # a row that is all zero on this panel stays at its base there
+            c = self.coeffs[i].reshape(-1, self.coeffs[i].shape[-1])
+            v = np.repeat(self.base[i].reshape(-1, 1), t.size, axis=1)
+            live = np.flatnonzero(np.any(c, axis=-1))
+            v[live] += _clenshaw(c[live], t)
+            out[..., m] = v.reshape(self.rows + t.shape)
         return out.reshape(self.rows + x.shape)[()]
 
     def total(self):

@@ -4,6 +4,9 @@ The reference tuples were generated once by a 30-digit mpmath run and pasted
 in verbatim; the implementation under test never touches mpmath.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,24 +232,31 @@ _POINTS = st.one_of(
 
 
 def _bits_equal(many, one):
-    return all(np.array_equal(m, o) and np.array_equal(np.signbit(m), np.signbit(o))
+    return all(np.array_equal(m, o, equal_nan=True)
+               and np.array_equal(np.signbit(m), np.signbit(o))
                for m, o in zip(many, one))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(_POINTS, st.booleans()), min_size=1, max_size=40))
+@given(st.lists(st.tuples(_POINTS, st.booleans(), st.booleans()),
+                min_size=1, max_size=40))
 def test_every_point_is_its_own_one_point_call(draws):
     """The kernels are elementwise: a point's value does not depend on the
     other points of its call, bit for bit.  The quadratures sample them on
     arbitrary node sets and rely on that; stacked rows and gathered
-    checkpoint tables must not break it."""
-    x = np.array([v for v, _ in draws])
-    a = np.where([neg for _, neg in draws], -x, x)
-    for fn, arg in ((airy.eval_many, a), (airy.scaled_many, x),
-                    (airy.modulus_many, -x)):
-        many = fn(arg)
-        for i, v in enumerate(arg):
-            assert _bits_equal((m[i:i + 1] for m in many), fn(v)), (fn.__name__, v)
+    checkpoint tables must not break it.  A NaN point gives NaN in every
+    output row, without a warning, and leaves the other points' bits alone."""
+    x = np.array([math.nan if nan else v for v, _, nan in draws])
+    a = np.where([neg for _, neg, _ in draws], -x, x)
+    nan = np.isnan(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, arg in ((airy.eval_many, a), (airy.scaled_many, x),
+                        (airy.modulus_many, -x)):
+            many = fn(arg)
+            assert all(np.all(np.isnan(m[nan])) for m in many), fn.__name__
+            for i, v in enumerate(arg):
+                assert _bits_equal((m[i:i + 1] for m in many), fn(v)), (fn.__name__, v)
 
 
 def _asym_terms(coef, y):

@@ -124,9 +124,9 @@ def test_metrics_pass_samples_each_sampler_once_per_node():
                                       h_psi=counted("h_psi"))
     metrics = level_metrics(ex, counted_sol)
     assert set(metrics) == set(METRIC_NAMES)
-    assert calls["dpsi"] <= calls["psi"]
-    # one call per tree level across all break intervals
-    assert max(calls.values()) <= 6
+    # one call per trial degree across all break intervals, and every panel
+    # converges at the first
+    assert calls == {"psi": 1, "dpsi": 1, "h_psi": 1}
 
 
 # ---- golden table loader ----

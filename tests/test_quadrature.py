@@ -8,11 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uniwkb import quadrature
 from uniwkb.quadrature import (
+    CHOP_FRACTION,
+    FIRST_DEGREE,
     CumulativeCheb,
     QuadratureError,
     QuadratureSpec,
     _antiderivative_coeffs,
+    _cheb_fits,
+    _per_row,
     integrate,
 )
 
@@ -241,21 +246,37 @@ CHEB_CASES = [
 ]
 
 
+def _cosine_sum_coeffs(vals):
+    """Chebyshev coefficients, along the last axis, of the interpolant
+    through vals at the N first-kind points, by the explicit cosine sum.
+    Each angle k*pi*(j + 1/2)/N is reduced exactly, in integers, below 2*pi
+    before its cosine is taken: rounding k*theta instead would put an error
+    of about k ulps into every term."""
+    N = vals.shape[-1]
+    j = np.arange(N)
+    cos = np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * N)) / (2 * N))  # [k, j]
+    c = 2.0 / N * np.moveaxis(np.stack([_per_row(lambda r: np.sum(r * ck), vals)
+                                        for ck in cos]), 0, -1)
+    c[..., 0] *= 0.5
+    return c
+
+
 def _panel_fit(f, a, b, spec, n_max=1024):
     """One panel's Chebyshev coefficients, fitted on its own at the N
-    first-kind points by the explicit cosine sum."""
-    n = 16
+    first-kind points by the explicit cosine sum, then chopped to the
+    shortest head whose dropped terms sum to CHOP_FRACTION of the budget."""
+    n = FIRST_DEGREE
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     while True:
         N = n + 1
-        theta = np.pi * (np.arange(N) + 0.5) / N
-        vals = f(mid + half * np.cos(theta))
-        c = 2.0 / N * np.array([np.sum(vals * np.cos(k * theta)) for k in range(N)])
-        c[0] *= 0.5
+        c = _cosine_sum_coeffs(f(mid + half * np.cos(np.pi * (np.arange(N) + 0.5) / N)))
         scale = np.max(np.abs(c)) + 1e-300
         tail = np.max(np.abs(c[-3:]))
-        if tail <= max(spec.rel_tol * scale, spec.abs_tol):
-            return c
+        tol = max(spec.rel_tol * scale, spec.abs_tol)
+        if tail <= tol:
+            k = next(k for k in range(1, N + 1)
+                     if np.sum(np.abs(c[k:])) <= CHOP_FRACTION * tol)
+            return c[:k]
         if n >= n_max:
             raise QuadratureError(
                 "Chebyshev fit on [%g, %g] stalled at degree %d" % (a, b, n))
@@ -274,6 +295,55 @@ def test_cumulative_coefficients_equal_per_panel_fits(f, edges):
         want = _antiderivative_coeffs(_panel_fit(f, a, b, spec), 0.5 * (b - a))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_fit_converged_by_first_degree_takes_one_call():
+    """Panels that converge by degree 64 are all fitted from one call of
+    the integrand, at 65 nodes each, and keep fewer coefficients."""
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.exp(-x) * np.cos(x)
+
+    F = CumulativeCheb(f, [0.0, 1.0, 2.5, 4.0])
+    assert sizes == [3 * (FIRST_DEGREE + 1)]
+    # an antiderivative has one coefficient more than the fit it integrates
+    assert all(c.shape[-1] - 1 < FIRST_DEGREE + 1 for c in F.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacked_components(), st.floats(-2.0, 2.5), st.floats(0.1, 5.0),
+       st.floats(1e-10, 1e-6), st.booleans())
+def test_chopped_series_stays_within_budget_of_full_interpolant(
+        comps, a, width, rel_tol, stacked):
+    """The kept head of a converged panel's series differs from the full
+    interpolant through its samples (by the direct cosine sum) by at most
+    CHOP_FRACTION of each row's budget, plus the rounding of N-term sums."""
+    b = min(a + width, 3.0)
+    spec = QuadratureSpec(rel_tol=rel_tol)
+    if stacked:
+        f = lambda x: np.stack([g(x) for g, _ in comps])
+    else:
+        f = comps[0][0]
+    sizes = []
+
+    def spy(x):
+        sizes.append(x.size)
+        return f(x)
+
+    (chopped,) = _cheb_fits(spy, [a, b], spec)
+    N = sizes[-1]   # one panel: the last call is the converged degree
+    theta = np.pi * (np.arange(N) + 0.5) / N
+    full = _cosine_sum_coeffs(np.asarray(f(0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta))))
+    assert chopped.shape[:-1] == full.shape[:-1] and chopped.shape[-1] <= N
+    size = np.max(np.abs(full), axis=-1)
+    tol = np.maximum(spec.rel_tol * size, spec.abs_tol)
+    t = np.linspace(-1.0, 1.0, 201)
+    T = np.cos(np.outer(np.arange(N), np.arccos(t)))    # T_j(t), j < N
+    gap = chopped @ T[:chopped.shape[-1]] - full @ T
+    rounding = 4 * N * np.finfo(float).eps * size
+    assert np.all(np.max(np.abs(gap), axis=-1) <= CHOP_FRACTION * tol + rounding)
 
 
 def test_value_at_a_break_is_never_sampled():
@@ -314,6 +384,34 @@ def test_cumulative_zero_row_leaves_first_row_bit_equal(f, edges):
     xs = np.linspace(edges[0], edges[-1], 97)
     assert two(xs)[0].tobytes() == one(xs).tobytes()
     assert two.total()[0] == one.total()
+
+
+def test_clenshaw_runs_only_on_live_rows(monkeypatch):
+    """A row whose coefficients are all zero on a panel, as the phase row of
+    an assembled state is on every tail panel, is not summed there: its
+    values are the panel base, and _clenshaw sees only the other rows."""
+    f = lambda x: np.stack([np.cos(x), np.zeros_like(x),
+                            np.where(x < 1.0, 0.0, np.sin(x))])
+    F = CumulativeCheb(f, [0.0, 1.0, 2.0])
+    xs = np.linspace(0.0, 2.0, 41)
+    clenshaw = quadrature._clenshaw
+    want = np.empty((3, xs.size))   # every row summed, as if none were skipped
+    for i, m in enumerate([xs < 1.0, xs >= 1.0]):
+        a, b = F.edges[i], F.edges[i + 1]
+        t = (2.0 * xs[m] - (a + b)) / (b - a)
+        want[:, m] = F.base[i][:, None] + clenshaw(F.coeffs[i], t)
+    rows = []
+
+    def spy(coeffs, t):
+        rows.append(coeffs.shape[0])
+        return clenshaw(coeffs, t)
+
+    monkeypatch.setattr(quadrature, "_clenshaw", spy)
+    got = F(xs)
+    assert rows == [1, 2]       # panel [0, 1]: row 0; panel [1, 2]: rows 0, 2
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(got[1])
+    assert np.all(got[2][xs < 1.0] == 0.0)
 
 
 def test_cumulative_stall_names_first_stalling_panel():
