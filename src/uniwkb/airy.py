@@ -339,16 +339,21 @@ def _as_ld(a):
 
 
 def eval_many(a):
-    """Bulk Ai, Ai', Bi, Bi' as longdouble arrays (unscaled values)."""
+    """Bulk Ai, Ai', Bi, Bi' as longdouble arrays (unscaled values).
+
+    At a = +inf they are their limits 0, 0, +inf, +inf; at a = -inf, Ai
+    and Bi are 0 and Ai', Bi', whose amplitude grows without limit, NaN.
+    """
     a = _as_ld(a)
     # a NaN falls in no regime and stays NaN in every row
     ai = np.full_like(a, np.nan)
     dai = ai.copy()
     bi = ai.copy()
     dbi = ai.copy()
+    pinf, ninf = a == np.inf, a == -np.inf
     mac = np.abs(a) <= SERIES_RADIUS
-    asp = a >= ASYM_RADIUS
-    asn = a <= -ASYM_RADIUS
+    asp = (a >= ASYM_RADIUS) & ~pinf
+    asn = (a <= -ASYM_RADIUS) & ~ninf
     mid = (np.abs(a) > SERIES_RADIUS) & (np.abs(a) < ASYM_RADIUS)
     if np.any(mac):
         ai[mac], dai[mac], bi[mac], dbi[mac] = _maclaurin(a[mac])
@@ -364,6 +369,8 @@ def eval_many(a):
         dbi[asp] = dbi_s / em
     if np.any(asn):
         ai[asn], dai[asn], bi[asn], dbi[asn] = _asym_neg(a[asn])
+    ai[pinf | ninf] = dai[pinf] = bi[ninf] = 0
+    bi[pinf] = dbi[pinf] = np.inf
     return ai, dai, bi, dbi
 
 

@@ -212,33 +212,47 @@ class NumerovError(RuntimeError):
 
 
 def _tail_margin(potential, E, q_start, direction, width, target):
-    """Distance beyond a turning point where the decay exponent hits target.
+    """Distance beyond a turning point where the decay exponent hits target,
+    and whether that distance is the length cap.
 
     Length-capped: a hard wall four well-widths out shifts eigenvalues by
     far less than the solver tolerance, so there is no point marching into
     nearly-flat tails near the dissociation threshold.
     """
     step = max(width / 40.0, 1e-4)
-    q = march_tail(potential, E, q_start, direction, step, target,
-                   cap=4.0 * width + 40.0 * step)
-    return abs(q - q_start)
+    cap = 4.0 * width + 40.0 * step
+    d = abs(march_tail(potential, E, q_start, direction, step, target,
+                       cap=cap) - q_start)
+    return d, d >= cap
 
 
-def _grid(potential, E, q_m):
-    """Numerov grid for energy E: its first node, its step and V on it.
+def _extent(potential, E, q_m):
+    """Ends of the Numerov grid for energy E, and whether a tail reached
+    _tail_margin's length cap.
 
     The grid spans both turning points at E and tails beyond them in which
-    the decay exponent reaches TAIL_EXPONENT.  The step keeps
-    step^2 * max|Q| / hbar^2 at most STEP_FACTOR, and the number of intervals
-    is even, so every other node is the grid of twice the step.  No march
-    on it needs rescaling: a solution grows by about exp(TAIL_EXPONENT)
-    across each tail, hundreds of orders of magnitude short of overflow.
+    the decay exponent reaches TAIL_EXPONENT.
     """
     tp = find_turning_points(potential, E, q_m=q_m)
     width = tp.q_plus - tp.q_minus
-    dl = _tail_margin(potential, E, tp.q_minus, -1.0, width, TAIL_EXPONENT)
-    dr = _tail_margin(potential, E, tp.q_plus, +1.0, width, TAIL_EXPONENT)
-    lo, hi = tp.q_minus - dl, tp.q_plus + dr
+    dl, capped_l = _tail_margin(potential, E, tp.q_minus, -1.0, width,
+                                TAIL_EXPONENT)
+    dr, capped_r = _tail_margin(potential, E, tp.q_plus, +1.0, width,
+                                TAIL_EXPONENT)
+    return tp.q_minus - dl, tp.q_plus + dr, capped_l or capped_r
+
+
+def _grid(potential, E, q_m):
+    """Numerov grid for energy E over _extent: its first node, its step, V
+    on it, and whether a tail reached _tail_margin's length cap.
+
+    The step keeps step^2 * max|Q| / hbar^2 at most STEP_FACTOR, and the
+    number of intervals is even, so every other node is the grid of twice
+    the step.  No march on it needs rescaling: a solution grows by about
+    exp(TAIL_EXPONENT) across each tail, hundreds of orders of magnitude
+    short of overflow.
+    """
+    lo, hi, capped = _extent(potential, E, q_m)
     V = potential.eval(np.linspace(lo, hi, 64))[0]
     max_q = float(np.max(np.abs(2.0 * potential.mass * (V - E))))
     h = math.sqrt(STEP_FACTOR * potential.hbar * potential.hbar / max_q)
@@ -248,7 +262,7 @@ def _grid(potential, E, q_m):
     # fixed chunks bound the evaluation's temporaries on long grids
     for s in range(0, m, GRID_CHUNK):
         V[s:s + GRID_CHUNK] = potential.eval(qs[s:s + GRID_CHUNK])[0]
-    return lo, qs[1] - lo, V
+    return lo, qs[1] - lo, V, capped
 
 
 def _coefficients(V, E, h, mass, hbar):
@@ -272,9 +286,10 @@ def _march(coeffs):
 
 
 def _count_nodes(potential, E, q_m):
-    """Nodes of the solution marched across the grid at E from z_0 = 0: the
-    number of levels below E."""
-    _, h, V = _grid(potential, E, q_m)
+    """Nodes of the solution marched across the grid at E from z_0 = 0 (the
+    number of levels below E), and that grid, as _grid returns it."""
+    grid = _grid(potential, E, q_m)
+    _, h, V, _ = grid
     z_prev, z = 0.0, 1.0
     nodes, positive = 0, True
     for c in _coefficients(V[1:-1], E, h, potential.mass, potential.hbar):
@@ -282,7 +297,7 @@ def _count_nodes(potential, E, q_m):
         if (z > 0.0) is not positive:
             positive = not positive
             nodes += 1
-    return nodes
+    return nodes, grid
 
 
 def _casoratian(c, k):
@@ -304,11 +319,18 @@ def numerov_solve(potential, n):
     The solution marched across the grid at E has as many nodes as there
     are levels below E, so node counts, on a grid built afresh at each E,
     isolate level n in [lo, hi]: n nodes at lo, n + 1 at hi, and hi below
-    the energy ceiling.  One grid, built at hi, then serves the whole
-    bracket.  hybrid_root finds the zero of the normalized Casoratian of
-    the solutions marched outward and inward to q+ at the bracket's
-    midpoint, on that grid (E_h) and on every other node of it (E_2h), and
-    Richardson's E_h + (E_h - E_2h) / 15 removes Numerov's O(h^4) error.
+    the energy ceiling.  When the upward search would step past a ceiling
+    whose grid has a tail at _tail_margin's length cap, the longest grid
+    of all, bisection starts from hi = ceiling without sweeping it: a
+    level below it is found by the midpoints all the same.  The ceiling is
+    then swept only to prove level n unbound, once a midpoint's tail
+    reaches the cap too, where every sweep costs as much as the ceiling's,
+    or once the bracket can no longer be split.  The grid that the last
+    sweep at hi built then serves the whole bracket.  hybrid_root
+    finds the zero of the normalized Casoratian of the solutions marched
+    outward and inward to q+ at the bracket's midpoint, on that grid (E_h)
+    and on every other node of it (E_2h), and Richardson's
+    E_h + (E_h - E_2h) / 15 removes Numerov's O(h^4) error.
     """
     from .potentials import find_minimum
 
@@ -318,13 +340,18 @@ def numerov_solve(potential, n):
     e_unit = hbar * math.sqrt(max(curv, 1e-12) / mass)
     cap_e = energy_ceiling(potential, q_m, v_min)
     lo = v_min + 0.05 * e_unit
-    n_lo = _count_nodes(potential, lo, q_m)
+    n_lo = _count_nodes(potential, lo, q_m)[0]
     if n_lo > n:
         raise NumerovError("lower probe already has too many nodes")
     span = e_unit * (n + 1.5)
     for _ in range(60):
         cand = min(lo + span, cap_e)
-        count = _count_nodes(potential, cand, q_m)
+        if cand == cap_e and _extent(potential, cap_e, q_m)[2]:
+            # a capped tail makes the ceiling's the costliest sweep: bisect
+            # below it unswept, n_hi unknown
+            hi, n_hi = cap_e, None
+            break
+        count, grid = _count_nodes(potential, cand, q_m)
         if count > n:
             hi, n_hi = cand, count
             break
@@ -334,19 +361,25 @@ def numerov_solve(potential, n):
         span *= 2.0
     else:
         raise NumerovError("could not bracket level n=%d" % n)
+    capped = False
     for _ in range(60):
         if n_lo == n and n_hi == n + 1 and hi < cap_e:
             break
         mid = 0.5 * (lo + hi)
-        count = _count_nodes(potential, mid, q_m)
+        if n_hi is None and (capped or not lo < mid < hi):
+            n_hi = _count_nodes(potential, cap_e, q_m)[0]
+            if n_hi <= n:
+                raise NumerovError("level n=%d is not bound by this well" % n)
+        count, mid_grid = _count_nodes(potential, mid, q_m)
+        capped = mid_grid[3]
         if count > n:
-            hi, n_hi = mid, count
+            hi, n_hi, grid = mid, count, mid_grid
         else:
             lo, n_lo = mid, count
     else:
         raise NumerovError("could not isolate level n=%d in [%r, %r]"
                            % (n, lo, hi))
-    q_0, h, V = _grid(potential, hi, q_m)
+    q_0, h, V, _ = grid
     q_match = find_turning_points(potential, 0.5 * (lo + hi), q_m=q_m).q_plus
     k = 2 * int(round(0.5 * (q_match - q_0) / h))
     energies = []

@@ -90,25 +90,33 @@ def airy_argument(potential, q, E, hbar, mass):
 
 def _breaks(potential, anchors, E):
     """The anchors with every point where |a| crosses the Airy/series switch
-    inserted between consecutive anchors."""
+    inserted between consecutive anchors.
+
+    One airy_argument call scans every segment between increasing anchors
+    on 257 points.  The crossings it brackets are refined together by one
+    lockstep hybrid_root, one airy_argument call per round, each to the
+    root its own scalar search would give.
+    """
     units = (potential.hbar, potential.mass)
 
     def g_of(q):
-        val = abs(float(airy_argument(potential, np.array([q]), E, *units)[0]))
-        return (val if math.isfinite(val) else 1e12) - A_SWITCH
+        val = np.abs(airy_argument(potential, q, E, *units))
+        return np.where(np.isfinite(val), val, 1e12) - A_SWITCH
 
+    pairs = [j for j in range(len(anchors) - 1) if anchors[j + 1] > anchors[j]]
+    qs = np.linspace([anchors[j] for j in pairs],
+                     [anchors[j + 1] for j in pairs], 257, axis=1)
+    g = np.abs(airy_argument(potential, qs.ravel(), E, *units)) - A_SWITCH
+    g = np.where(np.isnan(g), 1.0, g).reshape(qs.shape)
+    seg, i = np.nonzero((g[:, :-1] > 0) != (g[:, 1:] > 0))
+    # refine to the ulp so the evaluation-path switch lands exactly on a
+    # quadrature panel edge instead of just inside one
+    roots = hybrid_root(g_of, qs[seg, i], qs[seg, i + 1], flo=g[seg, i],
+                        fhi=g[seg, i + 1], rel_tol=5e-16, abs_tol=1e-300)
+    owner = np.array(pairs, dtype=int)[seg]
     edges = [anchors[0]]
-    for qa, qb in zip(anchors, anchors[1:]):
-        if qb > qa:
-            qs = np.linspace(qa, qb, 257)
-            g = np.abs(airy_argument(potential, qs, E, *units)) - A_SWITCH
-            g = np.where(np.isnan(g), 1.0, g)
-            for i in np.flatnonzero((g[:-1] > 0) != (g[1:] > 0)).tolist():
-                # refine to the ulp so the evaluation-path switch lands
-                # exactly on a quadrature panel edge instead of just inside one
-                edges.append(hybrid_root(g_of, qs[i], qs[i + 1],
-                                         flo=float(g[i]), fhi=float(g[i + 1]),
-                                         rel_tol=5e-16, abs_tol=1e-300))
+    for j, qb in enumerate(anchors[1:]):
+        edges.extend(roots[owner == j].tolist())
         edges.append(qb)
     return edges
 

@@ -227,7 +227,8 @@ def test_regime_overlap_windows():
 _SEAMS = [0.0, airy.SERIES_RADIUS, airy.ASYM_RADIUS, 10.0]
 _POINTS = st.one_of(
     st.sampled_from([s for x in _SEAMS for s in (x, np.nextafter(x, 0.0),
-                                                 np.nextafter(x, np.inf))]),
+                                                 np.nextafter(x, np.inf))]
+                    + [math.inf]),
     st.floats(0.0, 60.0))
 
 
@@ -245,7 +246,9 @@ def test_every_point_is_its_own_one_point_call(draws):
     other points of its call, bit for bit.  The quadratures sample them on
     arbitrary node sets and rely on that; stacked rows and gathered
     checkpoint tables must not break it.  A NaN point gives NaN in every
-    output row, without a warning, and leaves the other points' bits alone."""
+    output row, and an infinite one its limits (see
+    test_infinite_arguments_give_the_limits), without a warning, and either
+    leaves the other points' bits alone."""
     x = np.array([math.nan if nan else v for v, _, nan in draws])
     a = np.where([neg for _, neg, _ in draws], -x, x)
     nan = np.isnan(x)
@@ -257,6 +260,23 @@ def test_every_point_is_its_own_one_point_call(draws):
             assert all(np.all(np.isnan(m[nan])) for m in many), fn.__name__
             for i, v in enumerate(arg):
                 assert _bits_equal((m[i:i + 1] for m in many), fn(v)), (fn.__name__, v)
+
+
+def test_infinite_arguments_give_the_limits():
+    """At +inf, Ai = Ai' = 0 and Bi = Bi' = +inf; at -inf, Ai = Bi = 0 and
+    Ai', Bi', whose amplitude grows without limit, are NaN.  No warning is
+    raised, and the values agree with scaled_many(inf) and
+    modulus_many(-inf)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ai, dai, bi, dbi = airy.eval_many(np.array([np.inf, -np.inf]))
+        ai_s, dai_s, bi_s, dbi_s, zeta = airy.scaled_many(np.inf)
+        m2, dm2 = airy.modulus_many(-np.inf)
+    assert ai.tolist() == [0.0, 0.0] and dai[0] == 0.0 and np.isnan(dai[1])
+    assert bi.tolist()[0] == np.inf == dbi[0] and bi[1] == 0.0
+    assert np.isnan(dbi[1])
+    assert ai_s[0] == 0.0 and zeta[0] == np.inf and dbi_s[0] == np.inf
+    assert m2[0] == ai[1] * ai[1] + bi[1] * bi[1] == 0.0
 
 
 def _asym_terms(coef, y):

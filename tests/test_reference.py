@@ -10,6 +10,7 @@ import pytest
 
 from uniwkb import reference
 from uniwkb.potentials import (HARMONIC_SENTINEL, bound_count,
+                               energy_ceiling, find_minimum,
                                find_turning_points, make_builtin,
                                parse_potential)
 from uniwkb.reference import (
@@ -222,39 +223,65 @@ def test_numerov_matches_exact(kind, params, n):
     assert abs(e - ex) / abs(ex) < 1e-8, (kind, n, e, ex)
 
 
+# the oracle's energies of the twelve golden cells, to the bit
+NUMEROV_GOLDEN = {
+    "harmonic": ("0x1.ffffffffed9cdp-2", "0x1.8000000000f48p+0",
+                 "0x1.3fffffffff5e8p+1", "0x1.bffffffffd083p+1"),
+    "morse": ("-0x1.fffffffff333ap+2", "-0x1.1ffffffff4bb1p+2",
+              "-0x1.ffffffffe6e68p+0", "-0x1.ffffffff9b902p-2"),
+    "poschl_teller": ("-0x1.ffffffffff5a9p+2", "-0x1.2000000000031p+2",
+                      "-0x1.000000000208ep+1", "-0x1.0000000000db4p-1"),
+}
+
+
 def test_numerov_golden_cells():
-    """All twelve golden cells, well inside ACCEPTANCE 6's 1e-8."""
+    """All twelve golden cells, well inside ACCEPTANCE 6's 1e-8, and each
+    energy exactly the pinned one: how the level is bracketed must not
+    move it."""
     for kind, params in CELLS:
         pot = make_builtin(kind, params)
         for n in range(4):
             e = numerov_solve(pot, n)
             ex = exact_energy(kind, params, n)
             assert abs(e - ex) / abs(ex) <= 2e-10, (kind, n, e, ex)
+            assert e.hex() == NUMEROV_GOLDEN[kind][n], (kind, n, e.hex())
+
+
+def _count_work(monkeypatch):
+    """Record the energy of every node sweep and count matching marches."""
+    work = {"sweeps": [], "marches": 0}
+    count_nodes, casoratian = reference._count_nodes, reference._casoratian
+
+    def sweep(potential, E, q_m):
+        work["sweeps"].append(E)
+        return count_nodes(potential, E, q_m)
+
+    def march(*args):
+        work["marches"] += 1
+        return casoratian(*args)
+
+    monkeypatch.setattr(reference, "_count_nodes", sweep)
+    monkeypatch.setattr(reference, "_casoratian", march)
+    return work
 
 
 def test_numerov_work_per_level(monkeypatch):
-    """Node sweeps only bracket a level; matching marches converge on it."""
-    work = {"sweeps": 0, "marches": 0}
-
-    def counted(fn, key):
-        def wrapper(*args):
-            work[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(reference, "_count_nodes",
-                        counted(reference._count_nodes, "sweeps"))
-    monkeypatch.setattr(reference, "_casoratian",
-                        counted(reference._casoratian, "marches"))
+    """Node sweeps only bracket a level; matching marches converge on it.
+    No golden level sweeps its well's energy ceiling, whose grid is the
+    longest of all where a tail runs out flat (Morse, Poschl-Teller)."""
+    work = _count_work(monkeypatch)
     for kind, params in CELLS:
         pot = make_builtin(kind, params)
+        q_m = find_minimum(pot)
+        ceiling = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
         for n in range(4):
-            work.update(sweeps=0, marches=0)
+            work.update(sweeps=[], marches=0)
             numerov_solve(pot, n)
-            # the worst levels make 7 sweeps and 28 marches; bisecting the
+            # the worst levels make 6 sweeps and 28 marches; bisecting the
             # node count to 1e-10 made about 36 sweeps per level
-            assert work["sweeps"] <= 8, (kind, n, work)
+            assert len(work["sweeps"]) <= 6, (kind, n, work)
             assert work["marches"] <= 32, (kind, n, work)
+            assert ceiling not in work["sweeps"], (kind, n)
 
 
 def test_numerov_unbracketed_match_names_the_level(monkeypatch):
@@ -282,8 +309,17 @@ def test_numerov_below_a_barrier():
     assert abs(numerov_solve(pot, 0) - 0.4998623543331633) <= 1e-10
 
 
-def test_numerov_rejects_unbound_level():
-    # morse with gamma = 4.5 holds exactly four levels
-    pot = make_builtin("morse", {"gamma": 4.5, "alpha": 1.0})
-    with pytest.raises(NumerovError):
-        numerov_solve(pot, 4)
+def test_numerov_rejects_unbound_level(monkeypatch):
+    work = _count_work(monkeypatch)
+    for kind, params, n, sweeps in [
+            # gamma = 4.5 and lambda = 5 hold exactly four levels; the
+            # ceiling is swept once the midpoints' flat tails reach their
+            # length cap
+            ("morse", {"gamma": 4.5, "alpha": 1.0}, 4, 7),
+            ("poschl_teller", {"lambda": 5.0, "alpha": 1.0}, 4, 7),
+            # no tail of the harmonic ceiling is capped: it is swept at once
+            ("harmonic", {"k": 0.5}, 2000, 2)]:
+        work.update(sweeps=[], marches=0)
+        with pytest.raises(NumerovError, match="level n=%d is not bound" % n):
+            numerov_solve(make_builtin(kind, params), n)
+        assert len(work["sweeps"]) <= sweeps, (kind, work)

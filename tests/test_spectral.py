@@ -189,6 +189,55 @@ def test_airy_variable_is_airy_argument_at_the_seams():
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_breaks_refine_every_seam_of_an_energy_together(monkeypatch):
+    """_breaks scans every anchor segment with one airy_argument call and
+    refines all the seam crossings it brackets in one lockstep hybrid_root,
+    one more airy_argument call per Brent round.  Each seam is still the
+    root of its own scalar search, to the bit."""
+    pot = make_builtin("morse", PARAMS["morse"])
+    e_sp = ESP_ORACLE["morse"][3]
+    tp = potentials.find_turning_points(pot, e_sp)
+    width = tp.q_plus - tp.q_minus
+    anchors = [potentials.tail_cut(pot, e_sp, tp.q_minus, -1.0, width),
+               tp.q_minus, tp.q_m, tp.q_plus,
+               potentials.tail_cut(pot, e_sp, tp.q_plus, +1.0, width)]
+    units = (pot.hbar, pot.mass)
+    scans, rounds = [], []
+    real_arg, real_root = spectral.airy_argument, spectral.hybrid_root
+
+    def arg(potential, q, *args):
+        scans.append(len(q))
+        return real_arg(potential, q, *args)
+
+    def root(f, *args, **kwargs):
+        def counted(q):
+            rounds.append(len(q))
+            return f(q)
+        return real_root(counted, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "airy_argument", arg)
+    monkeypatch.setattr(spectral, "hybrid_root", root)
+    edges = spectral._breaks(pot, anchors, e_sp)
+    seams = [q for q in edges if q not in anchors]
+    assert len(seams) == 3
+    assert scans[0] == 4 * 257 and len(scans) == 1 + len(rounds)
+    assert rounds[0] == len(seams)
+    monkeypatch.undo()
+
+    def g_one(q):
+        a = abs(float(spectral.airy_argument(pot, np.array([q]), e_sp, *units)[0]))
+        return (a if math.isfinite(a) else 1e12) - A_SWITCH
+
+    for x in seams:
+        qa, qb = max(q for q in anchors if q < x), min(q for q in anchors if q > x)
+        qs = np.linspace(qa, qb, 257)
+        i = int(np.searchsorted(qs, x)) - 1
+        g = np.abs(spectral.airy_argument(pot, qs[i:i + 2], e_sp, *units)) - A_SWITCH
+        want = hybrid_root(g_one, qs[i], qs[i + 1], flo=float(g[0]),
+                           fhi=float(g[1]), rel_tol=5e-16, abs_tol=1e-300)
+        assert want.hex() == x.hex()
+
+
 def test_near_threshold_left_tail_decays_monotonically():
     """Poschl-Teller lambda=5.05 n=4 sits at -1.25e-3 with its left tail
     cut near q = -461, past where V' underflows to -0.0 (q ~ -373): over
