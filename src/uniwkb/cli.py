@@ -9,7 +9,9 @@ state assembled there has its energy above the energy ceiling; the level
 may exist this close to the threshold) or "not a single well" (no single
 interior minimum in the search window the message names).  Output
 documents are rendered fully in memory before any file is opened, so a
-failed run never leaves a partial output file.
+failed run never leaves a partial output file; a level list longer than
+MAX_LEVELS or a dump grid above MAX_GRID points is refused with exit 2
+before it is allocated.
 """
 
 import argparse
@@ -37,6 +39,10 @@ from .spectral import (PHASE_RESIDUAL_TOL, PHASE_SPEC, QuantizationError,
                        solve_quantization)
 
 SCHEMA_VERSION = "uniwkb/1"
+# caps checked before anything is allocated: a level list is expanded in
+# memory, and a dump is rendered in memory at about 130 bytes per row
+MAX_LEVELS = 10_000
+MAX_GRID = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -81,6 +87,7 @@ def _parse_params(items):
 
 def _parse_levels(text):
     levels = set()
+    too_many = "--levels asks for more than %d levels" % MAX_LEVELS
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
@@ -91,12 +98,17 @@ def _parse_levels(text):
                 raise ConfigError("bad level token %r" % part)
             if lo > hi:
                 raise ConfigError("empty level range %r" % part)
+            # checked before the range is expanded
+            if hi - lo >= MAX_LEVELS:
+                raise ConfigError(too_many)
             levels.update(range(lo, hi + 1))
         else:
             try:
                 levels.add(int(part))
             except ValueError:
                 raise ConfigError("bad level token %r" % part)
+        if len(levels) > MAX_LEVELS:
+            raise ConfigError(too_many)
     if not levels:
         raise ConfigError("no levels requested")
     if min(levels) < 0:
@@ -246,6 +258,9 @@ def cmd_dump(config, grid):
                           % len(config.levels))
     if grid.npoints < 2:
         raise ConfigError("grid needs at least 2 points")
+    if grid.npoints > MAX_GRID:
+        raise ConfigError("--grid %d is above the cap of %d points"
+                          % (grid.npoints, MAX_GRID))
     n = config.levels[0]
     potential = build_potential(config)
     sol = assemble(potential, solve_quantization(potential, n), n)

@@ -1,4 +1,5 @@
-"""Potential models: built-in wells, parsed expressions, Q bundles, and
+"""Potential models: built-in wells, parsed expressions, Q bundles, the
+well record each model works out once (`PotentialModel.well`), and
 turning-point location.
 
 Every model evaluates V together with its first three derivatives, since the
@@ -9,6 +10,7 @@ takes a scalar or a numpy array of any shape, so a whole grid costs one
 call, and an array gives the same values as its elements one at a time.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,6 +34,17 @@ TAIL_DECAY = 45.0   # truncate forbidden tails once exp(-integral kappa) ~ 3e-20
 
 
 @dataclass(frozen=True)
+class Well:
+    """What the solvers need to know about a well at no particular energy:
+    its minimum q_m, v_min = V(q_m), the energy ceiling, and for each side,
+    left first, the turning-point walk's points with V at a prefix of them."""
+    q_m: float
+    v_min: float
+    ceiling: float
+    sides: tuple
+
+
+@dataclass(frozen=True)
 class PotentialModel:
     """A well V(q) and the units of its problem, which every solver reads."""
     kind: str
@@ -40,6 +53,47 @@ class PotentialModel:
     mass: float
     eval: Callable  # q (scalar or array) -> (V, V', V'', V''')
     alpha: float = field(default=1.0)  # inverse length scale for windows
+
+    @functools.cached_property
+    def well(self):
+        """The Well, built on first use (a dataclasses.replace copy builds
+        its own).  The walk's steps grow by 1.5 from 1e-3 of the search
+        half-width, the last cut short at the reach -/+(|q_m| + twice it),
+        and V is evaluated up to the first point where eval raises or is
+        not finite.  The ceiling is the lower of the sides' largest V, less
+        1e-9 of its height above v_min.  A side keeps V only up to where 2m
+        times V', V'' or V''' overflows."""
+        q_m = find_minimum(self)
+        v_min = float(self.eval(q_m)[0])
+        half = SEARCH_HALF_WIDTH / self.alpha
+        step = max(1e-3 * half, 1e-6)
+        reach = abs(q_m) + 2 * half
+        tops, sides = [], []
+        for h, end in ((-step, -reach), (step, reach)):
+            points, b = [], q_m
+            while b != end:
+                b = b + h
+                if (b - end) * h > 0:
+                    b = end
+                points.append(b)
+                h *= 1.5
+            top, vs = -math.inf, []
+            for i, q in enumerate(points):
+                try:
+                    jet = [float(x) for x in self.eval(q)]
+                except (ArithmeticError, ValueError):
+                    break
+                if not all(map(math.isfinite, jet)):
+                    break
+                top = max(top, jet[0])
+                if len(vs) == i and all(math.isfinite(2.0 * self.mass * d)
+                                        for d in jet[1:]):
+                    vs.append(jet[0])
+            tops.append(top)
+            sides.append((tuple(points), tuple(vs)))
+        v_top = min(tops)
+        ceiling = v_top - 1e-9 * (v_top - v_min) if v_top > v_min else v_top
+        return Well(q_m, v_min, ceiling, tuple(sides))
 
 
 @dataclass(frozen=True)
@@ -212,8 +266,8 @@ def march_tail(potential, E, q_start, direction, step, target, cap=np.inf,
     when max_steps steps do neither.
 
     A step whose Q bundle cannot be evaluated (raises, or is not finite)
-    stops the march at the last point before it, the stop rule of
-    energy_ceiling: beyond it the tail has no potential to decay in.
+    stops the march at the last point before it, the stop rule of the
+    energy ceiling's walk: beyond it the tail has no potential to decay in.
 
     Blocks of steps (64, then doubling) are evaluated with one array call
     each.  Positions and running integrals are formed by np.cumsum, which
@@ -310,86 +364,36 @@ def find_minimum(potential):
     return q_m
 
 
-def _walk_points(potential, q_m):
-    """The points the turning-point walk visits on each side, left side first.
-
-    Steps from q_m grow by 1.5 from 1e-3 of the search half-width; the last
-    one is cut short to land on the search reach, -/+(|q_m| + twice the
-    half-width).
-    """
-    half = SEARCH_HALF_WIDTH / potential.alpha
-    step = max(1e-3 * half, 1e-6)
-    reach = abs(q_m) + 2 * half
-    sides = []
-    for h, end in ((-step, -reach), (step, reach)):
-        points, b = [], q_m
-        while b != end:
-            b = b + h
-            if (b - end) * h > 0:
-                b = end
-            points.append(b)
-            h *= 1.5
-        sides.append(points)
-    return sides
-
-
-def energy_ceiling(potential, q_m, v_min):
-    """Highest energy at which the turning-point walk brackets both turning
-    points.
-
-    On each side, the largest V at the points the walk visits, up to the
-    first where eval raises or is not finite (outside the potential's
-    domain, say); the lower of the two sides, less a sliver of 1e-9 of its
-    height above v_min.  A side that turns down beyond a barrier is bounded
-    by its barrier, not by V at the reach.  A side that never rises above
-    v_min gives a ceiling no higher than v_min.
-    """
-    tops = []
-    for points in _walk_points(potential, q_m):
-        top = -math.inf
-        for q in points:
-            try:
-                jet = [float(x) for x in potential.eval(q)]
-            except (ArithmeticError, ValueError):
-                break
-            if not all(map(math.isfinite, jet)):
-                break
-            top = max(top, jet[0])
-        tops.append(top)
-    v_top = min(tops)
-    return v_top - 1e-9 * (v_top - v_min) if v_top > v_min else v_top
-
-
-def find_turning_points(potential, E, q_m=None):
+def find_turning_points(potential, E):
     """Classical turning points around the well minimum at energy E.
 
-    Each side is walked out from q_m, one q_bundle per point of
-    _walk_points, until Q = 2m(V - E) changes sign; the sign change is then
-    polished with Brent's method.  Every E below energy_ceiling finds both
-    turning points.
-    q_m may be passed in when already known to skip the minimum search.
+    Each side of potential.well's walk is scanned for the first sign change
+    of Q = 2m(V - E), which Brent's method then polishes.  A point with no
+    V in the table, or a non-finite Q, is evaluated with q_bundle, which
+    raises there as a walk of q_bundle calls does.
     """
-    if q_m is None:
-        q_m = find_minimum(potential)
-    v_min = potential.eval(q_m)[0]
-    if not E > v_min:
+    well = potential.well
+    if not E > well.v_min:
         raise NoBoundRegionError(
-            "E = %g does not exceed the well minimum %g" % (E, v_min))
+            "E = %g does not exceed the well minimum %g" % (E, well.v_min))
+    E, m2 = float(E), 2.0 * potential.mass
     Qf = lambda q: q_bundle(potential, q, E, potential.mass).Q
-    f0 = Qf(q_m)
+    f0 = Qf(well.q_m)
     found = []
-    for points in _walk_points(potential, q_m):
-        a, fa = q_m, f0
-        for b in points:
-            fb = Qf(b)
+    for points, vs in well.sides:
+        a, fa = well.q_m, f0
+        for i, b in enumerate(points):
+            fb = m2 * (vs[i] - E) if i < len(vs) else math.inf
+            if not math.isfinite(fb):
+                fb = Qf(b)
             if fb == 0.0 or (fb > 0) != (f0 > 0):
                 break
             a, fa = b, fb
         else:
             raise BracketError(
                 "turning point search left the window: no sign change "
-                "between %g and the search limit %g" % (q_m, points[-1]))
+                "between %g and the search limit %g" % (well.q_m, points[-1]))
         if b < a:
             a, b, fa, fb = b, a, fb, fa
         found.append(hybrid_root(Qf, a, b, flo=fa, fhi=fb, rel_tol=TP_REL_TOL))
-    return TurningPoints(found[0], found[1], q_m)
+    return TurningPoints(found[0], found[1], well.q_m)

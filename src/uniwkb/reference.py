@@ -5,14 +5,14 @@ Harmonic and Morse states are Hermite and Laguerre functions from their
 normalized recurrences, with the weight inside, so they stay in double
 range at any level; Pöschl-Teller states are a Gegenbauer recurrence
 times cosh^(-mu), formed from log cosh.  Each is normalized numerically,
-on the support the assembled states use (potentials.tail_cut), and
+on the support the assembled states use (spectral.support), and
 sign-fixed positive on the left tail; the Schrödinger-residual checks in
 the test suite validate the shapes.
 
 The Numerov oracle counts nodes only to bracket a level, converges on the
 matching of outward and inward solutions on one grid per level, and
 removes the O(h^4) grid error by Richardson extrapolation from that grid
-and its every other node.
+and its every other node, all below the well's energy ceiling.
 """
 
 import math
@@ -22,12 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import (bound_count, energy_ceiling, find_turning_points,
-                         march_tail, tail_cut)
+from .potentials import bound_count, find_turning_points, march_tail
 # unused here, kept importable: perfbench/tracer.py wraps reference.q_bundle
 from .potentials import q_bundle  # noqa: F401
 from .quadrature import QuadratureSpec, integrate
 from .rootfind import BracketError, hybrid_root
+from .spectral import support
 
 _NORM_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
 
@@ -167,16 +167,13 @@ def _raw_state(potential, n):
 def exact_wavefunction(potential, n):
     """Normalized exact level n of a builtin well, with vectorized samplers.
 
-    Its support is the assembled states' rule: each tail is cut by
-    tail_cut, where its decay exponent reaches TAIL_DECAY.
+    Its support is the assembled states', spectral.support: each tail is
+    cut where its decay exponent reaches TAIL_DECAY.
     """
     energy = exact_energy(potential.kind, potential.params, n, potential.hbar,
                           potential.mass)
     u, du = _raw_state(potential, n)
-    tp = find_turning_points(potential, energy)
-    width = tp.q_plus - tp.q_minus
-    q_lo = tail_cut(potential, energy, tp.q_minus, -1.0, width)
-    q_hi = tail_cut(potential, energy, tp.q_plus, +1.0, width)
+    tp, q_lo, q_hi = support(potential, energy)
     # split the norm integral at the turning points: the domain is dominated
     # by long tails and a whole-range estimate would misjudge the peak
     edges = [q_lo, tp.q_minus, tp.q_m, tp.q_plus, q_hi]
@@ -226,14 +223,14 @@ def _tail_margin(potential, E, q_start, direction, width, target):
     return d, d >= cap
 
 
-def _extent(potential, E, q_m):
+def _extent(potential, E):
     """Ends of the Numerov grid for energy E, and whether a tail reached
     _tail_margin's length cap.
 
     The grid spans both turning points at E and tails beyond them in which
     the decay exponent reaches TAIL_EXPONENT.
     """
-    tp = find_turning_points(potential, E, q_m=q_m)
+    tp = find_turning_points(potential, E)
     width = tp.q_plus - tp.q_minus
     dl, capped_l = _tail_margin(potential, E, tp.q_minus, -1.0, width,
                                 TAIL_EXPONENT)
@@ -242,7 +239,7 @@ def _extent(potential, E, q_m):
     return tp.q_minus - dl, tp.q_plus + dr, capped_l or capped_r
 
 
-def _grid(potential, E, q_m):
+def _grid(potential, E):
     """Numerov grid for energy E over _extent: its first node, its step, V
     on it, and whether a tail reached _tail_margin's length cap.
 
@@ -252,7 +249,7 @@ def _grid(potential, E, q_m):
     exp(TAIL_EXPONENT) across each tail, hundreds of orders of magnitude
     short of overflow.
     """
-    lo, hi, capped = _extent(potential, E, q_m)
+    lo, hi, capped = _extent(potential, E)
     V = potential.eval(np.linspace(lo, hi, 64))[0]
     max_q = float(np.max(np.abs(2.0 * potential.mass * (V - E))))
     h = math.sqrt(STEP_FACTOR * potential.hbar * potential.hbar / max_q)
@@ -285,10 +282,10 @@ def _march(coeffs):
     return z_prev, z
 
 
-def _count_nodes(potential, E, q_m):
+def _count_nodes(potential, E):
     """Nodes of the solution marched across the grid at E from z_0 = 0 (the
     number of levels below E), and that grid, as _grid returns it."""
-    grid = _grid(potential, E, q_m)
+    grid = _grid(potential, E)
     _, h, V, _ = grid
     z_prev, z = 0.0, 1.0
     nodes, positive = 0, True
@@ -332,26 +329,24 @@ def numerov_solve(potential, n):
     and on every other node of it (E_2h), and Richardson's
     E_h + (E_h - E_2h) / 15 removes Numerov's O(h^4) error.
     """
-    from .potentials import find_minimum
-
     hbar, mass = potential.hbar, potential.mass
-    q_m = find_minimum(potential)
-    v_min, _, curv, _ = potential.eval(q_m)
+    well = potential.well
+    curv = potential.eval(well.q_m)[2]
     e_unit = hbar * math.sqrt(max(curv, 1e-12) / mass)
-    cap_e = energy_ceiling(potential, q_m, v_min)
-    lo = v_min + 0.05 * e_unit
-    n_lo = _count_nodes(potential, lo, q_m)[0]
+    cap_e = well.ceiling
+    lo = well.v_min + 0.05 * e_unit
+    n_lo = _count_nodes(potential, lo)[0]
     if n_lo > n:
         raise NumerovError("lower probe already has too many nodes")
     span = e_unit * (n + 1.5)
     for _ in range(60):
         cand = min(lo + span, cap_e)
-        if cand == cap_e and _extent(potential, cap_e, q_m)[2]:
+        if cand == cap_e and _extent(potential, cap_e)[2]:
             # a capped tail makes the ceiling's the costliest sweep: bisect
             # below it unswept, n_hi unknown
             hi, n_hi = cap_e, None
             break
-        count, grid = _count_nodes(potential, cand, q_m)
+        count, grid = _count_nodes(potential, cand)
         if count > n:
             hi, n_hi = cand, count
             break
@@ -367,10 +362,10 @@ def numerov_solve(potential, n):
             break
         mid = 0.5 * (lo + hi)
         if n_hi is None and (capped or not lo < mid < hi):
-            n_hi = _count_nodes(potential, cap_e, q_m)[0]
+            n_hi = _count_nodes(potential, cap_e)[0]
             if n_hi <= n:
                 raise NumerovError("level n=%d is not bound by this well" % n)
-        count, mid_grid = _count_nodes(potential, mid, q_m)
+        count, mid_grid = _count_nodes(potential, mid)
         capped = mid_grid[3]
         if count > n:
             hi, n_hi, grid = mid, count, mid_grid
@@ -380,7 +375,7 @@ def numerov_solve(potential, n):
         raise NumerovError("could not isolate level n=%d in [%r, %r]"
                            % (n, lo, hi))
     q_0, h, V, _ = grid
-    q_match = find_turning_points(potential, 0.5 * (lo + hi), q_m=q_m).q_plus
+    q_match = find_turning_points(potential, 0.5 * (lo + hi)).q_plus
     k = 2 * int(round(0.5 * (q_match - q_0) / h))
     energies = []
     for stride in (1, 2):

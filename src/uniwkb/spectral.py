@@ -3,7 +3,8 @@ assembly through the turning points, and energy moments.
 
 Level n solves the second-order phase condition, whose phase diverges
 near a dissociation threshold; the first-order (Bohr-Sommerfeld) phase,
-finite there, decides which levels exist and seeds the search.
+finite there, decides which levels exist below the well's energy ceiling
+and seeds the search.
 
 The assembled state is one formula on the whole line, unnormalized:
 u = exp(F_mean(q) - F_mean(q-))*cos(F_phase(q) - pi/3), where F is one
@@ -23,10 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import (TurningPoints, energy_ceiling, find_minimum,
-                         find_turning_points, q_bundle_many, tail_cut)
-# unused here, kept importable: perfbench/tracer.py wraps spectral.q_bundle
-from .potentials import q_bundle  # noqa: F401
+from .potentials import (TurningPoints, find_turning_points, q_bundle_many,
+                         tail_cut)
+# unused here, kept importable: perfbench/tracer.py wraps both by name here
+from .potentials import find_minimum, q_bundle  # noqa: F401
 from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integrate
 from .rootfind import hybrid_root
 from .wkb_core import A_SWITCH, airy_variable, terms_many
@@ -121,12 +122,17 @@ def _breaks(potential, anchors, E):
     return edges
 
 
-def phase_integral(potential, E, q_m=None):
-    """Accumulated oscillation phase across the classically allowed region.
+def support(potential, E):
+    """Turning points at E, and the tail cuts q_lo and q_hi beyond them."""
+    tp = find_turning_points(potential, E)
+    width = tp.q_plus - tp.q_minus
+    return (tp, tail_cut(potential, E, tp.q_minus, -1.0, width),
+            tail_cut(potential, E, tp.q_plus, +1.0, width))
 
-    q_m, the well minimum, may be passed in when already known.
-    """
-    tp = find_turning_points(potential, E, q_m=q_m)
+
+def phase_integral(potential, E):
+    """Accumulated oscillation phase across the classically allowed region."""
+    tp = find_turning_points(potential, E)
 
     def f(q):
         return _terms_at(potential, q, E, "allowed")[1]
@@ -135,12 +141,12 @@ def phase_integral(potential, E, q_m=None):
     return float(integrate(f, edges, PHASE_SPEC))
 
 
-def _first_order_phase(potential, E, q_m):
+def _first_order_phase(potential, E):
     """Bohr-Sommerfeld phase: the integral of sqrt(2m(E - V))/hbar between
     the turning points, each half over s with q = q-/+ +/- s^2 from the
     turning point (s = 0) to q_m, which takes out the square-root zeros."""
-    tp = find_turning_points(potential, E, q_m=q_m)
-    s_lo, s_hi = math.sqrt(q_m - tp.q_minus), math.sqrt(tp.q_plus - q_m)
+    tp = find_turning_points(potential, E)
+    s_lo, s_hi = math.sqrt(tp.q_m - tp.q_minus), math.sqrt(tp.q_plus - tp.q_m)
 
     def f(x):   # x in [-s_lo, 0] covers the left half, [0, s_hi] the right
         s = np.where(x < 0.0, x + s_lo, s_hi - x)
@@ -161,20 +167,18 @@ def solve_quantization(potential, n):
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
-    q_m = find_minimum(potential)
-    v_min = float(potential.eval(q_m)[0])
     # no energy above the ceiling has both turning points in the search reach
-    ceiling = energy_ceiling(potential, q_m, v_min)
+    v_min, ceiling = potential.well.v_min, potential.well.ceiling
     first, target = math.pi * (n + 0.5), math.pi * (n + 2.0 / 3.0)
-    phi_top = _first_order_phase(potential, ceiling, q_m)
+    phi_top = _first_order_phase(potential, ceiling)
     if phi_top < first:
         raise QuantizationError(
             "level n=%d lies above the energy ceiling %.10g: below it the well "
             "supports %d levels" % (n, ceiling, math.floor(phi_top / math.pi + 0.5)))
-    lo = hybrid_root(lambda E: _first_order_phase(potential, E, q_m)
-                     - first, v_min, ceiling, flo=-first, fhi=phi_top - first,
+    lo = hybrid_root(lambda E: _first_order_phase(potential, E) - first,
+                     v_min, ceiling, flo=-first, fhi=phi_top - first,
                      rel_tol=1e-8)
-    g = lambda E: phase_integral(potential, E, q_m=q_m) - target
+    g = lambda E: phase_integral(potential, E) - target
     g_lo = g(lo)
     step = math.copysign(0.05 * (lo - v_min) / (n + 0.5), -g_lo)
     for _ in range(100):
@@ -206,10 +210,7 @@ def assemble(potential, e_sp, n):
     e_bar = <u|H|u>/<u|u>.
     """
     hbar, mass = potential.hbar, potential.mass
-    tp = find_turning_points(potential, e_sp)
-    width = tp.q_plus - tp.q_minus
-    t_lo = tail_cut(potential, e_sp, tp.q_minus, -1.0, width)
-    t_hi = tail_cut(potential, e_sp, tp.q_plus, +1.0, width)
+    tp, t_lo, t_hi = support(potential, e_sp)
     edges = _breaks(potential, [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi],
                     e_sp)
 
@@ -272,7 +273,7 @@ def assemble(potential, e_sp, n):
     e_bar = float(u_h_u / norm2)
     # near the threshold the second-order phase can return a spurious root
     # below the ceiling whose state's energy lies above it
-    ceiling = energy_ceiling(potential, tp.q_m, potential.eval(tp.q_m)[0])
+    ceiling = potential.well.ceiling
     if e_bar >= ceiling:
         raise UnresolvedStateError(
             "level n=%d: its assembled energy %.10g is at or "

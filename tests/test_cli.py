@@ -14,10 +14,11 @@ import warnings
 import pytest
 
 import uniwkb
-from uniwkb.cli import (ConfigError, DumpGrid, build_parser, cmd_dump,
-                        cmd_solve, cmd_verify, config_from_args, main,
-                        render_document, _parse_levels, _parse_params,
-                        _parse_range)
+from uniwkb import cli
+from uniwkb.cli import (MAX_GRID, MAX_LEVELS, ConfigError, DumpGrid,
+                        build_parser, cmd_dump, cmd_solve, cmd_verify,
+                        config_from_args, main, render_document,
+                        _parse_levels, _parse_params, _parse_range)
 from uniwkb.metrics import GOLDEN_ENV, METRIC_NAMES, benchmark_row
 
 
@@ -392,3 +393,45 @@ def test_unreachable_rel_tol_exits_four_quickly():
         preexec_fn=cap_memory)
     assert proc.returncode == 4, proc.stderr
     assert "solver failure" in proc.stderr and "stalled at degree 1024" in proc.stderr
+
+
+# ---- input caps ----
+
+def test_level_list_cap():
+    assert len(_parse_levels("0..%d" % (MAX_LEVELS - 1))) == MAX_LEVELS
+    assert len(_parse_levels("0..%d,%d" % (MAX_LEVELS - 2, MAX_LEVELS))) == MAX_LEVELS
+    for bad in ("0..%d" % MAX_LEVELS, "%d,0..%d" % (MAX_LEVELS, MAX_LEVELS - 1),
+                ",".join("%d..%d" % (k, k + 999) for k in range(0, 20000, 1000))):
+        with pytest.raises(ConfigError, match="--levels .* %d levels" % MAX_LEVELS):
+            _parse_levels(bad)
+
+
+def test_oversized_dump_grid_is_refused_before_solving(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("solved before the grid was checked")
+
+    monkeypatch.setattr(cli, "solve_quantization", unreachable)
+    cfg = make_config(["dump", "--potential", "harmonic", "--levels", "0"])
+    with pytest.raises(ConfigError, match="--grid %d .* %d points"
+                       % (MAX_GRID + 1, MAX_GRID)):
+        cmd_dump(cfg, DumpGrid(MAX_GRID + 1, None, None))
+
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (["solve", "--potential", "harmonic", "--levels", "0..100000000"],
+     "--levels", "10000"),
+    (["dump", "--potential", "harmonic", "--levels", "0",
+      "--grid", "1000000000"], "--grid", "1000000"),
+], ids=["levels", "grid"])
+def test_oversized_input_exits_two_before_allocating(argv, flag, cap):
+    """An input far too large to expand is refused with exit 2, inside a
+    1.5 GB address space that expanding it would exhaust."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 * 1024 ** 2,) * 2)
+
+    proc = subprocess.run([sys.executable, "-m", "uniwkb"] + argv,
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert "invalid configuration" in proc.stderr
+    assert flag in proc.stderr and cap in proc.stderr

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniwkb import exprparse
+from uniwkb import exprparse, potentials, reference, spectral
 from uniwkb.exprparse import EvalDomainError, ExprError
 from uniwkb.potentials import (
     MAX_WINDOW_MOVES,
@@ -22,7 +22,6 @@ from uniwkb.potentials import (
     ParameterError,
     TurningPoints,
     WellShapeError,
-    energy_ceiling,
     find_minimum,
     find_turning_points,
     make_builtin,
@@ -295,13 +294,12 @@ def test_turning_points_found_up_to_the_energy_ceiling():
     # the reach of q^2/2 is +/-60: at the ceiling the walk lands its last
     # step on the reach's end, and just above V there it finds no sign change
     pot = parse_potential("q^2/2", {})
-    q_m = find_minimum(pot)
-    E = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
+    E = pot.well.ceiling
     assert E == 1800.0 - 1e-9 * 1800.0
-    tp = find_turning_points(pot, E, q_m=q_m)
+    tp = find_turning_points(pot, E)
     assert abs(tp.q_minus + 60.0) < 1e-6 and abs(tp.q_plus - 60.0) < 1e-6
     with pytest.raises(BracketError):
-        find_turning_points(pot, 1800.0 * (1.0 + 1e-9), q_m=q_m)
+        find_turning_points(pot, 1800.0 * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("src", [
@@ -316,9 +314,10 @@ def test_turning_points_found_at_the_energy_ceiling(src):
     pot = parse_potential(src, {})
     q_m = find_minimum(pot)
     v_min = pot.eval(q_m)[0]
-    E = energy_ceiling(pot, q_m, v_min)
+    assert (pot.well.q_m, pot.well.v_min) == (q_m, v_min)
+    E = pot.well.ceiling
     assert v_min < E < math.inf
-    tp = find_turning_points(pot, E, q_m=q_m)
+    tp = find_turning_points(pot, E)
     assert tp.q_minus < q_m < tp.q_plus
 
 
@@ -326,13 +325,14 @@ def test_energy_ceiling_bounds():
     # below the barrier of q^2/2 - q^3/100 (185.2 at q = 100/3), not at
     # V(60) = -360, which lies below the well minimum
     pot = parse_potential("q^2/2 - q^3/100", {})
-    assert 150.0 < energy_ceiling(pot, find_minimum(pot), 0.0) < 185.2
+    assert 150.0 < pot.well.ceiling < 185.2
     # the reach is -/+(|q_m| + 60), not q_m -/+ 60: left of q_m = 25 the
-    # walk lands on -85, where V = 110
+    # walk lands on -85, where V = 110; the sliver is taken above the
+    # minimum V(25) = 1
     pot = parse_potential("exp(q-25) - (q-25)", {})
-    q_m = find_minimum(pot)
     v_edge = pot.eval(-85.0)[0]
-    assert energy_ceiling(pot, q_m, 0.0) == v_edge - 1e-9 * v_edge
+    assert pot.well.v_min == 1.0
+    assert pot.well.ceiling == v_edge - 1e-9 * (v_edge - 1.0)
 
 
 def test_turning_point_errors():
@@ -535,7 +535,7 @@ def _turning_outcome(search, *args):
     """The turning points as exact hex, or the name of the error raised."""
     try:
         found = search(*args)
-    except (BracketError, NoBoundRegionError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__
     return [float(q).hex() for q in (found.q_minus, found.q_plus, found.q_m)]
 
@@ -548,6 +548,89 @@ def test_turning_points_equal_scalar_walk(model, e_frac):
     want = _turning_outcome(_scalar_turning_points, model, E)
     got = _turning_outcome(find_turning_points, model, E)
     assert got == want
+
+
+# expression wells whose walk or ceiling stops short of V at the reach's
+# ends, as (source, parameters, mass).  With mass 1e155, 2m V''' overflows
+# at |q| = 26.2, where V is finite.  With A = 1e300 and mass 2.8e5, just
+# above V(17.5) Q = 2m(V - E) is finite at q_m but not at the next walk
+# point, q = 26.2.  Where q_bundle raises, so must the walk.
+SHORT_WALKS = [
+    ("exp(q^2/2)", {}, 1.0),
+    ("q^2/2 - ln(q + 50)", {}, 1.0),
+    ("q^2/2 - q^3/100", {}, 1.0),
+    ("exp(q-25) - (q-25)", {}, 1.0),
+    ("exp(q^2/2)", {}, 1e155),
+    ("A*q^2", {"A": 1e300}, 2.8e5),
+]
+SHORT_MODELS = [parse_potential(src, params, mass=mass)
+                for src, params, mass in SHORT_WALKS]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(SHORT_WALKS))),
+       st.one_of(st.floats(-0.1, 1.5), st.floats(1e-160, 1e-3)))
+def test_turning_points_equal_scalar_walk_where_it_stops_short(i, frac):
+    model = SHORT_MODELS[i]
+    v_min, ceiling = model.well.v_min, model.well.ceiling
+    E = v_min + frac * (ceiling - v_min)
+    want = _turning_outcome(_scalar_turning_points, model, E)
+    assert _turning_outcome(find_turning_points, model, E) == want
+
+
+@pytest.mark.parametrize("model", SHORT_MODELS, ids=[
+    "%s-m%g" % (src, mass) for src, _, mass in SHORT_WALKS])
+def test_turning_points_equal_scalar_walk_at_the_walk_points(model):
+    """Energies at and just above V at each walk point the table holds, and
+    around the ceiling."""
+    ceiling = model.well.ceiling
+    energies = [math.nextafter(ceiling, -math.inf), ceiling,
+                math.nextafter(ceiling, math.inf), 2.0 * abs(ceiling), 1e308]
+    for _, vs in model.well.sides:
+        for v, v_next in zip(vs, vs[1:] + (2.0 * vs[-1],)):
+            energies += [v, math.nextafter(v, math.inf), v + 1e-3 * (v_next - v)]
+    for E in energies:
+        want = _turning_outcome(_scalar_turning_points, model, E)
+        assert _turning_outcome(find_turning_points, model, E) == want, E
+
+
+def test_well_is_worked_out_once_per_model(monkeypatch):
+    """One model's quantization, assembly, exact state and Numerov oracle
+    share one minimum search, and the walk table evaluates its points once:
+    the turning-point searches after it evaluate none of them again.  A
+    copy with another eval builds its own well through that eval."""
+    searches = []
+    real = potentials.find_minimum
+
+    def minimum(potential):
+        searches.append(potential)
+        return real(potential)
+
+    monkeypatch.setattr(potentials, "find_minimum", minimum)
+    monkeypatch.setattr(spectral, "find_minimum", minimum)
+    model = make_builtin("morse", {"gamma": 4.5})
+    e_sp = spectral.solve_quantization(model, 1)
+    spectral.assemble(model, e_sp, 1)
+    reference.exact_wavefunction(model, 1)
+    reference.numerov_solve(model, 1)
+    assert searches == [model]
+
+    seen = []
+
+    def counted(q):
+        seen.append(q)
+        return model.eval(q)
+
+    twin = dataclasses.replace(model, eval=counted)
+    well = twin.well
+    assert searches == [model, twin] and twin.well is well
+    assert well == model.well and well is not model.well
+    walk = set(well.sides[0][0] + well.sides[1][0])
+    assert walk <= {q for q in seen if np.ndim(q) == 0}
+    seen.clear()
+    for E in np.linspace(well.v_min, well.ceiling, 12)[1:].tolist():
+        find_turning_points(twin, E)
+    assert seen and not walk & {q for q in seen if np.ndim(q) == 0}
 
 
 # ---- forbidden-tail march ----
@@ -626,7 +709,7 @@ def test_march_tail_does_not_raise_beyond_its_stop():
     args = (morse, -1.0, -330.0, -1.0, 2.0, math.inf, 10.0, None)
     assert march_tail(*args) == _scalar_march(*args) == -340.0
     # with its cap past the overflow, the march stops at the last point it
-    # can evaluate, as energy_ceiling's walk does
+    # can evaluate, as the well record's walk does
     args = (morse, -1.0, -330.0, -1.0, 2.0, math.inf, 30.0, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -10,7 +10,6 @@ import pytest
 
 from uniwkb import reference
 from uniwkb.potentials import (HARMONIC_SENTINEL, bound_count,
-                               energy_ceiling, find_minimum,
                                find_turning_points, make_builtin,
                                parse_potential)
 from uniwkb.reference import (
@@ -252,9 +251,9 @@ def _count_work(monkeypatch):
     work = {"sweeps": [], "marches": 0}
     count_nodes, casoratian = reference._count_nodes, reference._casoratian
 
-    def sweep(potential, E, q_m):
+    def sweep(potential, E):
         work["sweeps"].append(E)
-        return count_nodes(potential, E, q_m)
+        return count_nodes(potential, E)
 
     def march(*args):
         work["marches"] += 1
@@ -272,8 +271,7 @@ def test_numerov_work_per_level(monkeypatch):
     work = _count_work(monkeypatch)
     for kind, params in CELLS:
         pot = make_builtin(kind, params)
-        q_m = find_minimum(pot)
-        ceiling = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
+        ceiling = pot.well.ceiling
         for n in range(4):
             work.update(sweeps=[], marches=0)
             numerov_solve(pot, n)

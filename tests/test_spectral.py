@@ -9,8 +9,8 @@ from scipy.integrate import simpson
 
 from uniwkb import potentials, spectral, wkb_core
 from uniwkb.metrics import METRIC_SPEC
-from uniwkb.potentials import (bound_count, energy_ceiling, find_minimum,
-                               make_builtin, parse_potential, q_bundle)
+from uniwkb.potentials import (bound_count, make_builtin, parse_potential,
+                               q_bundle)
 from uniwkb.rootfind import hybrid_root
 from uniwkb.spectral import (
     PHASE_RESIDUAL_TOL,
@@ -196,11 +196,8 @@ def test_breaks_refine_every_seam_of_an_energy_together(monkeypatch):
     root of its own scalar search, to the bit."""
     pot = make_builtin("morse", PARAMS["morse"])
     e_sp = ESP_ORACLE["morse"][3]
-    tp = potentials.find_turning_points(pot, e_sp)
-    width = tp.q_plus - tp.q_minus
-    anchors = [potentials.tail_cut(pot, e_sp, tp.q_minus, -1.0, width),
-               tp.q_minus, tp.q_m, tp.q_plus,
-               potentials.tail_cut(pot, e_sp, tp.q_plus, +1.0, width)]
+    tp, t_lo, t_hi = spectral.support(pot, e_sp)
+    anchors = [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi]
     units = (pot.hbar, pot.mass)
     scans, rounds = [], []
     real_arg, real_root = spectral.airy_argument, spectral.hybrid_root
@@ -316,8 +313,7 @@ def test_level_above_the_ceiling_fails_fast(monkeypatch):
     first-order phase at the energy ceiling, before any second-order phase
     integral, and the error names the ceiling and the level count."""
     pot = parse_potential("-20/cosh(q)^2", {})
-    q_m = find_minimum(pot)
-    ceiling = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
+    ceiling = pot.well.ceiling
     calls = []
     real = spectral.phase_integral
 
@@ -394,10 +390,9 @@ def test_assemble_refuses_a_state_above_the_ceiling():
     that level, and assemble refuses the root itself, whose state's energy
     lies above the energy ceiling."""
     pot = parse_potential("A*(exp(-2*q)-2*exp(-q))", {"A": 10.125})
-    q_m = find_minimum(pot)
-    ceiling = energy_ceiling(pot, q_m, pot.eval(q_m)[0])
+    ceiling = pot.well.ceiling
     target = math.pi * (4 + 2.0 / 3.0)
-    root = hybrid_root(lambda E: phase_integral(pot, E, q_m=q_m) - target,
+    root = hybrid_root(lambda E: phase_integral(pot, E) - target,
                        -3e-3, ceiling, rel_tol=1e-13, f_tol=PHASE_RESIDUAL_TOL)
     assert -3e-3 < root < ceiling
     with pytest.raises(QuantizationError, match="above the energy ceiling"):
