@@ -136,9 +136,6 @@ def config_from_args(args):
         if args.expr is not None:
             raise ConfigError("--expr is only meaningful with --potential expr")
         kind, expr = args.potential.replace("-", "_"), None
-    for flag, value in (("--hbar", args.hbar), ("--mass", args.mass)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError("%s must be finite and positive, got %r" % (flag, value))
     rel_tol = getattr(args, "rel_tol", None)   # solve only
     if rel_tol is not None and not MIN_REL_TOL <= rel_tol < 1.0:
         raise ConfigError("rel-tol must lie in [%g, 1)" % MIN_REL_TOL)

@@ -1,7 +1,7 @@
 """Integration over break panels: one adaptive Chebyshev fit per panel
 between consecutive edges, which gives definite integrals (`integrate`)
 and antiderivatives evaluated as functions of their upper limit
-(`CumulativeCheb`) alike.
+(`CumulativeCheb`, which also evaluates the fitted integrand) alike.
 
 Each panel's integrand is interpolated at the N = n + 1 first-kind
 Chebyshev points mid + half*cos(pi*(j + 1/2)/N), for degrees n = 64, 128,
@@ -192,6 +192,10 @@ class CumulativeCheb:
     breakpoints at every known kink of f; at least one interval must have
     positive length.  Evaluation outside the covered range clamps to the
     nearest endpoint.
+
+    Each panel keeps its chopped fit of f (`fits`) beside the antiderivative
+    (`coeffs`), so `with_integrand` gives the fitted f, the exact derivative
+    of F inside the covered range, along with F in one pass.
     """
 
     def __init__(self, f, breakpoints, spec=QuadratureSpec()):
@@ -199,32 +203,56 @@ class CumulativeCheb:
         if len(edges) < 2:
             raise ValueError("breakpoints span no interval")
         self.edges = np.array(edges)
+        self.fits = _cheb_fits(f, edges, spec)
         # per panel, the antiderivative vanishing at its left edge; base holds
         # the integrals from edges[0] to every edge, with panel integral F(+1)
         self.coeffs = [_antiderivative_coeffs(c, 0.5 * (b - a)) for a, b, c in
-                       zip(edges[:-1], edges[1:], _cheb_fits(f, edges, spec))]
+                       zip(edges[:-1], edges[1:], self.fits)]
         self.rows = self.coeffs[0].shape[:-1]
         self.base = np.cumsum([np.zeros(self.rows)] + [
             _per_row(np.sum, bc[..., 1:]) + bc[..., 0] for bc in self.coeffs], axis=0)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        out = self._evaluate(x, self.coeffs, self.base)
+        return out.reshape(self.rows + x.shape)[()]
+
+    def with_integrand(self, x):
+        """(F(x), f(x)) with f the fitted integrand, from one Clenshaw pass
+        per panel over F's rows stacked on f's, the fit zero-padded to the
+        antiderivative's length.  F is bit for bit F(x); f is 0 outside the
+        covered range, where F clamps."""
+        x = np.asarray(x, dtype=float)
+        k = int(np.prod(self.rows))
+        joint = [np.concatenate([bc.reshape(k, -1), np.pad(
+            c.reshape(k, -1), ((0, 0), (0, bc.shape[-1] - c.shape[-1])))])
+            for bc, c in zip(self.coeffs, self.fits)]
+        base = np.concatenate([self.base.reshape(-1, k),
+                               np.zeros((len(self.base), k))], axis=1)
+        out = self._evaluate(x, joint, base)
+        out[k:, np.atleast_1d((x < self.edges[0]) | (x > self.edges[-1]))] = 0.0
+        F, f = out.reshape((2,) + self.rows + x.shape)
+        return F[()], f[()]
+
+    def _evaluate(self, x, coeffs, base):
+        """Rows (flattened) of base[i] plus the series coeffs[i] of the panel
+        holding each point of x, clamped to the covered range."""
         xf = np.clip(np.atleast_1d(x), self.edges[0], self.edges[-1])
         idx = np.clip(np.searchsorted(self.edges, xf, side="right") - 1,
-                      0, len(self.coeffs) - 1)
-        out = np.empty(self.rows + xf.shape)
+                      0, len(coeffs) - 1)
+        out = np.empty((base[0].size,) + xf.shape)
         # only the panels that hold a point: one fit may span many panels
         for i in np.flatnonzero(np.bincount(idx.ravel())):
             m = idx == i
             a, b = self.edges[i], self.edges[i + 1]
             t = (2.0 * xf[m] - (a + b)) / (b - a)
             # a row that is all zero on this panel stays at its base there
-            c = self.coeffs[i].reshape(-1, self.coeffs[i].shape[-1])
-            v = np.repeat(self.base[i].reshape(-1, 1), t.size, axis=1)
+            c = coeffs[i].reshape(-1, coeffs[i].shape[-1])
+            v = np.repeat(base[i].reshape(-1, 1), t.size, axis=1)
             live = np.flatnonzero(np.any(c, axis=-1))
             v[live] += _clenshaw(c[live], t)
-            out[..., m] = v.reshape(self.rows + t.shape)
-        return out.reshape(self.rows + x.shape)[()]
+            out[:, m] = v
+        return out
 
     def total(self):
         return self.base[-1]

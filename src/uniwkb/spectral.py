@@ -11,10 +11,12 @@ u = exp(F_mean(q) - F_mean(q-))*cos(F_phase(q) - pi/3), where F is one
 two-row Chebyshev antiderivative of the (mean, phase) terms over the whole
 support, each region contributing its own terms.  One fit makes u
 continuous at both turning points by construction and leaves only the
-phase condition to the root solver.  u' and Hu come from the same
-amplitude and phase and one bundle of pointwise mean/phase terms, so psi,
-dpsi and h_psi stay mutually consistent to quadrature accuracy.  <u|u> and
-<u|H|u> come from one two-row quadrature, and the samplers return c*u, c*u'
+phase condition to the root solver.  u' is the exact derivative of u,
+from F' = the fitted (mean, phase) terms that F already holds, so it runs no
+Airy kernel; Hu comes from the same amplitude and phase and one bundle of
+pointwise mean/phase terms.  <u|u> and <u|H|u> come from one two-row
+quadrature of u and u' from F and V from the Q bundle, so e_bar is the
+Rayleigh quotient of the sampled state, and the samplers return c*u, c*u'
 and c*Hu with c = <u|u>^(-1/2).
 """
 
@@ -204,10 +206,14 @@ def assemble(potential, e_sp, n):
     each region (left tail, allowed, right tail) giving its own terms.  The
     forbidden phase is zero: F_phase is 0 up to q- and the whole allowed
     phase from q+ on, so u is continuous at both turning points and the
-    phase condition gives the right tail (-1)^n/2.  One two-row quadrature
-    gives <u|u> and <u|H|u> = (hbar^2/2m) int u'^2 + int V u^2.  Then
-    psi = c*u, dpsi = c*u' and h_psi = c*Hu with c = <u|u>^(-1/2), and
-    e_bar = <u|H|u>/<u|u>.
+    phase condition gives the right tail (-1)^n/2.  Past a cut the mean
+    exponent goes on along its log-slope there.  u' = amp*(mean' cos(theta)
+    - phase' sin(theta)) takes mean' and phase' from F's own panel fits
+    (the slope and 0 past the cuts), so it is the derivative of the sampled
+    u.  One two-row quadrature gives <u|u> and <u|H|u> = (hbar^2/2m) int
+    u'^2 + int V u^2.  Then psi = c*u, dpsi = c*u' and h_psi = c*Hu with
+    c = <u|u>^(-1/2), and e_bar = <u|H|u>/<u|u>, the Rayleigh quotient of
+    the sampled state.
     """
     hbar, mass = potential.hbar, potential.mass
     tp, t_lo, t_hi = support(potential, e_sp)
@@ -234,39 +240,49 @@ def assemble(potential, e_sp, n):
     # past a truncation point the exponent goes on along its log-slope there
     slope_lo, slope_hi = by_region(np.array([t_lo, t_hi]), exponents, (2,))[0]
 
-    def polar(x):
-        mean, phase = F(x)
+    def polar(x, mean, phase):
+        """amp and theta at x from F's rows there."""
         amp = np.exp(mean - mean_minus + slope_lo * np.minimum(x - t_lo, 0.0)
                      + slope_hi * np.maximum(x - t_hi, 0.0))
         return amp, phase - math.pi / 3.0
 
-    def u_of(x, region):
-        amp, theta = polar(x)
+    def u_of(q):
+        x = np.asarray(q, dtype=float)
+        amp, theta = polar(x, *F(x))
         return amp * np.cos(theta)
+
+    def u_jet(q):
+        """u and u' from one evaluation of F and its fitted integrand
+        F' = (mean', phase'): u' = amp*(mean' cos(theta) - phase' sin(theta)).
+        Past a cut mean' is the slope there, and the fit gives phase' = 0."""
+        x = np.asarray(q, dtype=float)
+        values, (dmean, dphase) = F.with_integrand(x)
+        amp, theta = polar(x, *values)
+        dmean = np.where(x < t_lo, slope_lo, np.where(x > t_hi, slope_hi, dmean))
+        cos, sin = np.cos(theta), np.sin(theta)
+        return amp * cos, amp * (dmean * cos - dphase * sin)
 
     pref = hbar * hbar / (2.0 * mass)
 
-    def jet(x, region):
-        """u, u', Hu and V from one bundle: with the log-derivative
-        Y = mean + i*phase, u' = Re[Y u_c] and u'' = Re[(Y' + Y^2) u_c] for
-        u_c = amp*exp(i*theta)."""
-        amp, theta = polar(x)
+    def h_u(x, region):
+        """Hu from one bundle: with the log-derivative Y = mean + i*phase,
+        u'' = Re[(Y' + Y^2) u_c] for u_c = amp*exp(i*theta)."""
+        amp, theta = polar(x, *F(x))
         b = q_bundle_many(potential, x, e_sp, mass)
         mean, phase, dmean, dphase = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q,
                                                 hbar, region)
         cos, sin = np.cos(theta), np.sin(theta)
         re_part = dmean + mean * mean - phase * phase
         im_part = dphase + 2.0 * mean * phase
-        u, V = amp * cos, b.Q / (2.0 * mass) + e_sp
-        return (u, amp * (mean * cos - phase * sin),
-                V * u - pref * (amp * (re_part * cos - im_part * sin)), V)
+        V = b.Q / (2.0 * mass) + e_sp
+        return V * (amp * cos) - pref * (amp * (re_part * cos - im_part * sin))
 
-    def moments(x, region):
-        u, du, _, V = jet(x, region)
-        return u * u, pref * du * du + V * u * u
+    def moments(x):
+        u, du = u_jet(x)
+        V = q_bundle_many(potential, x, e_sp, mass).Q / (2.0 * mass) + e_sp
+        return np.stack([u * u, pref * du * du + V * u * u])
 
-    norm2, u_h_u = integrate(lambda t: by_region(t, moments, (2,)), edges,
-                             PHASE_SPEC)
+    norm2, u_h_u = integrate(moments, edges, PHASE_SPEC)
     if not norm2 > 0.0:
         raise QuadratureError("normalization integral collapsed")
     c = 1.0 / math.sqrt(norm2)
@@ -279,13 +295,10 @@ def assemble(potential, e_sp, n):
             "level n=%d: its assembled energy %.10g is at or "
             "above the energy ceiling %.10g" % (n, e_bar, ceiling))
 
-    def sampler(f):
-        return lambda q: c * by_region(q, f)
-
     return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, norm_c=c,
-                         turning=tp, psi=sampler(u_of),
-                         dpsi=sampler(lambda x, region: jet(x, region)[1]),
-                         h_psi=sampler(lambda x, region: jet(x, region)[2]),
+                         turning=tp, psi=lambda q: c * u_of(q),
+                         dpsi=lambda q: c * u_jet(q)[1],
+                         h_psi=lambda q: c * by_region(q, h_u),
                          potential=potential, q_lo=t_lo, q_hi=t_hi,
                          breaks=tuple(edges))
 

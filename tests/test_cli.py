@@ -64,18 +64,14 @@ def test_config_validation():
         make_config(["solve", "--potential", "harmonic", "--expr", "q^2",
                      "--levels", "0"])
     with pytest.raises(ConfigError):
-        make_config(SOLVE_H01 + ["--hbar", "0"])
-    with pytest.raises(ConfigError):
         make_config(SOLVE_H01 + ["--rel-tol", "2.0"])
-    for flag, value in (("--hbar", "inf"), ("--hbar", "nan"), ("--mass", "inf")):
-        with pytest.raises(ConfigError, match=flag):
-            make_config(SOLVE_H01 + [flag, value])
     cfg = make_config(["solve", "--potential", "poschl-teller", "--levels", "0"])
     assert cfg.kind == "poschl_teller"
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (SOLVE_H01 + ["--hbar", "inf"], "--hbar"),
+    # the units are checked once, by the potential's constructor
+    (SOLVE_H01 + ["--hbar", "inf"], "hbar"),
     (SOLVE_H01 + ["--param", "k=nan"], "--param"),
     (["solve", "--potential", "morse", "--param", "gamma=nan"], "--param"),
     (["dump", "--potential", "harmonic", "--range=-inf:0"], "--range"),
@@ -85,6 +81,20 @@ def test_non_finite_input_exits_two_naming_the_flag(argv, flag, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err and flag in err
+
+
+@pytest.mark.parametrize("command", ["solve", "dump"])
+@pytest.mark.parametrize("flag,value", [("--hbar", "0"), ("--hbar", "nan"),
+                                        ("--mass", "inf"), ("--mass", "-1")])
+def test_non_positive_units_exit_two_naming_the_unit(command, flag, value,
+                                                     capsys):
+    """The potential's constructor refuses units that are not finite and
+    positive, for builtin and expression wells alike, before any solving."""
+    for well in (["--potential", "harmonic"], ["--potential", "expr", "--expr", "q^2"]):
+        assert main([command] + well + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert "%s must be finite and positive" % flag[2:] in err
 
 
 def test_missing_subcommand_exits_two():

@@ -442,6 +442,38 @@ def test_cumulative_offset_and_kink():
     assert np.max(np.abs(F(xs) - want)) < 1e-13
 
 
+JOINT_CASES = [
+    (lambda x: np.exp(-x) * np.cos(3.0 * x), [0.0, 1.0, 2.5, 4.0]),
+    (lambda x: np.stack([np.cos(x), 1.0 / (1.0 + x * x)]), [-3.0, -1.0, 0.5, 2.0, 7.0]),
+    (lambda x: np.stack([np.exp(-x * x), np.sin(5.0 * x)]), [-2.0, 0.0, 3.0]),
+]
+
+
+@pytest.mark.parametrize("f,edges", JOINT_CASES)
+@pytest.mark.parametrize("rel_tol", [1e-11, 1e-8])
+def test_with_integrand_gives_the_fit_beside_bit_equal_values(f, edges, rel_tol):
+    """with_integrand gives F bit for bit as F(x) does, and the fitted
+    integrand within 10*rel_tol of its panel maximum inside the covered
+    range; past either end, where F clamps, the integrand is exactly 0."""
+    F = CumulativeCheb(f, edges, QuadratureSpec(rel_tol=rel_tol))
+    xs = np.linspace(edges[0] - 1.0, edges[-1] + 1.0, 2001)
+    values, fitted = F.with_integrand(xs)
+    assert values.tobytes() == F(xs).tobytes()
+    assert fitted.shape == values.shape
+    outside = (xs < edges[0]) | (xs > edges[-1])
+    assert np.all(fitted[..., outside] == 0.0)
+    for a, b in zip(edges[:-1], edges[1:]):
+        x = xs[(xs >= a) & (xs <= b)]
+        want = np.asarray(f(x))
+        size = np.max(np.abs(want), axis=-1, keepdims=True)
+        got = F.with_integrand(x)[1]
+        assert np.all(np.abs(got - want) <= 10.0 * rel_tol * size), (a, b)
+    # a scalar point gives F's scalar shape for both
+    value, slope = F.with_integrand(edges[1])
+    assert np.shape(value) == np.shape(slope) == np.shape(F(edges[1]))
+    assert np.asarray(value).tobytes() == np.asarray(F(edges[1])).tobytes()
+
+
 def test_cumulative_validation():
     with pytest.raises(ValueError):
         CumulativeCheb(np.cos, [0.0])

@@ -155,6 +155,124 @@ def test_assemble_fits_each_region_once(monkeypatch):
     assert fits == [list(sol.breaks)]
 
 
+def _spy_kernels(monkeypatch, tag=lambda: None):
+    """Record (tag(), points) for every terms_many and q_bundle_many call
+    that spectral makes."""
+    seen = {"terms_many": [], "q_bundle_many": []}
+    for name, points in (("terms_many", lambda args: np.size(args[0])),
+                         ("q_bundle_many", lambda args: np.size(args[1]))):
+        real = getattr(spectral, name)
+
+        def counted(*args, _real=real, _log=seen[name], _points=points):
+            _log.append((tag(), _points(args)))
+            return _real(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+    return seen
+
+
+def test_samplers_work_counts(monkeypatch):
+    """psi and dpsi come from the fit that defines u and form no Q bundle
+    and no Airy-kernel terms; h_psi forms one bundle and one terms_many
+    call per region its grid touches, on each grid point once."""
+    sol = get_solution("morse", 2)
+    tp = sol.turning
+    seen = _spy_kernels(monkeypatch)
+    for grid, regions in (
+            (np.linspace(tp.q_plus + 0.1, sol.q_hi + 1.0, 501), 1),
+            (np.linspace(tp.q_minus - 0.5, tp.q_plus - 0.5, 701), 2),
+            (np.linspace(sol.q_lo - 1.0, sol.q_hi + 1.0, 2001), 3)):
+        sol.psi(grid)
+        sol.dpsi(grid)
+        assert seen == {"terms_many": [], "q_bundle_many": []}
+        sol.h_psi(grid)
+        for name in seen:
+            assert len(seen[name]) == regions, (name, regions)
+            assert sum(points for _, points in seen[name]) == grid.size
+            seen[name].clear()
+
+
+def test_assemble_moments_run_no_airy_kernels(monkeypatch):
+    """<u|u> and <u|H|u> take u and u' from F and its fit and V from a Q
+    bundle: every terms_many call of assemble is one of the (mean, phase)
+    fit's or one of the two tail slopes' at the cuts."""
+    pot = make_builtin("morse", PARAMS["morse"])
+    where = ["assemble"]
+    seen = _spy_kernels(monkeypatch, lambda: where[-1])
+    for name in ("CumulativeCheb", "integrate"):
+        real = getattr(spectral, name)
+
+        def inside(*args, _real=real, _name=name, **kwargs):
+            where.append(_name)
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                where.pop()
+
+        monkeypatch.setattr(spectral, name, inside)
+    assemble(pot, ESP_ORACLE["morse"][1], 1)
+    terms = [tag for tag, _ in seen["terms_many"]]
+    assert terms.count("integrate") == 0
+    assert terms.count("CumulativeCheb") >= 3     # every region of the fit
+    assert [points for tag, points in seen["terms_many"]
+            if tag == "assemble"] == [1, 1]        # slope_lo, slope_hi
+    assert any(tag == "integrate" for tag, _ in seen["q_bundle_many"])
+
+
+def _tail_slopes(sol):
+    """The log-slopes of u at the cuts: the mean term at q_lo and q_hi."""
+    slopes = []
+    for q, region in ((sol.q_lo, "left"), (sol.q_hi, "right")):
+        b = potentials.q_bundle_many(sol.potential, np.array([q]), sol.e_sp,
+                                     sol.mass)
+        mean = wkb_core.terms_many(b.Q, b.dQ, b.d2Q, b.d3Q, sol.hbar, region)[0]
+        slopes.append(float(mean[0]))
+    return slopes
+
+
+def _golden_and_quartic_states():
+    for kind in sorted(ESP_ORACLE):
+        for n in range(4):
+            yield (kind, n), get_solution(kind, n)
+    quartic = parse_potential("q^4/4 + q^2/2", {})
+    for n in range(4):
+        yield ("quartic", n), assemble(quartic, solve_quantization(quartic, n), n)
+
+
+def test_dpsi_past_the_cuts_is_the_slope_times_psi():
+    """Past a cut psi goes on as exp(slope*q), and dpsi is its derivative
+    there, slope*psi, rather than the pointwise mean term."""
+    for key, sol in _golden_and_quartic_states():
+        slope_lo, slope_hi = _tail_slopes(sol)
+        for grid, slope in (
+                (np.linspace(sol.q_lo - 3.0, sol.q_lo, 61)[:-1], slope_lo),
+                (np.linspace(sol.q_hi, sol.q_hi + 3.0, 61)[1:], slope_hi)):
+            psi = sol.psi(grid)
+            assert np.all(psi != 0.0), key
+            err = np.abs(sol.dpsi(grid) - slope * psi)
+            assert np.all(err <= 1e-12 * np.abs(slope * psi)), key
+
+
+def test_dpsi_is_the_derivative_of_psi_inside_the_support():
+    """Inside the support dpsi agrees with a fourth-order central difference
+    of psi, on stencils clear of every break, within 1e-8 of the largest
+    |dpsi| on the point's panel."""
+    h = 2.5e-4
+    for key, sol in _golden_and_quartic_states():
+        breaks = np.array(sol.breaks)
+        q = np.linspace(sol.q_lo, sol.q_hi, 4001)
+        panel = np.searchsorted(breaks, q)
+        clear = np.min(np.abs(q[:, None] - breaks[None, :]), axis=1) > 2.5 * h
+        q, panel = q[clear], panel[clear]
+        fd = (sol.psi(q - 2 * h) - 8 * sol.psi(q - h) + 8 * sol.psi(q + h)
+              - sol.psi(q + 2 * h)) / (12 * h)
+        dpsi = sol.dpsi(q)
+        for i in np.unique(panel):
+            m = panel == i
+            scale = np.max(np.abs(dpsi[m]))
+            assert np.max(np.abs(fd[m] - dpsi[m])) <= 1e-8 * scale, (key, i)
+
+
 @pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
 def test_psi_continuous_at_turning_points(kind):
     """psi is one formula through q- and q+: the one-ulp steps across
