@@ -1,4 +1,5 @@
-"""Arithmetic expression parser with degree-3 truncated-Taylor evaluation.
+"""Arithmetic expressions for user-supplied potentials: parsing, and the
+finiteness rule every potential evaluator runs under.
 
 Grammar (recursive descent):
     expr   := term (('+'|'-') term)*
@@ -8,15 +9,17 @@ Grammar (recursive descent):
     base   := number | ident | '(' expr ')' | func '(' expr ')'
 
 Unary minus is accepted ahead of the published grammar line since natural
-inputs like "exp(-2*q)" need it.  Evaluation carries jets (f, f', f'', f''')
-as Taylor coefficients (c0, c1, c2, c3) with c_k = f^(k)(q)/k!, so third
-derivatives come out of plain forward recurrences.  Every jet operation is
-elementwise, so q may be a scalar or a numpy array of any shape.
+inputs like "exp(-2*q)" need it.  `compile_expr` parses and binds an
+expression once and hands its tree to `jetprog`, which compiles it into a
+straight-line program for V and its first three derivatives.
 """
 
 import math
 
 import numpy as np
+
+from . import jetprog
+from .jetprog import EvalDomainError  # noqa: F401  (evaluation raises it)
 
 FUNCS = ("exp", "ln", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 
@@ -28,10 +31,6 @@ class ExprError(ValueError):
         super().__init__("column %d: %s" % (column, message))
         self.column = column
         self.reason = message
-
-
-class EvalDomainError(ValueError):
-    """Evaluation left the real domain (ln of non-positive, etc.)."""
 
 
 _OVERFLOW = "potential evaluation overflowed at q = %r"
@@ -165,8 +164,8 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             expo = self.factor()
-            # flag a q-free exponent once, so _eval_jet can hand its value
-            # to _jpow
+            # flag a q-free exponent once, so jetprog can hand its folded
+            # value to _jpow
             node = ("^", node, expo, any(n == "q" for n, _ in free_names(expo)))
         return node
 
@@ -214,144 +213,8 @@ def free_names(node):
     return out
 
 
-# ---- degree-3 jet arithmetic (Taylor coefficients, not raw derivatives) ----
-
-def _jmul(a, b):
-    return (a[0] * b[0],
-            a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0])
-
-
-def _jdiv(a, b):
-    if np.any(b[0] == 0.0):
-        raise EvalDomainError("division by zero")
-    d0 = a[0] / b[0]
-    d1 = (a[1] - d0 * b[1]) / b[0]
-    d2 = (a[2] - d0 * b[2] - d1 * b[1]) / b[0]
-    d3 = (a[3] - d0 * b[3] - d1 * b[2] - d2 * b[1]) / b[0]
-    return (d0, d1, d2, d3)
-
-
-def _jexp(f):
-    e0 = np.exp(f[0])
-    # (k+1) E_{k+1} = sum_{j<=k} (j+1) f_{j+1} E_{k-j}
-    e1 = f[1] * e0
-    e2 = (2 * f[2] * e0 + f[1] * e1) / 2
-    e3 = (3 * f[3] * e0 + 2 * f[2] * e1 + f[1] * e2) / 3
-    return (e0, e1, e2, e3)
-
-
-def _jln(f):
-    if np.any(f[0] <= 0.0):
-        raise EvalDomainError("ln of non-positive value")
-    l1 = f[1] / f[0]
-    l2 = (2 * f[2] - l1 * f[1]) / (2 * f[0])
-    l3 = (3 * f[3] - l1 * f[2] - 2 * l2 * f[1]) / (3 * f[0])
-    return (np.log(f[0]), l1, l2, l3)
-
-
-def _jsqrt(f):
-    if np.any(f[0] < 0.0):
-        raise EvalDomainError("sqrt of negative value")
-    if np.any(f[0] == 0.0):
-        raise EvalDomainError("sqrt derivative singular at zero")
-    s0 = np.sqrt(f[0])
-    s1 = f[1] / (2 * s0)
-    s2 = (f[2] - s1 * s1) / (2 * s0)
-    s3 = (f[3] - 2 * s1 * s2) / (2 * s0)
-    return (s0, s1, s2, s3)
-
-
-def _jsincos(f, hyper=False):
-    if hyper:
-        s0, c0 = np.sinh(f[0]), np.cosh(f[0])
-        sgn = 1.0
-    else:
-        s0, c0 = np.sin(f[0]), np.cos(f[0])
-        sgn = -1.0
-    s1 = f[1] * c0
-    c1 = sgn * f[1] * s0
-    s2 = (2 * f[2] * c0 + f[1] * c1) / 2
-    c2 = sgn * (2 * f[2] * s0 + f[1] * s1) / 2
-    s3 = (3 * f[3] * c0 + 2 * f[2] * c1 + f[1] * c2) / 3
-    c3 = sgn * (3 * f[3] * s0 + 2 * f[2] * s1 + f[1] * s2) / 3
-    return (s0, s1, s2, s3), (c0, c1, c2, c3)
-
-
-# largest constant exponent (in magnitude) raised by repeated products; a
-# larger or non-finite one takes the exp(g*ln f) path, so the loop stays short
-MAX_INT_EXPONENT = 1024
-
-
-def _jpow(f, g, g_const):
-    # integer constant exponents stay in polynomial arithmetic so that
-    # negative bases (q^2 left of the origin) remain legal; g_const is None
-    # for an exponent that varies with q
-    if (g_const is not None and abs(g_const) <= MAX_INT_EXPONENT
-            and abs(g_const - round(g_const)) < 1e-12):
-        k = int(round(g_const))
-        if k == 0:
-            return (1.0, 0.0, 0.0, 0.0)
-        acc = (1.0, 0.0, 0.0, 0.0)
-        for _ in range(abs(k)):
-            acc = _jmul(acc, f)
-        if k < 0:
-            acc = _jdiv((1.0, 0.0, 0.0, 0.0), acc)
-        return acc
-    if np.any(f[0] <= 0.0):
-        raise EvalDomainError("power of non-positive base")
-    return _jexp(_jmul(g, _jln(f)))
-
-
-def _eval_jet(node, qjet, params):
-    kind = node[0]
-    if kind == "num":
-        return (node[1], 0.0, 0.0, 0.0)
-    if kind == "var":
-        if node[1] == "q":
-            return qjet
-        return (params[node[1]], 0.0, 0.0, 0.0)
-    if kind == "neg":
-        a = _eval_jet(node[1], qjet, params)
-        return (-a[0], -a[1], -a[2], -a[3])
-    if kind == "+":
-        a = _eval_jet(node[1], qjet, params)
-        b = _eval_jet(node[2], qjet, params)
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-    if kind == "-":
-        a = _eval_jet(node[1], qjet, params)
-        b = _eval_jet(node[2], qjet, params)
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-    if kind == "*":
-        return _jmul(_eval_jet(node[1], qjet, params),
-                     _eval_jet(node[2], qjet, params))
-    if kind == "/":
-        return _jdiv(_eval_jet(node[1], qjet, params),
-                     _eval_jet(node[2], qjet, params))
-    if kind == "^":
-        base = _eval_jet(node[1], qjet, params)
-        expo = _eval_jet(node[2], qjet, params)
-        return _jpow(base, expo, None if node[3] else float(expo[0]))
-    if kind == "call":
-        a = _eval_jet(node[2], qjet, params)
-        fn = node[1]
-        if fn == "exp":
-            return _jexp(a)
-        if fn == "ln":
-            return _jln(a)
-        if fn == "sqrt":
-            return _jsqrt(a)
-        if fn in ("sin", "cos", "tan"):
-            s, c = _jsincos(a, hyper=False)
-            return s if fn == "sin" else c if fn == "cos" else _jdiv(s, c)
-        s, c = _jsincos(a, hyper=True)
-        return s if fn == "sinh" else c if fn == "cosh" else _jdiv(s, c)
-    raise AssertionError("unhandled node %r" % (kind,))
-
-
 def compile_expr(src, params):
-    """Parse and bind; returns f(q) -> (V, V', V'', V''').
+    """Parse, bind and compile; returns f(q) -> (V, V', V'', V''').
 
     q may be a scalar or an array; a derivative that does not depend on q
     comes back as a scalar.  Raises ExprError (with column) for syntax
@@ -363,11 +226,4 @@ def compile_expr(src, params):
     for name, col in sorted(free_names(node), key=lambda p: p[1]):
         if name != "q" and name not in params:
             raise ExprError("unknown identifier %r" % name, col)
-
-    def evaluate(q):
-        q = np.asarray(q, dtype=float)
-        c = _eval_jet(node, (q if q.ndim else float(q), 1.0, 0.0, 0.0), params)
-        # back from Taylor coefficients to derivatives
-        return (c[0], c[1], 2.0 * c[2], 6.0 * c[3])
-
-    return finite_eval(evaluate)
+    return finite_eval(jetprog.compile_tree(node, params))

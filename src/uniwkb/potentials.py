@@ -4,10 +4,11 @@ turning-point location.
 
 Every model evaluates V together with its first three derivatives, since the
 downstream mean/phase machinery differentiates Q''/Q' once more.  Built-ins
-carry analytic derivatives; expressions get theirs from the degree-3 Taylor
-arithmetic in exprparse.  Evaluation is elementwise: `PotentialModel.eval`
-takes a scalar or a numpy array of any shape, so a whole grid costs one
-call, and an array gives the same values as its elements one at a time.
+carry analytic derivatives; expressions get theirs from the degree-3
+Taylor program jetprog compiles for each.  Evaluation is elementwise:
+`PotentialModel.eval` takes a scalar or a numpy array of any shape, so a
+whole grid costs one call, and an array gives the same values as its
+elements one at a time.
 """
 
 import functools
@@ -59,12 +60,16 @@ class PotentialModel:
         """The Well, built on first use (a dataclasses.replace copy builds
         its own).  The walk's steps grow by 1.5 from 1e-3 of the search
         half-width, the last cut short at the reach -/+(|q_m| + twice it),
-        and V is evaluated up to the first point where eval raises or is
-        not finite.  The ceiling is the lower of the sides' largest V, less
-        1e-9 of its height above v_min.  A side keeps V only up to where 2m
-        times V', V'' or V''' overflows."""
+        and a side keeps V up to the first point where eval raises or 2m
+        times V - v_min, V', V'' or V''' is not finite: the prefix that
+        find_turning_points scans.  The ceiling is the lower of the sides'
+        largest V on that prefix, less 1e-9 of its height above v_min.
+        Where 2m times V', V'' or V''' overflows at q_m itself no scan can
+        start, and OverflowError names q_m."""
         q_m = find_minimum(self)
-        v_min = float(self.eval(q_m)[0])
+        v_min, *dV = map(float, self.eval(q_m))
+        m2 = 2.0 * self.mass
+        exprparse.check_finite(q_m, [m2 * d for d in dV])
         half = SEARCH_HALF_WIDTH / self.alpha
         step = max(1e-3 * half, 1e-6)
         reach = abs(q_m) + 2 * half
@@ -77,19 +82,16 @@ class PotentialModel:
                     b = end
                 points.append(b)
                 h *= 1.5
-            top, vs = -math.inf, []
-            for i, q in enumerate(points):
+            vs = []
+            for q in points:
                 try:
-                    jet = [float(x) for x in self.eval(q)]
+                    V, *dV = map(float, self.eval(q))
                 except (ArithmeticError, ValueError):
                     break
-                if not all(map(math.isfinite, jet)):
+                if not all(math.isfinite(m2 * d) for d in [V - v_min] + dV):
                     break
-                top = max(top, jet[0])
-                if len(vs) == i and all(math.isfinite(2.0 * self.mass * d)
-                                        for d in jet[1:]):
-                    vs.append(jet[0])
-            tops.append(top)
+                vs.append(V)
+            tops.append(max(vs, default=-math.inf))
             sides.append((tuple(points), tuple(vs)))
         v_top = min(tops)
         ceiling = v_top - 1e-9 * (v_top - v_min) if v_top > v_min else v_top
@@ -378,7 +380,8 @@ def find_turning_points(potential, E):
             "E = %g does not exceed the well minimum %g" % (E, well.v_min))
     E, m2 = float(E), 2.0 * potential.mass
     Qf = lambda q: q_bundle(potential, q, E, potential.mass).Q
-    f0 = Qf(well.q_m)
+    f0 = m2 * (well.v_min - E)   # q_bundle's Q at q_m, bit for bit
+    exprparse.check_finite(well.q_m, (f0,))
     found = []
     for points, vs in well.sides:
         a, fa = well.q_m, f0

@@ -335,6 +335,51 @@ def test_energy_ceiling_bounds():
     assert pot.well.ceiling == v_edge - 1e-9 * (v_edge - 1.0)
 
 
+def test_energy_ceiling_stops_where_the_scan_stops():
+    """With mass 1e155, 2m V''' of exp(q^2/2) overflows at |q| = 26.2,
+    where V is finite.  The ceiling is taken over the points before that,
+    so the turning points are found at the ceiling itself instead of the
+    scan overflowing on its way out."""
+    pot = parse_potential("exp(q^2/2)", {}, mass=1e155)
+    ceiling = pot.well.ceiling
+    for points, vs in pot.well.sides:
+        assert len(vs) < len(points) and ceiling < max(vs)
+    tp = find_turning_points(pot, ceiling)
+    assert tp.q_minus < 0.0 < tp.q_plus
+    assert q_bundle(pot, tp.q_plus, ceiling, pot.mass).Q == pytest.approx(
+        0.0, abs=1e-10 * 2.0 * pot.mass * ceiling)
+    # where 2m V'' overflows at the minimum itself, no scan can start
+    steep = parse_potential("1e300*q^2", {}, mass=1e10)
+    with pytest.raises(OverflowError, match=r"at q = 0\.0$"):
+        find_turning_points(steep, 1.0)
+
+
+def test_turning_points_evaluate_only_inside_the_root_polish(monkeypatch):
+    """The scan reads Q at q_m from the well record's v_min: every eval a
+    turning-point search makes is one of Brent's, none at q_m."""
+    model = parse_potential("q^4/4 + q^2/2", {})
+    calls, polish = [], []
+
+    def counted(q):
+        calls.append(q)
+        return model.eval(q)
+
+    def root(f, *args, **kwargs):
+        def g(q):
+            polish.append(q)
+            return f(q)
+        return hybrid_root(g, *args, **kwargs)
+
+    twin = dataclasses.replace(model, eval=counted)
+    well = twin.well
+    monkeypatch.setattr(potentials, "hybrid_root", root)
+    for E in np.linspace(well.v_min, well.ceiling, 7)[1:].tolist():
+        calls.clear()
+        polish.clear()
+        find_turning_points(twin, E)
+        assert calls == polish and well.q_m not in calls
+
+
 def test_turning_point_errors():
     h = make_builtin("harmonic", {"k": 0.5})
     with pytest.raises(NoBoundRegionError):
