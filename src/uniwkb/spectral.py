@@ -21,6 +21,7 @@ and c*Hu with c = <u|u>^(-1/2).
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,6 +50,16 @@ class UnresolvedStateError(QuantizationError):
     """The quantization condition has a root below the energy ceiling, but
     the second-order state assembled there has its energy above it: the
     level may exist, too close to the threshold for the state to resolve."""
+
+
+@contextmanager
+def _stage(what):
+    """Re-raise a QuadratureError from inside with the stage named first,
+    chained from the original and keeping its text."""
+    try:
+        yield
+    except QuadratureError as exc:
+        raise QuadratureError("%s: %s" % (what, exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -166,36 +177,39 @@ def solve_quantization(potential, n):
     ceiling falls short of pi*(n + 1/2).  Otherwise steps out from the root
     of Phi1 = pi*(n + 1/2), doubling from a twentieth of its height above
     v_min per level and clamped inside (v_min, ceiling], bracket the root.
+    A QuadratureError from inside is re-raised naming the level.
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
-    # no energy above the ceiling has both turning points in the search reach
-    v_min, ceiling = potential.well.v_min, potential.well.ceiling
-    first, target = math.pi * (n + 0.5), math.pi * (n + 2.0 / 3.0)
-    phi_top = _first_order_phase(potential, ceiling)
-    if phi_top < first:
-        raise QuantizationError(
-            "level n=%d lies above the energy ceiling %.10g: below it the well "
-            "supports %d levels" % (n, ceiling, math.floor(phi_top / math.pi + 0.5)))
-    lo = hybrid_root(lambda E: _first_order_phase(potential, E) - first,
-                     v_min, ceiling, flo=-first, fhi=phi_top - first,
-                     rel_tol=1e-8)
-    g = lambda E: phase_integral(potential, E) - target
-    g_lo = g(lo)
-    step = math.copysign(0.05 * (lo - v_min) / (n + 0.5), -g_lo)
-    for _ in range(100):
-        hi = min(max(lo + step, 0.5 * (v_min + lo)), ceiling)
-        g_hi = g(hi)
-        if (g_hi >= 0.0) != (g_lo >= 0.0):
-            return float(hybrid_root(g, lo, hi, flo=g_lo, fhi=g_hi,
-                                     rel_tol=1e-13, f_tol=PHASE_RESIDUAL_TOL))
-        if hi == ceiling:
+    with _stage("quantizing level n=%d" % n):
+        # no energy above the ceiling has both turning points in the search reach
+        v_min, ceiling = potential.well.v_min, potential.well.ceiling
+        first, target = math.pi * (n + 0.5), math.pi * (n + 2.0 / 3.0)
+        phi_top = _first_order_phase(potential, ceiling)
+        if phi_top < first:
             raise QuantizationError(
-                "level n=%d is not supported by this well: at its energy "
-                "ceiling %.10g the phase falls %.4g short of the target"
-                % (n, ceiling, -g_hi))
-        lo, g_lo, step = hi, g_hi, 2.0 * step
-    raise QuantizationError("could not bracket the level-%d root" % n)
+                "level n=%d lies above the energy ceiling %.10g: below it the "
+                "well supports %d levels"
+                % (n, ceiling, math.floor(phi_top / math.pi + 0.5)))
+        lo = hybrid_root(lambda E: _first_order_phase(potential, E) - first,
+                         v_min, ceiling, flo=-first, fhi=phi_top - first,
+                         rel_tol=1e-8)
+        g = lambda E: phase_integral(potential, E) - target
+        g_lo = g(lo)
+        step = math.copysign(0.05 * (lo - v_min) / (n + 0.5), -g_lo)
+        for _ in range(100):
+            hi = min(max(lo + step, 0.5 * (v_min + lo)), ceiling)
+            g_hi = g(hi)
+            if (g_hi >= 0.0) != (g_lo >= 0.0):
+                return float(hybrid_root(g, lo, hi, flo=g_lo, fhi=g_hi,
+                                         rel_tol=1e-13, f_tol=PHASE_RESIDUAL_TOL))
+            if hi == ceiling:
+                raise QuantizationError(
+                    "level n=%d is not supported by this well: at its energy "
+                    "ceiling %.10g the phase falls %.4g short of the target"
+                    % (n, ceiling, -g_hi))
+            lo, g_lo, step = hi, g_hi, 2.0 * step
+        raise QuantizationError("could not bracket the level-%d root" % n)
 
 
 def assemble(potential, e_sp, n):
@@ -213,94 +227,98 @@ def assemble(potential, e_sp, n):
     u.  One two-row quadrature gives <u|u> and <u|H|u> = (hbar^2/2m) int
     u'^2 + int V u^2.  Then psi = c*u, dpsi = c*u' and h_psi = c*Hu with
     c = <u|u>^(-1/2), and e_bar = <u|H|u>/<u|u>, the Rayleigh quotient of
-    the sampled state.
+    the sampled state.  A QuadratureError from inside is re-raised naming
+    the level and e_sp.
     """
-    hbar, mass = potential.hbar, potential.mass
-    tp, t_lo, t_hi = support(potential, e_sp)
-    edges = _breaks(potential, [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi],
-                    e_sp)
+    with _stage("assembling level n=%d at E=%.10g" % (n, e_sp)):
+        hbar, mass = potential.hbar, potential.mass
+        tp, t_lo, t_hi = support(potential, e_sp)
+        edges = _breaks(potential, [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi],
+                        e_sp)
 
-    def by_region(q, f, rows=()):
-        """f(x, region) on each region's share of q (q < q-, [q-, q+],
-        q > q+), joined into an array of shape rows + q's shape."""
-        qf = np.atleast_1d(np.asarray(q, dtype=float))
-        out = np.empty(rows + qf.shape)
-        left, right = qf < tp.q_minus, qf > tp.q_plus
-        for m, region in ((left, "left"), (~(left | right), "allowed"),
-                          (right, "right")):
-            if m.any():
-                out[..., m] = f(qf[m], region)
-        return out.reshape(rows + np.shape(q))
+        def by_region(q, f, rows=()):
+            """f(x, region) on each region's share of q (q < q-, [q-, q+],
+            q > q+), joined into an array of shape rows + q's shape."""
+            qf = np.atleast_1d(np.asarray(q, dtype=float))
+            out = np.empty(rows + qf.shape)
+            left, right = qf < tp.q_minus, qf > tp.q_plus
+            for m, region in ((left, "left"), (~(left | right), "allowed"),
+                              (right, "right")):
+                if m.any():
+                    out[..., m] = f(qf[m], region)
+            return out.reshape(rows + np.shape(q))
 
-    def exponents(x, region):
-        return np.stack(_terms_at(potential, x, e_sp, region)[:2])
+        def exponents(x, region):
+            return np.stack(_terms_at(potential, x, e_sp, region)[:2])
 
-    F = CumulativeCheb(lambda t: by_region(t, exponents, (2,)), edges, PHASE_SPEC)
-    mean_minus = F(tp.q_minus)[0]
-    # past a truncation point the exponent goes on along its log-slope there
-    slope_lo, slope_hi = by_region(np.array([t_lo, t_hi]), exponents, (2,))[0]
+        F = CumulativeCheb(lambda t: by_region(t, exponents, (2,)), edges,
+                           PHASE_SPEC)
+        mean_minus = F(tp.q_minus)[0]
+        # past a truncation point the exponent goes on along its log-slope there
+        slope_lo, slope_hi = by_region(np.array([t_lo, t_hi]), exponents, (2,))[0]
 
-    def polar(x, mean, phase):
-        """amp and theta at x from F's rows there."""
-        amp = np.exp(mean - mean_minus + slope_lo * np.minimum(x - t_lo, 0.0)
-                     + slope_hi * np.maximum(x - t_hi, 0.0))
-        return amp, phase - math.pi / 3.0
+        def polar(x, mean, phase):
+            """amp and theta at x from F's rows there."""
+            amp = np.exp(mean - mean_minus + slope_lo * np.minimum(x - t_lo, 0.0)
+                         + slope_hi * np.maximum(x - t_hi, 0.0))
+            return amp, phase - math.pi / 3.0
 
-    def u_of(q):
-        x = np.asarray(q, dtype=float)
-        amp, theta = polar(x, *F(x))
-        return amp * np.cos(theta)
+        def u_of(q):
+            x = np.asarray(q, dtype=float)
+            amp, theta = polar(x, *F(x))
+            return amp * np.cos(theta)
 
-    def u_jet(q):
-        """u and u' from one evaluation of F and its fitted integrand
-        F' = (mean', phase'): u' = amp*(mean' cos(theta) - phase' sin(theta)).
-        Past a cut mean' is the slope there, and the fit gives phase' = 0."""
-        x = np.asarray(q, dtype=float)
-        values, (dmean, dphase) = F.with_integrand(x)
-        amp, theta = polar(x, *values)
-        dmean = np.where(x < t_lo, slope_lo, np.where(x > t_hi, slope_hi, dmean))
-        cos, sin = np.cos(theta), np.sin(theta)
-        return amp * cos, amp * (dmean * cos - dphase * sin)
+        def u_jet(q):
+            """u and u' from one evaluation of F and its fitted integrand
+            F' = (mean', phase'): u' = amp*(mean' cos(theta) - phase' sin(theta)).
+            Past a cut mean' is the slope there, and the fit gives phase' = 0."""
+            x = np.asarray(q, dtype=float)
+            values, (dmean, dphase) = F.with_integrand(x)
+            amp, theta = polar(x, *values)
+            dmean = np.where(x < t_lo, slope_lo,
+                             np.where(x > t_hi, slope_hi, dmean))
+            cos, sin = np.cos(theta), np.sin(theta)
+            return amp * cos, amp * (dmean * cos - dphase * sin)
 
-    pref = hbar * hbar / (2.0 * mass)
+        pref = hbar * hbar / (2.0 * mass)
 
-    def h_u(x, region):
-        """Hu from one bundle: with the log-derivative Y = mean + i*phase,
-        u'' = Re[(Y' + Y^2) u_c] for u_c = amp*exp(i*theta)."""
-        amp, theta = polar(x, *F(x))
-        b = q_bundle_many(potential, x, e_sp, mass)
-        mean, phase, dmean, dphase = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q,
-                                                hbar, region)
-        cos, sin = np.cos(theta), np.sin(theta)
-        re_part = dmean + mean * mean - phase * phase
-        im_part = dphase + 2.0 * mean * phase
-        V = b.Q / (2.0 * mass) + e_sp
-        return V * (amp * cos) - pref * (amp * (re_part * cos - im_part * sin))
+        def h_u(x, region):
+            """Hu from one bundle: with the log-derivative Y = mean + i*phase,
+            u'' = Re[(Y' + Y^2) u_c] for u_c = amp*exp(i*theta)."""
+            amp, theta = polar(x, *F(x))
+            b = q_bundle_many(potential, x, e_sp, mass)
+            mean, phase, dmean, dphase = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q,
+                                                    hbar, region)
+            cos, sin = np.cos(theta), np.sin(theta)
+            re_part = dmean + mean * mean - phase * phase
+            im_part = dphase + 2.0 * mean * phase
+            V = b.Q / (2.0 * mass) + e_sp
+            return V * (amp * cos) - pref * (amp * (re_part * cos - im_part * sin))
 
-    def moments(x):
-        u, du = u_jet(x)
-        V = q_bundle_many(potential, x, e_sp, mass).Q / (2.0 * mass) + e_sp
-        return np.stack([u * u, pref * du * du + V * u * u])
+        def moments(x):
+            u, du = u_jet(x)
+            V = q_bundle_many(potential, x, e_sp, mass).Q / (2.0 * mass) + e_sp
+            return np.stack([u * u, pref * du * du + V * u * u])
 
-    norm2, u_h_u = integrate(moments, edges, PHASE_SPEC)
-    if not norm2 > 0.0:
-        raise QuadratureError("normalization integral collapsed")
-    c = 1.0 / math.sqrt(norm2)
-    e_bar = float(u_h_u / norm2)
-    # near the threshold the second-order phase can return a spurious root
-    # below the ceiling whose state's energy lies above it
-    ceiling = potential.well.ceiling
-    if e_bar >= ceiling:
-        raise UnresolvedStateError(
-            "level n=%d: its assembled energy %.10g is at or "
-            "above the energy ceiling %.10g" % (n, e_bar, ceiling))
+        norm2, u_h_u = integrate(moments, edges, PHASE_SPEC)
+        if not norm2 > 0.0:
+            raise QuadratureError("normalization integral collapsed")
+        c = 1.0 / math.sqrt(norm2)
+        e_bar = float(u_h_u / norm2)
+        # near the threshold the second-order phase can return a spurious root
+        # below the ceiling whose state's energy lies above it
+        ceiling = potential.well.ceiling
+        if e_bar >= ceiling:
+            raise UnresolvedStateError(
+                "level n=%d: its assembled energy %.10g is at or "
+                "above the energy ceiling %.10g" % (n, e_bar, ceiling))
 
-    return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, norm_c=c,
-                         turning=tp, psi=lambda q: c * u_of(q),
-                         dpsi=lambda q: c * u_jet(q)[1],
-                         h_psi=lambda q: c * by_region(q, h_u),
-                         potential=potential, q_lo=t_lo, q_hi=t_hi,
-                         breaks=tuple(edges))
+        return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, norm_c=c,
+                             turning=tp, psi=lambda q: c * u_of(q),
+                             dpsi=lambda q: c * u_jet(q)[1],
+                             h_psi=lambda q: c * by_region(q, h_u),
+                             potential=potential, q_lo=t_lo, q_hi=t_hi,
+                             breaks=tuple(edges))
 
 
 def expectation_h2(solution, spec):

@@ -5,29 +5,27 @@ into real-arithmetic combination series, and evaluates the mean/phase parts of
 the approximate logarithmic derivative (with q-derivatives) on either side of
 a turning point.  Near the turning point everything is expressed through Airy
 functions of the dimensionless variable a (`airy_variable`), by one formula
-on both sides.  Far from it the truncated series in Q variables is, on each
-side, sqrt(X)/hbar * A(z) + w * B(z) with z = hbar*P/X^(3/2) and
-w = hbar*Q''/X^(3/2), for fixed polynomials A and B summed by Horner in
-`_series_terms`; working in Q rather than a keeps the composite smooth
-through stationary points of Q, where a alone blows up, and the forbidden
-side takes its orientation from its tail, left or right, not from the sign
-of Q'.
+on both sides, `_near_field` of the branch ratio u + i*w: on the allowed
+side u + i*w = (Ai' + i*Bi')/(Ai + i*Bi), on the forbidden side the
+decaying branch u = Ai'/Ai with w = 0.  Far from it the truncated
+series in Q variables is, on each side, sqrt(X)/hbar * A(z) + w * B(z)
+with z = hbar*P/X^(3/2) and w = hbar*Q''/X^(3/2), for fixed polynomials A
+and B summed by Horner in `_series_terms`; working in Q rather than a
+keeps the composite smooth through stationary points of Q, where a alone
+blows up, and the forbidden side takes its orientation from its tail, left
+or right, not from the sign of Q'.
 
 The module's API is `terms_many`: it takes the Q bundle sampled on an
-array of points and returns float64 arrays.  `riccati_residual` checks it
-at one point, and `y2_closed_form` is the plain-double form the tests
-compare the kernels against.
+array of points and returns float64 arrays.
 
-Extended precision (longdouble) lives only in the a-variable kernels, the
-`_allowed_*_many` and `_forbidden_*_many` pairs.  `terms_many` works in
+Extended precision (longdouble) lives only in the a-variable kernels,
+`_allowed_airy_many` and `_forbidden_airy_many`.  `terms_many` works in
 float64 and casts only a to longdouble at the Airy kernels' input, rounding
 their outputs to float64 once.  Inside them the combination h2 sits under an
 O(a^3) cancellation and the downstream consistency checks ask for 1e-9
 agreement at |a| = 30, which double precision cannot deliver.  The far
 field needs no such headroom: |z| = |a|^(-3/2) <= A_SWITCH^(-3/2), so the
-lead term dominates and float64 Horner is good to a few ulps.  The
-a-variable series `_allowed_series_many` and `_forbidden_series_many`
-serve only as the reference the Airy routes are checked against.
+lead term dominates and float64 Horner is good to a few ulps.
 """
 
 from fractions import Fraction
@@ -73,19 +71,15 @@ _HC = np.zeros(NMAX_SERIES + 1)
 _GC = np.zeros(NMAX_SERIES + 1)
 _B1M = np.zeros(NMAX_SERIES + 1)
 _B2M = np.zeros(NMAX_SERIES + 1)
-_B1P = np.zeros(NMAX_SERIES + 1)
-_B2P = np.zeros(NMAX_SERIES + 1)
 for _n in range(1, NMAX_SERIES + 1):
     _r = (_n + 1) % 4
     _UC[_n] = float(_BP1[_n]) * _RE_I[_r]
     _WC[_n] = float(_BP1[_n]) * _IM_I[_r]
     _B1M[_n] = float(_BM1[_n])
-    _B1P[_n] = float(_BP1[_n])
     if _n >= 2:
         _HC[_n] = -float(_BP2[_n]) * _RE_I[_r]
         _GC[_n] = -float(_BP2[_n]) * _IM_I[_r]
         _B2M[_n] = float(_BM2[_n])
-        _B2P[_n] = float(_BP2[_n])
 
 
 def _series_polys(leads, firsts, seconds):
@@ -102,17 +96,12 @@ _ALLOWED_POLYS = _series_polys((0.0, 1.0), (_UC, _WC), (_HC, _GC))
 _FORBIDDEN_POLYS = _series_polys((-1.0,), (_B1M,), (_B2M,))
 
 
-def _allowed_airy_many(a):
-    """u, w, h2, g2 and their a-derivatives from the modulus function.
+def _near_field(a, u, w):
+    """(u, w, h2, g2, du, dw, dh2, dg2) from the branch ratio u + i*w at a.
 
-    a is a longdouble array and so are the results: this kernel and its
-    forbidden-side twin are where `terms_many` keeps extended precision.
     h2/g2 use the closed form with the branch ODE substituted (du = a-u^2+w^2,
     dw = -2uw), which removes the 8a^3-size cancellation of the raw expression.
     """
-    m2, dm2 = airy.modulus_many(a)
-    u = dm2 / (2 * m2)
-    w = 1 / (PI_L * m2)
     du = a - u * u + w * w
     dw = -2 * u * w
     h2 = (8 * a * a * du - 4 * a * u - 3) / 30
@@ -122,80 +111,24 @@ def _allowed_airy_many(a):
     return u, w, h2, g2, du, dw, dh2, dg2
 
 
-def _allowed_series_many(a):
-    """Truncated combination series at a <= -A_SWITCH (values only)."""
-    x = -a
-    sx = np.sqrt(x)
-    p1 = 1 / x            # x^{(1-3n)/2} at n=1
-    p2 = 1 / (sx * x)     # x^{(3-3n)/2} at n=2
-    step = 1 / (x * sx)
-    u = np.zeros_like(x)
-    w = sx.copy()
-    h2 = np.zeros_like(x)
-    g2 = np.zeros_like(x)
-    for n in range(1, NMAX_SERIES + 1):
-        if _UC[n]:
-            u = u + LD(_UC[n]) * p1
-        if _WC[n]:
-            w = w + LD(_WC[n]) * p1
-        if n >= 2 and _HC[n]:
-            h2 = h2 + LD(_HC[n]) * p2
-        if n >= 2 and _GC[n]:
-            g2 = g2 + LD(_GC[n]) * p2
-        p1 = p1 * step
-        if n >= 2:
-            p2 = p2 * step
-    return u, w, h2, g2
+def _allowed_airy_many(a):
+    """`_near_field` at a <= 0, from the modulus function.
+
+    a is a longdouble array and so are the results: this kernel and its
+    forbidden-side twin are where `terms_many` keeps extended precision.
+    """
+    m2, dm2 = airy.modulus_many(a)
+    return _near_field(a, dm2 / (2 * m2), 1 / (PI_L * m2))
 
 
 def _forbidden_airy_many(a):
-    """Both branch ratios and their second-order companions for 0 <= a < A_SWITCH.
-
-    Longdouble in and out, like `_allowed_airy_many`: y2 carries the same
-    O(a^3) cancellation.
+    """`_near_field` of the decaying branch at 0 <= a < A_SWITCH: rows 0, 2,
+    4 and 6 are its ratio y1 = Ai'/Ai, companion y2 and their a-derivatives,
+    rows 1, 3, 5 and 7 are zero.  Longdouble in and out, like
+    `_allowed_airy_many`: y2 carries the same O(a^3) cancellation.
     """
-    ai_s, dai_s, bi_s, dbi_s, _ = airy.scaled_many(a)
-    y1m = dai_s / ai_s
-    y1p = dbi_s / bi_s
-    d1m = a - y1m * y1m
-    d1p = a - y1p * y1p
-    y2m = (8 * a * a * d1m - 4 * a * y1m - 3) / 30
-    y2p = (8 * a * a * d1p - 4 * a * y1p - 3) / 30
-    d2m = (2 * a * d1m - y1m) / 3 - 2 * y1m * y2m
-    d2p = (2 * a * d1p - y1p) / 3 - 2 * y1p * y2p
-    return y1m, y1p, y2m, y2p, d1m, d1p, d2m, d2p
-
-
-def _forbidden_series_many(a):
-    """Truncated branch series at a >= A_SWITCH (values only)."""
-    sa = np.sqrt(a)
-    p1 = 1 / a
-    p2 = 1 / (sa * a)
-    step = 1 / (a * sa)
-    y1m = -sa
-    y1p = sa.copy()
-    y2m = np.zeros_like(a)
-    y2p = np.zeros_like(a)
-    for n in range(1, NMAX_SERIES + 1):
-        y1m = y1m + LD(_B1M[n]) * p1
-        y1p = y1p + LD(_B1P[n]) * p1
-        if n >= 2:
-            y2m = y2m + LD(_B2M[n]) * p2
-            y2p = y2p + LD(_B2P[n]) * p2
-        p1 = p1 * step
-        if n >= 2:
-            p2 = p2 * step
-    return y1m, y1p, y2m, y2p
-
-
-def y2_closed_form(a: float, y1: float) -> float:
-    """Raw closed form of the second-order companion.
-
-    Kept deliberately in plain double precision: at large |a| the -8a^2 y1^2
-    and +8a^3 contributions cancel to O(a^{-3/2}) and the result degrades,
-    which the test suite documents by comparison with the series route.
-    """
-    return (-8.0 * a * a * y1 * y1 - 4.0 * a * y1 + 8.0 * a ** 3 - 3.0) / 30.0
+    ai_s, dai_s = airy.scaled_many(a)[:2]
+    return _near_field(a, dai_s / ai_s, np.zeros_like(a))
 
 
 def airy_variable(Q, dQ, hbar):
@@ -259,14 +192,11 @@ def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
             return F1 * v1 + F2 * v2, dF1 * v1 + F1 * d1 * da + dF2 * v2 + F2 * d2 * da
 
         an = a[near].astype(LD)
+        kernel = _allowed_airy_many if region == "allowed" else _forbidden_airy_many
+        u, w, h2, g2, du, dw, dh2, dg2 = np.asarray(kernel(an), dtype=np.float64)
         if region == "allowed":
-            u, w, h2, g2, du, dw, dh2, dg2 = np.asarray(_allowed_airy_many(an),
-                                                        dtype=np.float64)
             p, dp = combine(w, g2, dw, dg2)
             phase[near], dphase[near] = sn * p, sn * dp
-        else:   # the decaying branch
-            u, _, h2, _, du, _, dh2, _ = np.asarray(_forbidden_airy_many(an),
-                                                    dtype=np.float64)
         mean[near], dmean[near] = combine(u, h2, du, dh2)
 
     if np.any(far):
@@ -321,28 +251,3 @@ def _horner(coef, z):
         dp = dp * z + p
         p = p * z + c[:, None]
     return p, dp
-
-
-def riccati_residual(q: float, E: float, potential) -> float:
-    """|Y' + Y^2 - Q/hbar^2| / (|Q|/hbar^2) in the forbidden region.
-
-    Y' comes from a five-point central difference of the mean term with the
-    step tied to the local Airy length, so the residual reflects the method
-    rather than differencing noise.
-    """
-    from .potentials import q_bundle_many
-
-    hbar, mass = potential.hbar, potential.mass
-    b = q_bundle_many(potential, q, E, mass)
-    Q, dQ, d2Q = float(b.Q), float(b.dQ), float(b.d2Q)
-    if dQ != 0.0:
-        ell = hbar ** (2.0 / 3.0) / abs(dQ) ** (1.0 / 3.0)
-    else:
-        ell = np.sqrt(hbar / np.sqrt(abs(d2Q))) if d2Q else 1.0
-    h = 1e-3 * min(ell, np.sqrt(abs(Q / d2Q)) if d2Q else ell)
-    bs = q_bundle_many(potential, q + np.arange(-2, 3) * h, E, mass)
-    side = "right" if dQ >= 0 else "left"
-    ys = terms_many(bs.Q, bs.dQ, bs.d2Q, bs.d3Q, hbar, side)[0]
-    yprime = (ys[0] - 8 * ys[1] + 8 * ys[3] - ys[4]) / (12 * h)
-    y = ys[2]
-    return float(abs(yprime + y * y - Q / hbar ** 2) / (abs(Q) / hbar ** 2))

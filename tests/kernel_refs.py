@@ -1,0 +1,128 @@
+"""References the kernel tests check `uniwkb.wkb_core` against.
+
+Not collected by pytest (no test_ prefix).  The library does not call any
+of these: the a-variable series the Airy routes are compared with at the
+switch radius, the growing branch and the decaying branch as the forbidden
+kernel wrote them before both sides shared `_near_field`, the plain-double
+closed form of the companion, and the Riccati residual of the forbidden
+mean term.
+"""
+
+import numpy as np
+
+from uniwkb import airy
+from uniwkb.airy import LD
+from uniwkb.potentials import q_bundle_many
+from uniwkb.wkb_core import (_B1M, _B2M, _BP1, _BP2, _GC, _HC, _UC, _WC,
+                             NMAX_SERIES, terms_many)
+
+# growing-branch (plus) series tables, as the library built them
+_B1P = np.zeros(NMAX_SERIES + 1)
+_B2P = np.zeros(NMAX_SERIES + 1)
+for _n in range(1, NMAX_SERIES + 1):
+    _B1P[_n] = float(_BP1[_n])
+    if _n >= 2:
+        _B2P[_n] = float(_BP2[_n])
+
+
+def _allowed_series_many(a):
+    """Truncated combination series at a <= -A_SWITCH (values only)."""
+    x = -a
+    sx = np.sqrt(x)
+    p1 = 1 / x            # x^{(1-3n)/2} at n=1
+    p2 = 1 / (sx * x)     # x^{(3-3n)/2} at n=2
+    step = 1 / (x * sx)
+    u = np.zeros_like(x)
+    w = sx.copy()
+    h2 = np.zeros_like(x)
+    g2 = np.zeros_like(x)
+    for n in range(1, NMAX_SERIES + 1):
+        if _UC[n]:
+            u = u + LD(_UC[n]) * p1
+        if _WC[n]:
+            w = w + LD(_WC[n]) * p1
+        if n >= 2 and _HC[n]:
+            h2 = h2 + LD(_HC[n]) * p2
+        if n >= 2 and _GC[n]:
+            g2 = g2 + LD(_GC[n]) * p2
+        p1 = p1 * step
+        if n >= 2:
+            p2 = p2 * step
+    return u, w, h2, g2
+
+
+def _forbidden_series_many(a):
+    """Truncated branch series at a >= A_SWITCH (values only)."""
+    sa = np.sqrt(a)
+    p1 = 1 / a
+    p2 = 1 / (sa * a)
+    step = 1 / (a * sa)
+    y1m = -sa
+    y1p = sa.copy()
+    y2m = np.zeros_like(a)
+    y2p = np.zeros_like(a)
+    for n in range(1, NMAX_SERIES + 1):
+        y1m = y1m + LD(_B1M[n]) * p1
+        y1p = y1p + LD(_B1P[n]) * p1
+        if n >= 2:
+            y2m = y2m + LD(_B2M[n]) * p2
+            y2p = y2p + LD(_B2P[n]) * p2
+        p1 = p1 * step
+        if n >= 2:
+            p2 = p2 * step
+    return y1m, y1p, y2m, y2p
+
+
+def decaying_airy_ref(a):
+    """(y1m, y2m, d1m, d2m) for 0 <= a < A_SWITCH, in the decaying-branch
+    formulas the forbidden kernel used before it shared `_near_field`."""
+    ai_s, dai_s, _, _, _ = airy.scaled_many(a)
+    y1m = dai_s / ai_s
+    d1m = a - y1m * y1m
+    y2m = (8 * a * a * d1m - 4 * a * y1m - 3) / 30
+    d2m = (2 * a * d1m - y1m) / 3 - 2 * y1m * y2m
+    return y1m, y2m, d1m, d2m
+
+
+def growing_airy_ref(a):
+    """(y1p, y2p, d1p, d2p): the growing branch Bi'/Bi and its companion
+    for 0 <= a < A_SWITCH, by the same formulas on the scaled Bi pair."""
+    _, _, bi_s, dbi_s, _ = airy.scaled_many(a)
+    y1p = dbi_s / bi_s
+    d1p = a - y1p * y1p
+    y2p = (8 * a * a * d1p - 4 * a * y1p - 3) / 30
+    d2p = (2 * a * d1p - y1p) / 3 - 2 * y1p * y2p
+    return y1p, y2p, d1p, d2p
+
+
+def y2_closed_form(a: float, y1: float) -> float:
+    """Raw closed form of the second-order companion.
+
+    Kept deliberately in plain double precision: at large |a| the -8a^2 y1^2
+    and +8a^3 contributions cancel to O(a^{-3/2}) and the result degrades,
+    which the test suite documents by comparison with the series route.
+    """
+    return (-8.0 * a * a * y1 * y1 - 4.0 * a * y1 + 8.0 * a ** 3 - 3.0) / 30.0
+
+
+def riccati_residual(q: float, E: float, potential) -> float:
+    """|Y' + Y^2 - Q/hbar^2| / (|Q|/hbar^2) in the forbidden region.
+
+    Y' comes from a five-point central difference of the mean term with the
+    step tied to the local Airy length, so the residual reflects the method
+    rather than differencing noise.
+    """
+    hbar, mass = potential.hbar, potential.mass
+    b = q_bundle_many(potential, q, E, mass)
+    Q, dQ, d2Q = float(b.Q), float(b.dQ), float(b.d2Q)
+    if dQ != 0.0:
+        ell = hbar ** (2.0 / 3.0) / abs(dQ) ** (1.0 / 3.0)
+    else:
+        ell = np.sqrt(hbar / np.sqrt(abs(d2Q))) if d2Q else 1.0
+    h = 1e-3 * min(ell, np.sqrt(abs(Q / d2Q)) if d2Q else ell)
+    bs = q_bundle_many(potential, q + np.arange(-2, 3) * h, E, mass)
+    side = "right" if dQ >= 0 else "left"
+    ys = terms_many(bs.Q, bs.dQ, bs.d2Q, bs.d3Q, hbar, side)[0]
+    yprime = (ys[0] - 8 * ys[1] + 8 * ys[3] - ys[4]) / (12 * h)
+    y = ys[2]
+    return float(abs(yprime + y * y - Q / hbar ** 2) / (abs(Q) / hbar ** 2))

@@ -28,6 +28,9 @@ from uniwkb.reference import exact_energy, exact_wavefunction, numerov_solve
 from uniwkb.spectral import (assemble, expectation_h2, phase_integral,
                              solve_quantization)
 
+from kernel_refs import (_allowed_series_many, _forbidden_series_many,
+                         riccati_residual)
+
 LD = np.longdouble
 
 CELLS = [
@@ -128,7 +131,7 @@ def test_2_linear_well_forbidden_riccati(capsys):
         qt = E / k
         span = 14.0 / (2.0 * k) ** (1.0 / 3.0)
         qs = np.linspace(qt + 0.1, qt + span, 100)
-        res = max(wkb_core.riccati_residual(float(q), E, pot) for q in qs)
+        res = max(riccati_residual(float(q), E, pot) for q in qs)
         worst = max(worst, res)
     ok = worst <= 1e-8
     _report(capsys, 2, ok, "max relative Riccati residual %.2e (allowed 1e-8) over "
@@ -224,12 +227,12 @@ def test_5_kernel_series_switchover(capsys):
     for mag in (10.0, 15.0, 30.0):
         neg = np.array([-mag], dtype=LD)
         direct = wkb_core._allowed_airy_many(neg)[:4]
-        far = wkb_core._allowed_series_many(neg)
+        far = _allowed_series_many(neg)
         for x, y in zip(direct, far):
             worst = max(worst, abs(float(x[0] / y[0] - 1.0)))
         pos = np.array([mag], dtype=LD)
         fd = wkb_core._forbidden_airy_many(pos)
-        fs = wkb_core._forbidden_series_many(pos)
+        fs = _forbidden_series_many(pos)
         for i in (0, 2):  # decaying branch pair
             worst = max(worst, abs(float(fd[i][0] / fs[i][0] - 1.0)))
     ok_paths = worst <= 1e-9

@@ -14,12 +14,13 @@ import warnings
 import pytest
 
 import uniwkb
-from uniwkb import cli
+from uniwkb import cli, spectral
 from uniwkb.cli import (MAX_GRID, MAX_LEVELS, ConfigError, DumpGrid,
                         build_parser, cmd_dump, cmd_solve, cmd_verify,
                         config_from_args, main, render_document,
                         _parse_levels, _parse_params, _parse_range)
 from uniwkb.metrics import GOLDEN_ENV, METRIC_NAMES, benchmark_row
+from uniwkb.quadrature import QuadratureError
 
 
 def make_config(argv):
@@ -187,6 +188,28 @@ def test_overflowing_expression_exits_four(capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "solver failure" in err and "overflow" in err
+
+
+STALL = "Chebyshev fit on [0, 1] stalled at degree 1024"
+
+
+def _stall(*args, **kwargs):
+    raise QuadratureError(STALL)
+
+
+@pytest.mark.parametrize("name, stage", [
+    # integrate runs both phase integrals, so the level search fails first
+    ("integrate", "quantizing level n=1: "),
+    # CumulativeCheb only builds the assembled state's fit
+    ("CumulativeCheb", "assembling level n=1 at E=1.504126085: "),
+], ids=["quantize", "assemble"])
+def test_quadrature_failure_exits_four_naming_the_stage(monkeypatch, capsys,
+                                                       name, stage):
+    monkeypatch.setattr(spectral, name, _stall)
+    code = main(["solve", "--potential", "harmonic", "--levels", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "uniwkb: solver failure: %s%s\n" % (stage, STALL)
 
 
 def test_unknown_parameter_exits_two(capsys):

@@ -1,16 +1,20 @@
 """Tests for the quantization solver and piecewise eigenstate assembly."""
 
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from uniwkb import potentials, spectral, wkb_core
 from uniwkb.metrics import METRIC_SPEC
 from uniwkb.potentials import (bound_count, make_builtin, parse_potential,
                                q_bundle)
+from uniwkb.quadrature import QuadratureError
 from uniwkb.rootfind import hybrid_root
 from uniwkb.spectral import (
     PHASE_RESIDUAL_TOL,
@@ -426,6 +430,65 @@ def test_shifted_well_has_the_levels_of_the_centred_one():
         assert abs(e_sp / solve_quantization(centred, n) - 1.0) < 1e-9
 
 
+@st.composite
+def builtin_wells(draw):
+    """A builtin well with at least three bound levels: harmonic k in
+    [0.1, 4], Morse gamma in [2.6, 12] and Poschl-Teller lambda in
+    [3.1, 12], each with alpha in [0.5, 2]."""
+    kind = draw(st.sampled_from(sorted(ESP_ORACLE)))
+    if kind == "harmonic":
+        return kind, {"k": draw(st.floats(0.1, 4.0))}
+    name, low = ("gamma", 2.6) if kind == "morse" else ("lambda", 3.1)
+    return kind, {name: draw(st.floats(low, 12.0)),
+                  "alpha": draw(st.floats(0.5, 2.0))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(builtin_wells())
+def test_random_wells_order_join_and_parity(well):
+    """On random builtin wells, at levels n <= min(2, bound levels - 2):
+    e_sp increases strictly with n, psi steps by at most 1e-13 of |psi|
+    over the two floats straddling q- and q+, and the right tail carries
+    (-1)^n times the left tail's sign."""
+    kind, params = well
+    pot = make_builtin(kind, params)
+    e_prev = -math.inf
+    for n in range(min(2, bound_count(kind, params) - 2) + 1):
+        sol = assemble(pot, solve_quantization(pot, n), n)
+        assert sol.e_sp > e_prev, (well, n)
+        e_prev = sol.e_sp
+        for qt in (sol.turning.q_minus, sol.turning.q_plus):
+            below, above = sol.psi(np.nextafter(qt, [-math.inf, math.inf]))
+            assert abs(above - below) <= 1e-13 * abs(sol.psi(qt)), (well, n, qt)
+        assert _right_tail_parity(sol), (well, n)
+
+
+# expression twins of the builtin wells with their centre at q = s
+SHIFTED_TWINS = {
+    "harmonic": ("k*(q-s)^2", {"k": 0.5}),
+    "morse": ("A*(exp(-2*(q-s))-2*exp(-(q-s)))", {"A": 10.125}),
+    "poschl_teller": ("-B/cosh(q-s)^2", {"B": 10.0}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _centred_twin_levels(kind):
+    expr, params = SHIFTED_TWINS[kind]
+    pot = parse_potential(expr, dict(params, s=0.0))
+    return tuple(solve_quantization(pot, n) for n in range(3))
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(sorted(SHIFTED_TWINS)), st.floats(-45.0, 45.0))
+def test_shifted_twins_have_the_levels_of_the_centred_one(kind, s):
+    """A twin centred at s in [-45, 45] has the e_sp of its s = 0 form
+    within 1e-9 at n = 0..2."""
+    expr, params = SHIFTED_TWINS[kind]
+    pot = parse_potential(expr, dict(params, s=s))
+    for n, want in enumerate(_centred_twin_levels(kind)):
+        assert abs(solve_quantization(pot, n) / want - 1.0) <= 1e-9, (kind, s, n)
+
+
 def test_level_above_the_ceiling_fails_fast(monkeypatch):
     """One past the last level of an expression well is refused by the
     first-order phase at the energy ceiling, before any second-order phase
@@ -515,6 +578,34 @@ def test_assemble_refuses_a_state_above_the_ceiling():
     assert -3e-3 < root < ceiling
     with pytest.raises(QuantizationError, match="above the energy ceiling"):
         assemble(pot, root, 4)
+
+
+STALL = "Chebyshev fit on [0, 1] stalled at degree 1024"
+
+
+def _stall(*args, **kwargs):
+    raise QuadratureError(STALL)
+
+
+@pytest.mark.parametrize("name, stage, run", [
+    ("integrate", "quantizing level n=2",
+     lambda pot: solve_quantization(pot, 2)),
+    ("integrate", "assembling level n=2 at E=2.5",
+     lambda pot: assemble(pot, 2.5, 2)),
+    ("CumulativeCheb", "assembling level n=2 at E=2.5",
+     lambda pot: assemble(pot, 2.5, 2)),
+], ids=["quantize", "assemble-moments", "assemble-fit"])
+def test_quadrature_failure_names_the_stage(monkeypatch, name, stage, run):
+    """A QuadratureError escaping the level search or the assembly comes
+    back naming the stage and the level, and for the assembly the energy,
+    chained from the original and keeping its text."""
+    pot = make_builtin("harmonic", PARAMS["harmonic"])
+    monkeypatch.setattr(spectral, name, _stall)
+    with pytest.raises(QuadratureError) as info:
+        run(pot)
+    assert str(info.value) == "%s: %s" % (stage, STALL)
+    cause = info.value.__cause__
+    assert type(cause) is QuadratureError and str(cause) == STALL
 
 
 @pytest.mark.parametrize("src, n, e_sp", [

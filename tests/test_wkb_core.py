@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from uniwkb import wkb_core
 from uniwkb.potentials import (find_minimum, find_turning_points, make_builtin,
                                parse_potential, q_bundle_many)
-from uniwkb.wkb_core import A_SWITCH, LD, _b_fractions, terms_many, y2_closed_form
+from uniwkb.wkb_core import A_SWITCH, LD, _b_fractions, terms_many
+
+from kernel_refs import (_allowed_series_many, _forbidden_series_many,
+                         decaying_airy_ref, growing_airy_ref, y2_closed_form)
 
 # u, w, h2, g2 on the allowed side (25-digit independent evaluation)
 ALLOWED_REF = {
@@ -129,15 +132,22 @@ def _combos(a, near, airy_route, series_route):
 def allowed(a):
     """(u, w, h2, g2) at a <= 0, switching routes at |a| = A_SWITCH."""
     a = np.atleast_1d(np.asarray(a, dtype=float)).astype(LD)
-    return _combos(a, a > -A_SWITCH,
-                   wkb_core._allowed_airy_many, wkb_core._allowed_series_many)
+    return _combos(a, a > -A_SWITCH, wkb_core._allowed_airy_many, _allowed_series_many)
+
+
+def _forbidden_airy_pairs(a):
+    """(y1m, y1p, y2m, y2p) by the Airy route: the decaying branch from
+    the kernel, the growing one, which the library no longer forms, from
+    the reference."""
+    y1m, _, y2m = wkb_core._forbidden_airy_many(a)[:3]
+    y1p, y2p = growing_airy_ref(a)[:2]
+    return y1m, y1p, y2m, y2p
 
 
 def forbidden(a):
     """(y1m, y1p, y2m, y2p) at a >= 0, switching routes at a = A_SWITCH."""
     a = np.atleast_1d(np.asarray(a, dtype=float)).astype(LD)
-    return _combos(a, a < A_SWITCH,
-                   wkb_core._forbidden_airy_many, wkb_core._forbidden_series_many)
+    return _combos(a, a < A_SWITCH, _forbidden_airy_pairs, _forbidden_series_many)
 
 
 def test_b_table_spot_values():
@@ -196,14 +206,33 @@ def test_path_agreement_at_switch():
     """Airy-based and series evaluations must agree near the switch radius."""
     pts = np.array([-10.0, -15.0, -30.0], dtype=wkb_core.LD)
     airy_vals = wkb_core._allowed_airy_many(pts)[:4]
-    series_vals = wkb_core._allowed_series_many(pts)
+    series_vals = _allowed_series_many(pts)
     for va, vs in zip(airy_vals, series_vals):
         assert np.max(np.abs(va / vs - 1)) < 1e-9
     fpts = np.array([10.0, 15.0, 30.0], dtype=wkb_core.LD)
-    fairy = wkb_core._forbidden_airy_many(fpts)[:4]
-    fseries = wkb_core._forbidden_series_many(fpts)
+    fairy = _forbidden_airy_pairs(fpts)
+    fseries = _forbidden_series_many(fpts)
     for va, vs in zip(fairy, fseries):
         assert np.max(np.abs(va / vs - 1)) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, A_SWITCH, exclude_max=True),
+                          st.integers(0, 2 ** 11 - 1)), min_size=1, max_size=40))
+def test_forbidden_kernel_is_the_decaying_branch_bit_for_bit(points):
+    """The shared near-field formula with w = 0 reproduces the decaying
+    branch's own formulas bit for bit (rows 0, 2, 4, 6), and the rows of w
+    and its companions are zero (1, 3, 5, 7), at longdouble a in
+    [0, A_SWITCH), most of them off the float64 grid."""
+    a = np.array([LD(x) * (1 + LD(j) * LD(2.0) ** -63) for x, j in points])
+    a = np.minimum(a, np.nextafter(LD(A_SWITCH), LD(0)))
+    got = wkb_core._forbidden_airy_many(a)
+    for row, want in zip(got[0::2], decaying_airy_ref(a)):
+        assert row.dtype == LD
+        assert np.array_equal(row, want)
+        assert np.array_equal(np.signbit(row), np.signbit(want))
+    for row in got[1::2]:
+        assert np.all(row == 0)
 
 
 def test_branch_ode_consistency():
