@@ -31,7 +31,7 @@ from .metrics import (METRIC_NAMES, METRIC_SPEC, BenchmarkError,
                       level_metrics, load_golden)
 from .potentials import (BUILTIN_KINDS, NoBoundRegionError, WellShapeError,
                          make_builtin, parse_potential)
-from .quadrature import MIN_REL_TOL, QuadratureError, QuadratureSpec
+from .quadrature import MIN_REL_TOL, QuadratureError, QuadratureSpec, stage
 from .reference import LevelIndexError, NumerovError, exact_wavefunction
 from .rootfind import BracketError
 from .spectral import (PHASE_RESIDUAL_TOL, PHASE_SPEC, QuantizationError,
@@ -183,9 +183,10 @@ def cmd_solve(config):
         sol = assemble(potential, solve_quantization(potential, n), n)
         rec = {"n": n, "e_sp": sol.e_sp, "e_bar": sol.e_bar}
         if config.kind in BUILTIN_KINDS:
-            ex = exact_wavefunction(potential, n)
-            rec["e_exact"] = ex.energy
-            rec["metrics"] = level_metrics(ex, sol, spec)
+            with stage("computing the metrics of level n=%d" % n):
+                ex = exact_wavefunction(potential, n)
+                rec["e_exact"] = ex.energy
+                rec["metrics"] = level_metrics(ex, sol, spec)
         records.append(rec)
         per_level.append(round(time.perf_counter() - t0, 3))
     e_sps = [rec["e_sp"] for rec in records]

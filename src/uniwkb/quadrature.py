@@ -21,7 +21,9 @@ The points never include a panel end, so a value that an integrand takes
 only at a break, such as one end of a stitched piece, is never sampled.
 On smooth panels a Chebyshev rule is as accurate as Gauss for the same
 number of points (Clenshaw & Curtis, Numer. Math. 2 (1960) 197; Trefethen,
-SIAM Review 50 (2008) 67-87); place breaks at every known kink.
+SIAM Review 50 (2008) 67-87); place breaks at every known kink.  A jump
+far below the budget, such as a switch between two evaluation routes that
+agree to about 1e-12, is not one: the fit converges across it.
 
 Integrands take numpy arrays of nodes and must be elementwise: a node's
 value may not depend on which other nodes share the call.  Every panel
@@ -33,6 +35,7 @@ returns for the same panels.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,16 @@ CHOP_FRACTION = 1e-2
 
 class QuadratureError(RuntimeError):
     """Adaptive refinement failed to reach the requested tolerance."""
+
+
+@contextmanager
+def stage(what):
+    """Re-raise a QuadratureError from inside with the stage named first,
+    chained from the original and keeping its text."""
+    try:
+        yield
+    except QuadratureError as exc:
+        raise QuadratureError("%s: %s" % (what, exc)) from exc
 
 
 @dataclass(frozen=True)

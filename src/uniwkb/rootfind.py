@@ -1,20 +1,12 @@
-"""Bracketed root finding.
+"""Bracketed scalar root finding.
 
 One solver covers every root problem in the package: Brent's zeroin, which
 interpolates (secant or inverse quadratic) while that shrinks the bracket
 fast enough and bisects otherwise.  No derivatives required, deterministic,
 and safe on functions that are merely continuous.
-
-The zeroin is resumable: it hands out each point it wants evaluated and
-takes f there back.  So one scalar bracket and a 1-D array of brackets run
-the same steps.  An array of brackets is refined in lockstep, all of them
-in one vectorized f call per round, and each still sees only its own
-values, so every root is bit for bit the one its scalar call returns.
 """
 
 import math
-
-import numpy as np
 
 MAX_ITER = 200   # steps before the better end of the bracket is returned
 
@@ -37,60 +29,12 @@ def hybrid_root(f, lo, hi, flo=None, fhi=None, rel_tol=1e-12, abs_tol=0.0,
     Terminates when the bracket is at most abs_tol + rel_tol*|x| wide (or
     when it is one ulp wide), or earlier when |f| drops to f_tol (for
     residual-controlled solves).  Returns the end with the smaller |f|.
-
-    lo and hi (and flo, fhi when given) may instead be 1-D arrays of
-    brackets.  Then f takes a 1-D array of points and returns f at each,
-    it is called once per round for every bracket still open, and the
-    roots come back as an array.
     """
-    if np.ndim(lo) == 0:
-        search = _zeroin(lo, hi, flo, fhi, rel_tol, abs_tol, f_tol)
-        try:
-            x = next(search)
-            while True:
-                x = search.send(f(x))
-        except StopIteration as done:
-            return done.value
-    return _lockstep(f, lo, hi, flo, fhi, rel_tol, abs_tol, f_tol)
-
-
-def _lockstep(f, lo, hi, flo, fhi, rel_tol, abs_tol, f_tol):
-    """hybrid_root on 1-D arrays of brackets, one f call per round."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise ValueError("brackets must be two 1-D arrays of one length")
-    ends = [[None] * lo.size if v is None else np.asarray(v, dtype=float).tolist()
-            for v in (flo, fhi)]
-    roots = np.empty(lo.size)
-    searches, points = {}, {}
-    for i, args in enumerate(zip(lo.tolist(), hi.tolist(), *ends)):
-        search = _zeroin(*args, rel_tol, abs_tol, f_tol)
-        try:
-            points[i] = next(search)
-            searches[i] = search
-        except StopIteration as done:
-            roots[i] = done.value
-    while points:
-        open_ = list(points)
-        values = np.asarray(f(np.array([points[i] for i in open_])),
-                            dtype=float).tolist()
-        for i, value in zip(open_, values):
-            try:
-                points[i] = searches[i].send(value)
-            except StopIteration as done:
-                roots[i] = done.value
-                del points[i]
-    return roots
-
-
-def _zeroin(lo, hi, flo, fhi, rel_tol, abs_tol, f_tol):
-    """Brent's zeroin as a generator: it yields each point to evaluate, is
-    sent f there, and returns the root (see hybrid_root)."""
     a, b = float(lo), float(hi)
-    fa = (yield a) if flo is None else flo
+    fa = f(a) if flo is None else flo
     if fa == 0.0:
         return a
-    fb = (yield b) if fhi is None else fhi
+    fb = f(b) if fhi is None else fhi
     if fb == 0.0:
         return b
     if (fa > 0) == (fb > 0):
@@ -127,7 +71,7 @@ def _zeroin(lo, hi, flo, fhi, rel_tol, abs_tol, f_tol):
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > step_min else math.copysign(step_min, m)
-        fb = yield b
+        fb = f(b)
         if abs(fb) <= f_tol:
             return b
         if (fb > 0) == (fc > 0):

@@ -21,7 +21,6 @@ and c*Hu with c = <u|u>^(-1/2).
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,9 +30,10 @@ from .potentials import (TurningPoints, find_turning_points, q_bundle_many,
                          tail_cut)
 # unused here, kept importable: perfbench/tracer.py wraps both by name here
 from .potentials import find_minimum, q_bundle  # noqa: F401
-from .quadrature import CumulativeCheb, QuadratureError, QuadratureSpec, integrate
+from .quadrature import (CumulativeCheb, QuadratureError, QuadratureSpec,
+                         integrate, stage)
 from .rootfind import hybrid_root
-from .wkb_core import A_SWITCH, airy_variable, terms_many
+from .wkb_core import airy_variable, terms_many
 
 # the phase and <u|u>, <u|H|u> quadratures are tighter than the metrics';
 # the quantization root is resolved to 1e-10 in phase and everything
@@ -52,23 +52,14 @@ class UnresolvedStateError(QuantizationError):
     level may exist, too close to the threshold for the state to resolve."""
 
 
-@contextmanager
-def _stage(what):
-    """Re-raise a QuadratureError from inside with the stage named first,
-    chained from the original and keeping its text."""
-    try:
-        yield
-    except QuadratureError as exc:
-        raise QuadratureError("%s: %s" % (what, exc)) from exc
-
-
 @dataclass(frozen=True)
 class EigenSolution:
     """Assembled bound state at the spectral energy of level n.
 
     e_sp solves the phase condition; e_bar is the energy expectation of the
     assembled state and is the reported optimal energy.  psi/dpsi/h_psi are
-    vectorized samplers over the whole line.
+    vectorized samplers over the whole line.  breaks is (q_lo, q-, q_m, q+,
+    q_hi): the panel edges of the fit and of every integral over the state.
     """
     n: int
     e_sp: float
@@ -102,39 +93,6 @@ def airy_argument(potential, q, E, hbar, mass):
     return airy_variable(b.Q, b.dQ, hbar)
 
 
-def _breaks(potential, anchors, E):
-    """The anchors with every point where |a| crosses the Airy/series switch
-    inserted between consecutive anchors.
-
-    One airy_argument call scans every segment between increasing anchors
-    on 257 points.  The crossings it brackets are refined together by one
-    lockstep hybrid_root, one airy_argument call per round, each to the
-    root its own scalar search would give.
-    """
-    units = (potential.hbar, potential.mass)
-
-    def g_of(q):
-        val = np.abs(airy_argument(potential, q, E, *units))
-        return np.where(np.isfinite(val), val, 1e12) - A_SWITCH
-
-    pairs = [j for j in range(len(anchors) - 1) if anchors[j + 1] > anchors[j]]
-    qs = np.linspace([anchors[j] for j in pairs],
-                     [anchors[j + 1] for j in pairs], 257, axis=1)
-    g = np.abs(airy_argument(potential, qs.ravel(), E, *units)) - A_SWITCH
-    g = np.where(np.isnan(g), 1.0, g).reshape(qs.shape)
-    seg, i = np.nonzero((g[:, :-1] > 0) != (g[:, 1:] > 0))
-    # refine to the ulp so the evaluation-path switch lands exactly on a
-    # quadrature panel edge instead of just inside one
-    roots = hybrid_root(g_of, qs[seg, i], qs[seg, i + 1], flo=g[seg, i],
-                        fhi=g[seg, i + 1], rel_tol=5e-16, abs_tol=1e-300)
-    owner = np.array(pairs, dtype=int)[seg]
-    edges = [anchors[0]]
-    for j, qb in enumerate(anchors[1:]):
-        edges.extend(roots[owner == j].tolist())
-        edges.append(qb)
-    return edges
-
-
 def support(potential, E):
     """Turning points at E, and the tail cuts q_lo and q_hi beyond them."""
     tp = find_turning_points(potential, E)
@@ -150,8 +108,7 @@ def phase_integral(potential, E):
     def f(q):
         return _terms_at(potential, q, E, "allowed")[1]
 
-    edges = _breaks(potential, [tp.q_minus, tp.q_m, tp.q_plus], E)
-    return float(integrate(f, edges, PHASE_SPEC))
+    return float(integrate(f, [tp.q_minus, tp.q_m, tp.q_plus], PHASE_SPEC))
 
 
 def _first_order_phase(potential, E):
@@ -181,7 +138,7 @@ def solve_quantization(potential, n):
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
-    with _stage("quantizing level n=%d" % n):
+    with stage("quantizing level n=%d" % n):
         # no energy above the ceiling has both turning points in the search reach
         v_min, ceiling = potential.well.v_min, potential.well.ceiling
         first, target = math.pi * (n + 0.5), math.pi * (n + 2.0 / 3.0)
@@ -220,21 +177,23 @@ def assemble(potential, e_sp, n):
     each region (left tail, allowed, right tail) giving its own terms.  The
     forbidden phase is zero: F_phase is 0 up to q- and the whole allowed
     phase from q+ on, so u is continuous at both turning points and the
-    phase condition gives the right tail (-1)^n/2.  Past a cut the mean
-    exponent goes on along its log-slope there.  u' = amp*(mean' cos(theta)
-    - phase' sin(theta)) takes mean' and phase' from F's own panel fits
-    (the slope and 0 past the cuts), so it is the derivative of the sampled
-    u.  One two-row quadrature gives <u|u> and <u|H|u> = (hbar^2/2m) int
+    phase condition gives the right tail (-1)^n/2.  F's panels end only at
+    (t_lo, q-, q_m, q+, t_hi): the switch from the Airy kernels to the
+    far-field series inside a panel is a jump far below the budget, which
+    the fit converges across.  Past a cut the mean exponent goes on along
+    its log-slope there.  u' = amp*(mean' cos(theta) - phase' sin(theta))
+    takes mean' and phase' from F's own panel fits (the slope and 0 past
+    the cuts), so it is the derivative of the sampled u.  One two-row
+    quadrature on the same panels gives <u|u> and <u|H|u> = (hbar^2/2m) int
     u'^2 + int V u^2.  Then psi = c*u, dpsi = c*u' and h_psi = c*Hu with
     c = <u|u>^(-1/2), and e_bar = <u|H|u>/<u|u>, the Rayleigh quotient of
     the sampled state.  A QuadratureError from inside is re-raised naming
     the level and e_sp.
     """
-    with _stage("assembling level n=%d at E=%.10g" % (n, e_sp)):
+    with stage("assembling level n=%d at E=%.10g" % (n, e_sp)):
         hbar, mass = potential.hbar, potential.mass
         tp, t_lo, t_hi = support(potential, e_sp)
-        edges = _breaks(potential, [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi],
-                        e_sp)
+        edges = [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi]
 
         def by_region(q, f, rows=()):
             """f(x, region) on each region's share of q (q < q-, [q-, q+],

@@ -135,8 +135,8 @@ def airy_variable(Q, dQ, hbar):
     """The dimensionless turning-point coordinate a = Q/(hbar|Q'|)^(2/3).
 
     Zero where Q is, +/-inf where Q' vanishes away from it, in float64;
-    `terms_many` splits near from far by it and `spectral` places the
-    |a| = A_SWITCH seams by it, so the two agree by construction.
+    `terms_many` splits near from far by it, and `spectral.airy_argument`
+    returns it from the Q bundle, so the two agree by construction.
     """
     adQ = np.abs(dQ)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -212,6 +212,22 @@ def test_quadrature_failure_exits_four_naming_the_stage(monkeypatch, capsys,
     assert err == "uniwkb: solver failure: %s%s\n" % (stage, STALL)
 
 
+@pytest.mark.parametrize("name", ["exact_wavefunction", "level_metrics"])
+def test_metrics_failure_exits_four_naming_the_stage(monkeypatch, capsys, name):
+    """A QuadratureError from the exact state or the metrics comes back
+    naming the metrics stage and the level, chained and keeping its text."""
+    monkeypatch.setattr(cli, name, _stall)
+    with pytest.raises(QuadratureError) as info:
+        cmd_solve(make_config(["solve", "--potential", "harmonic",
+                               "--levels", "1"]))
+    assert str(info.value.__cause__) == STALL
+    code = main(["solve", "--potential", "harmonic", "--levels", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == ("uniwkb: solver failure: computing the metrics of level "
+                   "n=1: %s\n" % STALL)
+
+
 def test_unknown_parameter_exits_two(capsys):
     code = main(SOLVE_H01[:3] + ["--param", "bogus=1", "--levels", "0"])
     assert code == 2

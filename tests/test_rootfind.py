@@ -1,12 +1,9 @@
-"""Bracketed root finding: tolerance, early exit, bracket errors, the
-step rule at the ulp level, and arrays of brackets in lockstep."""
+"""Bracketed root finding: tolerance, early exit, bracket errors and the
+step rule at the ulp level."""
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from uniwkb.rootfind import BracketError, hybrid_root
 
@@ -67,9 +64,6 @@ def test_no_sign_change_raises():
         hybrid_root(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(BracketError):
         hybrid_root(lambda x: x - 5.0, 0.0, 1.0)
-    # one bracket of an array without a sign change fails the whole call
-    with pytest.raises(BracketError, match=r"\[3, 4\]"):
-        hybrid_root(lambda x: x - 2.5, np.array([0.0, 3.0]), np.array([4.0, 4.0]))
 
 
 @pytest.mark.parametrize("f, lo, hi, root", CASES)
@@ -94,60 +88,3 @@ def test_iteration_count_stable_under_ulp_moves(f, lo, hi, root):
             hybrid_root(g, a, b, rel_tol=1e-12)
             counts.add(len(calls))
     assert len(counts) == 1, counts
-
-
-def _cheb9(x):
-    """T_9 by its recurrence: only +, - and *, so a float and an array
-    element round alike.  T_9 is odd, so T_9(0) is 0 exactly."""
-    t_prev, t = 1.0 + 0.0 * x, x
-    for _ in range(8):
-        t_prev, t = t, 2.0 * x * t - t_prev
-    return t
-
-
-# the roots of T_9 lie at least 0.11 apart, so a bracket reaching 0.05 to
-# either side of one holds that root alone
-_T9_ROOTS = [math.cos((2 * j + 1) * math.pi / 18) for j in range(9)]
-_WIDTHS = st.floats(1e-9, 0.05)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 8), _WIDTHS, _WIDTHS,
-                          st.sampled_from([None, "lo", "hi"])),
-                min_size=1, max_size=10),
-       st.booleans(),
-       st.sampled_from([(1e-12, 0.0, 0.0), (5e-16, 1e-300, 0.0),
-                        (1e-8, 1e-10, 1e-6)]))
-def test_lockstep_brackets_match_their_scalar_calls(draws, given_ends, tols):
-    """On arrays of brackets every root is bit for bit its scalar call's,
-    with f called once per round for the brackets still open, as many
-    rounds as the slowest bracket's scalar evaluations.  A bracket ending
-    at 0, where T_9 is exactly 0, takes the f(lo) == 0 or f(hi) == 0
-    shortcut, with its end values supplied or not."""
-    lo, hi = [], []
-    for j, left, right, zero_end in draws:
-        a, b = _T9_ROOTS[j] - left, _T9_ROOTS[j] + right
-        if zero_end == "lo":
-            a, b = 0.0, right
-        elif zero_end == "hi":
-            a, b = -left, 0.0
-        lo.append(a)
-        hi.append(b)
-    rel_tol, abs_tol, f_tol = tols
-    tol = dict(rel_tol=rel_tol, abs_tol=abs_tol, f_tol=f_tol)
-    ends = [[_cheb9(x) for x in xs] if given_ends else [None] * len(xs)
-            for xs in (lo, hi)]
-    scalar, evals = [], []
-    for a, b, fa, fb in zip(lo, hi, *ends):
-        g, calls = counting(_cheb9)
-        scalar.append(hybrid_root(g, a, b, flo=fa, fhi=fb, **tol))
-        evals.append(len(calls))
-    g, calls = counting(_cheb9)
-    arr = hybrid_root(g, np.array(lo), np.array(hi),
-                      flo=np.array(ends[0]) if given_ends else None,
-                      fhi=np.array(ends[1]) if given_ends else None, **tol)
-    assert arr.shape == (len(lo),)
-    assert [x.hex() for x in arr.tolist()] == [x.hex() for x in scalar]
-    assert len(calls) == max(evals)
-    assert [len(x) for x in calls] == [sum(e > r for e in evals)
-                                       for r in range(len(calls))]

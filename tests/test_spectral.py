@@ -14,7 +14,7 @@ from uniwkb import potentials, spectral, wkb_core
 from uniwkb.metrics import METRIC_SPEC
 from uniwkb.potentials import (bound_count, make_builtin, parse_potential,
                                q_bundle)
-from uniwkb.quadrature import QuadratureError
+from uniwkb.quadrature import QuadratureError, integrate
 from uniwkb.rootfind import hybrid_root
 from uniwkb.spectral import (
     PHASE_RESIDUAL_TOL,
@@ -260,12 +260,16 @@ def test_dpsi_past_the_cuts_is_the_slope_times_psi():
 def test_dpsi_is_the_derivative_of_psi_inside_the_support():
     """Inside the support dpsi agrees with a fourth-order central difference
     of psi, on stencils clear of every break, within 1e-8 of the largest
-    |dpsi| on the point's panel."""
+    |dpsi| on the point's piece: the panels of sol.breaks further cut at
+    every |a| = A_SWITCH seam, so each far tail is held to its own small
+    scale rather than to that of the Airy window it shares a panel with.
+    Stencils may cross the seams."""
     h = 2.5e-4
     for key, sol in _golden_and_quartic_states():
         breaks = np.array(sol.breaks)
+        edges = np.sort(np.concatenate([breaks, _seams(sol)[1]]))
         q = np.linspace(sol.q_lo, sol.q_hi, 4001)
-        panel = np.searchsorted(breaks, q)
+        panel = np.searchsorted(edges, q)
         clear = np.min(np.abs(q[:, None] - breaks[None, :]), axis=1) > 2.5 * h
         q, panel = q[clear], panel[clear]
         fd = (sol.psi(q - 2 * h) - 8 * sol.psi(q - h) + 8 * sol.psi(q + h)
@@ -290,82 +294,93 @@ def test_psi_continuous_at_turning_points(kind):
             assert abs(above / below - 1.0) <= 1e-13, (kind, n, qt)
 
 
+def _seams(sol):
+    """Every |a| = A_SWITCH crossing inside the state's panels, found apart
+    from the solver: a scan of airy_argument on 257 points per panel of
+    sol.breaks, then bisection of each bracketed crossing to the ulp.
+    Returns (near, far), arrays of adjacent floats, |a| < A_SWITCH at near
+    and >= A_SWITCH at far, as terms_many splits them."""
+    args = (sol.e_sp, sol.hbar, sol.mass)
+
+    def far(q):
+        return np.abs(spectral.airy_argument(sol.potential, q, *args)) >= A_SWITCH
+
+    b = np.array(sol.breaks)
+    qs = np.linspace(b[:-1], b[1:], 257, axis=1).ravel()
+    f = far(qs)
+    i = np.nonzero(f[:-1] != f[1:])[0]
+    lo, hi, f_lo = qs[i], qs[i + 1], f[i]
+    while True:
+        mid = 0.5 * (lo + hi)
+        split = (mid != lo) & (mid != hi)
+        if not split.any():
+            break
+        keep_lo = far(mid) == f_lo
+        lo = np.where(split & keep_lo, mid, lo)
+        hi = np.where(split & ~keep_lo, mid, hi)
+    return np.where(f_lo, hi, lo), np.where(f_lo, lo, hi)
+
+
 def test_airy_variable_is_airy_argument_at_the_seams():
-    """terms_many splits near from far by wkb_core.airy_variable and
-    _breaks places the |a| = A_SWITCH seams by airy_argument: on the 12
-    golden states the two agree bit for bit one ulp either side of every
-    seam in sol.breaks."""
+    """terms_many splits near from far by wkb_core.airy_variable, and
+    airy_argument locates the |a| = A_SWITCH seams: on the 12 golden
+    states the two agree bit for bit on both floats of every seam and one
+    ulp either side of it."""
     for kind in sorted(ESP_ORACLE):
         for n in range(4):
             sol = get_solution(kind, n)
-            args = (sol.e_sp, sol.hbar, sol.mass)
-            b = np.array(sol.breaks)
-            a = spectral.airy_argument(sol.potential, b, *args)
-            seams = b[np.abs(np.abs(a) - A_SWITCH) <= 1e-9 * A_SWITCH]
-            assert len(seams) >= 2, (kind, n)
-            q = np.concatenate([np.nextafter(seams, -np.inf),
-                                np.nextafter(seams, np.inf)])
+            near, far = _seams(sol)
+            assert len(near) >= 2, (kind, n)
+            lo, hi = np.minimum(near, far), np.maximum(near, far)
+            q = np.concatenate([np.nextafter(lo, -np.inf), lo, hi,
+                                np.nextafter(hi, np.inf)])
             bundle = potentials.q_bundle_many(sol.potential, q, sol.e_sp, sol.mass)
             got = wkb_core.airy_variable(bundle.Q, bundle.dQ, sol.hbar)
-            want = spectral.airy_argument(sol.potential, q, *args)
+            want = spectral.airy_argument(sol.potential, q, sol.e_sp,
+                                          sol.hbar, sol.mass)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_breaks_refine_every_seam_of_an_energy_together(monkeypatch):
-    """_breaks scans every anchor segment with one airy_argument call and
-    refines all the seam crossings it brackets in one lockstep hybrid_root,
-    one more airy_argument call per Brent round.  Each seam is still the
-    root of its own scalar search, to the bit."""
-    pot = make_builtin("morse", PARAMS["morse"])
-    e_sp = ESP_ORACLE["morse"][3]
-    tp, t_lo, t_hi = spectral.support(pot, e_sp)
-    anchors = [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi]
-    units = (pot.hbar, pot.mass)
-    scans, rounds = [], []
-    real_arg, real_root = spectral.airy_argument, spectral.hybrid_root
+def test_panels_end_at_the_turning_points_and_cuts_alone():
+    """On the 12 golden and 4 quartic states the panels end only at the
+    cuts, the turning points and q_m, and the switch from the Airy kernels
+    to the far-field series inside a panel is far below the quadrature
+    budget: across every |a| = A_SWITCH seam the mean and phase of
+    terms_many step by at most 1e-11 of their row's largest |value| over
+    the seam's region."""
+    for key, sol in _golden_and_quartic_states():
+        tp = sol.turning
+        assert sol.breaks == (sol.q_lo, tp.q_minus, tp.q_m, tp.q_plus, sol.q_hi)
+        near, far = _seams(sol)
+        assert len(near) >= 2, key
 
-    def arg(potential, q, *args):
-        scans.append(len(q))
-        return real_arg(potential, q, *args)
+        def mean_phase(q, region):
+            bd = potentials.q_bundle_many(sol.potential, q, sol.e_sp, sol.mass)
+            return np.array(wkb_core.terms_many(bd.Q, bd.dQ, bd.d2Q, bd.d3Q,
+                                                sol.hbar, region)[:2])
 
-    def root(f, *args, **kwargs):
-        def counted(q):
-            rounds.append(len(q))
-            return f(q)
-        return real_root(counted, *args, **kwargs)
-
-    monkeypatch.setattr(spectral, "airy_argument", arg)
-    monkeypatch.setattr(spectral, "hybrid_root", root)
-    edges = spectral._breaks(pot, anchors, e_sp)
-    seams = [q for q in edges if q not in anchors]
-    assert len(seams) == 3
-    assert scans[0] == 4 * 257 and len(scans) == 1 + len(rounds)
-    assert rounds[0] == len(seams)
-    monkeypatch.undo()
-
-    def g_one(q):
-        a = abs(float(spectral.airy_argument(pot, np.array([q]), e_sp, *units)[0]))
-        return (a if math.isfinite(a) else 1e12) - A_SWITCH
-
-    for x in seams:
-        qa, qb = max(q for q in anchors if q < x), min(q for q in anchors if q > x)
-        qs = np.linspace(qa, qb, 257)
-        i = int(np.searchsorted(qs, x)) - 1
-        g = np.abs(spectral.airy_argument(pot, qs[i:i + 2], e_sp, *units)) - A_SWITCH
-        want = hybrid_root(g_one, qs[i], qs[i + 1], flo=float(g[0]),
-                           fhi=float(g[1]), rel_tol=5e-16, abs_tol=1e-300)
-        assert want.hex() == x.hex()
+        for region, a, b in (("left", sol.q_lo, tp.q_minus),
+                             ("allowed", tp.q_minus, tp.q_plus),
+                             ("right", tp.q_plus, sol.q_hi)):
+            m = (near > a) & (near < b)
+            assert np.all((far[m] > a) & (far[m] < b)), (key, region)
+            scale = np.max(np.abs(mean_phase(np.linspace(a, b, 4001), region)),
+                           axis=1)
+            jump = np.abs(mean_phase(far[m], region) - mean_phase(near[m], region))
+            assert np.all(jump <= 1e-11 * scale[:, None]), (key, region, jump)
 
 
 def test_near_threshold_left_tail_decays_monotonically():
     """Poschl-Teller lambda=5.05 n=4 sits at -1.25e-3 with its left tail
-    cut near q = -461, past where V' underflows to -0.0 (q ~ -373): over
-    the far-series panel of that tail psi keeps decaying away from the
-    well instead of turning round."""
+    cut near q = -461, past where V' underflows to -0.0 (q ~ -373): from
+    the cut to the left |a| = A_SWITCH seam, where the far series holds,
+    psi keeps decaying away from the well instead of turning round."""
     pot = make_builtin("poschl_teller", {"lambda": 5.05, "alpha": 1.0})
     sol = assemble(pot, solve_quantization(pot, 4), 4)
     assert sol.q_lo < -373.0
-    q = np.linspace(sol.q_lo, sol.breaks[1], 4001)
+    far = _seams(sol)[1][0]
+    assert far < sol.turning.q_minus
+    q = np.linspace(sol.q_lo, far, 4001)
     psi = sol.psi(q)
     assert np.all(psi > 0.0) and np.all(np.diff(psi) > 0.0)
 
@@ -461,6 +476,35 @@ def test_random_wells_order_join_and_parity(well):
             below, above = sol.psi(np.nextafter(qt, [-math.inf, math.inf]))
             assert abs(above - below) <= 1e-13 * abs(sol.psi(qt)), (well, n, qt)
         assert _right_tail_parity(sol), (well, n)
+
+
+def _energy_unit(sol):
+    """hbar*omega for the harmonic well, hbar^2*alpha^2/m for the others."""
+    pot = sol.potential
+    if pot.kind == "harmonic":
+        return sol.hbar * math.sqrt(2.0 * pot.params["k"] / sol.mass)
+    return sol.hbar ** 2 * pot.alpha ** 2 / sol.mass
+
+
+@settings(max_examples=40, deadline=None)
+@given(builtin_wells(), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+       st.integers(0, 2))
+def test_random_wells_scale_with_their_units_at_unit_norm(well, hbar, mass, n):
+    """On random builtin wells at hbar and m in [0.5, 2], e_sp and e_bar in
+    well units are those at hbar = m = 1 within 1e-11, and psi^2
+    integrates to 1 within 1e-10 over sol.breaks at METRIC_SPEC."""
+    kind, params = well
+    n = min(n, bound_count(kind, params) - 2)
+    sols = []
+    for units in ((1.0, 1.0), (hbar, mass)):
+        pot = make_builtin(kind, params, *units)
+        sols.append(assemble(pot, solve_quantization(pot, n), n))
+    sol = sols[1]
+    for attr in ("e_sp", "e_bar"):
+        want, got = (getattr(s, attr) / _energy_unit(s) for s in sols)
+        assert abs(got / want - 1.0) <= 1e-11, (well, hbar, mass, n, attr)
+    norm = integrate(lambda q: sol.psi(q) ** 2, sol.breaks, METRIC_SPEC)
+    assert abs(norm - 1.0) <= 1e-10, (well, hbar, mass, n)
 
 
 # expression twins of the builtin wells with their centre at q = s
@@ -611,9 +655,9 @@ def test_quadrature_failure_names_the_stage(monkeypatch, name, stage, run):
 @pytest.mark.parametrize("src, n, e_sp", [
     # V at the right end of the reach, -360, lies below the well minimum;
     # the ceiling sits below the barrier instead
-    ("q^2/2 - q^3/100", 0, 0.5109532959643102),
+    ("q^2/2 - q^3/100", 0, 0.5109532959643098),
     # the reach left of q_m = 25 ends at -85 (V = 110), not at -35 (V = 60)
-    ("exp(q-25) - (q-25)", 220, 77.63679657430593),
+    ("exp(q-25) - (q-25)", 220, 77.63679657430595),
 ])
 def test_levels_below_the_ceiling_solve(src, n, e_sp):
     assert solve_quantization(parse_potential(src, {}), n) == e_sp
