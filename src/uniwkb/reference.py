@@ -4,10 +4,10 @@ eigenvalue oracle.
 Harmonic and Morse states are Hermite and Laguerre functions from their
 normalized recurrences, with the weight inside, so they stay in double
 range at any level; Pöschl-Teller states are a Gegenbauer recurrence
-times cosh^(-mu), formed from log cosh.  Each is normalized numerically,
-on the support the assembled states use (spectral.support), and
-sign-fixed positive on the left tail; the Schrödinger-residual checks in
-the test suite validate the shapes.
+times cosh^(-mu), formed from log cosh.  Each is normalized in closed
+form, from the orthogonal polynomials' weight integrals in log space, and
+sign-fixed positive on the left tail, where level n has the sign (-1)^n;
+the Schrödinger-residual checks in the test suite validate the shapes.
 
 The Numerov oracle counts nodes only to bracket a level, converges on the
 matching of outward and inward solutions on one grid per level, and
@@ -25,11 +25,9 @@ import numpy as np
 from .potentials import bound_count, find_turning_points, march_tail
 # unused here, kept importable: perfbench/tracer.py wraps reference.q_bundle
 from .potentials import q_bundle  # noqa: F401
-from .quadrature import QuadratureSpec, integrate
+# unused here, kept importable: perfbench/tracer.py wraps reference.integrate
+from .quadrature import integrate  # noqa: F401
 from .rootfind import BracketError, hybrid_root
-from .spectral import support
-
-_NORM_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,8 @@ def _log_cosh(x):
 
 
 def _raw_state(potential, n):
-    """Unnormalized samplers (u, du) of level n of a builtin well."""
+    """Unnormalized samplers (u, du) of level n of a builtin well, and
+    log of its norm integral, log int u^2 dq, in closed form."""
     kind, params = potential.kind, potential.params
     if kind == "harmonic":
         omega = math.sqrt(2.0 * params["k"] / potential.mass)
@@ -122,7 +121,7 @@ def _raw_state(potential, n):
             p, p_prev = _hermite_functions(n, xi)
             return scale * (math.sqrt(2.0 * n) * p_prev - xi * p)
 
-        return u, du
+        return u, du, -math.log(scale)
 
     if kind == "morse":
         g, al = params["gamma"], params["alpha"]
@@ -141,7 +140,10 @@ def _raw_state(potential, n):
             return -al * ((s + n - s * np.exp(t)) * p
                           - math.sqrt(n * (n + 2.0 * s)) * p_prev)
 
-        return u, du
+        # int xi^(a-1) e^-xi [L_n^(a)]^2 dxi = Gamma(n+a+1)/(n! a) (DLMF
+        # 18.9) gives Gamma(2s)/(alpha P^2), P = (2s)^s e^-s the weight's peak
+        return u, du, (math.lgamma(2.0 * s) - math.log(al)
+                       - 2.0 * s * (math.log(2.0 * s) - 1.0))
 
     if kind == "poschl_teller":
         lam, al = params["lambda"], params["alpha"]
@@ -159,7 +161,12 @@ def _raw_state(potential, n):
             dp = 2.0 * beta * _gegenbauer(n - 1, beta + 1, t) if n > 0 else 0.0
             return al * np.exp(-mu * lc) * (-mu * t * p + np.exp(-2.0 * lc) * dp)
 
-        return u, du
+        # int (1-x^2)^(beta-3/2) [C_n^(beta)]^2 dx over x = tanh(alpha q)
+        # (DLMF 18.3 with the Gegenbauer duplication)
+        return u, du, (math.log(math.pi) + (2.0 - 2.0 * beta) * math.log(2.0)
+                       + math.lgamma(n + 2.0 * beta) - math.log(al)
+                       - math.lgamma(n + 1.0) - math.log(2.0 * beta - 1.0)
+                       - 2.0 * math.lgamma(beta))
 
     raise ValueError("no closed-form states for kind %r" % (kind,))
 
@@ -167,24 +174,15 @@ def _raw_state(potential, n):
 def exact_wavefunction(potential, n):
     """Normalized exact level n of a builtin well, with vectorized samplers.
 
-    Its support is the assembled states', spectral.support: each tail is
-    cut where its decay exponent reaches TAIL_DECAY.
+    The norm is _raw_state's closed form, and the sign makes the left tail
+    positive: u there has the sign (-1)^n for all three wells (Hermite
+    parity; L_n^(a)(xi) ~ (-xi)^n/n! as xi -> inf; C_n^(beta)(-1) =
+    (-1)^n C_n^(beta)(1)).
     """
     energy = exact_energy(potential.kind, potential.params, n, potential.hbar,
                           potential.mass)
-    u, du = _raw_state(potential, n)
-    tp, q_lo, q_hi = support(potential, energy)
-    # split the norm integral at the turning points: the domain is dominated
-    # by long tails and a whole-range estimate would misjudge the peak
-    edges = [q_lo, tp.q_minus, tp.q_m, tp.q_plus, q_hi]
-    norm2 = integrate(lambda q: u(q) ** 2, edges, _NORM_SPEC)
-    if not norm2 > 0:
-        raise ArithmeticError("normalization quadrature collapsed")
-    c = 1.0 / math.sqrt(norm2)
-    # a bound state has no node where it is classically forbidden, so its
-    # sign at q- is its left tail's, which may underflow to 0 further out
-    if float(u(np.array([tp.q_minus]))[0]) < 0:
-        c = -c
+    u, du, log_norm2 = _raw_state(potential, n)
+    c = (-1.0) ** n * math.exp(-0.5 * log_norm2)
 
     def psi(q, _c=c):
         return _c * u(q)

@@ -93,14 +93,6 @@ def airy_argument(potential, q, E, hbar, mass):
     return airy_variable(b.Q, b.dQ, hbar)
 
 
-def support(potential, E):
-    """Turning points at E, and the tail cuts q_lo and q_hi beyond them."""
-    tp = find_turning_points(potential, E)
-    width = tp.q_plus - tp.q_minus
-    return (tp, tail_cut(potential, E, tp.q_minus, -1.0, width),
-            tail_cut(potential, E, tp.q_plus, +1.0, width))
-
-
 def phase_integral(potential, E):
     """Accumulated oscillation phase across the classically allowed region."""
     tp = find_turning_points(potential, E)
@@ -192,7 +184,10 @@ def assemble(potential, e_sp, n):
     """
     with stage("assembling level n=%d at E=%.10g" % (n, e_sp)):
         hbar, mass = potential.hbar, potential.mass
-        tp, t_lo, t_hi = support(potential, e_sp)
+        tp = find_turning_points(potential, e_sp)
+        width = tp.q_plus - tp.q_minus
+        t_lo = tail_cut(potential, e_sp, tp.q_minus, -1.0, width)
+        t_hi = tail_cut(potential, e_sp, tp.q_plus, +1.0, width)
         edges = [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi]
 
         def by_region(q, f, rows=()):

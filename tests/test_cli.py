@@ -178,6 +178,16 @@ def test_high_harmonic_level_solves_without_warnings(capsys):
     assert all(0.0 <= v < 1e-9 for v in rec["metrics"].values())
 
 
+def test_metrics_of_level_516_are_all_finite(capsys):
+    """The exact state's norm is a closed form, so the metrics stage holds
+    no integral of the exact state alone that a high level can stall:
+    n = 516 exits 0 with its five metrics finite."""
+    assert main(["solve", "--potential", "harmonic", "--levels", "516"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["records"][0]["metrics"]
+    assert sorted(metrics) == sorted(METRIC_NAMES)
+    assert all(math.isfinite(v) for v in metrics.values()), metrics
+
+
 def test_overflowing_expression_exits_four(capsys):
     """exp(q^2) overflows in the search window: a solver failure, not a
     misread well shape, and no floating-point warning escapes."""

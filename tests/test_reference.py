@@ -82,22 +82,38 @@ def test_harmonic_ground_state_value():
     assert abs(float(lev.psi(np.array([0.0]))[0]) - want) < 1e-12
 
 
-@pytest.mark.parametrize("kind,params", CELLS)
-def test_normalization_on_independent_grid(kind, params):
-    qs = DENSE_GRID[kind]
-    for n in range(4):
-        lev = exact_wavefunction(make_builtin(kind, params), n)
+# the benchmark cells' levels 0-3, and levels where the closed-form norms
+# meet alpha != 1, hbar and mass != 1, and deep wells: (kind, params,
+# units, levels, grid)
+NORM_CASES = [
+    pytest.param(kind, params, {}, range(4), DENSE_GRID[kind],
+                 id="%s-params%d" % (kind, i))
+    for i, (kind, params) in enumerate(CELLS)
+] + [
+    pytest.param("poschl_teller", {"lambda": 60.0, "alpha": 1.3}, {}, (0, 40),
+                 np.linspace(-6.0, 6.0, 400001), id="poschl_teller-deep"),
+    pytest.param("morse", {"gamma": 200.5, "alpha": 0.7}, {}, (150,),
+                 np.linspace(-1.8, 15.0, 400001), id="morse-deep"),
+    pytest.param("harmonic", {"k": 2.0}, {"hbar": 1.5, "mass": 0.7}, (7,),
+                 DENSE_GRID["harmonic"], id="harmonic-units"),
+]
+
+
+@pytest.mark.parametrize("kind,params,units,levels,qs", NORM_CASES)
+def test_normalization_on_independent_grid(kind, params, units, levels, qs):
+    for n in levels:
+        lev = exact_wavefunction(make_builtin(kind, params, **units), n)
         y = lev.psi(qs)
         norm = np.trapezoid(y * y, qs)
         assert abs(norm - 1.0) < 1e-10, (kind, n, norm)
 
 
-@pytest.mark.parametrize("kind,params", CELLS)
-def test_node_counts_and_left_tail_sign(kind, params):
-    qs = DENSE_GRID[kind]
+@pytest.mark.parametrize("kind,params,units,levels,qs", NORM_CASES)
+def test_node_counts_and_left_tail_sign(kind, params, units, levels, qs):
+    """n nodes, and the left tail positive: the closed-form sign (-1)^n."""
     probe = qs[0] + 1e-3 * (qs[-1] - qs[0])
-    for n in range(4):
-        lev = exact_wavefunction(make_builtin(kind, params), n)
+    for n in levels:
+        lev = exact_wavefunction(make_builtin(kind, params, **units), n)
         y = lev.psi(qs)
         s = np.sign(y)
         s = s[s != 0]

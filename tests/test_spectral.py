@@ -12,8 +12,8 @@ from scipy.integrate import simpson
 
 from uniwkb import potentials, spectral, wkb_core
 from uniwkb.metrics import METRIC_SPEC
-from uniwkb.potentials import (bound_count, make_builtin, parse_potential,
-                               q_bundle)
+from uniwkb.potentials import (bound_count, find_turning_points, make_builtin,
+                               parse_potential, q_bundle)
 from uniwkb.quadrature import QuadratureError, integrate
 from uniwkb.rootfind import hybrid_root
 from uniwkb.spectral import (
@@ -531,6 +531,39 @@ def test_shifted_twins_have_the_levels_of_the_centred_one(kind, s):
     pot = parse_potential(expr, dict(params, s=s))
     for n, want in enumerate(_centred_twin_levels(kind)):
         assert abs(solve_quantization(pot, n) / want - 1.0) <= 1e-9, (kind, s, n)
+
+
+# expression twins of the builtin wells stretched by s: at mass 1/s^2,
+# q -> q/s leaves the Schrödinger equation as it is
+RESCALED_TWINS = {
+    "harmonic": ("k*(q/s)^2", {"k": 0.5}),
+    "morse": ("A*(exp(-2*q/s)-2*exp(-q/s))", {"A": 10.125}),
+    "poschl_teller": ("-B/cosh(q/s)^2", {"B": 10.0}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_twin_levels(kind):
+    """(e_sp, turning points) of levels 0..2 of the s = 1 twin."""
+    expr, params = RESCALED_TWINS[kind]
+    pot = parse_potential(expr, dict(params, s=1.0))
+    energies = [solve_quantization(pot, n) for n in range(3)]
+    return tuple((e, find_turning_points(pot, e)) for e in energies)
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(sorted(RESCALED_TWINS)), st.floats(0.5, 2.0))
+def test_rescaled_twins_have_the_levels_of_the_unit_one(kind, s):
+    """A twin stretched by s in [0.5, 2], at mass 1/s^2, has the e_sp of
+    its s = 1 form within 1e-11 at n = 0..2, and turning points s times
+    its s = 1 ones within 1e-11."""
+    expr, params = RESCALED_TWINS[kind]
+    pot = parse_potential(expr, dict(params, s=s), mass=1.0 / (s * s))
+    for n, (want, tp) in enumerate(_unit_twin_levels(kind)):
+        assert abs(solve_quantization(pot, n) / want - 1.0) <= 1e-11, (kind, s, n)
+        got = find_turning_points(pot, want)
+        for q, q_unit in ((got.q_minus, tp.q_minus), (got.q_plus, tp.q_plus)):
+            assert abs(q / (s * q_unit) - 1.0) <= 1e-11, (kind, s, n)
 
 
 def test_level_above_the_ceiling_fails_fast(monkeypatch):
