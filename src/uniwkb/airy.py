@@ -16,6 +16,15 @@ The negative-axis modulus Ai^2 + Bi^2 additionally has its own smooth
 asymptotic series (DLMF 9.8.20) so callers never square oscillatory values
 there.
 
+These regimes are eval_many's.  scaled_many, the forbidden side's kernel,
+needs only the decaying pair Ai, Ai' (times exp(zeta)) at a >= 0, so it
+uses neither the Maclaurin block nor any Bi row: below ASYM_RADIUS it takes
+one Taylor step from the inward Ai march, which _grids continues down to
+a = -0.25 for it (the Maclaurin Ai cancels about five digits near a = 4.5;
+the march, in the direction in which Ai grows, does not), and at and
+beyond it the decaying asymptotic rows.  At run time eval_many is reached
+only through modulus_many, at -9 < a <= 0.
+
 The solver calls these kernels on a few dozen points at a time, so their
 cost is the number of numpy operations per call, not the work per point.
 Each regime therefore runs one loop over a (rows, n) block rather than one
@@ -26,7 +35,7 @@ in the same order as it would in a loop per function:
 * Midrange: the Taylor coefficients of a step from a checkpoint depend only
   on the checkpoint, so _grids tabulates them once; a query gathers them per
   order and steps the Ai and Bi rows of every point, either sign, as one
-  (2, n) block.
+  (2, n) block (scaled_many: the Ai row alone).
 * Asymptotic: each family of sums is one (rows, n) block.  The U/V families
   (Ai, Bi and derivatives) are summed through all N_ASYM terms with no
   truncation: their terms shrink for k below about 2*zeta, which is 36 at
@@ -70,9 +79,11 @@ SERIES_RADIUS = 4.5     # Maclaurin is used at or below this |a|
 ASYM_RADIUS = 9.0       # asymptotic expansions at or beyond this |a|
 SEED_POINT = 13.0       # asymptotic seed for the inward Ai march
 
-N_MACLAURIN = 30
+# the Maclaurin and query Taylor sums stop where further terms move no bit
+# (tests/test_airy.py::test_trimmed_sums_change_no_bit)
+N_MACLAURIN = 24
 N_ASYM = 32
-N_TAYLOR_QUERY = 26
+N_TAYLOR_QUERY = 18
 N_TAYLOR_BUILD = 32
 CHECKPOINT_STEP = 0.25
 
@@ -212,13 +223,20 @@ def _taylor_sum(y, dy, h, coeffs):
     return val, der
 
 
+def _scaled_ai_pos(a, zeta):
+    """Scaled Ai, Ai' from the decaying rows of _POS_FAMILIES; a is a
+    longdouble array with a >= ASYM_RADIUS and zeta = (2/3) a^(3/2)."""
+    su_m, sv_m = _power_sums(_POS_FAMILIES[:2], 1 / zeta)
+    q = np.sqrt(np.sqrt(a))
+    return su_m / (2 * SQRT_PI * q), -q * sv_m / (2 * SQRT_PI)
+
+
 def _scaled_pos_ld(a):
     """Scaled positive-axis asymptotics; a is a longdouble array with a >= ASYM_RADIUS."""
     zeta = LD(2) / 3 * a * np.sqrt(a)
-    su_m, sv_m, su_p, sv_p = _power_sums(_POS_FAMILIES, 1 / zeta)
+    ai_s, dai_s = _scaled_ai_pos(a, zeta)
+    su_p, sv_p = _power_sums(_POS_FAMILIES[2:], 1 / zeta)
     q = np.sqrt(np.sqrt(a))
-    ai_s = su_m / (2 * SQRT_PI * q)
-    dai_s = -q * sv_m / (2 * SQRT_PI)
     bi_s = su_p / (SQRT_PI * q)
     dbi_s = q * sv_p / SQRT_PI
     return ai_s, dai_s, bi_s, dbi_s, zeta
@@ -274,10 +292,12 @@ def _grids():
     """Checkpoint tables for the midrange, built once per process.
 
     Positive axis: Ai marches inward from an asymptotic seed at SEED_POINT
-    (inward is the direction in which Ai itself grows, so roundoff cannot
-    excite the Bi mode); Bi marches outward from a Maclaurin seed at 4.25 for
-    the mirrored reason.  The oscillatory negative axis is neutrally stable,
-    so both functions march outward from 4.25 together.
+    down to -0.25, through the Maclaurin range, since scaled_many steps from
+    it on all of [0, ASYM_RADIUS) (inward is the direction in which Ai itself
+    grows, so roundoff cannot excite the Bi mode); Bi marches outward from a
+    Maclaurin seed at 4.25 for the mirrored reason.  The oscillatory negative
+    axis is neutrally stable, so both functions march outward from -4.25
+    together.
 
     The four grids are stored end to end, in the order (Ai, Bi) x (a > 0,
     a <= 0): "origin", "step" and "offset" hold each grid's first
@@ -294,7 +314,7 @@ def _grids():
     _, _, bi_p, dbi_p = _maclaurin(np.array([4.25], dtype=LD))
     ai_m, dai_m, bi_m, dbi_m = _maclaurin(np.array([-4.25], dtype=LD))
     grids = [  # (origin, step, seed value, seed derivative, stop)
-        (SEED_POINT, -CHECKPOINT_STEP, ai13, dai13, 4.25),
+        (SEED_POINT, -CHECKPOINT_STEP, ai13, dai13, -0.25),
         (-4.25, -CHECKPOINT_STEP, ai_m[0], dai_m[0], -9.25),
         (4.25, CHECKPOINT_STEP, bi_p[0], dbi_p[0], 9.25),
         (-4.25, -CHECKPOINT_STEP, bi_m[0], dbi_m[0], -9.25),
@@ -316,20 +336,30 @@ def _grids():
     return _GRIDS
 
 
+def _from_checkpoints(a, fn, side):
+    """Value and derivative by one Taylor step from the nearest checkpoint of
+    grid (fn, side) of `_grids` (fn 0 for Ai, 1 for Bi; side 0 for a > 0,
+    1 for a <= 0); fn and side broadcast against the longdouble array a.
+    The Taylor coefficients are gathered one order at a time."""
+    g = _grids()
+    origin = g["origin"][fn, side]
+    step = g["step"][fn, side]
+    idx = np.rint((a - origin) / step).astype(int)
+    t0 = origin + step * idx
+    at = g["offset"][fn, side] + idx
+    coeffs = ((c[at], d[at]) for c, d in zip(g["c"], g["d"]))
+    return _taylor_sum(g["y"][at], g["dy"][at], a - t0, coeffs)
+
+
+_AI_BI = np.array([[0], [1]])
+
+
 def _midrange(a):
     """Checkpoint + one Taylor step, for 4.5 < |a| < 9 (longdouble array).
 
     One (2, n) block, rows Ai and Bi: each row steps from the nearest
     checkpoint of its own grid for the sign of a."""
-    g = _grids()
-    side = np.where(a > 0, 0, 1)
-    origin = g["origin"][:, side]
-    step = g["step"][:, side]
-    idx = np.rint((a - origin) / step).astype(int)
-    t0 = origin + step * idx
-    at = g["offset"][:, side] + idx
-    coeffs = ((c[at], d[at]) for c, d in zip(g["c"], g["d"]))
-    (ai, bi), (dai, dbi) = _taylor_sum(g["y"][at], g["dy"][at], a - t0, coeffs)
+    (ai, bi), (dai, dbi) = _from_checkpoints(a, _AI_BI, np.where(a > 0, 0, 1))
     return ai, dai, bi, dbi
 
 
@@ -375,26 +405,30 @@ def eval_many(a):
 
 
 def scaled_many(a):
-    """Bulk scaled values (ai_s, dai_s, bi_s, dbi_s, zeta) for a >= 0, longdouble."""
+    """Bulk scaled decaying pair (ai_s, dai_s, zeta) for a >= 0, longdouble:
+    ai_s = Ai(a)*exp(zeta), dai_s = Ai'(a)*exp(zeta), zeta = (2/3) a^(3/2).
+
+    Below ASYM_RADIUS, one Taylor step of Ai from the nearest checkpoint of
+    its inward march; at and beyond it, the decaying asymptotic rows.  At
+    a = +inf they are their limits 0, -inf and +inf; a NaN stays NaN.
+    """
     a = _as_ld(a)
     if np.any(a < 0):
         raise ValueError("scaled Airy evaluation requires a >= 0")
     zeta = LD(2) / 3 * a * np.sqrt(a)
-    out = [np.empty_like(a) for _ in range(4)]
+    ai_s = np.full_like(a, np.nan)
+    dai_s = ai_s.copy()
     big = a >= ASYM_RADIUS
     if np.any(big):
-        r = _scaled_pos_ld(a[big])
-        for dst, src in zip(out, r[:4]):
-            dst[big] = src
-    small = ~big
+        ai_s[big], dai_s[big] = _scaled_ai_pos(a[big], zeta[big])
+    # a NaN is in neither mask, so it never reaches the checkpoint index
+    small = a < ASYM_RADIUS
     if np.any(small):
-        ai, dai, bi, dbi = eval_many(a[small])
+        ai, dai = _from_checkpoints(a[small], 0, 0)
         ez = np.exp(zeta[small])
-        out[0][small] = ai * ez
-        out[1][small] = dai * ez
-        out[2][small] = bi / ez
-        out[3][small] = dbi / ez
-    return out[0], out[1], out[2], out[3], zeta
+        ai_s[small] = ai * ez
+        dai_s[small] = dai * ez
+    return ai_s, dai_s, zeta
 
 
 def modulus_many(a):

@@ -127,7 +127,7 @@ def _forbidden_airy_many(a):
     rows 1, 3, 5 and 7 are zero.  Longdouble in and out, like
     `_allowed_airy_many`: y2 carries the same O(a^3) cancellation.
     """
-    ai_s, dai_s = airy.scaled_many(a)[:2]
+    ai_s, dai_s, _ = airy.scaled_many(a)
     return _near_field(a, dai_s / ai_s, np.zeros_like(a))
 
 

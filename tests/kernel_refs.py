@@ -2,10 +2,13 @@
 
 Not collected by pytest (no test_ prefix).  The library does not call any
 of these: the a-variable series the Airy routes are compared with at the
-switch radius, the growing branch and the decaying branch as the forbidden
-kernel wrote them before both sides shared `_near_field`, the plain-double
-closed form of the companion, and the Riccati residual of the forbidden
-mean term.
+switch radius, the growing branch (from `airy.eval_many`'s Bi pair) and
+the decaying branch as the forbidden kernel wrote them before both sides
+shared `_near_field`, the plain-double closed form of the companion, the
+Riccati residual of the forbidden mean term, and the Airy sums at the
+lengths they had before they were trimmed (`maclaurin_ref`,
+`checkpoint_step_ref`), which the library's shorter sums must equal bit
+for bit.
 """
 
 import numpy as np
@@ -76,7 +79,7 @@ def _forbidden_series_many(a):
 def decaying_airy_ref(a):
     """(y1m, y2m, d1m, d2m) for 0 <= a < A_SWITCH, in the decaying-branch
     formulas the forbidden kernel used before it shared `_near_field`."""
-    ai_s, dai_s, _, _, _ = airy.scaled_many(a)
+    ai_s, dai_s, _ = airy.scaled_many(a)
     y1m = dai_s / ai_s
     d1m = a - y1m * y1m
     y2m = (8 * a * a * d1m - 4 * a * y1m - 3) / 30
@@ -86,13 +89,62 @@ def decaying_airy_ref(a):
 
 def growing_airy_ref(a):
     """(y1p, y2p, d1p, d2p): the growing branch Bi'/Bi and its companion
-    for 0 <= a < A_SWITCH, by the same formulas on the scaled Bi pair."""
-    _, _, bi_s, dbi_s, _ = airy.scaled_many(a)
-    y1p = dbi_s / bi_s
+    for 0 <= a < A_SWITCH, by the same formulas on eval_many's Bi pair."""
+    _, _, bi, dbi = airy.eval_many(a)
+    y1p = dbi / bi
     d1p = a - y1p * y1p
     y2p = (8 * a * a * d1p - 4 * a * y1p - 3) / 30
     d2p = (2 * a * d1p - y1p) / 3 - 2 * y1p * y2p
     return y1p, y2p, d1p, d2p
+
+
+N_MACLAURIN_REF = 30
+N_TAYLOR_REF = 26
+
+# airy._MAC_DEN at N_MACLAURIN_REF terms
+_MAC_K = np.arange(1, N_MACLAURIN_REF + 1)
+_MAC_DEN = np.stack([(3 * _MAC_K - 1) * (3 * _MAC_K), (3 * _MAC_K) * (3 * _MAC_K + 1),
+                     (3 * _MAC_K - 2) * (3 * _MAC_K),
+                     (_MAC_K - 1) * (3 * _MAC_K - 1) * (3 * _MAC_K)],
+                    axis=1).astype(LD)[:, :, None]
+
+
+def maclaurin_ref(a):
+    """`airy._maclaurin` summed to N_MACLAURIN_REF terms, operation for
+    operation: (Ai, Ai', Bi, Bi') at the longdouble array a."""
+    a3 = a * a * a
+    t = np.stack([np.ones_like(a), a, np.ones_like(a), a * a / 2])
+    s = t.copy()
+    t3, s3 = t[:3], s[:3]
+    t3 *= a3
+    t3 /= _MAC_DEN[0, :3]
+    s3 += t3
+    uf = t[3]
+    for k in range(2, N_MACLAURIN_REF + 1):
+        t *= a3
+        uf *= LD(k)
+        t /= _MAC_DEN[k - 1]
+        s += t
+    return tuple(airy._MAC_C0 * s[[0, 3, 0, 3]] + airy._MAC_C1 * s[[1, 2, 1, 2]])
+
+
+def checkpoint_step_ref(a, fn, side):
+    """`airy._from_checkpoints` with the Taylor coefficients of every
+    checkpoint taken to N_TAYLOR_REF orders: (values, derivatives)."""
+    g = airy._grids()
+    # the checkpoint abscissae, grid by grid, as _grids lays them out
+    starts = g["offset"].ravel()
+    ends = np.append(starts[1:], g["y"].size)
+    ts = np.concatenate([o + s * np.arange(e - b) for o, s, b, e in zip(
+        g["origin"].ravel(), g["step"].ravel(), starts, ends)])
+    c_all, d_all = airy._taylor_coeffs(ts, g["y"], g["dy"], N_TAYLOR_REF)
+    origin = g["origin"][fn, side]
+    step = g["step"][fn, side]
+    idx = np.rint((a - origin) / step).astype(int)
+    t0 = origin + step * idx
+    at = g["offset"][fn, side] + idx
+    coeffs = ((c[at], d[at]) for c, d in zip(c_all, d_all))
+    return airy._taylor_sum(g["y"][at], g["dy"][at], a - t0, coeffs)
 
 
 def y2_closed_form(a: float, y1: float) -> float:

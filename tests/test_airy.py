@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 from uniwkb import airy
 
+from kernel_refs import (N_MACLAURIN_REF, N_TAYLOR_REF, checkpoint_step_ref,
+                         maclaurin_ref)
+
 # (ai, dai, bi, dbi) at selected points spanning all three evaluation regimes
 AIRY_REF = {
     0.0: (0.3550280538878172392601, -0.2588194037928067984052, 0.6149266274460007351509, 0.4482883573538263579148),
@@ -126,9 +129,18 @@ def test_sign_pattern_positive_axis():
     assert np.all(dbi > 0)
 
 
+def _scaled_quadruple(a):
+    """(ai_s, dai_s, bi_s, dbi_s, zeta) as float64: the decaying pair from
+    scaled_many, the Bi pair from eval_many scaled by the same exp(-zeta)."""
+    ai_s, dai_s, zeta = airy.scaled_many(a)
+    _, _, bi, dbi = airy.eval_many(a)
+    em = np.exp(-zeta)
+    return _f64((ai_s, dai_s, bi * em, dbi * em, zeta))
+
+
 def test_scaled_values():
     a = np.array(list(SCALED_REF))
-    *got, zeta = _f64(airy.scaled_many(a))
+    *got, zeta = _scaled_quadruple(a)
     for i, (x, ref) in enumerate(SCALED_REF.items()):
         for g, r in zip((v[i] for v in got), ref):
             assert abs(g / r - 1) < 1e-12, (x, g, r)
@@ -138,15 +150,16 @@ def test_scaled_values():
 def test_scaled_invariants():
     ev = [float(v[0]) for v in airy.eval_many(0.0)]
     sc = [float(v[0]) for v in airy.scaled_many(0.0)]
-    assert sc[:4] == ev
-    assert sc[4] == 0.0
-    # scaled Wronskian: the exponentials cancel exactly
-    ai_s, dai_s, bi_s, dbi_s, _ = _f64(
-        airy.scaled_many(np.array([0.0, 3.3, 9.0, 42.0, 104.0, 500.0])))
+    assert sc[:2] == ev[:2]
+    assert sc[2] == 0.0
+    # scaled Wronskian: the Bi pair is scaled by exp(-zeta), the Ai pair by
+    # exp(zeta), so the exponentials cancel
+    ai_s, dai_s, bi_s, dbi_s, _ = _scaled_quadruple(
+        np.array([0.0, 3.3, 9.0, 42.0, 104.0, 500.0]))
     w = ai_s * dbi_s - dai_s * bi_s
     assert np.all(np.abs(w * np.pi - 1.0) < 1e-10)
     # log-derivative ratio approaches -sqrt(a)
-    ai_s, dai_s, _, _, _ = _f64(airy.scaled_many(200.0))
+    ai_s, dai_s, _ = _f64(airy.scaled_many(200.0))
     assert -dai_s[0] / ai_s[0] == pytest.approx(np.sqrt(200.0), rel=1e-3)
     with pytest.raises(ValueError):
         airy.scaled_many(-0.5)
@@ -223,6 +236,51 @@ def test_regime_overlap_windows():
     assert float(np.max(np.abs(np.asarray(m_series / m_direct - 1, dtype=float)))) < 1e-11
 
 
+def test_scaled_pair_agrees_with_eval_many():
+    """Below ASYM_RADIUS scaled_many steps from the inward Ai march and
+    eval_many sums the Maclaurin series (|a| <= 4.5) or steps from the same
+    march (4.5 < a < 9); the two agree within 1e-12 relative on [0, 9)."""
+    a = np.concatenate([np.linspace(0.0, 9.0, 3601)[:-1],
+                        np.random.default_rng(5).uniform(0.0, 9.0, 2000)])
+    ai_s, dai_s, zeta = airy.scaled_many(a)
+    ai, dai, _, _ = airy.eval_many(a)
+    em = np.exp(-zeta)
+    for got, want in ((ai_s * em, ai), (dai_s * em, dai)):
+        assert float(np.max(np.abs(got / want - 1))) < 1e-12
+
+
+def _guard_points(lo, hi, n, seed):
+    """n uniform points in (lo, hi) on each side of 0, the seams and the
+    checkpoint seeds +/-4.25 included, as a longdouble array."""
+    x = np.random.default_rng(seed).uniform(lo, hi, n)
+    seams = [s for s in (4.25, airy.SERIES_RADIUS) if lo <= s <= hi]
+    x = np.concatenate([x, seams, np.nextafter(seams, 0.0)])
+    return np.concatenate([x, -x]).astype(airy.LD)
+
+
+def test_trimmed_sums_change_no_bit():
+    """N_MACLAURIN and N_TAYLOR_QUERY are as short as the terms that move
+    a bit: the Maclaurin block and the checkpoint steps equal the longer
+    sums of kernel_refs bit for bit, on 2*10^5 points of each regime and
+    on 10^5 points of the scaled Ai pair's whole step range [0, 9)."""
+    def same(got, want):
+        return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    a = _guard_points(0.0, airy.SERIES_RADIUS, 100_000, 1)
+    assert same(airy.eval_many(a), maclaurin_ref(a))
+    a = _guard_points(airy.SERIES_RADIUS, airy.ASYM_RADIUS, 100_000, 2)
+    a = a[np.abs(a) > airy.SERIES_RADIUS]
+    (ai, bi), (dai, dbi) = checkpoint_step_ref(a, np.array([[0], [1]]),
+                                               np.where(a > 0, 0, 1))
+    assert same(airy.eval_many(a), (ai, dai, bi, dbi))
+    a = np.abs(_guard_points(0.0, airy.ASYM_RADIUS, 50_000, 3))
+    ai, dai = checkpoint_step_ref(a, 0, 0)
+    ez = np.exp(airy.LD(2) / 3 * a * np.sqrt(a))
+    assert same(airy.scaled_many(a)[:2], (ai * ez, dai * ez))
+    assert airy.N_MACLAURIN < N_MACLAURIN_REF
+    assert airy.N_TAYLOR_QUERY < N_TAYLOR_REF
+
+
 # regime seams and their neighbours, on both sides of each
 _SEAMS = [0.0, airy.SERIES_RADIUS, airy.ASYM_RADIUS, 10.0]
 _POINTS = st.one_of(
@@ -265,17 +323,18 @@ def test_every_point_is_its_own_one_point_call(draws):
 def test_infinite_arguments_give_the_limits():
     """At +inf, Ai = Ai' = 0 and Bi = Bi' = +inf; at -inf, Ai = Bi = 0 and
     Ai', Bi', whose amplitude grows without limit, are NaN.  No warning is
-    raised, and the values agree with scaled_many(inf) and
+    raised, and the values agree with scaled_many(inf), whose scaled Ai is
+    0 and scaled Ai' (about -a^(1/4)/(2 sqrt(pi))) -inf, and with
     modulus_many(-inf)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ai, dai, bi, dbi = airy.eval_many(np.array([np.inf, -np.inf]))
-        ai_s, dai_s, bi_s, dbi_s, zeta = airy.scaled_many(np.inf)
+        ai_s, dai_s, zeta = airy.scaled_many(np.inf)
         m2, dm2 = airy.modulus_many(-np.inf)
     assert ai.tolist() == [0.0, 0.0] and dai[0] == 0.0 and np.isnan(dai[1])
     assert bi.tolist()[0] == np.inf == dbi[0] and bi[1] == 0.0
     assert np.isnan(dbi[1])
-    assert ai_s[0] == 0.0 and zeta[0] == np.inf and dbi_s[0] == np.inf
+    assert ai_s[0] == 0.0 and zeta[0] == np.inf and dai_s[0] == -np.inf
     assert m2[0] == ai[1] * ai[1] + bi[1] * bi[1] == 0.0
 
 

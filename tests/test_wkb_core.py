@@ -49,6 +49,27 @@ FORBIDDEN_MINUS_REF = {
     30.0: (-5.485527496849730111960341, -0.0007504992728723675008773124),
 }
 
+# decaying branch (y1m, y2m, d1m, d2m) at the float64 points, printed by
+# tests/make_airy_refs.py (mpmath, 50 digits, rounded to 30)
+FORBIDDEN_KERNEL_REF = {
+    1.0: (-1.17632196714370102308934626279, -0.0454859698167935780684590074175,
+        -0.383733370384826429301394409209, 0.0292727844733567912581682386067),
+    3.6: (-1.96152060139373449154735612031, -0.014048080186689910891792194949,
+        -0.247563069692037745325983673953, 4.57763581124076056282446444476e-3),
+    4.1: (-2.08188948359880527273591778512, -0.0120270413562371577360380605041,
+        -0.234263821919300443977643381083, 3.5641061167978310099046947537e-3),
+    4.39: (-2.1488216710140685845748239591, -0.0110608752625733488435818399238,
+        -0.227434573819694319573785105763, 3.11300736318212522378978688963e-3),
+    4.47: (-2.16694476825049493774931872918, -0.0108162954711446321797711211579,
+        -0.225649628648191462285449061388, 3.00239961245769318240825648318e-3),
+    4.95: (-2.27282425908477642691694805612, -9.51654528302036668646767253083e-3,
+        -0.215730112684262742747863342921, 2.43984453967008788658895961139e-3),
+    6.5: (-2.58663655292155317620002199591, -6.67385531947052177415282407837e-3,
+        -0.190688656909894965190606972237, 1.3689947944680732913243414057e-3),
+    8.9: (-3.01074989170566934313492375165, -4.34934270539072826630559666346e-3,
+        -0.164614910405699322077627908943, 6.7859600291514162872884556078e-4),
+}
+
 FORBIDDEN_PLUS_REF = {
     10.0: (3.136758221580604370498032, 0.004265287132103347240873572),
     15.0: (3.856132551291593260000211, 0.002239709580086030215520583),
@@ -200,6 +221,20 @@ def test_forbidden_combo_reference():
     got = forbidden(np.array(list(BI_PAIR_REF)))
     for i, (dbi, bi) in enumerate(BI_PAIR_REF.values()):
         assert abs(got[1, i] / (dbi / bi) - 1) < 1e-12
+
+
+def test_forbidden_kernel_accuracy():
+    """The forbidden kernel's decaying branch against FORBIDDEN_KERNEL_REF,
+    five of whose points lie in [3.5, 5], where a Maclaurin-summed Ai
+    cancels about five digits: y1m and d1m within 1e-13 relative, the
+    companion y2m within 1e-11 and d2m within 1e-10."""
+    a = np.array(list(FORBIDDEN_KERNEL_REF)).astype(LD)
+    got = np.asarray(wkb_core._forbidden_airy_many(a)[0::2], dtype=float)
+    want = np.array(list(FORBIDDEN_KERNEL_REF.values())).T
+    rel = np.abs(got / want - 1)
+    for row, name, tol in zip(rel, ("y1m", "y2m", "d1m", "d2m"),
+                              (1e-13, 1e-11, 1e-13, 1e-10)):
+        assert np.all(row < tol), (name, a[np.argmax(row)], row.max())
 
 
 def test_path_agreement_at_switch():
