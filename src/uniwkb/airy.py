@@ -1,29 +1,28 @@
 """Real-argument Airy functions built from scratch.
 
-Three evaluation regimes, all carried out in numpy longdouble (80-bit extended
-on x86), which buys the headroom needed by downstream cancellation-sensitive
-combinations:
+Two evaluation regimes, both carried out in numpy longdouble (80-bit
+extended on x86), which buys the headroom needed by downstream
+cancellation-sensitive combinations:
 
-* |a| <= 4.5            Maclaurin series of the two standard ODE solutions.
-* 4.5 < |a| < 9         one local Taylor step away from precomputed checkpoint
-                        values; checkpoints are marched once per process along
-                        the numerically stable direction for each function.
-* |a| >= 9              large-argument asymptotic expansions (DLMF 9.7: scaled
-                        forms on the positive axis, phase/modulus form on the
-                        negative axis).
+* |a| < 9       one local Taylor step from the nearest precomputed checkpoint
+                of the function's grid.  Each grid is seeded once per process
+                from the asymptotic forms and marched along the numerically
+                stable direction of its function: Ai from a = 13 down to
+                -9.25 (inward, the direction in which Ai grows), Bi from
+                a = -13 up to 9.25 (outward, for the mirrored reason); the
+                oscillatory negative axis is neutrally stable for both.
+* |a| >= 9      large-argument asymptotic expansions (DLMF 9.7: scaled
+                forms on the positive axis, phase/modulus form on the
+                negative axis).
 
 The negative-axis modulus Ai^2 + Bi^2 additionally has its own smooth
 asymptotic series (DLMF 9.8.20) so callers never square oscillatory values
 there.
 
-These regimes are eval_many's.  scaled_many, the forbidden side's kernel,
-needs only the decaying pair Ai, Ai' (times exp(zeta)) at a >= 0, so it
-uses neither the Maclaurin block nor any Bi row: below ASYM_RADIUS it takes
-one Taylor step from the inward Ai march, which _grids continues down to
-a = -0.25 for it (the Maclaurin Ai cancels about five digits near a = 4.5;
-the march, in the direction in which Ai grows, does not), and at and
-beyond it the decaying asymptotic rows.  At run time eval_many is reached
-only through modulus_many, at -9 < a <= 0.
+scaled_many, the forbidden side's kernel, needs only the decaying pair
+Ai, Ai' (times exp(zeta)) at a >= 0, so it steps the Ai grid alone below
+ASYM_RADIUS and sums the decaying asymptotic rows at and beyond it.  At
+run time eval_many is reached only through modulus_many, at -9 < a <= 0.
 
 The solver calls these kernels on a few dozen points at a time, so their
 cost is the number of numpy operations per call, not the work per point.
@@ -31,11 +30,10 @@ Each regime therefore runs one loop over a (rows, n) block rather than one
 loop per function, and every element still goes through the same operations
 in the same order as it would in a loop per function:
 
-* Maclaurin: the running terms of f, g, g' and f' are one (4, n) block.
-* Midrange: the Taylor coefficients of a step from a checkpoint depend only
-  on the checkpoint, so _grids tabulates them once; a query gathers them per
-  order and steps the Ai and Bi rows of every point, either sign, as one
-  (2, n) block (scaled_many: the Ai row alone).
+* Checkpoints: the Taylor coefficients of a step from a checkpoint depend
+  only on the checkpoint, so _grids tabulates them once; a query gathers
+  them per order and steps the Ai and Bi rows of every point, either sign,
+  as one (2, n) block (scaled_many: the Ai row alone).
 * Asymptotic: each family of sums is one (rows, n) block.  The U/V families
   (Ai, Bi and derivatives) are summed through all N_ASYM terms with no
   truncation: their terms shrink for k below about 2*zeta, which is 36 at
@@ -66,22 +64,17 @@ _require_extended(np.finfo(np.longdouble))
 
 LD = np.longdouble
 
-# Zero-point values, 25 significant digits (enough to saturate longdouble).
-AI0 = LD("0.3550280538878172392600632")
-DAI0 = LD("-0.2588194037928067984051836")
-BI0 = LD("0.6149266274460007351509224")
-DBI0 = LD("0.4482883573538263579148237")
-
 PI_L = LD("3.141592653589793238462643383279503")
 SQRT_PI = LD("1.772453850905516027298167483341145")
 
-SERIES_RADIUS = 4.5     # Maclaurin is used at or below this |a|
+# no route switches at SERIES_RADIUS; perfbench/tracer.py still reads it to
+# split its Airy point counts
+SERIES_RADIUS = 4.5
 ASYM_RADIUS = 9.0       # asymptotic expansions at or beyond this |a|
-SEED_POINT = 13.0       # asymptotic seed for the inward Ai march
+SEED_POINT = 13.0       # asymptotic seeds of the Ai (+) and Bi (-) marches
 
-# the Maclaurin and query Taylor sums stop where further terms move no bit
+# the query Taylor sums stop where further terms move no bit
 # (tests/test_airy.py::test_trimmed_sums_change_no_bit)
-N_MACLAURIN = 24
 N_ASYM = 32
 N_TAYLOR_QUERY = 18
 N_TAYLOR_BUILD = 32
@@ -163,39 +156,6 @@ def _truncated_sums(coef, y):
     return s
 
 
-# Maclaurin running terms, rows (f, g, g', f') of the two standard solutions
-# f = 1 + a^3/(2*3) + ..., g = a + a^4/(3*4) + ...: step k multiplies every
-# row by a^3, the f' row also by k, and divides each row by _MAC_DEN[k - 1];
-# f' has no k = 1 step, so rows 0-2 run alone there (its entry 0 is unused)
-_MAC_K = np.arange(1, N_MACLAURIN + 1)
-_MAC_DEN = np.stack([(3 * _MAC_K - 1) * (3 * _MAC_K), (3 * _MAC_K) * (3 * _MAC_K + 1),
-                     (3 * _MAC_K - 2) * (3 * _MAC_K),
-                     (_MAC_K - 1) * (3 * _MAC_K - 1) * (3 * _MAC_K)],
-                    axis=1).astype(LD)[:, :, None]
-# Ai, Ai', Bi, Bi' = _MAC_C0 * (f, f', f, f') + _MAC_C1 * (g, g', g, g')
-_MAC_C0 = np.array([AI0, AI0, BI0, BI0], dtype=LD)[:, None]
-_MAC_C1 = np.array([DAI0, DAI0, DBI0, DBI0], dtype=LD)[:, None]
-
-
-def _maclaurin(a):
-    """Ai, Ai', Bi, Bi' from the two Maclaurin solutions of y'' = a y."""
-    a3 = a * a * a
-    t = np.stack([np.ones_like(a), a, np.ones_like(a), a * a / 2])
-    s = t.copy()
-    t3, s3 = t[:3], s[:3]
-    t3 *= a3
-    t3 /= _MAC_DEN[0, :3]
-    s3 += t3
-    uf = t[3]
-    for k in range(2, N_MACLAURIN + 1):
-        t *= a3
-        uf *= LD(k)
-        t /= _MAC_DEN[k - 1]
-        s += t
-    ai, dai, bi, dbi = _MAC_C0 * s[[0, 3, 0, 3]] + _MAC_C1 * s[[1, 2, 1, 2]]
-    return ai, dai, bi, dbi
-
-
 def _taylor_coeffs(t0, y, dy, nterms):
     """Taylor coefficients c_k = y^(k+2)(t0)/(k+2)! of y'' = t*y about t0,
     and d_k = (k+2)*c_k, for k < nterms, each of shape (nterms,) + y.shape."""
@@ -275,6 +235,8 @@ _GRIDS = {}
 
 
 def _march(t_start, y, dy, t_stop, step):
+    """Checkpoint abscissae, values and derivatives of y'' = t*y, marched
+    from (t_start, y, dy) to t_stop by Taylor steps of length step."""
     n = int(round((t_stop - t_start) / step))
     ts = LD(t_start) + LD(step) * np.arange(n + 1, dtype=LD)
     ys = np.empty(n + 1, LD)
@@ -285,81 +247,67 @@ def _march(t_start, y, dy, t_stop, step):
         c, d = _taylor_coeffs(ts[i], y, dy, N_TAYLOR_BUILD)
         y, dy = _taylor_sum(y, dy, LD(step), zip(c, d))
         ys[i + 1], dys[i + 1] = y, dy
-    return ys, dys
+    return ts, ys, dys
 
 
 def _grids():
-    """Checkpoint tables for the midrange, built once per process.
+    """Checkpoint tables, built once per process.
 
-    Positive axis: Ai marches inward from an asymptotic seed at SEED_POINT
-    down to -0.25, through the Maclaurin range, since scaled_many steps from
-    it on all of [0, ASYM_RADIUS) (inward is the direction in which Ai itself
-    grows, so roundoff cannot excite the Bi mode); Bi marches outward from a
-    Maclaurin seed at 4.25 for the mirrored reason.  The oscillatory negative
-    axis is neutrally stable, so both functions march outward from -4.25
-    together.
+    One grid per function, seeded from the asymptotic forms at |a| =
+    SEED_POINT and marched CHECKPOINT_STEP at a time to one checkpoint past
+    the far ASYM_RADIUS, in the direction in which its function grows or
+    is neutral: Ai inward from SEED_POINT (so roundoff cannot excite the Bi
+    mode), Bi outward from -SEED_POINT (for the mirrored reason); the
+    oscillatory negative axis is neutrally stable for both.
 
-    The four grids are stored end to end, in the order (Ai, Bi) x (a > 0,
-    a <= 0): "origin", "step" and "offset" hold each grid's first
-    checkpoint, spacing and first flat index as (2, 2) tables, and "y",
-    "dy", "c", "d" the values, derivatives and query Taylor coefficients
-    (`_taylor_coeffs`) at every checkpoint.
+    Row 0 of every table is Ai's grid and row 1 Bi's: "origin" and "step"
+    hold each grid's first checkpoint and spacing, and "y", "dy", "c", "d"
+    the values, derivatives and query Taylor coefficients
+    (`_taylor_coeffs`) at its checkpoints, checkpoint i of row r lying at
+    origin[r] + step[r] * i.
     """
     if _GRIDS:
         return _GRIDS
     seed = np.array([SEED_POINT], dtype=LD)
     ai_s, dai_s, _, _, zeta = _scaled_pos_ld(seed)
+    _, _, bi, dbi = _asym_neg(-seed)
     es = np.exp(-zeta)
-    ai13, dai13 = ai_s[0] * es[0], dai_s[0] * es[0]
-    _, _, bi_p, dbi_p = _maclaurin(np.array([4.25], dtype=LD))
-    ai_m, dai_m, bi_m, dbi_m = _maclaurin(np.array([-4.25], dtype=LD))
-    grids = [  # (origin, step, seed value, seed derivative, stop)
-        (SEED_POINT, -CHECKPOINT_STEP, ai13, dai13, -0.25),
-        (-4.25, -CHECKPOINT_STEP, ai_m[0], dai_m[0], -9.25),
-        (4.25, CHECKPOINT_STEP, bi_p[0], dbi_p[0], 9.25),
-        (-4.25, -CHECKPOINT_STEP, bi_m[0], dbi_m[0], -9.25),
+    stop = ASYM_RADIUS + CHECKPOINT_STEP
+    grids = [  # (origin, seed value, seed derivative, stop, step)
+        (SEED_POINT, (ai_s * es)[0], (dai_s * es)[0], -stop, -CHECKPOINT_STEP),
+        (-SEED_POINT, bi[0], dbi[0], stop, CHECKPOINT_STEP),
     ]
-    ys, dys, t0s, offsets = [], [], [], [0]
-    for origin, step, y, dy, stop in grids:
-        gy, gdy = _march(origin, y, dy, stop, step)
-        ys.append(gy)
-        dys.append(gdy)
-        # the checkpoint abscissae exactly as _midrange forms them
-        t0s.append(LD(origin) + LD(step) * np.arange(gy.size))
-        offsets.append(offsets[-1] + gy.size)
-    y, dy = np.concatenate(ys), np.concatenate(dys)
-    c, d = _taylor_coeffs(np.concatenate(t0s), y, dy, N_TAYLOR_QUERY)
-    _GRIDS.update(
-        origin=np.array([g[0] for g in grids], dtype=LD).reshape(2, 2),
-        step=np.array([g[1] for g in grids], dtype=LD).reshape(2, 2),
-        offset=np.array(offsets[:4]).reshape(2, 2), y=y, dy=dy, c=c, d=d)
+    # one march per grid: on 0-d arrays each step runs on numpy scalars, more
+    # than twice as fast as one march of both grids as a 2-element array
+    t, y, dy = (np.stack(rows) for rows in zip(*(_march(*g) for g in grids)))
+    c, d = _taylor_coeffs(t, y, dy, N_TAYLOR_QUERY)
+    _GRIDS.update(origin=np.array([g[0] for g in grids], dtype=LD),
+                  step=np.array([g[4] for g in grids], dtype=LD),
+                  y=y, dy=dy, c=c, d=d)
     return _GRIDS
 
 
-def _from_checkpoints(a, fn, side):
+def _from_checkpoints(a, fn):
     """Value and derivative by one Taylor step from the nearest checkpoint of
-    grid (fn, side) of `_grids` (fn 0 for Ai, 1 for Bi; side 0 for a > 0,
-    1 for a <= 0); fn and side broadcast against the longdouble array a.
-    The Taylor coefficients are gathered one order at a time."""
+    grid fn of `_grids` (0 for Ai, 1 for Bi); fn broadcasts against the
+    longdouble array a.  The Taylor coefficients are gathered one order at
+    a time."""
     g = _grids()
-    origin = g["origin"][fn, side]
-    step = g["step"][fn, side]
+    origin = g["origin"][fn]
+    step = g["step"][fn]
     idx = np.rint((a - origin) / step).astype(int)
     t0 = origin + step * idx
-    at = g["offset"][fn, side] + idx
-    coeffs = ((c[at], d[at]) for c, d in zip(g["c"], g["d"]))
-    return _taylor_sum(g["y"][at], g["dy"][at], a - t0, coeffs)
+    coeffs = ((c[fn, idx], d[fn, idx]) for c, d in zip(g["c"], g["d"]))
+    return _taylor_sum(g["y"][fn, idx], g["dy"][fn, idx], a - t0, coeffs)
 
 
 _AI_BI = np.array([[0], [1]])
 
 
-def _midrange(a):
-    """Checkpoint + one Taylor step, for 4.5 < |a| < 9 (longdouble array).
-
-    One (2, n) block, rows Ai and Bi: each row steps from the nearest
-    checkpoint of its own grid for the sign of a."""
-    (ai, bi), (dai, dbi) = _from_checkpoints(a, _AI_BI, np.where(a > 0, 0, 1))
+def _checkpoint_step(a):
+    """Ai, Ai', Bi, Bi' for |a| < ASYM_RADIUS (longdouble array): one
+    (2, n) block, rows Ai and Bi, each stepped from its own grid."""
+    (ai, bi), (dai, dbi) = _from_checkpoints(a, _AI_BI)
     return ai, dai, bi, dbi
 
 
@@ -381,14 +329,11 @@ def eval_many(a):
     bi = ai.copy()
     dbi = ai.copy()
     pinf, ninf = a == np.inf, a == -np.inf
-    mac = np.abs(a) <= SERIES_RADIUS
+    small = np.abs(a) < ASYM_RADIUS
     asp = (a >= ASYM_RADIUS) & ~pinf
     asn = (a <= -ASYM_RADIUS) & ~ninf
-    mid = (np.abs(a) > SERIES_RADIUS) & (np.abs(a) < ASYM_RADIUS)
-    if np.any(mac):
-        ai[mac], dai[mac], bi[mac], dbi[mac] = _maclaurin(a[mac])
-    if np.any(mid):
-        ai[mid], dai[mid], bi[mid], dbi[mid] = _midrange(a[mid])
+    if np.any(small):
+        ai[small], dai[small], bi[small], dbi[small] = _checkpoint_step(a[small])
     if np.any(asp):
         ai_s, dai_s, bi_s, dbi_s, zeta = _scaled_pos_ld(a[asp])
         # one shared exp per point, so products like the Wronskian cancel its rounding
@@ -408,8 +353,8 @@ def scaled_many(a):
     """Bulk scaled decaying pair (ai_s, dai_s, zeta) for a >= 0, longdouble:
     ai_s = Ai(a)*exp(zeta), dai_s = Ai'(a)*exp(zeta), zeta = (2/3) a^(3/2).
 
-    Below ASYM_RADIUS, one Taylor step of Ai from the nearest checkpoint of
-    its inward march; at and beyond it, the decaying asymptotic rows.  At
+    Below ASYM_RADIUS, one Taylor step from the nearest checkpoint of Ai's
+    grid; at and beyond it, the decaying asymptotic rows.  At
     a = +inf they are their limits 0, -inf and +inf; a NaN stays NaN.
     """
     a = _as_ld(a)
@@ -424,7 +369,7 @@ def scaled_many(a):
     # a NaN is in neither mask, so it never reaches the checkpoint index
     small = a < ASYM_RADIUS
     if np.any(small):
-        ai, dai = _from_checkpoints(a[small], 0, 0)
+        ai, dai = _from_checkpoints(a[small], 0)
         ez = np.exp(zeta[small])
         ai_s[small] = ai * ez
         dai_s[small] = dai * ez

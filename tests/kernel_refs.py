@@ -5,10 +5,11 @@ of these: the a-variable series the Airy routes are compared with at the
 switch radius, the growing branch (from `airy.eval_many`'s Bi pair) and
 the decaying branch as the forbidden kernel wrote them before both sides
 shared `_near_field`, the plain-double closed form of the companion, the
-Riccati residual of the forbidden mean term, and the Airy sums at the
-lengths they had before they were trimmed (`maclaurin_ref`,
-`checkpoint_step_ref`), which the library's shorter sums must equal bit
-for bit.
+Riccati residual of the forbidden mean term, the Maclaurin series of the
+Airy functions (`maclaurin_ref`), which the checkpoint route is compared
+with near |a| = 4.5, and the checkpoint step at the length it had before
+it was trimmed (`checkpoint_step_ref`), which the library's shorter sum
+must equal bit for bit.
 """
 
 import numpy as np
@@ -101,17 +102,26 @@ def growing_airy_ref(a):
 N_MACLAURIN_REF = 30
 N_TAYLOR_REF = 26
 
-# airy._MAC_DEN at N_MACLAURIN_REF terms
+# Maclaurin running terms, rows (f, g, g', f') of the two standard solutions
+# f = 1 + a^3/(2*3) + ..., g = a + a^4/(3*4) + ...: step k multiplies every
+# row by a^3, the f' row also by k, and divides each row by _MAC_DEN[k - 1];
+# f' has no k = 1 step, so rows 0-2 run alone there (its entry 0 is unused)
 _MAC_K = np.arange(1, N_MACLAURIN_REF + 1)
 _MAC_DEN = np.stack([(3 * _MAC_K - 1) * (3 * _MAC_K), (3 * _MAC_K) * (3 * _MAC_K + 1),
                      (3 * _MAC_K - 2) * (3 * _MAC_K),
                      (_MAC_K - 1) * (3 * _MAC_K - 1) * (3 * _MAC_K)],
                     axis=1).astype(LD)[:, :, None]
+# Ai, Ai', Bi, Bi' = _MAC_C0 * (f, f', f, f') + _MAC_C1 * (g, g', g, g'), with
+# Ai(0), Ai'(0), Bi(0), Bi'(0) to 25 significant digits
+_AI0, _DAI0 = LD("0.3550280538878172392600632"), LD("-0.2588194037928067984051836")
+_BI0, _DBI0 = LD("0.6149266274460007351509224"), LD("0.4482883573538263579148237")
+_MAC_C0 = np.array([_AI0, _AI0, _BI0, _BI0], dtype=LD)[:, None]
+_MAC_C1 = np.array([_DAI0, _DAI0, _DBI0, _DBI0], dtype=LD)[:, None]
 
 
 def maclaurin_ref(a):
-    """`airy._maclaurin` summed to N_MACLAURIN_REF terms, operation for
-    operation: (Ai, Ai', Bi, Bi') at the longdouble array a."""
+    """(Ai, Ai', Bi, Bi') at the longdouble array a from the two Maclaurin
+    solutions of y'' = a y, summed to N_MACLAURIN_REF terms."""
     a3 = a * a * a
     t = np.stack([np.ones_like(a), a, np.ones_like(a), a * a / 2])
     s = t.copy()
@@ -125,26 +135,22 @@ def maclaurin_ref(a):
         uf *= LD(k)
         t /= _MAC_DEN[k - 1]
         s += t
-    return tuple(airy._MAC_C0 * s[[0, 3, 0, 3]] + airy._MAC_C1 * s[[1, 2, 1, 2]])
+    return tuple(_MAC_C0 * s[[0, 3, 0, 3]] + _MAC_C1 * s[[1, 2, 1, 2]])
 
 
-def checkpoint_step_ref(a, fn, side):
+def checkpoint_step_ref(a, fn):
     """`airy._from_checkpoints` with the Taylor coefficients of every
     checkpoint taken to N_TAYLOR_REF orders: (values, derivatives)."""
     g = airy._grids()
     # the checkpoint abscissae, grid by grid, as _grids lays them out
-    starts = g["offset"].ravel()
-    ends = np.append(starts[1:], g["y"].size)
-    ts = np.concatenate([o + s * np.arange(e - b) for o, s, b, e in zip(
-        g["origin"].ravel(), g["step"].ravel(), starts, ends)])
+    ts = g["origin"][:, None] + g["step"][:, None] * np.arange(g["y"].shape[1])
     c_all, d_all = airy._taylor_coeffs(ts, g["y"], g["dy"], N_TAYLOR_REF)
-    origin = g["origin"][fn, side]
-    step = g["step"][fn, side]
+    origin = g["origin"][fn]
+    step = g["step"][fn]
     idx = np.rint((a - origin) / step).astype(int)
     t0 = origin + step * idx
-    at = g["offset"][fn, side] + idx
-    coeffs = ((c[at], d[at]) for c, d in zip(c_all, d_all))
-    return airy._taylor_sum(g["y"][at], g["dy"][at], a - t0, coeffs)
+    coeffs = ((c[fn, idx], d[fn, idx]) for c, d in zip(c_all, d_all))
+    return airy._taylor_sum(g["y"][fn, idx], g["dy"][fn, idx], a - t0, coeffs)
 
 
 def y2_closed_form(a: float, y1: float) -> float:

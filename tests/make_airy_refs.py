@@ -12,8 +12,8 @@ collected by pytest (no test_ prefix).
 
 import mpmath as mp
 
-# five points in [3.5, 5], where the Maclaurin sums cancel most, and three
-# spread over the rest of [0, ASYM_RADIUS)
+# five points in [3.5, 5], where a Maclaurin-summed Ai cancels about five
+# digits, and three spread over the rest of [0, ASYM_RADIUS)
 POINTS = (1.0, 3.6, 4.1, 4.39, 4.47, 4.95, 6.5, 8.9)
 
 

@@ -29,7 +29,7 @@ from uniwkb.spectral import (assemble, expectation_h2, phase_integral,
                              solve_quantization)
 
 from kernel_refs import (_allowed_series_many, _forbidden_series_many,
-                         riccati_residual)
+                         maclaurin_ref, riccati_residual)
 
 LD = np.longdouble
 
@@ -193,13 +193,13 @@ def test_4_airy_kernel_identities(capsys):
     win = np.linspace(4.3, 4.7, 11).astype(LD)
     seam = 0.0
     for arm in (win, -win):
-        seam = max(seam, tuple_rel(airy._maclaurin(arm), airy._midrange(arm)))
+        seam = max(seam, tuple_rel(maclaurin_ref(arm), airy._checkpoint_step(arm)))
     pos = np.linspace(8.8, 9.2, 11).astype(LD)
     s = airy._scaled_pos_ld(pos)
     em = np.exp(-s[4])
     seam = max(seam, tuple_rel((s[0] * em, s[1] * em, s[2] / em, s[3] / em),
-                               airy._midrange(pos)))
-    seam = max(seam, tuple_rel(airy._asym_neg(-pos), airy._midrange(-pos)))
+                               airy._checkpoint_step(pos)))
+    seam = max(seam, tuple_rel(airy._asym_neg(-pos), airy._checkpoint_step(-pos)))
     ok_seam = seam <= 1e-11
 
     mag = np.linspace(5.0, 60.0, 400)

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from uniwkb import airy
 
-from kernel_refs import (N_MACLAURIN_REF, N_TAYLOR_REF, checkpoint_step_ref,
-                         maclaurin_ref)
+from kernel_refs import N_TAYLOR_REF, checkpoint_step_ref, maclaurin_ref
 
-# (ai, dai, bi, dbi) at selected points spanning all three evaluation regimes
+# (ai, dai, bi, dbi) at selected points spanning both evaluation regimes
 AIRY_REF = {
     0.0: (0.3550280538878172392601, -0.2588194037928067984052, 0.6149266274460007351509, 0.4482883573538263579148),
     0.5: (0.2316936064808334897691, -0.224910532664683893136, 0.8542770431031554933, 0.5445725641405923018272),
@@ -94,11 +93,14 @@ def _f64(values):
 
 
 def test_reference_values():
+    """Within 1e-12 relative; below ASYM_RADIUS, where every value is one
+    Taylor step from a marched checkpoint, within 1e-15 once rounded."""
     a = np.array(list(AIRY_REF))
     got = _f64(airy.eval_many(a))
     for i, (x, ref) in enumerate(AIRY_REF.items()):
+        tol = 1e-15 if abs(x) < airy.ASYM_RADIUS else 1e-12
         for g, r in zip((v[i] for v in got), ref):
-            assert abs(g / r - 1) < 1e-12, (x, g, r)
+            assert abs(g / r - 1) < tol, (x, g, r)
 
 
 def test_zero_point():
@@ -118,6 +120,8 @@ def test_wronskian_dense():
     ai, dai, bi, dbi = airy.eval_many(a)
     w = np.asarray((ai * dbi - dai * bi) * airy.PI_L, dtype=float)
     assert np.max(np.abs(w - 1.0)) < 1e-12
+    # the checkpoint steps keep it to the rounding of 1 below ASYM_RADIUS
+    assert np.max(np.abs(w[np.abs(a) < airy.ASYM_RADIUS] - 1.0)) < 1e-16
 
 
 def test_sign_pattern_positive_axis():
@@ -210,8 +214,9 @@ def test_modulus_positive_and_band():
 
 
 def test_regime_overlap_windows():
-    # each private path is evaluated slightly beyond its nominal region and
-    # compared against its neighbor
+    # the checkpoint route is compared with the Maclaurin series around
+    # |a| = 4.5 and evaluated slightly beyond ASYM_RADIUS against the
+    # asymptotic forms
     LD = airy.LD
 
     def rel(p, q):
@@ -219,15 +224,15 @@ def test_regime_overlap_windows():
                    for x, y in zip(p, q))
 
     win = np.linspace(4.3, 4.7, 11).astype(LD)
-    assert rel(airy._maclaurin(win), airy._midrange(win)) < 1e-11
+    assert rel(maclaurin_ref(win), airy._checkpoint_step(win)) < 1e-11
     win = -win
-    assert rel(airy._maclaurin(win), airy._midrange(win)) < 1e-11
+    assert rel(maclaurin_ref(win), airy._checkpoint_step(win)) < 1e-11
     win = np.linspace(8.8, 9.2, 11).astype(LD)
     s = airy._scaled_pos_ld(win)
     em = np.exp(-s[4])
-    assert rel(airy._midrange(win), (s[0] * em, s[1] * em, s[2] / em, s[3] / em)) < 1e-11
+    assert rel(airy._checkpoint_step(win), (s[0] * em, s[1] * em, s[2] / em, s[3] / em)) < 1e-11
     win = -win
-    assert rel(airy._midrange(win), airy._asym_neg(win)) < 1e-11
+    assert rel(airy._checkpoint_step(win), airy._asym_neg(win)) < 1e-11
     # modulus: smooth series vs direct squaring near its switch
     win = np.linspace(-9.4, -8.6, 11).astype(LD)
     m_series = airy._m2_series_ld(-win)[0]
@@ -237,9 +242,9 @@ def test_regime_overlap_windows():
 
 
 def test_scaled_pair_agrees_with_eval_many():
-    """Below ASYM_RADIUS scaled_many steps from the inward Ai march and
-    eval_many sums the Maclaurin series (|a| <= 4.5) or steps from the same
-    march (4.5 < a < 9); the two agree within 1e-12 relative on [0, 9)."""
+    """Below ASYM_RADIUS scaled_many and eval_many both step from the Ai
+    grid, the one scaling by exp(zeta) what the other does not; the two
+    agree within 1e-12 relative on [0, 9)."""
     a = np.concatenate([np.linspace(0.0, 9.0, 3601)[:-1],
                         np.random.default_rng(5).uniform(0.0, 9.0, 2000)])
     ai_s, dai_s, zeta = airy.scaled_many(a)
@@ -249,35 +254,44 @@ def test_scaled_pair_agrees_with_eval_many():
         assert float(np.max(np.abs(got / want - 1))) < 1e-12
 
 
-def _guard_points(lo, hi, n, seed):
-    """n uniform points in (lo, hi) on each side of 0, the seams and the
-    checkpoint seeds +/-4.25 included, as a longdouble array."""
-    x = np.random.default_rng(seed).uniform(lo, hi, n)
-    seams = [s for s in (4.25, airy.SERIES_RADIUS) if lo <= s <= hi]
-    x = np.concatenate([x, seams, np.nextafter(seams, 0.0)])
+def _guard_points(n, seed):
+    """n uniform points in (0, ASYM_RADIUS) on each side of 0, with 0, the
+    checkpoint midpoints (the longest steps) and the last float below
+    ASYM_RADIUS, as a longdouble array."""
+    x = np.random.default_rng(seed).uniform(0.0, airy.ASYM_RADIUS, n)
+    mid = np.arange(airy.CHECKPOINT_STEP / 2, airy.ASYM_RADIUS, airy.CHECKPOINT_STEP)
+    x = np.concatenate([x, [0.0, np.nextafter(airy.ASYM_RADIUS, 0.0)], mid])
     return np.concatenate([x, -x]).astype(airy.LD)
 
 
+def test_every_point_below_asym_radius_has_a_checkpoint_of_its_own_grid():
+    """Each grid's checkpoint index of every |a| < ASYM_RADIUS, up to the
+    last floats below it, lies inside that grid and within half a step of
+    the point: a negative index would silently read the grid's far end."""
+    g = airy._grids()
+    a = _guard_points(100_000, 4)
+    for fn in (0, 1):
+        idx = np.rint((a - g["origin"][fn]) / g["step"][fn]).astype(int)
+        assert idx.min() >= 0 and idx.max() < g["y"].shape[1]
+        t0 = g["origin"][fn] + g["step"][fn] * idx
+        assert float(np.max(np.abs(a - t0))) <= airy.CHECKPOINT_STEP / 2
+
+
 def test_trimmed_sums_change_no_bit():
-    """N_MACLAURIN and N_TAYLOR_QUERY are as short as the terms that move
-    a bit: the Maclaurin block and the checkpoint steps equal the longer
-    sums of kernel_refs bit for bit, on 2*10^5 points of each regime and
-    on 10^5 points of the scaled Ai pair's whole step range [0, 9)."""
+    """N_TAYLOR_QUERY is as short as the terms that move a bit: eval_many
+    and the scaled Ai pair equal kernel_refs' longer checkpoint step bit for
+    bit, on 2*10^5 points of each sign in |a| < ASYM_RADIUS and on 10^5
+    points of the scaled pair's whole step range [0, 9)."""
     def same(got, want):
         return all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    a = _guard_points(0.0, airy.SERIES_RADIUS, 100_000, 1)
-    assert same(airy.eval_many(a), maclaurin_ref(a))
-    a = _guard_points(airy.SERIES_RADIUS, airy.ASYM_RADIUS, 100_000, 2)
-    a = a[np.abs(a) > airy.SERIES_RADIUS]
-    (ai, bi), (dai, dbi) = checkpoint_step_ref(a, np.array([[0], [1]]),
-                                               np.where(a > 0, 0, 1))
+    a = _guard_points(200_000, 2)
+    (ai, bi), (dai, dbi) = checkpoint_step_ref(a, np.array([[0], [1]]))
     assert same(airy.eval_many(a), (ai, dai, bi, dbi))
-    a = np.abs(_guard_points(0.0, airy.ASYM_RADIUS, 50_000, 3))
-    ai, dai = checkpoint_step_ref(a, 0, 0)
+    a = np.abs(_guard_points(50_000, 3))
+    ai, dai = checkpoint_step_ref(a, 0)
     ez = np.exp(airy.LD(2) / 3 * a * np.sqrt(a))
     assert same(airy.scaled_many(a)[:2], (ai * ez, dai * ez))
-    assert airy.N_MACLAURIN < N_MACLAURIN_REF
     assert airy.N_TAYLOR_QUERY < N_TAYLOR_REF
 
 

@@ -688,7 +688,7 @@ def test_quadrature_failure_names_the_stage(monkeypatch, name, stage, run):
 @pytest.mark.parametrize("src, n, e_sp", [
     # V at the right end of the reach, -360, lies below the well minimum;
     # the ceiling sits below the barrier instead
-    ("q^2/2 - q^3/100", 0, 0.5109532959643098),
+    ("q^2/2 - q^3/100", 0, 0.5109532959643099),
     # the reach left of q_m = 25 ends at -85 (V = 110), not at -35 (V = 60)
     ("exp(q-25) - (q-25)", 220, 77.63679657430595),
 ])
