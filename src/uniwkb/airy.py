@@ -24,23 +24,23 @@ Ai, Ai' (times exp(zeta)) at a >= 0, so it steps the Ai grid alone below
 ASYM_RADIUS and sums the decaying asymptotic rows at and beyond it.  At
 run time eval_many is reached only through modulus_many, at -9 < a <= 0.
 
-The solver calls these kernels on a few dozen points at a time, so their
-cost is the number of numpy operations per call, not the work per point.
-Each regime therefore runs one loop over a (rows, n) block rather than one
-loop per function, and every element still goes through the same operations
-in the same order as it would in a loop per function:
+Quantization calls these kernels on a few dozen points at a time, where
+the cost is the numpy calls per call; the samplers call them on thousands,
+where it is the work per point.  Every element goes through the same operations in
+the same order as in a loop per function and per point, so each value is
+bit for bit its one-point call:
 
-* Checkpoints: the Taylor coefficients of a step from a checkpoint depend
-  only on the checkpoint, so _grids tabulates them once; a query gathers
-  them per order and steps the Ai and Bi rows of every point, either sign,
-  as one (2, n) block (scaled_many: the Ai row alone).
-* Asymptotic: each family of sums is one (rows, n) block.  The U/V families
-  (Ai, Bi and derivatives) are summed through all N_ASYM terms with no
-  truncation: their terms shrink for k below about 2*zeta, which is 36 at
-  |a| = ASYM_RADIUS and grows with |a|, so they shrink through the last term
-  wherever the expansions are used.  The modulus series' terms turn over
-  inside N_ASYM below |a| of about 12.8, so each of its elements stops at
-  its smallest term.
+* Checkpoints: _grids tabulates each checkpoint's Taylor coefficients once;
+  a query gathers them per order by one flat (grid, checkpoint) index and
+  steps the Ai and Bi rows of every point, either sign, in place as one
+  (2, n) block (scaled_many: the Ai row alone).
+* Asymptotic: _sums stacks each family's terms over orders for blocks of
+  ASYM_BLOCK points, from one cumprod of the powers, and adds them by one
+  cumsum, which adds in order as a loop over k does (a reduction may not).
+  The U/V families (Ai, Bi and derivatives) keep all N_ASYM terms: theirs
+  shrink for k below about 2*zeta, which is 36 at |a| = ASYM_RADIUS and
+  grows with |a|.  The modulus series' terms turn over inside N_ASYM below
+  |a| of about 12.8, so each of its elements stops at its smallest term.
 
 The module's API is the three array functions eval_many, scaled_many and
 modulus_many.  They take a float or an array of floats and return longdouble
@@ -79,6 +79,7 @@ N_ASYM = 32
 N_TAYLOR_QUERY = 18
 N_TAYLOR_BUILD = 32
 CHECKPOINT_STEP = 0.25
+ASYM_BLOCK = 256        # points per stacked block of the asymptotic sums
 
 
 def _asym_coeffs(n):
@@ -124,36 +125,24 @@ _M2 = _m2_coeffs(N_ASYM)
 _MODULUS_FAMILIES = np.stack([_M2, _M2 * (LD(6) * np.arange(N_ASYM, dtype=LD) + 1) / 2])
 
 
-def _power_sums(coef, y):
-    """Rows sum_k coef[r, k]*y^k for every element of y, summed in full.
-
-    Only for families whose terms still shrink at the last power wherever
-    they are used (see the module docstring).  Returns (rows,) + y.shape.
-    """
-    p = y
-    s = coef[:, :1] + coef[:, 1:2] * p
-    for c in coef[:, 2:].T:
-        p = p * y
-        s = s + c[:, None] * p
-    return s
-
-
-def _truncated_sums(coef, y):
-    """Rows sum_k coef[r, k]*y^k, each (row, element) truncated at the first
-    term that does not shrink."""
-    s = coef[:, :1] + np.zeros_like(y)
-    prev = np.abs(s)
-    alive = np.ones(s.shape, dtype=bool)
-    p = np.ones_like(y)
-    for c in coef[:, 1:].T:
-        p = p * y
-        t = c[:, None] * p
-        mag = np.abs(t)
-        # once an entry dies its prev no longer matters, so prev is just mag
-        alive &= mag < prev
-        s = np.where(alive, s + t, s)
-        prev = mag
-    return s
+def _sums(coef, y, truncate):
+    """Rows sum_k coef[r, k]*y^k for every element of the 1-D y, stacked
+    over k in blocks of ASYM_BLOCK points (see the module docstring); with
+    truncate, each (row, element) stops before its first term that does
+    not shrink.  Returns (rows, len(y))."""
+    out = np.empty((len(coef),) + y.shape, LD)
+    for s in range(0, y.size, ASYM_BLOCK):
+        yb = y[s:s + ASYM_BLOCK]
+        terms = np.empty(coef.shape[::-1] + yb.shape, LD)
+        terms[0] = coef[:, :1]
+        # y^k = y^(k-1)*y, in order, as a loop over k forms it
+        p = np.cumprod(np.broadcast_to(yb, (len(terms) - 1,) + yb.shape), axis=0)
+        np.multiply(coef.T[1:, :, None], p[:, None], out=terms[1:])
+        if truncate:
+            mag = np.abs(terms)
+            terms[1:][~np.logical_and.accumulate(mag[1:] < mag[:-1], axis=0)] = 0
+        out[:, s:s + ASYM_BLOCK] = np.cumsum(terms, axis=0)[-1]
+    return out
 
 
 def _taylor_coeffs(t0, y, dy, nterms):
@@ -172,21 +161,25 @@ def _taylor_coeffs(t0, y, dy, nterms):
 
 
 def _taylor_sum(y, dy, h, coeffs):
-    """Value and derivative at t0+h from y, dy at t0 and the (c_k, d_k) pairs."""
-    val = y + dy * h
-    der = dy
-    hp = h
+    """Value and derivative at t0+h from y, dy at t0 and the (c_k, d_k)
+    pairs, accumulated in place: the pairs may be overwritten."""
+    val = dy * h
+    val += y
+    der = dy.copy()
+    hp = h.copy()
     for c, d in coeffs:
-        der = der + d * hp
-        hp = hp * h
-        val = val + c * hp
+        d *= hp
+        der += d
+        hp *= h
+        c *= hp
+        val += c
     return val, der
 
 
 def _scaled_ai_pos(a, zeta):
     """Scaled Ai, Ai' from the decaying rows of _POS_FAMILIES; a is a
     longdouble array with a >= ASYM_RADIUS and zeta = (2/3) a^(3/2)."""
-    su_m, sv_m = _power_sums(_POS_FAMILIES[:2], 1 / zeta)
+    su_m, sv_m = _sums(_POS_FAMILIES[:2], 1 / zeta, False)
     q = np.sqrt(np.sqrt(a))
     return su_m / (2 * SQRT_PI * q), -q * sv_m / (2 * SQRT_PI)
 
@@ -195,7 +188,7 @@ def _scaled_pos_ld(a):
     """Scaled positive-axis asymptotics; a is a longdouble array with a >= ASYM_RADIUS."""
     zeta = LD(2) / 3 * a * np.sqrt(a)
     ai_s, dai_s = _scaled_ai_pos(a, zeta)
-    su_p, sv_p = _power_sums(_POS_FAMILIES[2:], 1 / zeta)
+    su_p, sv_p = _sums(_POS_FAMILIES[2:], 1 / zeta, False)
     q = np.sqrt(np.sqrt(a))
     bi_s = su_p / (SQRT_PI * q)
     dbi_s = q * sv_p / SQRT_PI
@@ -209,7 +202,7 @@ def _asym_neg(a):
     om = xi - PI_L / 4
     c = np.cos(om)
     s = np.sin(om)
-    se_u, so_u, se_v, so_v = _power_sums(_NEG_FAMILIES, 1 / (xi * xi))
+    se_u, so_u, se_v, so_v = _sums(_NEG_FAMILIES, 1 / (xi * xi), False)
     so_u = so_u / xi
     so_v = so_v / xi
     q = np.sqrt(np.sqrt(x))
@@ -224,7 +217,7 @@ def _asym_neg(a):
 
 def _m2_series_ld(x):
     """Smooth modulus series; x = -a >= ASYM_RADIUS. Returns (m2, dm2/da)."""
-    s0, s1 = _truncated_sums(_MODULUS_FAMILIES, 1 / (x * x * x))
+    s0, s1 = _sums(_MODULUS_FAMILIES, 1 / (x * x * x), True)
     rx = np.sqrt(x)
     m2 = s0 / (PI_L * rx)
     dm2 = s1 / (PI_L * x * rx)
@@ -243,7 +236,6 @@ def _march(t_start, y, dy, t_stop, step):
     dys = np.empty(n + 1, LD)
     ys[0], dys[0] = y, dy
     for i in range(n):
-        y, dy = np.asarray(y), np.asarray(dy)
         c, d = _taylor_coeffs(ts[i], y, dy, N_TAYLOR_BUILD)
         y, dy = _taylor_sum(y, dy, LD(step), zip(c, d))
         ys[i + 1], dys[i + 1] = y, dy
@@ -277,8 +269,8 @@ def _grids():
         (SEED_POINT, (ai_s * es)[0], (dai_s * es)[0], -stop, -CHECKPOINT_STEP),
         (-SEED_POINT, bi[0], dbi[0], stop, CHECKPOINT_STEP),
     ]
-    # one march per grid: on 0-d arrays each step runs on numpy scalars, more
-    # than twice as fast as one march of both grids as a 2-element array
+    # one march per grid: each step runs on numpy scalars, more than twice
+    # as fast as one march of both grids as a 2-element array
     t, y, dy = (np.stack(rows) for rows in zip(*(_march(*g) for g in grids)))
     c, d = _taylor_coeffs(t, y, dy, N_TAYLOR_QUERY)
     _GRIDS.update(origin=np.array([g[0] for g in grids], dtype=LD),
@@ -290,15 +282,16 @@ def _grids():
 def _from_checkpoints(a, fn):
     """Value and derivative by one Taylor step from the nearest checkpoint of
     grid fn of `_grids` (0 for Ai, 1 for Bi); fn broadcasts against the
-    longdouble array a.  The Taylor coefficients are gathered one order at
-    a time."""
+    longdouble array a.  One flat index into the (grid, checkpoint) tables
+    gathers each order's Taylor coefficients."""
     g = _grids()
     origin = g["origin"][fn]
     step = g["step"][fn]
     idx = np.rint((a - origin) / step).astype(int)
     t0 = origin + step * idx
-    coeffs = ((c[fn, idx], d[fn, idx]) for c, d in zip(g["c"], g["d"]))
-    return _taylor_sum(g["y"][fn, idx], g["dy"][fn, idx], a - t0, coeffs)
+    flat = fn * g["y"].shape[1] + idx
+    coeffs = ((c.take(flat), d.take(flat)) for c, d in zip(g["c"], g["d"]))
+    return _taylor_sum(g["y"].take(flat), g["dy"].take(flat), a - t0, coeffs)
 
 
 _AI_BI = np.array([[0], [1]])

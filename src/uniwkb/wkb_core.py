@@ -38,6 +38,7 @@ from .airy import LD, PI_L
 A_SWITCH = 10.0    # |a| at which evaluation switches from Airy forms to series
 NMAX_SERIES = 20   # series truncation order (terms decay like |a|^{-3n/2})
 EPS_DQNORM = 1e-8  # relative floor below which Q' counts as stationary
+HORNER_BLOCK = 2 ** 14  # points per in-place block of the far-field Horner sums
 
 
 def _b_fractions(n_max):
@@ -244,10 +245,21 @@ def _series_terms(X, dX, P, dP, Q2, Q3, hbar, polys):
 
 def _horner(coef, z):
     """Every column of coef (lowest order first) as a polynomial at the
-    1-D array z, and its z-derivative, each of shape (columns, len(z))."""
-    p = coef[-1][:, None] * np.ones_like(z)
+    1-D array z, and its z-derivative, each of shape (columns, len(z)).
+
+    Runs in place on blocks of HORNER_BLOCK points, so the (columns, block)
+    arrays stay in cache; every point goes through the same operations in
+    the same order whatever its block, so the blocks change no bit.
+    """
+    p = np.empty((coef.shape[1], z.size))
     dp = np.zeros_like(p)
-    for c in coef[-2::-1]:
-        dp = dp * z + p
-        p = p * z + c[:, None]
+    for s in range(0, z.size, HORNER_BLOCK):
+        zb = z[s:s + HORNER_BLOCK]
+        pb, dpb = p[:, s:s + zb.size], dp[:, s:s + zb.size]
+        pb[...] = coef[-1][:, None]
+        for c in coef[-2::-1]:
+            dpb *= zb
+            dpb += pb
+            pb *= zb
+            pb += c[:, None]
     return p, dp

@@ -9,7 +9,8 @@ Riccati residual of the forbidden mean term, the Maclaurin series of the
 Airy functions (`maclaurin_ref`), which the checkpoint route is compared
 with near |a| = 4.5, and the checkpoint step at the length it had before
 it was trimmed (`checkpoint_step_ref`), which the library's shorter sum
-must equal bit for bit.
+must equal bit for bit, and the asymptotic sums as one loop step per order
+(`sums_loop_ref`), which the library's stacked sums must equal bit for bit.
 """
 
 import numpy as np
@@ -151,6 +152,25 @@ def checkpoint_step_ref(a, fn):
     t0 = origin + step * idx
     coeffs = ((c[fn, idx], d[fn, idx]) for c, d in zip(c_all, d_all))
     return airy._taylor_sum(g["y"][fn, idx], g["dy"][fn, idx], a - t0, coeffs)
+
+
+def sums_loop_ref(coef, y, truncate):
+    """`airy._sums` as a loop over the orders k, one numpy step each: rows
+    sum_k coef[r, k]*y^k, with truncate each (row, element) stopped before
+    its first term that does not shrink."""
+    s = coef[:, :1] + np.zeros_like(y)
+    prev = np.abs(s)
+    alive = np.ones(s.shape, dtype=bool)
+    p = np.ones_like(y)
+    for c in coef[:, 1:].T:
+        p = p * y
+        t = c[:, None] * p
+        mag = np.abs(t)
+        # once an entry dies its prev no longer matters, so prev is just mag
+        alive &= (mag < prev) | (not truncate)
+        s = np.where(alive, s + t, s)
+        prev = mag
+    return s
 
 
 def y2_closed_form(a: float, y1: float) -> float:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from uniwkb import airy
 
-from kernel_refs import N_TAYLOR_REF, checkpoint_step_ref, maclaurin_ref
+from kernel_refs import (N_TAYLOR_REF, checkpoint_step_ref, maclaurin_ref,
+                         sums_loop_ref)
 
 # (ai, dai, bi, dbi) at selected points spanning both evaluation regimes
 AIRY_REF = {
@@ -334,6 +335,51 @@ def test_every_point_is_its_own_one_point_call(draws):
                 assert _bits_equal((m[i:i + 1] for m in many), fn(v)), (fn.__name__, v)
 
 
+def test_asymptotic_blocks_change_no_bit(monkeypatch):
+    """The stacked asymptotic sums run on blocks of ASYM_BLOCK points: on a
+    shuffled call that crosses several block boundaries, every kernel's
+    values at |a| >= ASYM_RADIUS, where the modulus series turns over
+    (|a| about 12.8) and where it does not, equal one-point calls bit for
+    bit, and one call with the default block."""
+    x = np.concatenate([np.linspace(airy.ASYM_RADIUS, 40.0, 61), [12.8, 60.0]])
+    np.random.default_rng(6).shuffle(x)
+    calls = ((airy.eval_many, np.concatenate([x, -x])), (airy.scaled_many, x),
+             (airy.modulus_many, -x))
+    whole = [fn(arg) for fn, arg in calls]
+    monkeypatch.setattr(airy, "ASYM_BLOCK", 5)
+    for (fn, arg), want in zip(calls, whole):
+        many = fn(arg)
+        assert _bits_equal(many, want), fn.__name__
+        for i, v in enumerate(arg):
+            assert _bits_equal((m[i:i + 1] for m in many), fn(v)), (fn.__name__, v)
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+def test_stacked_sums_equal_the_loop_over_orders(truncate):
+    """_sums adds each row's terms in order, one at a time, as a loop over
+    the orders does (kernel_refs.sums_loop_ref): bit for bit on every
+    asymptotic family over its range, and on random coefficients whose terms
+    neither shrink fast nor share a sign, in three rows and in one, where a
+    reordered sum (such as np.add.reduce's pairwise one over a one-row,
+    one-point block) shows in the last bits; in many-point calls that span
+    several blocks and in one-point calls."""
+    rng = np.random.default_rng(8)
+    zeta = airy.LD(2) / 3 * np.linspace(9.0, 40.0, 300).astype(airy.LD) ** 1.5
+    cases = [(airy._POS_FAMILIES, 1 / zeta), (airy._NEG_FAMILIES, 1 / (zeta * zeta)),
+             (airy._MODULUS_FAMILIES, (2 / (3 * zeta)) ** 2),
+             (rng.standard_normal((3, 24)).astype(airy.LD),
+              rng.uniform(0.6, 1.05, 700).astype(airy.LD)),
+             (rng.standard_normal((1, 24)).astype(airy.LD),
+              rng.uniform(0.6, 1.05, 300).astype(airy.LD))]
+    for coef, y in cases:
+        want = sums_loop_ref(coef, y, truncate)
+        got = airy._sums(coef, y, truncate)
+        assert np.array_equal(got, want)
+        for i in range(0, y.size, 7):
+            assert np.array_equal(airy._sums(coef, y[i:i + 1], truncate),
+                                  want[:, i:i + 1]), (i, y[i])
+
+
 def test_infinite_arguments_give_the_limits():
     """At +inf, Ai = Ai' = 0 and Bi = Bi' = +inf; at -inf, Ai = Bi = 0 and
     Ai', Bi', whose amplitude grows without limit, are NaN.  No warning is
@@ -358,7 +404,7 @@ def _asym_terms(coef, y):
 
 
 def test_asymptotic_families_shrink_through_their_last_term():
-    """_power_sums sums the U/V families with no truncation: at a =
+    """_sums sums the U/V families with no truncation: at a =
     ASYM_RADIUS, where the terms shrink slowest, every one of them still
     shrinks through k = N_ASYM - 1.  The modulus families turn over before
     that, which is why _m2_series_ld keeps its per-element truncation."""

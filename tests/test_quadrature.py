@@ -414,6 +414,36 @@ def test_clenshaw_runs_only_on_live_rows(monkeypatch):
     assert np.all(got[2][xs < 1.0] == 0.0)
 
 
+# the first row is zero on [0, 1], so it is dead on that panel in every fit
+_BLOCK_ROWS = (lambda x: np.where(x < 1.0, 0.0, np.sin(x)), np.cos,
+               lambda x: np.exp(-x), lambda x: np.sin(3.0 * x))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_clenshaw_blocks_change_no_bit(rows, monkeypatch):
+    """F(x) and F.with_integrand(x) on a shuffled call that spans several
+    Clenshaw blocks per panel, with panel edges and points outside the range
+    among them, equal one-point calls bit for bit and equal one call with
+    the default block budget; a row dead on a panel is covered too."""
+    fs = _BLOCK_ROWS[:rows]
+    F = CumulativeCheb(lambda x: np.stack([f(x) for f in fs]), [0.0, 1.0, 2.0, 3.5])
+    rng = np.random.default_rng(rows)
+    xs = np.concatenate([np.linspace(-0.5, 4.0, 601), F.edges, [-2.0, 9.0]])
+    rng.shuffle(xs)
+    whole = F(xs), F.with_integrand(xs)
+    # blocks of 40 points for F's rows and of 20 for the joint table's
+    monkeypatch.setattr(quadrature, "CLENSHAW_BUDGET", 40 * rows)
+    value, (joint, slope) = F(xs), F.with_integrand(xs)
+    assert value.tobytes() == whole[0].tobytes()
+    assert joint.tobytes() == whole[1][0].tobytes()
+    assert slope.tobytes() == whole[1][1].tobytes()
+    for i, x in enumerate(xs):
+        one, (one_joint, one_slope) = F(x), F.with_integrand(x)
+        assert one.tobytes() == value[:, i].tobytes(), x
+        assert one_joint.tobytes() == joint[:, i].tobytes(), x
+        assert one_slope.tobytes() == slope[:, i].tobytes(), x
+
+
 def test_cumulative_stall_names_first_stalling_panel():
     # jumps inside the first and last panels never converge in Chebyshev
     f = lambda x: np.where(x < 0.3, 0.0, 1.0) + np.where(x < 2.7, 0.0, 1.0)
