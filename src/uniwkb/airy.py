@@ -24,11 +24,11 @@ Ai, Ai' (times exp(zeta)) at a >= 0, so it steps the Ai grid alone below
 ASYM_RADIUS and sums the decaying asymptotic rows at and beyond it.  At
 run time eval_many is reached only through modulus_many, at -9 < a <= 0.
 
-Quantization calls these kernels on a few dozen points at a time, where
-the cost is the numpy calls per call; the samplers call them on thousands,
-where it is the work per point.  Every element goes through the same operations in
-the same order as in a loop per function and per point, so each value is
-bit for bit its one-point call:
+Quantization and assembly call these kernels on a few dozen points at a
+time, where the cost is the numpy calls per call; the samplers call none.
+Every element goes through the same operations in the same order as in
+a loop per function and per point, so each value is bit for bit its
+one-point call:
 
 * Checkpoints: _grids tabulates each checkpoint's Taylor coefficients once;
   a query gathers them per order by one flat (grid, checkpoint) index and

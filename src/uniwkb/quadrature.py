@@ -1,7 +1,8 @@
 """Integration over break panels: one adaptive Chebyshev fit per panel
 between consecutive edges, which gives definite integrals (`integrate`)
 and antiderivatives evaluated as functions of their upper limit
-(`CumulativeCheb`, which also evaluates the fitted integrand) alike.
+(`CumulativeCheb`, which also evaluates the fitted integrand and its
+derivative) alike.
 
 Each panel's integrand is interpolated at the N = n + 1 first-kind
 Chebyshev points mid + half*cos(pi*(j + 1/2)/N), for degrees n = 64, 128,
@@ -173,6 +174,18 @@ def _antiderivative_coeffs(c, half_width):
     return b
 
 
+def _derivative_coeffs(c, half_width):
+    """Coefficients of the x-derivative of the series c on a panel of
+    half-width half_width, along the last axis of c and as long (the last
+    is 0): d_(k-1) = d_(k+1) + 2k c_k from the top down, d_0 halved (Mason
+    & Handscomb, Chebyshev Polynomials, CRC 2003, section 2.4)."""
+    d = np.zeros(c.shape[:-1] + (c.shape[-1] + 2,))
+    for k in range(c.shape[-1] - 1, 0, -1):
+        d[..., k - 1] = d[..., k + 1] + 2 * k * c[..., k]
+    d[..., 0] *= 0.5
+    return d[..., :-2] / half_width
+
+
 def _clenshaw(coeffs, t):
     """Chebyshev series, one per row of the 2-D coeffs, at the 1-D points
     t: shape (rows, len(t)).
@@ -236,8 +249,9 @@ class CumulativeCheb:
     nearest endpoint.
 
     Each panel keeps its chopped fit of f (`fits`) beside the antiderivative
-    (`coeffs`), so `with_integrand` gives the fitted f, the exact derivative
-    of F inside the covered range, along with F in one pass.
+    (`coeffs`), so `jet` gives the fitted f, the exact derivative of F
+    inside the covered range, and f', its exact derivative, along with F
+    in one pass.
     """
 
     def __init__(self, f, breakpoints, spec=QuadratureSpec()):
@@ -259,28 +273,32 @@ class CumulativeCheb:
         out = self._evaluate(x, self.coeffs, self.base)
         return out.reshape(self.rows + x.shape)[()]
 
-    def with_integrand(self, x):
-        """(F(x), f(x)) with f the fitted integrand, from one Clenshaw pass
-        per panel over F's rows stacked on f's (`_joint`).  F is bit for
-        bit F(x); f is 0 outside the covered range, where F clamps."""
+    def jet(self, x):
+        """(F(x), f(x), f'(x)) with f the fitted integrand and f' its
+        derivative, from one Clenshaw pass per panel over the rows of F, f
+        and f' stacked (`_jet_table`).  F is bit for bit F(x); f and f' are
+        0 outside the covered range, where F clamps."""
         x = np.asarray(x, dtype=float)
-        out = self._evaluate(x, *self._joint)
-        k = out.shape[0] // 2
+        out = self._evaluate(x, *self._jet_table)
+        k = out.shape[0] // 3
         out[k:, np.atleast_1d((x < self.edges[0]) | (x > self.edges[-1]))] = 0.0
-        F, f = out.reshape((2,) + self.rows + x.shape)
-        return F[()], f[()]
+        F, f, df = out.reshape((3,) + self.rows + x.shape)
+        return F[()], f[()], df[()]
 
     @cached_property
-    def _joint(self):
-        """Per panel, F's rows stacked on f's, the fit zero-padded to the
-        antiderivative's length, and the base widened by zero rows for f:
-        built on the first `with_integrand` call and kept."""
+    def _jet_table(self):
+        """Per panel, F's rows over f's over f''s, the fit zero-padded to the
+        antiderivative's length, and the base widened by zero rows for f
+        and f': built on the first `jet` call and kept."""
         k = int(np.prod(self.rows))
-        coeffs = [np.concatenate([bc.reshape(k, -1), np.pad(
-            c.reshape(k, -1), ((0, 0), (0, bc.shape[-1] - c.shape[-1])))])
-            for bc, c in zip(self.coeffs, self.fits)]
+        coeffs = []
+        for a, b, bc, c in zip(self.edges[:-1], self.edges[1:], self.coeffs,
+                               self.fits):
+            c = np.pad(c.reshape(k, -1), ((0, 0), (0, 1)))  # one term short of F's
+            coeffs.append(np.concatenate([bc.reshape(k, -1), c,
+                                          _derivative_coeffs(c, 0.5 * (b - a))]))
         base = np.concatenate([self.base.reshape(-1, k),
-                               np.zeros((len(self.base), k))], axis=1)
+                               np.zeros((len(self.base), 2 * k))], axis=1)
         return coeffs, base
 
     def _evaluate(self, x, coeffs, base):

@@ -11,13 +11,12 @@ u = exp(F_mean(q) - F_mean(q-))*cos(F_phase(q) - pi/3), where F is one
 two-row Chebyshev antiderivative of the (mean, phase) terms over the whole
 support, each region contributing its own terms.  One fit makes u
 continuous at both turning points by construction and leaves only the
-phase condition to the root solver.  u' is the exact derivative of u,
-from F' = the fitted (mean, phase) terms that F already holds, so it runs no
-Airy kernel; Hu comes from the same amplitude and phase and one bundle of
-pointwise mean/phase terms.  <u|u> and <u|H|u> come from one two-row
-quadrature of u and u' from F and V from the Q bundle, so e_bar is the
-Rayleigh quotient of the sampled state, and the samplers return c*u, c*u'
-and c*Hu with c = <u|u>^(-1/2).
+phase condition to the root solver.  u' and u'' are the exact derivatives
+of u, from the fitted terms F' and F'' of one `CumulativeCheb.jet`, so
+neither u' nor Hu = V u - (hbar^2/2m) u'' runs an Airy kernel.  <u|u> and
+<u|H|u> come from one two-row quadrature of u and u' from F and V from the
+Q bundle, so e_bar is the Rayleigh quotient of the sampled state, and the
+samplers return c*u, c*u' and c*Hu with c = <u|u>^(-1/2).
 """
 
 import math
@@ -173,11 +172,14 @@ def assemble(potential, e_sp, n):
     (t_lo, q-, q_m, q+, t_hi): the switch from the Airy kernels to the
     far-field series inside a panel is a jump far below the budget, which
     the fit converges across.  Past a cut the mean exponent goes on along
-    its log-slope there.  u' = amp*(mean' cos(theta) - phase' sin(theta))
-    takes mean' and phase' from F's own panel fits (the slope and 0 past
-    the cuts), so it is the derivative of the sampled u.  One two-row
-    quadrature on the same panels gives <u|u> and <u|H|u> = (hbar^2/2m) int
-    u'^2 + int V u^2.  Then psi = c*u, dpsi = c*u' and h_psi = c*Hu with
+    its log-slope there.  With F' = (mean, phase), the fitted terms, and
+    their derivatives (mean', phase') from F's panel fits (past the cuts
+    mean is the slope there and the rest 0), u' = amp*(mean cos(theta) -
+    phase sin(theta)) and u'' = amp*((mean' + mean^2 - phase^2) cos(theta)
+    - (phase' + 2 mean phase) sin(theta)) are the exact derivatives of the
+    sampled u, and Hu = V u - (hbar^2/2m) u''.  One two-row quadrature on
+    the same panels gives <u|u> and <u|H|u> = (hbar^2/2m) int u'^2 + int V
+    u^2.  Then psi = c*u, dpsi = c*u' and h_psi = c*Hu with
     c = <u|u>^(-1/2), and e_bar = <u|H|u>/<u|u>, the Rayleigh quotient of
     the sampled state.  A QuadratureError from inside is re-raised naming
     the level and e_sp.
@@ -190,26 +192,22 @@ def assemble(potential, e_sp, n):
         t_hi = tail_cut(potential, e_sp, tp.q_plus, +1.0, width)
         edges = [t_lo, tp.q_minus, tp.q_m, tp.q_plus, t_hi]
 
-        def by_region(q, f, rows=()):
-            """f(x, region) on each region's share of q (q < q-, [q-, q+],
-            q > q+), joined into an array of shape rows + q's shape."""
+        def exponents(q):
+            """(mean, phase) at q, shape (2,) + q's shape, each region
+            (q < q-, [q-, q+], q > q+) giving its own terms on its share."""
             qf = np.atleast_1d(np.asarray(q, dtype=float))
-            out = np.empty(rows + qf.shape)
+            out = np.empty((2,) + qf.shape)
             left, right = qf < tp.q_minus, qf > tp.q_plus
             for m, region in ((left, "left"), (~(left | right), "allowed"),
                               (right, "right")):
                 if m.any():
-                    out[..., m] = f(qf[m], region)
-            return out.reshape(rows + np.shape(q))
+                    out[:, m] = _terms_at(potential, qf[m], e_sp, region)
+            return out.reshape((2,) + np.shape(q))
 
-        def exponents(x, region):
-            return np.stack(_terms_at(potential, x, e_sp, region)[:2])
-
-        F = CumulativeCheb(lambda t: by_region(t, exponents, (2,)), edges,
-                           PHASE_SPEC)
+        F = CumulativeCheb(exponents, edges, PHASE_SPEC)
         mean_minus = F(tp.q_minus)[0]
         # past a truncation point the exponent goes on along its log-slope there
-        slope_lo, slope_hi = by_region(np.array([t_lo, t_hi]), exponents, (2,))[0]
+        slope_lo, slope_hi = exponents(np.array([t_lo, t_hi]))[0]
 
         def polar(x, mean, phase):
             """amp and theta at x from F's rows there."""
@@ -222,31 +220,28 @@ def assemble(potential, e_sp, n):
             amp, theta = polar(x, *F(x))
             return amp * np.cos(theta)
 
-        def u_jet(q):
-            """u and u' from one evaluation of F and its fitted integrand
-            F' = (mean', phase'): u' = amp*(mean' cos(theta) - phase' sin(theta)).
-            Past a cut mean' is the slope there, and the fit gives phase' = 0."""
+        def local(q):
+            """x, amp, cos(theta), sin(theta), mean, phase, mean', phase'
+            at q from one F.jet, with mean the slope past a cut."""
             x = np.asarray(q, dtype=float)
-            values, (dmean, dphase) = F.with_integrand(x)
+            values, (mean, phase), (dmean, dphase) = F.jet(x)
             amp, theta = polar(x, *values)
-            dmean = np.where(x < t_lo, slope_lo,
-                             np.where(x > t_hi, slope_hi, dmean))
-            cos, sin = np.cos(theta), np.sin(theta)
-            return amp * cos, amp * (dmean * cos - dphase * sin)
+            mean = np.where(x < t_lo, slope_lo, np.where(x > t_hi, slope_hi, mean))
+            return x, amp, np.cos(theta), np.sin(theta), mean, phase, dmean, dphase
+
+        def u_jet(q):
+            """u and u' = amp*(mean cos(theta) - phase sin(theta))."""
+            _, amp, cos, sin, mean, phase, _, _ = local(q)
+            return amp * cos, amp * (mean * cos - phase * sin)
 
         pref = hbar * hbar / (2.0 * mass)
 
-        def h_u(x, region):
-            """Hu from one bundle: with the log-derivative Y = mean + i*phase,
-            u'' = Re[(Y' + Y^2) u_c] for u_c = amp*exp(i*theta)."""
-            amp, theta = polar(x, *F(x))
-            b = q_bundle_many(potential, x, e_sp, mass)
-            mean, phase, dmean, dphase = terms_many(b.Q, b.dQ, b.d2Q, b.d3Q,
-                                                    hbar, region)
-            cos, sin = np.cos(theta), np.sin(theta)
+        def h_u(q):
+            """Hu = V u - pref*u'', u'' = Re[(Y' + Y^2) amp exp(i theta)]."""
+            x, amp, cos, sin, mean, phase, dmean, dphase = local(q)
+            V = q_bundle_many(potential, x, e_sp, mass).Q / (2.0 * mass) + e_sp
             re_part = dmean + mean * mean - phase * phase
             im_part = dphase + 2.0 * mean * phase
-            V = b.Q / (2.0 * mass) + e_sp
             return V * (amp * cos) - pref * (amp * (re_part * cos - im_part * sin))
 
         def moments(x):
@@ -270,12 +265,16 @@ def assemble(potential, e_sp, n):
         return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, norm_c=c,
                              turning=tp, psi=lambda q: c * u_of(q),
                              dpsi=lambda q: c * u_jet(q)[1],
-                             h_psi=lambda q: c * by_region(q, h_u),
+                             h_psi=lambda q: c * h_u(q),
                              potential=potential, q_lo=t_lo, q_hi=t_hi,
                              breaks=tuple(edges))
 
 
 def expectation_h2(solution, spec):
-    """<H^2> = int (H psi)^2, split at the matching points."""
-    f = solution.h_psi
-    return float(integrate(lambda t: f(t) ** 2, solution.breaks, spec))
+    """<H^2> = int (H psi)^2 of the unit-norm state with <H> = e_bar, in
+    residual form: e_bar^2 + int ((H - e_bar) psi)^2 over solution.breaks,
+    so <H^2> - e_bar^2, the integral of a square, is never negative."""
+    e, psi, h_psi = solution.e_bar, solution.psi, solution.h_psi
+    residual = integrate(lambda t: (h_psi(t) - e * psi(t)) ** 2,
+                         solution.breaks, spec)
+    return e * e + float(residual)

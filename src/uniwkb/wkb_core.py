@@ -2,8 +2,8 @@
 
 Builds the dyadic coefficient tables of the two branch series, converts them
 into real-arithmetic combination series, and evaluates the mean/phase parts of
-the approximate logarithmic derivative (with q-derivatives) on either side of
-a turning point.  Near the turning point everything is expressed through Airy
+the approximate logarithmic derivative on either side of a turning point.
+Near the turning point everything is expressed through Airy
 functions of the dimensionless variable a (`airy_variable`), by one formula
 on both sides, `_near_field` of the branch ratio u + i*w: on the allowed
 side u + i*w = (Ai' + i*Bi')/(Ai + i*Bi), on the forbidden side the
@@ -16,7 +16,9 @@ blows up, and the forbidden side takes its orientation from its tail, left
 or right, not from the sign of Q'.
 
 The module's API is `terms_many`: it takes the Q bundle sampled on an
-array of points and returns float64 arrays.
+array of points and returns the float64 arrays (mean, phase).  No caller
+needs their q-derivatives: the assembled state differentiates its own fit
+of these terms (`spectral`).
 
 Extended precision (longdouble) lives only in the a-variable kernels,
 `_allowed_airy_many` and `_forbidden_airy_many`.  `terms_many` works in
@@ -38,7 +40,6 @@ from .airy import LD, PI_L
 A_SWITCH = 10.0    # |a| at which evaluation switches from Airy forms to series
 NMAX_SERIES = 20   # series truncation order (terms decay like |a|^{-3n/2})
 EPS_DQNORM = 1e-8  # relative floor below which Q' counts as stationary
-HORNER_BLOCK = 2 ** 14  # points per in-place block of the far-field Horner sums
 
 
 def _b_fractions(n_max):
@@ -98,7 +99,7 @@ _FORBIDDEN_POLYS = _series_polys((-1.0,), (_B1M,), (_B2M,))
 
 
 def _near_field(a, u, w):
-    """(u, w, h2, g2, du, dw, dh2, dg2) from the branch ratio u + i*w at a.
+    """(u, w, h2, g2) from the branch ratio u + i*w at a.
 
     h2/g2 use the closed form with the branch ODE substituted (du = a-u^2+w^2,
     dw = -2uw), which removes the 8a^3-size cancellation of the raw expression.
@@ -107,9 +108,7 @@ def _near_field(a, u, w):
     dw = -2 * u * w
     h2 = (8 * a * a * du - 4 * a * u - 3) / 30
     g2 = (8 * a * a * dw - 4 * a * w) / 30
-    dh2 = (2 * a * du - u) / 3 - 2 * (u * h2 - w * g2)
-    dg2 = (2 * a * dw - w) / 3 - 2 * (u * g2 + w * h2)
-    return u, w, h2, g2, du, dw, dh2, dg2
+    return u, w, h2, g2
 
 
 def _allowed_airy_many(a):
@@ -123,10 +122,10 @@ def _allowed_airy_many(a):
 
 
 def _forbidden_airy_many(a):
-    """`_near_field` of the decaying branch at 0 <= a < A_SWITCH: rows 0, 2,
-    4 and 6 are its ratio y1 = Ai'/Ai, companion y2 and their a-derivatives,
-    rows 1, 3, 5 and 7 are zero.  Longdouble in and out, like
-    `_allowed_airy_many`: y2 carries the same O(a^3) cancellation.
+    """`_near_field` of the decaying branch at 0 <= a < A_SWITCH: rows 0
+    and 2 are its ratio y1 = Ai'/Ai and companion y2, rows 1 and 3 are
+    zero.  Longdouble in and out, like `_allowed_airy_many`: y2 carries the
+    same O(a^3) cancellation.
     """
     ai_s, dai_s, _ = airy.scaled_many(a)
     return _near_field(a, dai_s / ai_s, np.zeros_like(a))
@@ -146,19 +145,21 @@ def airy_variable(Q, dQ, hbar):
 
 
 def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
-    """Vectorized (mean, phase, dmean, dphase) for one region.
+    """Vectorized (mean, phase) for one region.
 
     Arrays are the Q bundle sampled along q; region is 'allowed', or
     'left'/'right' for the forbidden tail on that side of the well, which
     sets the decaying orientation (+kappa on the left, -kappa on the right)
     even where Q' is 0 (anything else raises ValueError).  Takes and
     returns float64 arrays; only a, at the Airy kernels' input, goes to
-    longdouble.  phase/dphase are zero in the forbidden region.
+    longdouble.  phase is zero in the forbidden region.  d3Q is not read:
+    it stays in the signature because perfbench/tracer.py wraps this
+    function with six positional arguments.
     """
     if region not in ("allowed", "left", "right"):
         raise ValueError("region must be 'allowed', 'left' or 'right'")
-    Q, dQ, d2Q, d3Q = (np.atleast_1d(np.asarray(v, dtype=np.float64))
-                       for v in (Q, dQ, d2Q, d3Q))
+    Q, dQ, d2Q = (np.atleast_1d(np.asarray(v, dtype=np.float64))
+                  for v in (Q, dQ, d2Q))
     hbar = float(hbar)
     a = airy_variable(Q, dQ, hbar)
     # turning points are located to finite precision, so points meant to sit
@@ -173,93 +174,62 @@ def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
 
     mean = np.zeros_like(Q)
     phase = np.zeros_like(Q)
-    dmean = np.zeros_like(Q)
-    dphase = np.zeros_like(Q)
 
     if np.any(near):
-        Qn, Q1, Q2, Q3 = Q[near], dQ[near], d2Q[near], d3Q[near]
+        Qn, Q1, Q2 = Q[near], dQ[near], d2Q[near]
         # |Q'| < EPS_DQNORM*sqrt|Q Q''|, with no product leaving double range
         if np.any(np.abs(Q1) < EPS_DQNORM * np.sqrt(np.abs(Qn)) * np.sqrt(np.abs(Q2))):
             raise RuntimeError("Q' vanishes inside the Airy window; bundle inconsistent")
         sn = np.where(Q1 >= 0, 1.0, -1.0)
         F1 = hbar ** (-2.0 / 3.0) * sn * np.cbrt(np.abs(Q1))
         F2 = Q2 / Q1
-        da = F1 * (1 - 2.0 / 3.0 * (Qn / Q1) * F2)
-        dF1 = F1 * F2 / 3
-        dF2 = Q3 / Q1 - F2 * F2
-
-        def combine(v1, v2, d1, d2):
-            """F1*v1 + F2*v2 and its q-derivative, from a-derivatives d1, d2."""
-            return F1 * v1 + F2 * v2, dF1 * v1 + F1 * d1 * da + dF2 * v2 + F2 * d2 * da
-
         an = a[near].astype(LD)
         kernel = _allowed_airy_many if region == "allowed" else _forbidden_airy_many
-        u, w, h2, g2, du, dw, dh2, dg2 = np.asarray(kernel(an), dtype=np.float64)
+        u, w, h2, g2 = np.asarray(kernel(an), dtype=np.float64)
         if region == "allowed":
-            p, dp = combine(w, g2, dw, dg2)
-            phase[near], dphase[near] = sn * p, sn * dp
-        mean[near], dmean[near] = combine(u, h2, du, dh2)
+            phase[near] = sn * (F1 * w + F2 * g2)
+        mean[near] = F1 * u + F2 * h2
 
     if np.any(far):
-        Qf, Q1, Q2, Q3 = Q[far], dQ[far], d2Q[far], d3Q[far]
+        Qf, Q1, Q2 = Q[far], dQ[far], d2Q[far]
         if region == "allowed":
-            (mean[far], phase[far]), (dmean[far], dphase[far]) = _series_terms(
-                -Qf, -Q1, Q1, Q2, Q2, Q3, hbar, _ALLOWED_POLYS)
+            mean[far], phase[far] = _series_terms(-Qf, Q1, Q2, hbar, _ALLOWED_POLYS)
         else:
             side = -1.0 if region == "left" else 1.0
-            (m,), (dm,) = _series_terms(Qf, Q1, side * Q1, side * Q2, Q2, Q3,
-                                        hbar, _FORBIDDEN_POLYS)
-            mean[far], dmean[far] = side * m, side * dm
-    return mean, phase, dmean, dphase
+            (m,) = _series_terms(Qf, side * Q1, Q2, hbar, _FORBIDDEN_POLYS)
+            mean[far] = side * m
+    return mean, phase
 
 
-def _series_terms(X, dX, P, dP, Q2, Q3, hbar, polys):
+def _series_terms(X, P, Q2, hbar, polys):
     """The truncated series in Q variables, smooth through Q' = 0.
 
     Order n contributes c1_n hbar^(n-1) P^n X^((1-3n)/2) and, from n = 2,
-    c2_n hbar^(n-1) Q'' P^(n-2) X^((3-3n)/2), after the lead sqrt(X)/hbar;
-    dX and dP are the q-derivatives of X and P.  With z = hbar*P/X^(3/2)
-    and w = hbar*Q''/X^(3/2) that is sqrt(X)/hbar * A(z) + w * B(z), for
-    the polynomials of `polys` (`_series_polys`): the allowed side passes X = -Q,
-    P = Q' and gets (mean, phase); the forbidden side passes X = Q and
-    P = sigma*Q' for the tail side sigma (-1 left, +1 right) and gets the
-    mean, which the caller multiplies by sigma.  z and w are formed as
-    hbar*(P/X)/sqrt(X), so no intermediate overflows where the result does
-    not.  Returns (values, q-derivatives), each with one row per output.
+    c2_n hbar^(n-1) Q'' P^(n-2) X^((3-3n)/2), after the lead sqrt(X)/hbar.
+    With z = hbar*P/X^(3/2) and w = hbar*Q''/X^(3/2) that is
+    sqrt(X)/hbar * A(z) + w * B(z), for the polynomials of `polys`
+    (`_series_polys`): the allowed side passes X = -Q, P = Q' and gets
+    (mean, phase); the forbidden side passes X = Q and P = sigma*Q' for the
+    tail side sigma (-1 left, +1 right) and gets the mean, which the caller
+    multiplies by sigma.  z and w are formed as hbar*(P/X)/sqrt(X), so no
+    intermediate overflows where the result does not.  Returns one row per
+    output.
     """
     sX = np.sqrt(X)
-    r = dX / X
     lead = sX / hbar
-    pX = P / X
-    g = dP / X - 1.5 * pX * r           # sqrt(X)/hbar * dz/dq
-    z = hbar * pX / sX
-    dz = hbar * g / sX
-    qX = Q2 / X
-    w = hbar * qX / sX
-    dw = hbar * (Q3 / X - 1.5 * qX * r) / sX
+    z = hbar * (P / X) / sX
+    w = hbar * (Q2 / X) / sX
     k = polys.shape[1] // 2
-    p, dp = _horner(polys, z)
-    A, B, dA, dB = p[:k], p[k:], dp[:k], dp[k:]
-    return lead * A + w * B, 0.5 * r * lead * A + g * dA + dw * B + w * dz * dB
+    p = _horner(polys, z)
+    return lead * p[:k] + w * p[k:]
 
 
 def _horner(coef, z):
     """Every column of coef (lowest order first) as a polynomial at the
-    1-D array z, and its z-derivative, each of shape (columns, len(z)).
-
-    Runs in place on blocks of HORNER_BLOCK points, so the (columns, block)
-    arrays stay in cache; every point goes through the same operations in
-    the same order whatever its block, so the blocks change no bit.
-    """
+    1-D array z, shape (columns, len(z)), in place."""
     p = np.empty((coef.shape[1], z.size))
-    dp = np.zeros_like(p)
-    for s in range(0, z.size, HORNER_BLOCK):
-        zb = z[s:s + HORNER_BLOCK]
-        pb, dpb = p[:, s:s + zb.size], dp[:, s:s + zb.size]
-        pb[...] = coef[-1][:, None]
-        for c in coef[-2::-1]:
-            dpb *= zb
-            dpb += pb
-            pb *= zb
-            pb += c[:, None]
-    return p, dp
+    p[...] = coef[-1][:, None]
+    for c in coef[-2::-1]:
+        p *= z
+        p += c[:, None]
+    return p

@@ -79,25 +79,23 @@ def _forbidden_series_many(a):
 
 
 def decaying_airy_ref(a):
-    """(y1m, y2m, d1m, d2m) for 0 <= a < A_SWITCH, in the decaying-branch
-    formulas the forbidden kernel used before it shared `_near_field`."""
+    """(y1m, y2m) for 0 <= a < A_SWITCH, in the decaying-branch formulas
+    the forbidden kernel used before it shared `_near_field`."""
     ai_s, dai_s, _ = airy.scaled_many(a)
     y1m = dai_s / ai_s
     d1m = a - y1m * y1m
     y2m = (8 * a * a * d1m - 4 * a * y1m - 3) / 30
-    d2m = (2 * a * d1m - y1m) / 3 - 2 * y1m * y2m
-    return y1m, y2m, d1m, d2m
+    return y1m, y2m
 
 
 def growing_airy_ref(a):
-    """(y1p, y2p, d1p, d2p): the growing branch Bi'/Bi and its companion
-    for 0 <= a < A_SWITCH, by the same formulas on eval_many's Bi pair."""
+    """(y1p, y2p): the growing branch Bi'/Bi and its companion for
+    0 <= a < A_SWITCH, by the same formulas on eval_many's Bi pair."""
     _, _, bi, dbi = airy.eval_many(a)
     y1p = dbi / bi
     d1p = a - y1p * y1p
     y2p = (8 * a * a * d1p - 4 * a * y1p - 3) / 30
-    d2p = (2 * a * d1p - y1p) / 3 - 2 * y1p * y2p
-    return y1p, y2p, d1p, d2p
+    return y1p, y2p
 
 
 N_MACLAURIN_REF = 30

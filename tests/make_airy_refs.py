@@ -5,13 +5,15 @@
 Evaluates, with mpmath at 50 digits at the float64 value of each point,
 and prints to 30 significant digits:
 
-* FORBIDDEN_KERNEL_REF: y1m = Ai'/Ai, its companion y2m and their
-  a-derivatives d1m, d2m (the formulas of `wkb_core._near_field` with
-  w = 0);
-* ALLOWED_KERNEL_REF: u, w, h2, g2 and their a-derivatives du, dw, dh2,
-  dg2 (the formulas of `wkb_core._near_field` for the modulus ratio
-  u + i*w = (Ai' + i*Bi')/(Ai + i*Bi), i.e. u = (Ai*Ai' + Bi*Bi')/M^2 and
-  w = 1/(pi*M^2) with M^2 = Ai^2 + Bi^2).
+* FORBIDDEN_KERNEL_REF: y1m = Ai'/Ai, its companion y2m (the formulas of
+  `wkb_core._near_field` with w = 0) and their a-derivatives d1m, d2m;
+* ALLOWED_KERNEL_REF: u, w, h2, g2 (the formulas of `wkb_core._near_field`
+  for the modulus ratio u + i*w = (Ai' + i*Bi')/(Ai + i*Bi), i.e.
+  u = (Ai*Ai' + Bi*Bi')/M^2 and w = 1/(pi*M^2) with M^2 = Ai^2 + Bi^2) and
+  their a-derivatives du, dw, dh2, dg2.
+
+The tests check the value columns; the a-derivative columns are printed
+too, so the frozen tables in test_wkb_core are this script's output.
 
 Needs mpmath (1.3.0 was used); neither the library nor the tests import
 it.  Not collected by pytest (no test_ prefix).
@@ -28,7 +30,7 @@ ALLOWED_POINTS = (-9.25, -9.2, -9.1, -9.0, -8.9, -8.75, -7.3, -4.5, -2.2, -0.6)
 
 
 def near_field(a, u, w):
-    """`wkb_core._near_field`: (u, w, h2, g2, du, dw, dh2, dg2)."""
+    """`wkb_core._near_field`'s (u, w, h2, g2), then (du, dw, dh2, dg2)."""
     du = a - u * u + w * w
     dw = -2 * u * w
     h2 = (8 * a * a * du - 4 * a * u - 3) / 30

@@ -439,19 +439,30 @@ def test_module_invocation_help():
 
 
 def test_unreachable_rel_tol_exits_four_quickly():
-    """--rel-tol 1e-13, the smallest accepted, lies below the noise floor of
-    the metric integrands: a fit stalls at the degree cap, and the run
-    exits 4 well inside a 3 GB address space."""
+    """A potential whose ripple of 1e-9 lies above the phase integral's
+    budget makes that tolerance unreachable: the quantization fit stalls
+    at the degree cap, and the run exits 4 well inside a 3 GB address
+    space, naming the stage."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (3 * 1024 ** 3,) * 2)
 
     proc = subprocess.run(
-        [sys.executable, "-m", "uniwkb", "solve", "--potential", "harmonic",
-         "--levels", "0..3", "--rel-tol", "1e-13"],
+        [sys.executable, "-m", "uniwkb", "solve", "--potential", "expr",
+         "--expr=q^2/2 + 1e-9*sin(1e7*q)", "--levels", "0"],
         capture_output=True, text=True, env=_child_env(), timeout=120,
         preexec_fn=cap_memory)
     assert proc.returncode == 4, proc.stderr
     assert "solver failure" in proc.stderr and "stalled at degree 1024" in proc.stderr
+    assert "quantizing level n=0: " in proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "morse", "poschl-teller"])
+def test_smallest_rel_tol_solves_the_builtin_wells(kind, capsys):
+    """--rel-tol 1e-13, the smallest accepted, is within reach of every
+    metric integrand of the builtin wells' levels 0..3: each sampler is
+    the fit's own polynomial, free of pointwise kernel noise."""
+    assert main(["solve", "--potential", kind, "--levels", "0..3",
+                 "--rel-tol", "1e-13"]) == 0, capsys.readouterr().err
 
 
 # ---- input caps ----

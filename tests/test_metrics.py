@@ -125,8 +125,9 @@ def test_metrics_pass_samples_each_sampler_once_per_node():
     metrics = level_metrics(ex, counted_sol)
     assert set(metrics) == set(METRIC_NAMES)
     # one call per trial degree across all break intervals, and every panel
-    # converges at the first
-    assert calls == {"psi": 1, "dpsi": 1, "h_psi": 1}
+    # converges at the first: psi once in the overlap pass and once beside
+    # h_psi in the residual form of <H^2>
+    assert calls == {"psi": 2, "dpsi": 1, "h_psi": 1}
 
 
 # ---- golden table loader ----

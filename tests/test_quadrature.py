@@ -421,27 +421,24 @@ _BLOCK_ROWS = (lambda x: np.where(x < 1.0, 0.0, np.sin(x)), np.cos,
 
 @pytest.mark.parametrize("rows", [1, 2, 4])
 def test_clenshaw_blocks_change_no_bit(rows, monkeypatch):
-    """F(x) and F.with_integrand(x) on a shuffled call that spans several
-    Clenshaw blocks per panel, with panel edges and points outside the range
-    among them, equal one-point calls bit for bit and equal one call with
-    the default block budget; a row dead on a panel is covered too."""
+    """F(x) and F.jet(x) on a shuffled call that spans several Clenshaw
+    blocks per panel, with panel edges and points outside the range among
+    them, equal one-point calls bit for bit and equal one call with the
+    default block budget; a row dead on a panel is covered too."""
     fs = _BLOCK_ROWS[:rows]
     F = CumulativeCheb(lambda x: np.stack([f(x) for f in fs]), [0.0, 1.0, 2.0, 3.5])
     rng = np.random.default_rng(rows)
     xs = np.concatenate([np.linspace(-0.5, 4.0, 601), F.edges, [-2.0, 9.0]])
     rng.shuffle(xs)
-    whole = F(xs), F.with_integrand(xs)
-    # blocks of 40 points for F's rows and of 20 for the joint table's
+    whole = (F(xs),) + F.jet(xs)
+    # blocks of 40 points for F's rows and of about 13 for the jet table's
     monkeypatch.setattr(quadrature, "CLENSHAW_BUDGET", 40 * rows)
-    value, (joint, slope) = F(xs), F.with_integrand(xs)
-    assert value.tobytes() == whole[0].tobytes()
-    assert joint.tobytes() == whole[1][0].tobytes()
-    assert slope.tobytes() == whole[1][1].tobytes()
+    blocked = (F(xs),) + F.jet(xs)
+    for got, want in zip(blocked, whole, strict=True):
+        assert got.tobytes() == want.tobytes()
     for i, x in enumerate(xs):
-        one, (one_joint, one_slope) = F(x), F.with_integrand(x)
-        assert one.tobytes() == value[:, i].tobytes(), x
-        assert one_joint.tobytes() == joint[:, i].tobytes(), x
-        assert one_slope.tobytes() == slope[:, i].tobytes(), x
+        for one, many in zip((F(x),) + F.jet(x), blocked, strict=True):
+            assert one.tobytes() == many[:, i].tobytes(), x
 
 
 def test_cumulative_stall_names_first_stalling_panel():
@@ -481,27 +478,68 @@ JOINT_CASES = [
 
 @pytest.mark.parametrize("f,edges", JOINT_CASES)
 @pytest.mark.parametrize("rel_tol", [1e-11, 1e-8])
-def test_with_integrand_gives_the_fit_beside_bit_equal_values(f, edges, rel_tol):
-    """with_integrand gives F bit for bit as F(x) does, and the fitted
-    integrand within 10*rel_tol of its panel maximum inside the covered
-    range; past either end, where F clamps, the integrand is exactly 0."""
+def test_jet_gives_the_fit_beside_bit_equal_values(f, edges, rel_tol):
+    """jet gives F bit for bit as F(x) does, and the fitted integrand
+    within 10*rel_tol of its panel maximum inside the covered range; past
+    either end, where F clamps, the integrand and its derivative are
+    exactly 0."""
     F = CumulativeCheb(f, edges, QuadratureSpec(rel_tol=rel_tol))
     xs = np.linspace(edges[0] - 1.0, edges[-1] + 1.0, 2001)
-    values, fitted = F.with_integrand(xs)
+    values, fitted, slope = F.jet(xs)
     assert values.tobytes() == F(xs).tobytes()
-    assert fitted.shape == values.shape
+    assert fitted.shape == slope.shape == values.shape
     outside = (xs < edges[0]) | (xs > edges[-1])
     assert np.all(fitted[..., outside] == 0.0)
+    assert np.all(slope[..., outside] == 0.0)
     for a, b in zip(edges[:-1], edges[1:]):
         x = xs[(xs >= a) & (xs <= b)]
         want = np.asarray(f(x))
         size = np.max(np.abs(want), axis=-1, keepdims=True)
-        got = F.with_integrand(x)[1]
+        got = F.jet(x)[1]
         assert np.all(np.abs(got - want) <= 10.0 * rel_tol * size), (a, b)
-    # a scalar point gives F's scalar shape for both
-    value, slope = F.with_integrand(edges[1])
-    assert np.shape(value) == np.shape(slope) == np.shape(F(edges[1]))
+    # a scalar point gives F's scalar shape for all three
+    value, fit, slope = F.jet(edges[1])
+    assert np.shape(value) == np.shape(fit) == np.shape(slope) == np.shape(F(edges[1]))
     assert np.asarray(value).tobytes() == np.asarray(F(edges[1])).tobytes()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 40])
+def test_derivative_coeffs_differentiate_the_series(degree):
+    """The derivative recurrence gives, on a panel [a, b], the coefficients
+    of d/dx of a random Chebyshev series of each degree, rows alike, to
+    rounding of its largest term."""
+    rng = np.random.default_rng(degree)
+    c = rng.standard_normal((2, degree + 1))
+    a, b = -0.7, 2.3
+    d = quadrature._derivative_coeffs(c, 0.5 * (b - a))
+    assert d.shape == c.shape and not np.any(d[:, -1])
+    x = np.linspace(a, b, 57)
+    t = (2.0 * x - (a + b)) / (b - a)
+    want = np.polynomial.chebyshev.chebder(c.T, axis=0).T * 2.0 / (b - a)
+    for row_d, row_w in zip(d, want, strict=True):
+        got = np.polynomial.chebyshev.chebval(t, row_d)
+        ref = np.polynomial.chebyshev.chebval(t, row_w)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("f,df,edges", [
+    (lambda x: np.exp(-x) * np.cos(3.0 * x),
+     lambda x: -np.exp(-x) * (np.cos(3.0 * x) + 3.0 * np.sin(3.0 * x)),
+     [0.0, 1.0, 2.5, 4.0]),
+    (lambda x: np.stack([np.cos(x), 1.0 / (1.0 + x * x)]),
+     lambda x: np.stack([-np.sin(x), -2.0 * x / (1.0 + x * x) ** 2]),
+     [-3.0, -1.0, 0.5, 2.0, 7.0]),
+])
+def test_jet_derivative_is_the_integrand_derivative(f, df, edges):
+    """The third part of jet, the derivative of the fitted integrand,
+    agrees with the integrand's derivative inside the covered range within
+    1e-9 of its panel maximum at the default budget."""
+    F = CumulativeCheb(f, edges)
+    for a, b in zip(edges[:-1], edges[1:]):
+        x = np.linspace(a, b, 301)
+        want = np.asarray(df(x))
+        size = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(F.jet(x)[2] - want) <= 1e-9 * size), (a, b)
 
 
 def test_cumulative_validation():
