@@ -268,9 +268,7 @@ def cmd_dump(config, grid):
         raise ConfigError("dump range is empty")
     qs = np.linspace(lo, hi, grid.npoints)
     a_col = airy_argument(potential, qs, sol.e_sp, sol.hbar, sol.mass)
-    psi_ap = sol.psi(qs)
-    dpsi_ap = sol.dpsi(qs)
-    h_col = sol.h_psi(qs)
+    psi_ap, dpsi_ap, h_col = sol.state(qs)
     psi_ex = None
     if config.kind in BUILTIN_KINDS:
         psi_ex = exact_wavefunction(potential, n).psi(qs)

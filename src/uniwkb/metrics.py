@@ -1,14 +1,14 @@
 """Verification metrics comparing assembled states against exact ones, plus
 the benchmark harness that recomputes the published comparison table.
 
-All overlap-type quantities are quadratures over the truncated support of the
-approximate state, split at its internal matching points.  They come from a
-single metrics pass (`overlap_metrics`): one vector-valued quadrature over
-the break intervals integrates <e|a>, <e'|e'>, <a'|a'> and <e'|a'> on one
-shared Chebyshev fit per panel, sampling each state and derivative once per
-node.
-`level_metrics` adds the <H^2> moment and returns all five metrics; both
-`benchmark_row` and `uniwkb solve` take it.
+All five metrics come from one pass over the truncated support of the
+approximate state, split at its internal matching points (`level_metrics`):
+one vector quadrature integrates <e|a>, <e'|e'>, <a'|a'>, <e'|a'> and the
+residual <(H - ebar)a|(H - ebar)a> on one shared Chebyshev fit per panel,
+sampling the exact state and derivative and the approximate `state`
+(psi, dpsi, h_psi) once per node.  <H^2> is ebar^2 plus the residual, so
+D = (<H^2> - ebar^2)/(<H^2> + ebar^2) is never negative.  Both
+`benchmark_row` and `uniwkb solve` take `level_metrics`.
 
 The golden values live in a checksummed CSV inside the package so a
 corrupted data file is detected rather than silently shifting the
@@ -27,7 +27,9 @@ import numpy as np
 from .potentials import make_builtin
 from .quadrature import QuadratureSpec, integrate
 from .reference import exact_wavefunction
-from .spectral import assemble, expectation_h2, solve_quantization
+from .spectral import assemble, solve_quantization
+# unused here, kept importable: perfbench/tracer.py wraps it by name here
+from .spectral import expectation_h2  # noqa: F401
 
 METRIC_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 METRIC_NAMES = ("delta_psi", "delta_psi_prime", "delta_h_psi", "d", "delta_e")
@@ -66,20 +68,6 @@ class MetricsRow:
     delta_e: float
 
 
-def _brackets(samplers, pairs, edges, spec=METRIC_SPEC):
-    """L2 inner products <samplers[i]|samplers[j]> for (i, j) in pairs.
-
-    One vector quadrature over the intervals between edges: every sampler is
-    called once per node, and all the products share one Chebyshev fit per
-    interval.
-    """
-    def products(t):
-        s = [f(t) for f in samplers]
-        return np.stack([s[i] * s[j] for i, j in pairs])
-
-    return integrate(products, edges, spec)
-
-
 def _gram_deviation(g11, g22, g12, g21):
     """Relative deviation 1 - (g12 + g21)/(g11 + g22) of two inputs from
     their Gram entries g_ij = <f_i|f_j>.
@@ -92,35 +80,37 @@ def _gram_deviation(g11, g22, g12, g21):
     return 1.0 - (g12 + g21) / (g11 + g22)
 
 
-def overlap_metrics(exact, approx, spec=METRIC_SPEC):
-    """(<exact|approx>, delta_psi_prime) from one pass over approx.breaks.
-
-    <e|a>, <e'|e'>, <a'|a'> and <e'|a'> come from one vector quadrature over
-    the break intervals, so each of exact.psi, exact.dpsi, approx.psi and
-    approx.dpsi is sampled once per node.  For real states <a'|e'> = <e'|a'>, so the
-    derivative deviation is the general (not unit-norm) relative deviation
-    with g12 = g21.  Both constructions fix a positive left tail, so a
-    negative overlap means the sign convention was broken somewhere
-    upstream; that is flagged rather than silently absorbed into the metric.
-    """
-    ov, ee, aa, ea = (float(v) for v in _brackets(
-        (exact.psi, approx.psi, exact.dpsi, approx.dpsi),
-        ((0, 1), (2, 2), (3, 3), (2, 3)), approx.breaks, spec))
-    if ov < 0.0:
-        raise ValueError("sign alignment failed: overlap is negative")
-    return ov, _gram_deviation(ee, aa, ea, ea)
-
-
 def level_metrics(exact, approx, spec=METRIC_SPEC):
     """The five comparison metrics of one assembled level, keyed by
-    METRIC_NAMES: the overlap pass plus the <H^2> moment."""
-    ov, dpp = overlap_metrics(exact, approx, spec)
-    h2 = expectation_h2(approx, spec)
+    METRIC_NAMES, from one vector quadrature over approx.breaks.
+
+    Its rows are <e|a>, <e'|e'>, <a'|a'>, <e'|a'> and the residual
+    <(H - ebar)a|(H - ebar)a>, so exact.psi, exact.dpsi and approx.state
+    are each sampled once per node, and <H^2> = ebar^2 + the residual.
+    For real states <a'|e'> = <e'|a'>, so the derivative deviation is the
+    general (not unit-norm) relative deviation with g12 = g21.  Both
+    constructions fix a positive left tail, so a negative overlap means the
+    sign convention was broken somewhere upstream; that is flagged rather
+    than silently absorbed into the metric.
+    """
+    e_bar = approx.e_bar
+
+    def rows(t):
+        psi_e, dpsi_e = exact.psi(t), exact.dpsi(t)
+        psi_a, dpsi_a, h_psi_a = approx.state(t)
+        residual = h_psi_a - e_bar * psi_a
+        return np.stack([psi_e * psi_a, dpsi_e * dpsi_e, dpsi_a * dpsi_a,
+                         dpsi_e * dpsi_a, residual * residual])
+
+    ov, ee, aa, ea, res = (float(v) for v in integrate(rows, approx.breaks, spec))
+    if ov < 0.0:
+        raise ValueError("sign alignment failed: overlap is negative")
+    h2 = e_bar * e_bar + res
     return {"delta_psi": 1.0 - ov,
-            "delta_psi_prime": dpp,
+            "delta_psi_prime": _gram_deviation(ee, aa, ea, ea),
             "delta_h_psi": delta_h_psi(exact.energy, ov, h2),
-            "d": discrepancy_d(approx.e_bar, h2),
-            "delta_e": delta_e(approx.e_bar, exact.energy)}
+            "d": discrepancy_d(e_bar, h2),
+            "delta_e": delta_e(e_bar, exact.energy)}
 
 
 def delta_h_psi(exact_energy, overlap, h2_moment):

@@ -178,12 +178,21 @@ def _derivative_coeffs(c, half_width):
     """Coefficients of the x-derivative of the series c on a panel of
     half-width half_width, along the last axis of c and as long (the last
     is 0): d_(k-1) = d_(k+1) + 2k c_k from the top down, d_0 halved (Mason
-    & Handscomb, Chebyshev Polynomials, CRC 2003, section 2.4)."""
-    d = np.zeros(c.shape[:-1] + (c.shape[-1] + 2,))
-    for k in range(c.shape[-1] - 1, 0, -1):
-        d[..., k - 1] = d[..., k + 1] + 2 * k * c[..., k]
+    & Handscomb, Chebyshev Polynomials, CRC 2003, section 2.4).
+
+    Each parity chain of the recurrence is one cumsum, which adds in order
+    from the top; the prepended 0.0 makes its first step 0.0 + 2k c_k, so
+    the sums, signed zeros included, are those of the term-by-term loop.
+    """
+    n = c.shape[-1] - 1
+    terms = 2 * np.arange(1, n + 1) * c[..., 1:]    # 2k c_k, feeding d_(k-1)
+    zero = np.zeros(c.shape[:-1] + (1,))
+    d = np.zeros(c.shape)
+    for p in (0, 1):
+        chain = np.concatenate([zero, terms[..., p::2][..., ::-1]], axis=-1)
+        d[..., p:n:2] = np.cumsum(chain, axis=-1)[..., :0:-1]
     d[..., 0] *= 0.5
-    return d[..., :-2] / half_width
+    return d / half_width
 
 
 def _clenshaw(coeffs, t):

@@ -16,7 +16,10 @@ of u, from the fitted terms F' and F'' of one `CumulativeCheb.jet`, so
 neither u' nor Hu = V u - (hbar^2/2m) u'' runs an Airy kernel.  <u|u> and
 <u|H|u> come from one two-row quadrature of u and u' from F and V from the
 Q bundle, so e_bar is the Rayleigh quotient of the sampled state, and the
-samplers return c*u, c*u' and c*Hu with c = <u|u>^(-1/2).
+samplers return c*u, c*u' and c*Hu with c = <u|u>^(-1/2).  `state` returns
+all three from one jet and one Q bundle; `psi` alone is a cheaper two-row
+evaluation of F, and `dpsi` forms no Q bundle.  All four form u, u' and Hu
+with the same expressions, so `state` is the three samplers bit for bit.
 """
 
 import math
@@ -57,8 +60,11 @@ class EigenSolution:
 
     e_sp solves the phase condition; e_bar is the energy expectation of the
     assembled state and is the reported optimal energy.  psi/dpsi/h_psi are
-    vectorized samplers over the whole line.  breaks is (q_lo, q-, q_m, q+,
-    q_hi): the panel edges of the fit and of every integral over the state.
+    vectorized samplers over the whole line, and state(q) returns the tuple
+    (psi, dpsi, h_psi) at q, bit for bit theirs, from one evaluation of the
+    fit: the sampler for a caller that needs more than psi.  breaks is
+    (q_lo, q-, q_m, q+, q_hi): the panel edges of the fit and of every
+    integral over the state.
     """
     n: int
     e_sp: float
@@ -68,6 +74,7 @@ class EigenSolution:
     psi: Callable
     dpsi: Callable
     h_psi: Callable
+    state: Callable
     potential: object
     q_lo: float
     q_hi: float
@@ -180,9 +187,9 @@ def assemble(potential, e_sp, n):
     sampled u, and Hu = V u - (hbar^2/2m) u''.  One two-row quadrature on
     the same panels gives <u|u> and <u|H|u> = (hbar^2/2m) int u'^2 + int V
     u^2.  Then psi = c*u, dpsi = c*u' and h_psi = c*Hu with
-    c = <u|u>^(-1/2), and e_bar = <u|H|u>/<u|u>, the Rayleigh quotient of
-    the sampled state.  A QuadratureError from inside is re-raised naming
-    the level and e_sp.
+    c = <u|u>^(-1/2), state gives the three at once, and e_bar =
+    <u|H|u>/<u|u>, the Rayleigh quotient of the sampled state.  A
+    QuadratureError from inside is re-raised naming the level and e_sp.
     """
     with stage("assembling level n=%d at E=%.10g" % (n, e_sp)):
         hbar, mass = potential.hbar, potential.mass
@@ -215,11 +222,6 @@ def assemble(potential, e_sp, n):
                          + slope_hi * np.maximum(x - t_hi, 0.0))
             return amp, phase - math.pi / 3.0
 
-        def u_of(q):
-            x = np.asarray(q, dtype=float)
-            amp, theta = polar(x, *F(x))
-            return amp * np.cos(theta)
-
         def local(q):
             """x, amp, cos(theta), sin(theta), mean, phase, mean', phase'
             at q from one F.jet, with mean the slope past a cut."""
@@ -229,25 +231,31 @@ def assemble(potential, e_sp, n):
             mean = np.where(x < t_lo, slope_lo, np.where(x > t_hi, slope_hi, mean))
             return x, amp, np.cos(theta), np.sin(theta), mean, phase, dmean, dphase
 
-        def u_jet(q):
-            """u and u' = amp*(mean cos(theta) - phase sin(theta))."""
-            _, amp, cos, sin, mean, phase, _, _ = local(q)
-            return amp * cos, amp * (mean * cos - phase * sin)
+        # u, u' and Hu from local's outputs: every sampler and `state` form
+        # them here, so state's rows are the samplers' values bit for bit
+        def u(amp, cos):
+            return amp * cos
+
+        def du(amp, cos, sin, mean, phase):
+            """u' = amp*(mean cos(theta) - phase sin(theta))."""
+            return amp * (mean * cos - phase * sin)
 
         pref = hbar * hbar / (2.0 * mass)
 
-        def h_u(q):
+        def potential_at(x):
+            return q_bundle_many(potential, x, e_sp, mass).Q / (2.0 * mass) + e_sp
+
+        def hu(x, amp, cos, sin, mean, phase, dmean, dphase):
             """Hu = V u - pref*u'', u'' = Re[(Y' + Y^2) amp exp(i theta)]."""
-            x, amp, cos, sin, mean, phase, dmean, dphase = local(q)
-            V = q_bundle_many(potential, x, e_sp, mass).Q / (2.0 * mass) + e_sp
+            V = potential_at(x)
             re_part = dmean + mean * mean - phase * phase
             im_part = dphase + 2.0 * mean * phase
-            return V * (amp * cos) - pref * (amp * (re_part * cos - im_part * sin))
+            return V * u(amp, cos) - pref * (amp * (re_part * cos - im_part * sin))
 
-        def moments(x):
-            u, du = u_jet(x)
-            V = q_bundle_many(potential, x, e_sp, mass).Q / (2.0 * mass) + e_sp
-            return np.stack([u * u, pref * du * du + V * u * u])
+        def moments(q):
+            x, amp, cos, sin, mean, phase, _, _ = local(q)
+            uq, duq = u(amp, cos), du(amp, cos, sin, mean, phase)
+            return np.stack([uq * uq, pref * duq * duq + potential_at(x) * uq * uq])
 
         norm2, u_h_u = integrate(moments, edges, PHASE_SPEC)
         if not norm2 > 0.0:
@@ -262,19 +270,42 @@ def assemble(potential, e_sp, n):
                 "level n=%d: its assembled energy %.10g is at or "
                 "above the energy ceiling %.10g" % (n, e_bar, ceiling))
 
+        def psi(q):
+            """c*u from F alone: a two-row Clenshaw pass, no jet."""
+            x = np.asarray(q, dtype=float)
+            amp, theta = polar(x, *F(x))
+            return c * u(amp, np.cos(theta))
+
+        def dpsi(q):
+            _, amp, cos, sin, mean, phase, _, _ = local(q)
+            return c * du(amp, cos, sin, mean, phase)
+
+        def h_psi(q):
+            return c * hu(*local(q))
+
+        def state(q):
+            """(psi, dpsi, h_psi) at q from one F.jet and one Q bundle."""
+            at = local(q)
+            _, amp, cos, sin, mean, phase, _, _ = at
+            return (c * u(amp, cos), c * du(amp, cos, sin, mean, phase),
+                    c * hu(*at))
+
         return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, norm_c=c,
-                             turning=tp, psi=lambda q: c * u_of(q),
-                             dpsi=lambda q: c * u_jet(q)[1],
-                             h_psi=lambda q: c * h_u(q),
-                             potential=potential, q_lo=t_lo, q_hi=t_hi,
-                             breaks=tuple(edges))
+                             turning=tp, psi=psi, dpsi=dpsi, h_psi=h_psi,
+                             state=state, potential=potential, q_lo=t_lo,
+                             q_hi=t_hi, breaks=tuple(edges))
 
 
 def expectation_h2(solution, spec):
     """<H^2> = int (H psi)^2 of the unit-norm state with <H> = e_bar, in
     residual form: e_bar^2 + int ((H - e_bar) psi)^2 over solution.breaks,
-    so <H^2> - e_bar^2, the integral of a square, is never negative."""
-    e, psi, h_psi = solution.e_bar, solution.psi, solution.h_psi
-    residual = integrate(lambda t: (h_psi(t) - e * psi(t)) ** 2,
-                         solution.breaks, spec)
-    return e * e + float(residual)
+    so <H^2> - e_bar^2, the integral of a square, is never negative.  Each
+    node samples one `state`.  `metrics.level_metrics` integrates the same
+    residual row within its one pass and does not call this."""
+    e = solution.e_bar
+
+    def residual(t):
+        psi, _, h_psi = solution.state(t)
+        return (h_psi - e * psi) ** 2
+
+    return e * e + float(integrate(residual, solution.breaks, spec))

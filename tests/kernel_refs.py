@@ -10,7 +10,10 @@ Airy functions (`maclaurin_ref`), which the checkpoint route is compared
 with near |a| = 4.5, and the checkpoint step at the length it had before
 it was trimmed (`checkpoint_step_ref`), which the library's shorter sum
 must equal bit for bit, and the asymptotic sums as one loop step per order
-(`sums_loop_ref`), which the library's stacked sums must equal bit for bit.
+(`sums_loop_ref`), which the library's stacked sums must equal bit for bit,
+and the Chebyshev derivative recurrence as a loop over the degrees
+(`derivative_coeffs_loop_ref`), which `quadrature._derivative_coeffs`'
+cumulative sums must equal bit for bit.
 """
 
 import numpy as np
@@ -169,6 +172,16 @@ def sums_loop_ref(coef, y, truncate):
         s = np.where(alive, s + t, s)
         prev = mag
     return s
+
+
+def derivative_coeffs_loop_ref(c, half_width):
+    """`quadrature._derivative_coeffs` as one numpy step per degree:
+    d_(k-1) = d_(k+1) + 2k c_k from the top down, d_0 halved."""
+    d = np.zeros(c.shape[:-1] + (c.shape[-1] + 2,))
+    for k in range(c.shape[-1] - 1, 0, -1):
+        d[..., k - 1] = d[..., k + 1] + 2 * k * c[..., k]
+    d[..., 0] *= 0.5
+    return d[..., :-2] / half_width
 
 
 def y2_closed_form(a: float, y1: float) -> float:

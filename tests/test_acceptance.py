@@ -20,10 +20,10 @@ import numpy as np
 from uniwkb import airy, wkb_core
 from uniwkb.cli import main
 from uniwkb.exprparse import ExprError, compile_expr
-from uniwkb.metrics import (METRIC_NAMES, METRIC_SPEC, _brackets,
-                            benchmark_row, benchmark_table, check_cell,
-                            load_golden)
+from uniwkb.metrics import (METRIC_NAMES, METRIC_SPEC, benchmark_row,
+                            benchmark_table, check_cell, load_golden)
 from uniwkb.potentials import make_builtin, parse_potential
+from uniwkb.quadrature import integrate
 from uniwkb.reference import exact_energy, exact_wavefunction, numerov_solve
 from uniwkb.spectral import (assemble, expectation_h2, phase_integral,
                              solve_quantization)
@@ -348,8 +348,13 @@ def test_8_quantization_monotonicity_and_variational_minimum(capsys):
     worst_vertex = 0.0
     for kind, _ in CELLS:
         sol = _solution(kind, 0)
-        s2, cross = (float(v) for v in _brackets(
-            (sol.psi, sol.h_psi), ((0, 0), (0, 1)), sol.breaks))
+
+        def products(t):
+            psi = sol.psi(t)
+            return np.stack([psi * psi, psi * sol.h_psi(t)])
+
+        s2, cross = (float(v) for v in integrate(products, sol.breaks,
+                                                 METRIC_SPEC))
         h2 = expectation_h2(sol, METRIC_SPEC)
         vertex = cross / s2
         worst_vertex = max(worst_vertex, abs(vertex - sol.e_bar))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import uniwkb
@@ -390,6 +391,24 @@ def test_dump_grid_regions_and_exact_column():
     diffs = [abs(float(r[3]) - float(r[5])) for r in body]
     scale = math.sqrt(2.0 * 2.16e-4)
     assert 0.2 * scale < max(diffs) < 3.0 * scale
+
+
+def test_dump_columns_are_the_samplers_values():
+    """dump reads psi, dpsi and h_psi from one state call: on a grid that
+    crosses both cuts and runs past them, each column is repr of the
+    sampler's value at the row's q."""
+    from uniwkb.potentials import make_builtin
+    from uniwkb.spectral import assemble, solve_quantization
+    pot = make_builtin("harmonic", {"k": 0.5})
+    sol = assemble(pot, solve_quantization(pot, 3), 3)
+    lo, hi = sol.q_lo - 2.0, sol.q_hi + 2.0
+    cfg = make_config(["dump", "--potential", "harmonic", "--param", "k=0.5",
+                       "--levels", "3"])
+    body = list(csv.reader(io.StringIO(cmd_dump(cfg, DumpGrid(2001, lo, hi)))))[1:]
+    qs = np.array([float(r[0]) for r in body])
+    assert qs[0] < sol.q_lo < sol.q_hi < qs[-1]
+    for col, sampler in ((3, sol.psi), (4, sol.dpsi), (6, sol.h_psi)):
+        assert [r[col] for r in body] == [repr(float(v)) for v in sampler(qs)]
 
 
 def test_dump_airy_argument_vanishes_at_turning_points():

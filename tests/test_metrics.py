@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from uniwkb import cli
-from uniwkb.metrics import (GOLDEN_ENV, METRIC_NAMES, GoldenDataError,
+from uniwkb.metrics import (BENCH_LEVELS, BENCH_PARAMS, GOLDEN_ENV,
+                            METRIC_NAMES, METRIC_SPEC, GoldenDataError,
                             _gram_deviation, benchmark_row, benchmark_table,
                             check_cell, delta_e, delta_h_psi, discrepancy_d,
-                            golden_path, level_metrics, load_golden,
-                            overlap_metrics)
+                            golden_path, level_metrics, load_golden)
 from uniwkb.potentials import make_builtin
 from uniwkb.reference import exact_energy, exact_wavefunction, numerov_solve
-from uniwkb.spectral import assemble, solve_quantization
+from uniwkb.spectral import assemble, expectation_h2, solve_quantization
 
 _ROWS = {}
 
@@ -80,27 +80,36 @@ def test_delta_e_trivial_and_zero_division():
         delta_e(1.0, 0.0)
 
 
-# ---- overlap metrics on a state compared against itself ----
+# ---- metrics of a state compared against itself ----
 
 def _self_approx(kind, params, n, breaks):
-    """Exact state dressed with the sampler fields the overlap metrics use."""
+    """Exact state dressed with the fields the metrics pass uses: its own
+    state (H psi = E psi) and its energy as e_bar."""
     ex = exact_wavefunction(make_builtin(kind, params), n)
-    return ex, SimpleNamespace(psi=ex.psi, dpsi=ex.dpsi, breaks=breaks)
+    return ex, SimpleNamespace(
+        state=lambda q: (ex.psi(q), ex.dpsi(q), ex.energy * ex.psi(q)),
+        e_bar=ex.energy, breaks=breaks)
 
 
 def test_delta_psi_of_state_with_itself_is_tiny():
     ex, ap = _self_approx("harmonic", {"k": 0.5}, 0, (-13.0, -1.0, 1.0, 13.0))
-    overlap, dpp = overlap_metrics(ex, ap)
-    assert abs(1.0 - overlap) < 1e-9
-    assert abs(dpp) < 1e-9
+    metrics = level_metrics(ex, ap)
+    assert abs(metrics["delta_psi"]) < 1e-9
+    assert abs(metrics["delta_psi_prime"]) < 1e-9
+    assert abs(metrics["delta_h_psi"]) < 1e-9
+    # the residual row (H - e_bar) psi is exactly zero at every node
+    assert metrics["d"] == 0.0 and metrics["delta_e"] == 0.0
 
 
 def test_delta_psi_flags_sign_misalignment():
     ex, ap = _self_approx("harmonic", {"k": 0.5}, 0, (-13.0, -1.0, 1.0, 13.0))
-    flipped = SimpleNamespace(psi=lambda q: -ap.psi(q), dpsi=ap.dpsi,
+
+    def flipped_state(q):
+        psi, dpsi, h_psi = ap.state(q)
+        return -psi, dpsi, -h_psi
+
+    flipped = SimpleNamespace(state=flipped_state, e_bar=ap.e_bar,
                               breaks=ap.breaks)
-    with pytest.raises(ValueError, match="sign alignment"):
-        overlap_metrics(ex, flipped)
     with pytest.raises(ValueError, match="sign alignment"):
         level_metrics(ex, flipped)
 
@@ -109,7 +118,7 @@ def test_metrics_pass_samples_each_sampler_once_per_node():
     pot = make_builtin("harmonic", {"k": 0.5})
     sol = assemble(pot, solve_quantization(pot, 1), 1)
     ex = exact_wavefunction(pot, 1)
-    calls = {"psi": 0, "dpsi": 0, "h_psi": 0}
+    calls = {"psi": 0, "dpsi": 0, "h_psi": 0, "state": 0}
 
     def counted(name):
         fn = getattr(sol, name)
@@ -119,15 +128,28 @@ def test_metrics_pass_samples_each_sampler_once_per_node():
             return fn(q)
         return wrapper
 
-    counted_sol = dataclasses.replace(sol, psi=counted("psi"),
-                                      dpsi=counted("dpsi"),
-                                      h_psi=counted("h_psi"))
+    counted_sol = dataclasses.replace(
+        sol, **{name: counted(name) for name in calls})
     metrics = level_metrics(ex, counted_sol)
     assert set(metrics) == set(METRIC_NAMES)
     # one call per trial degree across all break intervals, and every panel
-    # converges at the first: psi once in the overlap pass and once beside
-    # h_psi in the residual form of <H^2>
-    assert calls == {"psi": 2, "dpsi": 1, "h_psi": 1}
+    # converges at the first: one state call, which gives psi, dpsi and
+    # h_psi, and no sampler call beside it
+    assert calls == {"psi": 0, "dpsi": 0, "h_psi": 0, "state": 1}
+
+
+@pytest.mark.parametrize("kind, params", BENCH_PARAMS)
+def test_level_metrics_h2_matches_expectation_h2(kind, params):
+    """<H^2> of the one metrics pass, recovered from D, agrees with the
+    separate residual quadrature of `expectation_h2` within 1e-10
+    relative, on every golden level."""
+    pot = make_builtin(kind, params)
+    for n in BENCH_LEVELS:
+        sol = assemble(pot, solve_quantization(pot, n), n)
+        d = level_metrics(exact_wavefunction(pot, n), sol)["d"]
+        h2 = sol.e_bar ** 2 * (1.0 + d) / (1.0 - d)
+        want = expectation_h2(sol, METRIC_SPEC)
+        assert abs(h2 / want - 1.0) <= 1e-10, (kind, n, h2, want)
 
 
 # ---- golden table loader ----

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_refs import derivative_coeffs_loop_ref
 from uniwkb import quadrature
 from uniwkb.quadrature import (
     CHOP_FRACTION,
@@ -520,6 +521,25 @@ def test_derivative_coeffs_differentiate_the_series(degree):
         got = np.polynomial.chebyshev.chebval(t, row_d)
         ref = np.polynomial.chebyshev.chebval(t, row_w)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("rows", [(), (2,), (3, 2)])
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 40, 1025])
+def test_derivative_coeffs_match_the_loop_bit_for_bit(degree, rows):
+    """One cumsum per parity chain adds the terms in the loop's order, so
+    the coefficients are the term-by-term loop's bit for bit, signed zeros
+    included: with a -0.0 top coefficient (as a zero-padded fit can have)
+    and with -0.0 terms inside the chains."""
+    rng = np.random.default_rng(degree)
+    c = rng.standard_normal(rows + (degree + 1,))
+    c[..., -1] = -0.0
+    c[..., 1:-1:3] = -0.0
+    for hw in (1.0, 0.37):
+        got = quadrature._derivative_coeffs(c, hw)
+        want = derivative_coeffs_loop_ref(c, hw)
+        assert got.shape == want.shape == c.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("f,df,edges", [

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from uniwkb import potentials, spectral, wkb_core
-from uniwkb.metrics import METRIC_SPEC, discrepancy_d
+from uniwkb.metrics import METRIC_SPEC, discrepancy_d, level_metrics
 from uniwkb.potentials import (bound_count, find_turning_points, make_builtin,
                                parse_potential, q_bundle)
 from uniwkb.quadrature import QuadratureError, integrate
+from uniwkb.reference import exact_wavefunction
 from uniwkb.rootfind import hybrid_root
 from uniwkb.spectral import (
     PHASE_RESIDUAL_TOL,
@@ -179,7 +180,7 @@ def test_samplers_work_counts(monkeypatch):
     """psi and dpsi come from the fit that defines u and form no Q bundle
     and no Airy-kernel terms; h_psi takes u'' from the same fit and forms
     one Q bundle, on every grid point, and no terms, whichever regions its
-    grid touches."""
+    grid touches, and so does state, which gives all three."""
     sol = get_solution("morse", 2)
     tp = sol.turning
     seen = _spy_kernels(monkeypatch)
@@ -192,6 +193,26 @@ def test_samplers_work_counts(monkeypatch):
         sol.h_psi(grid)
         assert seen == {"terms_many": [], "q_bundle_many": [(None, grid.size)]}
         seen["q_bundle_many"].clear()
+        sol.state(grid)
+        assert seen == {"terms_many": [], "q_bundle_many": [(None, grid.size)]}
+        seen["q_bundle_many"].clear()
+
+
+def test_state_is_the_samplers_bit_for_bit():
+    """On the 12 golden and 4 quartic states, state's (psi, dpsi, h_psi) are
+    the three samplers' values bit for bit on a grid that runs past both
+    cuts, and every one-point call gives the grid call's bits."""
+    for key, sol in _golden_and_quartic_states():
+        grid = np.linspace(sol.q_lo - 1.0, sol.q_hi + 1.0, 1001)
+        grid = np.concatenate([grid, np.array(sol.breaks)])
+        rows = sol.state(grid)
+        for got, sampler in zip(rows, (sol.psi, sol.dpsi, sol.h_psi), strict=True):
+            want = sampler(grid)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+        for i in range(0, grid.size, 50):
+            for row, one in zip(rows, sol.state(grid[i]), strict=True):
+                assert np.shape(one) == ()
+                assert np.asarray(one).tobytes() == row[i].tobytes(), (key, i)
 
 
 def test_assemble_moments_run_no_airy_kernels(monkeypatch):
@@ -309,10 +330,12 @@ def test_h_psi_is_the_hamiltonian_of_the_sampled_psi():
 def test_discrepancy_is_never_negative(n):
     """<H^2> in residual form keeps D = (<H^2> - e_bar^2)/(<H^2> + e_bar^2)
     at or above 0 on high harmonic levels, where D itself is at rounding
-    level and a difference of two moments came out at -5.5e-16 (n = 515)."""
+    level and a difference of two moments came out at -5.5e-16 (n = 515):
+    from expectation_h2 and from the residual row of level_metrics."""
     pot = make_builtin("harmonic", {})
     sol = assemble(pot, solve_quantization(pot, n), n)
     assert discrepancy_d(sol.e_bar, expectation_h2(sol, METRIC_SPEC)) >= 0.0
+    assert level_metrics(exact_wavefunction(pot, n), sol)["d"] >= 0.0
 
 
 @pytest.mark.parametrize("kind", sorted(ESP_ORACLE))
