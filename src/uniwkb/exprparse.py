@@ -11,7 +11,7 @@ Grammar (recursive descent):
 Unary minus is accepted ahead of the published grammar line since natural
 inputs like "exp(-2*q)" need it.  `compile_expr` parses and binds an
 expression once and hands its tree to `jetprog`, which compiles it into a
-straight-line program for V and its first three derivatives.
+straight-line program for V and its first two derivatives.
 """
 
 import math
@@ -37,7 +37,7 @@ _OVERFLOW = "potential evaluation overflowed at q = %r"
 
 
 def finite_eval(ev):
-    """Wrap a potential evaluator ev(q) -> (V, V', V'', V''').
+    """Wrap a potential evaluator ev(q) -> (V, V', V'').
 
     ev runs with numpy's floating-point warnings silenced.  A finite q whose
     value or derivatives come out non-finite raises OverflowError instead,
@@ -214,7 +214,7 @@ def free_names(node):
 
 
 def compile_expr(src, params):
-    """Parse, bind and compile; returns f(q) -> (V, V', V'', V''').
+    """Parse, bind and compile; returns f(q) -> (V, V', V'').
 
     q may be a scalar or an array; a derivative that does not depend on q
     comes back as a scalar.  Raises ExprError (with column) for syntax

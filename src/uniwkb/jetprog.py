@@ -1,16 +1,16 @@
 """Straight-line truncated-Taylor programs for parsed expressions.
 
 `compile_tree` turns an `exprparse` parse tree, its parameters bound, into
-one Python function q -> (V, V', V'', V''').  Jets (f, f', f'', f''') are
-held as Taylor coefficients (c0, c1, c2, c3) with c_k = f^(k)(q)/k!, so
-third derivatives come out of plain forward recurrences: truncated-Taylor
+one Python function q -> (V, V', V'').  Jets (f, f', f'') are held as
+Taylor coefficients (c0, c1, c2) with c_k = f^(k)(q)/k!, so second
+derivatives come out of plain forward recurrences: truncated-Taylor
 forward mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
 2008, ch. 13).
 
 The recurrences run once, at compile time, on symbolic coefficients, each
 a compile-time constant or a runtime register.  q-free subexpressions fold
 to constants with the numpy functions a call would run.  Terms with a
-structural zero (c1..c3 of a constant, c2 and c3 of q) are dropped, and so
+structural zero (c1 and c2 of a constant, c2 of q) are dropped, and so
 are products with the constant 1 and repeats of an operation already
 formed.  Every other operation, and every per-element domain check, keeps
 the order of a walk of the parse tree; a check that fails on a constant
@@ -92,7 +92,7 @@ def _text(slot):
 class _Program:
     """Steps over jet slots, appended in the tree's evaluation order.
 
-    With skip_zeros, the c1..c3 of a constant and the c2, c3 of q are one
+    With skip_zeros, the c1 and c2 of a constant and the c2 of q are one
     structural zero slot: a product with it is that zero, a sum with it
     the other term, and a product with the constant 1 the other factor.
     Without, every term of the tree walk is formed (for programs with a
@@ -111,7 +111,7 @@ class _Program:
         return _Slot(self, value=value)
 
     def const_jet(self, value):
-        return (self.const(value), self.zero, self.zero, self.zero)
+        return (self.const(value), self.zero, self.zero)
 
     def op(self, kind, *args):
         args = [a if isinstance(a, _Slot) else self.const(float(a))
@@ -196,14 +196,13 @@ def _call(name, x):
     return x.prog.op(name, x)
 
 
-# ---- degree-3 jet arithmetic (Taylor coefficients, not raw derivatives) ----
+# ---- degree-2 jet arithmetic (Taylor coefficients, not raw derivatives) ----
 # each recurrence runs once per compile, on slots
 
 def _jmul(a, b):
     return (a[0] * b[0],
             a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0])
+            a[0] * b[2] + a[1] * b[1] + a[2] * b[0])
 
 
 def _jdiv(a, b):
@@ -211,8 +210,7 @@ def _jdiv(a, b):
     d0 = a[0] / b[0]
     d1 = (a[1] - d0 * b[1]) / b[0]
     d2 = (a[2] - d0 * b[2] - d1 * b[1]) / b[0]
-    d3 = (a[3] - d0 * b[3] - d1 * b[2] - d2 * b[1]) / b[0]
-    return (d0, d1, d2, d3)
+    return (d0, d1, d2)
 
 
 def _jexp(f):
@@ -220,16 +218,14 @@ def _jexp(f):
     # (k+1) E_{k+1} = sum_{j<=k} (j+1) f_{j+1} E_{k-j}
     e1 = f[1] * e0
     e2 = (2 * f[2] * e0 + f[1] * e1) / 2
-    e3 = (3 * f[3] * e0 + 2 * f[2] * e1 + f[1] * e2) / 3
-    return (e0, e1, e2, e3)
+    return (e0, e1, e2)
 
 
 def _jln(f):
     _check(f[0], "<=", "ln of non-positive value")
     l1 = f[1] / f[0]
     l2 = (2 * f[2] - l1 * f[1]) / (2 * f[0])
-    l3 = (3 * f[3] - l1 * f[2] - 2 * l2 * f[1]) / (3 * f[0])
-    return (_call("log", f[0]), l1, l2, l3)
+    return (_call("log", f[0]), l1, l2)
 
 
 def _jsqrt(f):
@@ -238,8 +234,7 @@ def _jsqrt(f):
     s0 = _call("sqrt", f[0])
     s1 = f[1] / (2 * s0)
     s2 = (f[2] - s1 * s1) / (2 * s0)
-    s3 = (f[3] - 2 * s1 * s2) / (2 * s0)
-    return (s0, s1, s2, s3)
+    return (s0, s1, s2)
 
 
 def _jsincos(f, hyper=False):
@@ -253,9 +248,7 @@ def _jsincos(f, hyper=False):
     c1 = sgn * f[1] * s0
     s2 = (2 * f[2] * c0 + f[1] * c1) / 2
     c2 = sgn * (2 * f[2] * s0 + f[1] * s1) / 2
-    s3 = (3 * f[3] * c0 + 2 * f[2] * c1 + f[1] * c2) / 3
-    c3 = sgn * (3 * f[3] * s0 + 2 * f[2] * s1 + f[1] * s2) / 3
-    return (s0, s1, s2, s3), (c0, c1, c2, c3)
+    return (s0, s1, s2), (c0, c1, c2)
 
 
 # largest constant exponent (in magnitude) raised by repeated products; a
@@ -340,9 +333,9 @@ def _build(node, params, skip_zeros):
     prog = _Program(skip_zeros)
     q = _Slot(prog, name="q")
     try:
-        c = _lower(node, (q, prog.const(1.0), prog.zero, prog.zero), params)
+        c = _lower(node, (q, prog.const(1.0), prog.zero), params)
         # back from Taylor coefficients to derivatives
-        outputs = (c[0], c[1], 2.0 * c[2], 6.0 * c[3])
+        outputs = (c[0], c[1], 2.0 * c[2])
     except _Unreachable:
         outputs = ()
     namespace = dict(_NAMESPACE)

@@ -2,9 +2,9 @@
 well record each model works out once (`PotentialModel.well`), and
 turning-point location.
 
-Every model evaluates V together with its first three derivatives, since the
-downstream mean/phase machinery differentiates Q''/Q' once more.  Built-ins
-carry analytic derivatives; expressions get theirs from the degree-3
+Every model evaluates V together with its first two derivatives, since the
+second-order mean/phase terms read Q, Q' and Q'' at a point.  Built-ins
+carry analytic derivatives; expressions get theirs from the degree-2
 Taylor program jetprog compiles for each.  Evaluation is elementwise:
 `PotentialModel.eval` takes a scalar or a numpy array of any shape, so a
 whole grid costs one call, and an array gives the same values as its
@@ -52,7 +52,7 @@ class PotentialModel:
     params: dict
     hbar: float
     mass: float
-    eval: Callable  # q (scalar or array) -> (V, V', V'', V''')
+    eval: Callable  # q (scalar or array) -> (V, V', V'')
     alpha: float = field(default=1.0)  # inverse length scale for windows
 
     @functools.cached_property
@@ -61,10 +61,10 @@ class PotentialModel:
         its own).  The walk's steps grow by 1.5 from 1e-3 of the search
         half-width, the last cut short at the reach -/+(|q_m| + twice it),
         and a side keeps V up to the first point where eval raises or 2m
-        times V - v_min, V', V'' or V''' is not finite: the prefix that
+        times V - v_min, V' or V'' is not finite: the prefix that
         find_turning_points scans.  The ceiling is the lower of the sides'
         largest V on that prefix, less 1e-9 of its height above v_min.
-        Where 2m times V', V'' or V''' overflows at q_m itself no scan can
+        Where 2m times V' or V'' overflows at q_m itself no scan can
         start, and OverflowError names q_m."""
         q_m = find_minimum(self)
         v_min, *dV = map(float, self.eval(q_m))
@@ -104,7 +104,6 @@ class QBundle:
     Q: float
     dQ: float
     d2Q: float
-    d3Q: float
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def make_builtin(kind, params, hbar=1.0, mass=1.0):
             raise ParameterError("harmonic requires k > 0")
 
         def ev(q):
-            return (k * q * q, 2 * k * q, 2 * k, 0.0)
+            return (k * q * q, 2 * k * q, 2 * k)
 
         return PotentialModel(kind, params, hbar, mass,
                               exprparse.finite_eval(ev), alpha=1.0)
@@ -193,8 +192,7 @@ def make_builtin(kind, params, hbar=1.0, mass=1.0):
             e2 = e1 * e1
             return (A * (e2 - 2 * e1),
                     A * al * (-2 * e2 + 2 * e1),
-                    A * al * al * (4 * e2 - 2 * e1),
-                    A * al ** 3 * (-8 * e2 + 2 * e1))
+                    A * al * al * (4 * e2 - 2 * e1))
 
         return PotentialModel(kind, params, hbar, mass,
                               exprparse.finite_eval(ev), alpha=al)
@@ -211,8 +209,7 @@ def make_builtin(kind, params, hbar=1.0, mass=1.0):
             s2 = s * s
             return (-B * s2,
                     2 * B * al * s2 * t,
-                    2 * B * al * al * (s2 * s2 - 2 * s2 * t * t),
-                    2 * B * al ** 3 * (-8 * s2 * s2 * t + 4 * s2 * t * t * t))
+                    2 * B * al * al * (s2 * s2 - 2 * s2 * t * t))
 
         return PotentialModel(kind, params, hbar, mass,
                               exprparse.finite_eval(ev), alpha=al)
@@ -229,16 +226,16 @@ def parse_potential(expr, params, hbar=1.0, mass=1.0):
 
 
 def q_bundle(potential, q, E, mass):
-    """QBundle of 2m(V - E) and 2m times V', V'', V''' at one point q.
+    """QBundle of 2m(V - E) and 2m times V', V'' at one point q.
 
     The factor 2m can overflow values that eval found finite; a finite q
     whose scaled fields are not finite raises OverflowError, as eval does
     for the potential itself.
     """
     # Python floats overflow to inf without a numpy warning
-    V, V1, V2, V3 = map(float, potential.eval(q))
+    V, V1, V2 = map(float, potential.eval(q))
     m2, E = 2.0 * mass, float(E)
-    fields = (m2 * (V - E), m2 * V1, m2 * V2, m2 * V3)
+    fields = (m2 * (V - E), m2 * V1, m2 * V2)
     exprparse.check_finite(q, fields)
     return QBundle(q, *fields)
 
@@ -247,12 +244,12 @@ def q_bundle_many(potential, q, E, mass):
     """QBundle with array fields of q's shape, from one array evaluation,
     with q_bundle's OverflowError.
 
-    Derivatives that do not depend on q (the harmonic V'' and V''') come
-    back from eval as scalars and are broadcast.
+    Derivatives that do not depend on q (the harmonic V'') come back from
+    eval as scalars and are broadcast.
     """
     q = np.asarray(q, dtype=float)
-    fields = np.empty((4,) + q.shape)
-    fields[0], fields[1], fields[2], fields[3] = potential.eval(q)
+    fields = np.empty((3,) + q.shape)
+    fields[0], fields[1], fields[2] = potential.eval(q)
     with np.errstate(over="ignore"):
         fields[0] -= E
         fields *= 2.0 * mass

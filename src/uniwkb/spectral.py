@@ -85,7 +85,7 @@ class EigenSolution:
 
 def _terms_at(potential, q, E, region):
     b = q_bundle_many(potential, q, E, potential.mass)
-    return terms_many(b.Q, b.dQ, b.d2Q, b.d3Q, potential.hbar, region)
+    return terms_many(b.Q, b.dQ, b.d2Q, None, potential.hbar, region)
 
 
 def airy_argument(potential, q, E, hbar, mass):

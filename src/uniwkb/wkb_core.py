@@ -152,9 +152,10 @@ def terms_many(Q, dQ, d2Q, d3Q, hbar, region):
     sets the decaying orientation (+kappa on the left, -kappa on the right)
     even where Q' is 0 (anything else raises ValueError).  Takes and
     returns float64 arrays; only a, at the Airy kernels' input, goes to
-    longdouble.  phase is zero in the forbidden region.  d3Q is not read:
-    it stays in the signature because perfbench/tracer.py wraps this
-    function with six positional arguments.
+    longdouble.  phase is zero in the forbidden region.  The fourth slot,
+    d3Q, is not read and callers pass None: it belongs to the benchmark
+    tracer (perfbench/tracer.py), which wraps this function with six
+    positional arguments.
     """
     if region not in ("allowed", "left", "right"):
         raise ValueError("region must be 'allowed', 'left' or 'right'")

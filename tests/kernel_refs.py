@@ -211,7 +211,7 @@ def riccati_residual(q: float, E: float, potential) -> float:
     h = 1e-3 * min(ell, np.sqrt(abs(Q / d2Q)) if d2Q else ell)
     bs = q_bundle_many(potential, q + np.arange(-2, 3) * h, E, mass)
     side = "right" if dQ >= 0 else "left"
-    ys = terms_many(bs.Q, bs.dQ, bs.d2Q, bs.d3Q, hbar, side)[0]
+    ys = terms_many(bs.Q, bs.dQ, bs.d2Q, None, hbar, side)[0]
     yprime = (ys[0] - 8 * ys[1] + 8 * ys[3] - ys[4]) / (12 * h)
     y = ys[2]
     return float(abs(yprime + y * y - Q / hbar ** 2) / (abs(Q) / hbar ** 2))

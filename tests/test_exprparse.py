@@ -2,7 +2,7 @@
 
 `reference_expr` below is the evaluator `exprparse.compile_expr` used to
 return: a walk of the parse tree on every call, forming every term of the
-degree-3 Taylor recurrences.  The compiled program folds constants, drops
+degree-2 Taylor recurrences.  The compiled program folds constants, drops
 terms with a structural zero and deletes registers after their last read;
 these tests hold it to the walk's values, exceptions and memory.
 """
@@ -24,8 +24,7 @@ from uniwkb.exprparse import EvalDomainError, finite_eval, free_names, parse
 def _jmul(a, b):
     return (a[0] * b[0],
             a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0])
+            a[0] * b[2] + a[1] * b[1] + a[2] * b[0])
 
 
 def _jdiv(a, b):
@@ -34,16 +33,14 @@ def _jdiv(a, b):
     d0 = a[0] / b[0]
     d1 = (a[1] - d0 * b[1]) / b[0]
     d2 = (a[2] - d0 * b[2] - d1 * b[1]) / b[0]
-    d3 = (a[3] - d0 * b[3] - d1 * b[2] - d2 * b[1]) / b[0]
-    return (d0, d1, d2, d3)
+    return (d0, d1, d2)
 
 
 def _jexp(f):
     e0 = np.exp(f[0])
     e1 = f[1] * e0
     e2 = (2 * f[2] * e0 + f[1] * e1) / 2
-    e3 = (3 * f[3] * e0 + 2 * f[2] * e1 + f[1] * e2) / 3
-    return (e0, e1, e2, e3)
+    return (e0, e1, e2)
 
 
 def _jln(f):
@@ -51,8 +48,7 @@ def _jln(f):
         raise EvalDomainError("ln of non-positive value")
     l1 = f[1] / f[0]
     l2 = (2 * f[2] - l1 * f[1]) / (2 * f[0])
-    l3 = (3 * f[3] - l1 * f[2] - 2 * l2 * f[1]) / (3 * f[0])
-    return (np.log(f[0]), l1, l2, l3)
+    return (np.log(f[0]), l1, l2)
 
 
 def _jsqrt(f):
@@ -63,8 +59,7 @@ def _jsqrt(f):
     s0 = np.sqrt(f[0])
     s1 = f[1] / (2 * s0)
     s2 = (f[2] - s1 * s1) / (2 * s0)
-    s3 = (f[3] - 2 * s1 * s2) / (2 * s0)
-    return (s0, s1, s2, s3)
+    return (s0, s1, s2)
 
 
 def _jsincos(f, hyper=False):
@@ -78,9 +73,7 @@ def _jsincos(f, hyper=False):
     c1 = sgn * f[1] * s0
     s2 = (2 * f[2] * c0 + f[1] * c1) / 2
     c2 = sgn * (2 * f[2] * s0 + f[1] * s1) / 2
-    s3 = (3 * f[3] * c0 + 2 * f[2] * c1 + f[1] * c2) / 3
-    c3 = sgn * (3 * f[3] * s0 + 2 * f[2] * s1 + f[1] * s2) / 3
-    return (s0, s1, s2, s3), (c0, c1, c2, c3)
+    return (s0, s1, s2), (c0, c1, c2)
 
 
 def _jpow(f, g, g_const):
@@ -88,12 +81,12 @@ def _jpow(f, g, g_const):
             and abs(g_const - round(g_const)) < 1e-12):
         k = int(round(g_const))
         if k == 0:
-            return (1.0, 0.0, 0.0, 0.0)
-        acc = (1.0, 0.0, 0.0, 0.0)
+            return (1.0, 0.0, 0.0)
+        acc = (1.0, 0.0, 0.0)
         for _ in range(abs(k)):
             acc = _jmul(acc, f)
         if k < 0:
-            acc = _jdiv((1.0, 0.0, 0.0, 0.0), acc)
+            acc = _jdiv((1.0, 0.0, 0.0), acc)
         return acc
     if np.any(f[0] <= 0.0):
         raise EvalDomainError("power of non-positive base")
@@ -103,22 +96,22 @@ def _jpow(f, g, g_const):
 def _eval_jet(node, qjet, params):
     kind = node[0]
     if kind == "num":
-        return (node[1], 0.0, 0.0, 0.0)
+        return (node[1], 0.0, 0.0)
     if kind == "var":
         if node[1] == "q":
             return qjet
-        return (params[node[1]], 0.0, 0.0, 0.0)
+        return (params[node[1]], 0.0, 0.0)
     if kind == "neg":
         a = _eval_jet(node[1], qjet, params)
-        return (-a[0], -a[1], -a[2], -a[3])
+        return (-a[0], -a[1], -a[2])
     if kind == "+":
         a = _eval_jet(node[1], qjet, params)
         b = _eval_jet(node[2], qjet, params)
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     if kind == "-":
         a = _eval_jet(node[1], qjet, params)
         b = _eval_jet(node[2], qjet, params)
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
     if kind == "*":
         return _jmul(_eval_jet(node[1], qjet, params),
                      _eval_jet(node[2], qjet, params))
@@ -147,15 +140,15 @@ def _eval_jet(node, qjet, params):
 
 
 def reference_expr(src, params):
-    """The tree-walk evaluator f(q) -> (V, V', V'', V''')."""
+    """The tree-walk evaluator f(q) -> (V, V', V'')."""
     node = parse(src)
     params = dict(params)
     assert all(n == "q" or n in params for n, _ in free_names(node))
 
     def evaluate(q):
         q = np.asarray(q, dtype=float)
-        c = _eval_jet(node, (q if q.ndim else float(q), 1.0, 0.0, 0.0), params)
-        return (c[0], c[1], 2.0 * c[2], 6.0 * c[3])
+        c = _eval_jet(node, (q if q.ndim else float(q), 1.0, 0.0), params)
+        return (c[0], c[1], 2.0 * c[2])
 
     return finite_eval(evaluate)
 

@@ -35,19 +35,19 @@ from uniwkb.rootfind import BracketError, hybrid_root
 
 def test_builtin_values():
     h = make_builtin("harmonic", {"k": 0.5})
-    assert h.eval(2.0) == (2.0, 2.0, 1.0, 0.0)
+    assert h.eval(2.0) == (2.0, 2.0, 1.0)
     m = make_builtin("morse", {"gamma": 4.5, "alpha": 1.0})
-    V, V1, V2, V3 = m.eval(0.0)
+    V, V1, V2 = m.eval(0.0)
     assert abs(V - (-10.125)) < 1e-14
     assert abs(V1) < 1e-14  # q = 0 is the Morse minimum
     p = make_builtin("poschl_teller", {"lambda": 5.0, "alpha": 1.0})
-    V, V1, V2, V3 = p.eval(0.0)
+    V, V1, V2 = p.eval(0.0)
     assert abs(V - (-10.0)) < 1e-14
     assert abs(V1) < 1e-14
 
 
 def test_builtin_derivative_consistency():
-    """Analytic V', V'', V''' must match finite differences of V."""
+    """Analytic V', V'' must match finite differences of V."""
     pots = [
         make_builtin("harmonic", {"k": 0.8}),
         make_builtin("morse", {"gamma": 4.5, "alpha": 1.0}),
@@ -58,15 +58,13 @@ def test_builtin_derivative_consistency():
     h = 0.02
     w1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60 * h)
     w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / (180 * h * h)
-    w3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / (8 * h ** 3)
     for pot in pots:
         for q in (-1.3, -0.4, 0.35, 1.1):
             vals = np.array([pot.eval(q + k * h)[0] for k in range(-3, 4)])
-            V, V1, V2, V3 = pot.eval(q)
-            scale = max(1.0, abs(V1), abs(V2), abs(V3))
+            V, V1, V2 = pot.eval(q)
+            scale = max(1.0, abs(V1), abs(V2))
             assert abs(w1 @ vals - V1) < 1e-7 * scale
             assert abs(w2 @ vals - V2) < 1e-6 * scale
-            assert abs(w3 @ vals - V3) < 1e-5 * scale
 
 
 def test_parameter_validation():
@@ -111,12 +109,11 @@ def test_expression_matches_builtin_morse():
 
 def test_expression_basics():
     f = parse_potential("0.5*q^2", {}).eval
-    assert f(1.0) == (0.5, 1.0, 1.0, 0.0)
+    assert f(1.0) == (0.5, 1.0, 1.0)
     # integer powers must accept negative bases
-    V, V1, V2, V3 = f(-2.0)
-    assert (V, V1, V2, V3) == (2.0, -2.0, 1.0, 0.0)
+    assert f(-2.0) == (2.0, -2.0, 1.0)
     g = parse_potential("q^4/4 - q^2 + 3", {}).eval
-    V, V1, V2, V3 = g(-1.5)
+    V, V1, V2 = g(-1.5)
     assert abs(V - (1.5 ** 4 / 4 - 1.5 ** 2 + 3)) < 1e-14
     assert abs(V1 - (4 * (-1.5) ** 3 / 4 - 2 * (-1.5))) < 1e-14
 
@@ -146,7 +143,7 @@ def test_expression_errors_carry_positions():
     huge = exprparse.compile_expr("q^(10^15)", {})
     with pytest.raises(exprparse.EvalDomainError, match="non-positive base"):
         huge(-1.0)
-    assert huge(0.5) == (0.0, 0.0, 0.0, 0.0)
+    assert huge(0.5) == (0.0, 0.0, 0.0)
     # up to that size an integer exponent takes any base
     assert exprparse.compile_expr("q^1024", {})(-1.0)[0] == 1.0
     with pytest.raises(exprparse.EvalDomainError, match="non-positive base"):
@@ -186,20 +183,19 @@ def _random_expr(rng):
 
 
 def test_jet_derivatives_against_finite_differences():
-    """100 random expression/point pairs, derivatives to 3rd order."""
+    """100 random expression/point pairs, derivatives to 2nd order."""
     rng = np.random.default_rng(20250814)
     h = 0.01
     w1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60 * h)
     w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / (180 * h * h)
-    w3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / (8 * h ** 3)
     checked = 0
     while checked < 100:
         src = _random_expr(rng)
         q = float(rng.uniform(-2.0, 2.0))
         f = exprparse.compile_expr(src, {})
         vals = np.array([f(q + k * h)[0] for k in range(-3, 4)])
-        V, V1, V2, V3 = f(q)
-        for fd, an in ((w1 @ vals, V1), (w2 @ vals, V2), (w3 @ vals, V3)):
+        V, V1, V2 = f(q)
+        for fd, an in ((w1 @ vals, V1), (w2 @ vals, V2)):
             assert abs(fd - an) < 1e-6 * max(1.0, abs(an), abs(V)), (src, q)
         checked += 1
 
@@ -207,7 +203,8 @@ def test_jet_derivatives_against_finite_differences():
 def test_q_bundle():
     h = make_builtin("harmonic", {"k": 0.5})
     b = q_bundle(h, 0.0, 0.5, 1.0)
-    assert (b.Q, b.dQ, b.d2Q, b.d3Q) == (-1.0, 0.0, 2.0, 0.0)
+    assert [f.name for f in dataclasses.fields(b)] == ["q", "Q", "dQ", "d2Q"]
+    assert (b.Q, b.dQ, b.d2Q) == (-1.0, 0.0, 2.0)
     assert q_bundle(h, 1.0, 0.5, 1.0).Q == 0.0
     m = make_builtin("morse", {"gamma": 4.5, "alpha": 1.0})
     assert abs(q_bundle(m, 40.0, -8.0, 1.0).Q - 16.0) < 1e-12
@@ -336,18 +333,28 @@ def test_energy_ceiling_bounds():
 
 
 def test_energy_ceiling_stops_where_the_scan_stops():
-    """With mass 1e155, 2m V''' of exp(q^2/2) overflows at |q| = 26.2,
-    where V is finite.  The ceiling is taken over the points before that,
-    so the turning points are found at the ceiling itself instead of the
-    scan overflowing on its way out."""
-    pot = parse_potential("exp(q^2/2)", {}, mass=1e155)
-    ceiling = pot.well.ceiling
-    for points, vs in pot.well.sides:
-        assert len(vs) < len(points) and ceiling < max(vs)
-    tp = find_turning_points(pot, ceiling)
-    assert tp.q_minus < 0.0 < tp.q_plus
-    assert q_bundle(pot, tp.q_plus, ceiling, pot.mass).Q == pytest.approx(
-        0.0, abs=1e-10 * 2.0 * pot.mass * ceiling)
+    """The walk of exp(q^2/2) stops at the walk point |q| = 39.4, where V
+    overflows, with mass 1e155, and at |q| = 26.2, where 2m(V - v_min) is
+    finite but 2m V'' is not, with mass 1e157.  The ceiling is taken over
+    the points before the stop, so the turning points are found at the
+    ceiling itself instead of the scan overflowing on its way out."""
+    for mass in (1e155, 1e157):
+        pot = parse_potential("exp(q^2/2)", {}, mass=mass)
+        ceiling, m2 = pot.well.ceiling, 2.0 * mass
+        for points, vs in pot.well.sides:
+            assert len(vs) < len(points) and ceiling < max(vs)
+            stop = points[len(vs)]
+            if mass == 1e155:
+                with pytest.raises(OverflowError):
+                    pot.eval(stop)
+            else:
+                V, _, V2 = map(float, pot.eval(stop))
+                assert math.isfinite(m2 * (V - pot.well.v_min))
+                assert not math.isfinite(m2 * V2)
+        tp = find_turning_points(pot, ceiling)
+        assert tp.q_minus < 0.0 < tp.q_plus
+        assert q_bundle(pot, tp.q_plus, ceiling, pot.mass).Q == pytest.approx(
+            0.0, abs=1e-10 * 2.0 * pot.mass * ceiling)
     # where 2m V'' overflows at the minimum itself, no scan can start
     steep = parse_potential("1e300*q^2", {}, mass=1e10)
     with pytest.raises(OverflowError, match=r"at q = 0\.0$"):
@@ -395,7 +402,7 @@ def assert_array_matches_scalar(ev, qs):
     """Array eval equals the elementwise scalar eval bit for bit."""
     vec = [np.broadcast_to(v, qs.shape) for v in ev(qs)]
     for i, q in enumerate(qs.tolist()):
-        assert [vec[j][i] for j in range(4)] == list(ev(q)), q
+        assert [v[i] for v in vec] == list(ev(q)), q
 
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False)
@@ -473,7 +480,7 @@ def test_q_bundle_many_keeps_2d_shape():
                 parse_potential("q^4/4 + q^2/2", {})):
         b = q_bundle_many(pot, q, 0.7, 1.3)
         flat = q_bundle_many(pot, q.ravel(), 0.7, 1.3)
-        for name in ("Q", "dQ", "d2Q", "d3Q"):
+        for name in ("Q", "dQ", "d2Q"):
             field = getattr(b, name)
             assert field.shape == (3, 4)
             assert np.array_equal(field, getattr(flat, name).reshape(3, 4))
@@ -525,17 +532,21 @@ def test_overflow_raises_without_warnings():
 
 
 def test_q_bundle_overflow_raises_without_warnings():
-    # Morse V..V''' are finite at q = -352.5, but 2m*V''' is not
+    # Morse V, V', V'' are finite on both sides of q = -352.69, and so is
+    # 2m*V'' inside it; outside, 2m*V'' is not
     morse = make_builtin("morse", {"gamma": 4.5})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for b in (q_bundle(morse, -352.3, -5.0, 1.0),
-                  q_bundle_many(morse, np.array([-352.3, 0.0]), -5.0, 1.0)):
-            assert np.all(np.isfinite([b.Q, b.dQ, b.d2Q, b.d3Q]))
+        for q in (-352.6, -352.8):
+            assert np.all(np.isfinite(morse.eval(q)))
+        assert not math.isfinite(2.0 * float(morse.eval(-352.8)[2]))
+        for b in (q_bundle(morse, -352.6, -5.0, 1.0),
+                  q_bundle_many(morse, np.array([-352.6, 0.0]), -5.0, 1.0)):
+            assert np.all(np.isfinite([b.Q, b.dQ, b.d2Q]))
         with pytest.raises(OverflowError):
-            q_bundle(morse, -352.5, -5.0, 1.0)
+            q_bundle(morse, -352.8, -5.0, 1.0)
         with pytest.raises(OverflowError):
-            q_bundle_many(morse, np.array([0.0, -352.5, 1.0]), -5.0, 1.0)
+            q_bundle_many(morse, np.array([0.0, -352.8, 1.0]), -5.0, 1.0)
 
 
 # ---- turning-point walk ----
@@ -596,16 +607,17 @@ def test_turning_points_equal_scalar_walk(model, e_frac):
 
 
 # expression wells whose walk or ceiling stops short of V at the reach's
-# ends, as (source, parameters, mass).  With mass 1e155, 2m V''' overflows
-# at |q| = 26.2, where V is finite.  With A = 1e300 and mass 2.8e5, just
-# above V(17.5) Q = 2m(V - E) is finite at q_m but not at the next walk
-# point, q = 26.2.  Where q_bundle raises, so must the walk.
+# ends, as (source, parameters, mass).  With mass 1e157, 2m V'' overflows
+# at the walk point |q| = 26.2, where 2m(V - v_min) is finite (asserted in
+# test_energy_ceiling_stops_where_the_scan_stops).  With A = 1e300 and
+# mass 2.8e5, just above V(17.5) Q = 2m(V - E) is finite at q_m but not at
+# the next walk point, q = 26.2.  Where q_bundle raises, so must the walk.
 SHORT_WALKS = [
     ("exp(q^2/2)", {}, 1.0),
     ("q^2/2 - ln(q + 50)", {}, 1.0),
     ("q^2/2 - q^3/100", {}, 1.0),
     ("exp(q-25) - (q-25)", {}, 1.0),
-    ("exp(q^2/2)", {}, 1e155),
+    ("exp(q^2/2)", {}, 1e157),
     ("A*q^2", {"A": 1e300}, 2.8e5),
 ]
 SHORT_MODELS = [parse_potential(src, params, mass=mass)
@@ -748,7 +760,7 @@ def test_march_tail_equals_scalar_loop(model, e_frac, u0, direction, step,
 
 
 def test_march_tail_does_not_raise_beyond_its_stop():
-    # blocks reach past q = -352.5, where the Morse 2m*V''' overflows, but
+    # blocks reach past q = -352.69, where the Morse 2m*V'' overflows, but
     # the march stops at q = -340 first
     morse = make_builtin("morse", {"gamma": 4.5})
     args = (morse, -1.0, -330.0, -1.0, 2.0, math.inf, 10.0, None)

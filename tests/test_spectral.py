@@ -248,7 +248,7 @@ def _tail_slopes(sol):
     for q, region in ((sol.q_lo, "left"), (sol.q_hi, "right")):
         b = potentials.q_bundle_many(sol.potential, np.array([q]), sol.e_sp,
                                      sol.mass)
-        mean = wkb_core.terms_many(b.Q, b.dQ, b.d2Q, b.d3Q, sol.hbar, region)[0]
+        mean = wkb_core.terms_many(b.Q, b.dQ, b.d2Q, None, sol.hbar, region)[0]
         slopes.append(float(mean[0]))
     return slopes
 
@@ -413,7 +413,7 @@ def test_panels_end_at_the_turning_points_and_cuts_alone():
 
         def mean_phase(q, region):
             bd = potentials.q_bundle_many(sol.potential, q, sol.e_sp, sol.mass)
-            return np.array(wkb_core.terms_many(bd.Q, bd.dQ, bd.d2Q, bd.d3Q,
+            return np.array(wkb_core.terms_many(bd.Q, bd.dQ, bd.d2Q, None,
                                                 sol.hbar, region)[:2])
 
         for region, a, b in (("left", sol.q_lo, tp.q_minus),

@@ -146,7 +146,7 @@ TERMS_REF = {
 
 def harm_bundle(q, E):
     # V = q^2/2, so Q = q^2 - 2E
-    return SimpleNamespace(Q=q * q - 2 * E, dQ=2 * q, d2Q=2.0, d3Q=0.0)
+    return SimpleNamespace(Q=q * q - 2 * E, dQ=2 * q, d2Q=2.0)
 
 
 def morse_bundle(q, E):
@@ -157,7 +157,6 @@ def morse_bundle(q, E):
         Q=2 * (A * (e2 - 2 * e1) - E),
         dQ=2 * A * (-2 * e2 + 2 * e1),
         d2Q=2 * A * (4 * e2 - 2 * e1),
-        d3Q=2 * A * (-8 * e2 + 2 * e1),
     )
 
 
@@ -167,7 +166,7 @@ BUNDLES = {"harm": harm_bundle, "mors": morse_bundle}
 def terms(tag, q, E, region):
     """terms_many (hbar = 1) on the bundle of well tag at the points q."""
     b = BUNDLES[tag](np.asarray(q, dtype=float), E)
-    return terms_many(*np.broadcast_arrays(b.Q, b.dQ, b.d2Q, b.d3Q), 1.0, region)
+    return terms_many(*np.broadcast_arrays(b.Q, b.dQ, b.d2Q), None, 1.0, region)
 
 
 def _combos(a, near, airy_route, series_route):
@@ -400,34 +399,33 @@ def test_far_forbidden_series_oriented_by_side(dQ):
     decaying branch still follows the side: mean = +kappa on the left tail
     and -kappa on the right, with kappa = sqrt(Q)/hbar."""
     for region, want in (("left", 2.0), ("right", -2.0)):
-        mean, phase = terms_many(4.0, dQ, 0.0, 0.0, 1.0, region)
+        mean, phase = terms_many(4.0, dQ, 0.0, None, 1.0, region)
         assert (mean[0], phase[0]) == (want, 0.0)
 
 
 @pytest.mark.parametrize("hbar", [0.2, 3.0])
 def test_far_field_stays_in_double_range(hbar):
     """Far-field points with |Q| up to 1e300, |Q'| down to subnormal and
-    +/-0.0, and Q'', Q''' up to 1e100 give finite terms on every side, and
+    +/-0.0, and Q'' up to 1e100 give finite terms on every side, and
     no floating-point warning escapes."""
     mags = np.array([1.0, 1e3, 1e100, 1e300])
     slopes = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-200, 1.0, -1e50, 1e150])
     curvs = np.array([0.0, -2.0, 1e100])
-    thirds = np.array([0.0, -1e100])
-    Q, Q1, Q2, Q3 = (v.ravel() for v in np.meshgrid(mags, slopes, curvs, thirds,
-                                                   indexing="ij"))
+    Q, Q1, Q2 = (v.ravel() for v in np.meshgrid(mags, slopes, curvs,
+                                               indexing="ij"))
     far = np.abs(wkb_core.airy_variable(Q, Q1, hbar)) >= A_SWITCH
     assert np.count_nonzero(far) > Q.size // 2
-    Q, Q1, Q2, Q3 = Q[far], Q1[far], Q2[far], Q3[far]
+    Q, Q1, Q2 = Q[far], Q1[far], Q2[far]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for region, sign in (("allowed", -1.0), ("left", 1.0), ("right", 1.0)):
-            for v in terms_many(sign * Q, Q1, Q2, Q3, hbar, region):
+            for v in terms_many(sign * Q, Q1, Q2, None, hbar, region):
                 assert v.dtype == np.float64 and np.all(np.isfinite(v)), region
 
 
 def test_stationary_guard_and_region_validation():
     with pytest.raises(RuntimeError):
-        terms_many(1e-12, 1e-15, 1.0, 0.0, 1.0, "right")
+        terms_many(1e-12, 1e-15, 1.0, None, 1.0, "right")
     with pytest.raises(ValueError):
         terms("harm", [0.5], 0.5, "elsewhere")
 
