@@ -86,9 +86,8 @@ class PotentialModel:
             for q in points:
                 try:
                     V, *dV = map(float, self.eval(q))
+                    exprparse.check_finite(q, [m2 * d for d in [V - v_min] + dV])
                 except (ArithmeticError, ValueError):
-                    break
-                if not all(math.isfinite(m2 * d) for d in [V - v_min] + dV):
                     break
                 vs.append(V)
             tops.append(max(vs, default=-math.inf))
@@ -313,11 +312,14 @@ def find_minimum(potential):
     """Locate the unique local minimum of V in the search window.
 
     Scans a coarse grid of the window, centre -/+ SEARCH_HALF_WIDTH/alpha
-    about q = 0 at first, rejects multi-well shapes, then polishes the zero
-    of V' with hybrid_root.  While the grid has no interior minimum and its
-    lowest sample sits on a window edge, the window moves downhill by one
-    half-width, so that edge becomes its centre, at most MAX_WINDOW_MOVES
-    times.
+    about q = 0 at first, and splits its samples into maximal runs of equal
+    values.  A run whose neighbouring samples in the window are both higher
+    is a minimum; flat stretches elsewhere, such as tails that underflow to
+    0, are not.  Shapes with more than one such run are rejected; the zero
+    of V' between the two samples that bound the one run is polished with
+    hybrid_root.  While the grid has no such run and its lowest sample sits
+    on a window edge, the window moves downhill by one half-width, so that
+    edge becomes its centre, at most MAX_WINDOW_MOVES times.
     """
     half = SEARCH_HALF_WIDTH / potential.alpha
     n = 1201
@@ -325,42 +327,29 @@ def find_minimum(potential):
     grid, moves = offsets, 0
     while True:
         vs = np.broadcast_to(potential.eval(grid)[0], grid.shape)
-        minima = (1 + np.flatnonzero((vs[1:-1] <= vs[:-2])
-                                     & (vs[1:-1] <= vs[2:]))).tolist()
-        # collapse plateaus of equal samples into one candidate
-        distinct = []
-        for i in minima:
-            if not distinct or i - distinct[-1] > 1:
-                distinct.append(i)
+        # maximal runs of equal samples by first index; a minimum is a run
+        # whose neighbouring runs are both higher
+        starts = np.flatnonzero(np.r_[True, vs[1:] != vs[:-1]])
+        rv = vs[starts]
+        minima = 1 + np.flatnonzero((rv[1:-1] < rv[:-2]) & (rv[1:-1] < rv[2:]))
         lowest = int(np.argmin(vs))
-        if distinct or lowest not in (0, n - 1) or moves == MAX_WINDOW_MOVES:
+        if minima.size or lowest not in (0, n - 1) or moves == MAX_WINDOW_MOVES:
             break
         grid, moves = grid[lowest] + offsets, moves + 1
     window = "the search window [%g, %g]" % (grid[0], grid[-1])
     if moves:
         window += " (moved downhill %d times from [%g, %g])" % (
             moves, offsets[0], offsets[-1])
-    if not distinct:
+    if not minima.size:
         raise WellShapeError("no interior minimum in %s" % window)
-    if len(distinct) > 1:
+    if minima.size > 1:
         raise WellShapeError("multiple local minima in %s; single-well "
                              "methods only" % window)
-    qs = grid.tolist()
-    i = distinct[0]
     dv = lambda q: potential.eval(q)[1]
-    lo, hi = qs[i - 1], qs[i + 1]
-    flo, fhi = dv(lo), dv(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        # sampling artifact; widen by one cell
-        lo, hi = qs[max(i - 2, 0)], qs[min(i + 2, n - 1)]
-        flo, fhi = dv(lo), dv(hi)
-    q_m = hybrid_root(dv, lo, hi, flo=flo, fhi=fhi, rel_tol=1e-14,
-                      abs_tol=1e-14 * half)
-    return q_m
+    k = minima[0]
+    lo, hi = float(grid[starts[k] - 1]), float(grid[starts[k + 1]])
+    return hybrid_root(dv, lo, hi, flo=dv(lo), fhi=dv(hi), rel_tol=1e-14,
+                       abs_tol=1e-14 * half)
 
 
 def find_turning_points(potential, E):

@@ -115,7 +115,9 @@ def _cheb_fits(f, edges, spec):
 
     All rows of a panel share its degree, grown until the tail of every
     row's coefficient sequence is negligible.  Every panel still growing at
-    a trial degree is sampled in one call of f.
+    a trial degree is sampled in one call of f.  A growing panel whose tail
+    is not finite (a sample of f was not) raises at that degree, since no
+    higher degree can fit it.
     """
     coeffs = [None] * (len(edges) - 1)
     growing = list(range(len(edges) - 1))
@@ -133,6 +135,10 @@ def _cheb_fits(f, edges, spec):
             tol = np.maximum(spec.rel_tol * scale, spec.abs_tol)
             if np.all(tail <= tol):
                 coeffs[i] = _chop(c, tol)
+            elif not np.all(np.isfinite(tail)):
+                raise QuadratureError(
+                    "Chebyshev fit on [%g, %g]: samples are not finite at "
+                    "degree %d" % (edges[i], edges[i + 1], n))
             elif n >= MAX_DEGREE:
                 where = ""
                 if tail.ndim:   # name the row furthest over its budget

@@ -21,7 +21,9 @@ from uniwkb.cli import (MAX_GRID, MAX_LEVELS, ConfigError, DumpGrid,
                         config_from_args, main, render_document,
                         _parse_levels, _parse_params, _parse_range)
 from uniwkb.metrics import GOLDEN_ENV, METRIC_NAMES, benchmark_row
+from uniwkb.potentials import parse_potential
 from uniwkb.quadrature import QuadratureError
+from uniwkb.reference import NumerovError, numerov_solve
 
 
 def make_config(argv):
@@ -166,6 +168,31 @@ def test_well_without_minimum_names_the_search_window(capsys):
     err = capsys.readouterr().err
     assert "not a single well" in err and "no bound state" not in err
     assert "search window [210, 270]" in err and "from [-30, 30]" in err
+
+
+@pytest.mark.parametrize("expr", ["-exp(-q^2)", "-exp(-q^4)",
+                                  "-3*exp(-(q-7.3)^2/0.5)"])
+def test_wells_whose_tails_underflow_solve(expr, capsys):
+    """These wells are 0 to the last bit over much of the minimum search's
+    window; their level 0 solves with no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--potential", "expr", "--expr=" + expr,
+                     "--levels", "0"]) == 0
+    (rec,) = json.loads(capsys.readouterr().out)["records"]
+    assert rec["n"] == 0 and rec["e_sp"] < 0.0 and rec["e_bar"] < 0.0
+
+
+def test_gaussian_well_has_no_level_one(capsys):
+    """-exp(-q^2) binds one level: level 1 exits 3 as no bound state, and
+    the Numerov oracle refuses it too."""
+    assert main(["solve", "--potential", "expr", "--expr=-exp(-q^2)",
+                 "--levels", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "no bound state" in err and "not a single well" not in err
+    pot = parse_potential("-exp(-q^2)", {})
+    with pytest.raises(NumerovError, match="level n=1 is not bound"):
+        numerov_solve(pot, 1)
 
 
 def test_high_harmonic_level_solves_without_warnings(capsys):

@@ -216,8 +216,10 @@ def test_find_minimum():
     assert abs(find_minimum(make_builtin("poschl_teller", {"lambda": 5.0}))) < 1e-12
     shifted = parse_potential("(q - 1.25)^2", {})
     assert abs(find_minimum(shifted) - 1.25) < 1e-10
-    with pytest.raises(WellShapeError):
-        find_minimum(parse_potential("(q^2 - 4)^2", {}))  # double well
+    # double wells, the second with tails that underflow to 0
+    for expr in ("(q^2 - 4)^2", "-exp(-(q-3)^2) - exp(-(q+3)^2)"):
+        with pytest.raises(WellShapeError, match="multiple local minima"):
+            find_minimum(parse_potential(expr, {}))
 
 
 def test_find_minimum_moves_its_window_downhill():
@@ -253,6 +255,40 @@ def test_find_minimum_gives_up_after_its_last_move():
     with pytest.raises(WellShapeError, match=re.escape(
             "multiple local minima in the search window [-30, 30]")):
         find_minimum(parse_potential("(q^2 - 4)^2", {}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 4]), st.floats(0.5, 10.0), st.floats(-20.0, 20.0),
+       st.floats(0.3, 3.0))
+def test_find_minimum_of_gaussian_wells(p, A, c, w):
+    """-A*exp(-((q-c)/w)^p) has its one minimum at c.  Most draws have tails
+    that underflow to exact zeros inside the window; those runs of equal
+    samples end on a window edge, so they are no candidates.  V' changes
+    sign exactly at q = c, so q_m lies within the root polish's bracket
+    tolerance, 1e-14*(30 + |q_m|) <= 5e-13, taken twice."""
+    pot = parse_potential("-A*exp(-((q-c)/w)^%d)" % p, {"A": A, "c": c, "w": w})
+    assert abs(find_minimum(pot) - c) <= 1e-12
+
+
+def test_find_minimum_admits_a_flat_shelf_on_a_flank():
+    """A run of equal samples with a lower sample beside it is a shelf, not
+    a minimum: (q - 1.5)^2/2, held at its value 10.125 on [-6, -3] and
+    rising again to the left of -6, has its minimum at 1.5."""
+    base = parse_potential("(q - 1.5)^2/2", {})
+
+    def ev(q):
+        q = np.asarray(q, dtype=float)
+        left, shelf = q < -6.0, (q >= -6.0) & (q <= -3.0)
+        x = np.where(left, q + 6.0, q - 1.5)
+        V = np.where(shelf, 10.125, np.where(left, 10.125, 0.0) + x * x / 2)
+        return V, np.where(shelf, 0.0, x), np.where(shelf, 0.0, 1.0)
+
+    model = dataclasses.replace(base, eval=ev)
+    vs = ev(np.linspace(-30.0, 30.0, 1201))[0]
+    assert np.count_nonzero(vs == 10.125) > 50   # the shelf spans many samples
+    assert abs(find_minimum(model) - 1.5) <= 1e-12
+    assert model.well.q_m == find_minimum(model)
+    assert model.well.v_min == ev(model.well.q_m)[0]
 
 
 def test_find_turning_points():

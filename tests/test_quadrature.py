@@ -2,6 +2,7 @@
 cumulative Chebyshev antiderivative checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,25 @@ def test_noise_floor_fails_fast():
     with pytest.raises(QuadratureError,
                        match=r"on \[0, 1\] stalled at degree 1024"):
         integrate(noisy, [0.0, 1.0, 2.0])
+
+
+def test_non_finite_samples_fail_at_the_first_degree():
+    """A panel with NaN samples has a NaN coefficient tail, which no degree
+    can bring under budget: the fit names the panel and raises after one
+    integrand call, where it used to sample up to the degree cap and report
+    a nan tail."""
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return np.where(x < 0.5, math.nan, np.exp(-x))
+
+    with pytest.raises(QuadratureError, match=re.escape(
+            "Chebyshev fit on [0, 1]: samples are not finite at degree %d"
+            % FIRST_DEGREE)):
+        integrate(f, [0.0, 1.0, 2.0])
+    assert calls == 1
 
 
 def test_scalar_integrand_returns_python_float():
