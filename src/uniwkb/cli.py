@@ -250,7 +250,8 @@ def cmd_verify(loose=False):
 
 
 def cmd_dump(config, grid):
-    """CSV of the assembled state on a uniform grid, one row per point."""
+    """CSV of the assembled state on a uniform grid, one row per point;
+    a state column that is not finite is refused."""
     if len(config.levels) != 1:
         raise ConfigError("dump wants exactly one level, got %d"
                           % len(config.levels))
@@ -269,9 +270,16 @@ def cmd_dump(config, grid):
     qs = np.linspace(lo, hi, grid.npoints)
     a_col = airy_argument(potential, qs, sol.e_sp, sol.hbar, sol.mass)
     psi_ap, dpsi_ap, h_col = sol.state(qs)
+    columns = [("psi_ap", psi_ap), ("dpsi_ap", dpsi_ap), ("h_psi", h_col)]
     psi_ex = None
     if config.kind in BUILTIN_KINDS:
         psi_ex = exact_wavefunction(potential, n).psi(qs)
+        columns.append(("psi_ex", psi_ex))
+    for name, col in columns:
+        bad = ~np.isfinite(col)
+        if bad.any():
+            raise FloatingPointError("dumping level n=%d: %s is not finite "
+                                     "at q=%.10g" % (n, name, qs[bad][0]))
     tp = sol.turning
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

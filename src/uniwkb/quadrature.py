@@ -34,12 +34,13 @@ each panel's degree.  A panel's integral is its antiderivative at the
 right edge, and `integrate` returns the sum that `CumulativeCheb.total`
 returns for the same panels.
 
-`CumulativeCheb` evaluates each panel's series by Clenshaw's recurrence
-(Math. Tables Aids Comput. 9 (1955) 118), skipping rows that are all zero
-there, on blocks of CLENSHAW_BUDGET // rows points, so that its work
-arrays stay in cache on the samplers' calls of 10^4 - 10^5 points.  A
-point goes through the same operations in the same order whatever its
-block, so F(x) at a point is bit for bit its one-point call.
+`CumulativeCheb` finds each call's panels once, as one slice of points
+per panel (stably sorted when out of panel order), and runs Clenshaw's
+recurrence (Math. Tables Aids Comput. 9 (1955) 118) on each, skipping rows
+that are all zero there, in cache-sized blocks.  Rows recur independently,
+and a point goes through the same operations whatever its block or order,
+so F(x) at a point is bit for bit its one-point call, and `jet` evaluates
+only the rows its caller reads.
 """
 
 import math
@@ -51,16 +52,10 @@ import numpy as np
 
 # smallest relative tolerance a double-precision quadrature can meet
 MIN_REL_TOL = 1e-13
-# An integrand call costs mostly fixed numpy overhead, and nearly every
-# panel of the solver's integrals has converged by degree 64: starting
-# there makes most fits one call, where starting at 16 took two to four.
+# first trial degree: most fits then take one call, where 16 took two to four
 FIRST_DEGREE = 64
 MAX_DEGREE = 1024   # a panel still over its budget at this degree fails
-# A converged panel keeps the shortest head of its series whose dropped
-# terms sum, in absolute value, to at most this fraction of the row's budget.
-# The chopped series then evaluates at the degree the panel needs, not the
-# trial degree, and stays within a hundredth of the budget of the full
-# interpolant, so antiderivatives keep the accuracy of the unchopped fit.
+# a converged panel's dropped terms sum to at most this fraction of a row's budget
 CHOP_FRACTION = 1e-2
 # Clenshaw's work arrays hold at most this many float64 elements (256 KB
 # each), so a (rows, points) recurrence stays in a core's L2 cache
@@ -203,13 +198,7 @@ def _derivative_coeffs(c, half_width):
 
 def _clenshaw(coeffs, t):
     """Chebyshev series, one per row of the 2-D coeffs, at the 1-D points
-    t: shape (rows, len(t)).
-
-    The recurrence runs on blocks of CLENSHAW_BUDGET // rows points, so its
-    three (rows, block) work arrays stay in cache however many points a
-    call has; each point still goes through the same operations in the
-    same order, so the blocks change no bit.
-    """
+    t: shape (rows, len(t)), on blocks of CLENSHAW_BUDGET // rows points."""
     rows = coeffs.shape[0]
     out = np.empty((rows, t.size))
     block = max(CLENSHAW_BUDGET // max(rows, 1), 1)
@@ -288,17 +277,19 @@ class CumulativeCheb:
         out = self._evaluate(x, self.coeffs, self.base)
         return out.reshape(self.rows + x.shape)[()]
 
-    def jet(self, x):
+    def jet(self, x, order=2):
         """(F(x), f(x), f'(x)) with f the fitted integrand and f' its
-        derivative, from one Clenshaw pass per panel over the rows of F, f
-        and f' stacked (`_jet_table`).  F is bit for bit F(x); f and f' are
-        0 outside the covered range, where F clamps."""
+        derivative, from one Clenshaw pass per panel over those rows of
+        `_jet_table`; order 1 evaluates and returns (F, f) only, the same
+        bits.  F is bit for bit F(x); f and f' are 0 outside the covered
+        range, where F clamps."""
         x = np.asarray(x, dtype=float)
-        out = self._evaluate(x, *self._jet_table)
-        k = out.shape[0] // 3
-        out[k:, np.atleast_1d((x < self.edges[0]) | (x > self.edges[-1]))] = 0.0
-        F, f, df = out.reshape((3,) + self.rows + x.shape)
-        return F[()], f[()], df[()]
+        coeffs, base = self._jet_table
+        k = base.shape[1] // 3
+        r = (order + 1) * k
+        out = self._evaluate(x, [c[:r] for c in coeffs], base[:, :r])
+        out[k:, np.ravel((x < self.edges[0]) | (x > self.edges[-1]))] = 0.0
+        return tuple(v[()] for v in out.reshape((order + 1,) + self.rows + x.shape))
 
     @cached_property
     def _jet_table(self):
@@ -318,16 +309,21 @@ class CumulativeCheb:
 
     def _evaluate(self, x, coeffs, base):
         """Rows (flattened) of base[i] plus the series coeffs[i] of the panel
-        holding each point of x, clamped to the covered range."""
-        xf = np.clip(np.atleast_1d(x), self.edges[0], self.edges[-1])
+        holding each point of the flattened x, clamped to the covered range."""
+        xf = np.clip(np.ravel(x), self.edges[0], self.edges[-1])
         idx = np.clip(np.searchsorted(self.edges, xf, side="right") - 1,
                       0, len(coeffs) - 1)
-        out = np.empty((base[0].size,) + xf.shape)
+        perm = None
+        if np.any(idx[1:] < idx[:-1]):
+            perm = np.argsort(idx, kind="stable")
+            xf, idx = xf[perm], idx[perm]
+        ends = np.searchsorted(idx, np.arange(len(coeffs) + 1))
+        out = np.empty((base[0].size, xf.size))
         # only the panels that hold a point: one fit may span many panels
-        for i in np.flatnonzero(np.bincount(idx.ravel())):
-            m = idx == i
+        for i in np.flatnonzero(np.diff(ends)):
             a, b = self.edges[i], self.edges[i + 1]
-            t = (2.0 * xf[m] - (a + b)) / (b - a)
+            s = slice(ends[i], ends[i + 1])
+            t = (2.0 * xf[s] - (a + b)) / (b - a)
             # a row that is all zero on this panel stays at its base there
             c = coeffs[i].reshape(-1, coeffs[i].shape[-1])
             live = np.any(c, axis=-1)
@@ -336,9 +332,12 @@ class CumulativeCheb:
             else:
                 v = np.zeros((len(c), t.size))
                 v[live] = _clenshaw(c[live], t)
-            v += base[i].reshape(-1, 1)
-            out[:, m] = v
-        return out
+            np.add(v, base[i].reshape(-1, 1), out=out[:, s])
+        if perm is None:
+            return out
+        back = np.empty_like(out)
+        back[:, perm] = out
+        return back
 
     def total(self):
         return self.base[-1]

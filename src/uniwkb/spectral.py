@@ -18,8 +18,11 @@ neither u' nor Hu = V u - (hbar^2/2m) u'' runs an Airy kernel.  <u|u> and
 Q bundle, so e_bar is the Rayleigh quotient of the sampled state, and the
 samplers return c*u, c*u' and c*Hu with c = <u|u>^(-1/2).  `state` returns
 all three from one jet and one Q bundle; `psi` alone is a cheaper two-row
-evaluation of F, and `dpsi` forms no Q bundle.  All four form u, u' and Hu
-with the same expressions, so `state` is the three samplers bit for bit.
+evaluation of F, and `dpsi` and the moments evaluate F and f only, with no
+Q bundle for `dpsi`.  All four form u, u' and Hu with the same expressions,
+so `state` is the three samplers bit for bit.  Their arithmetic raises no
+floating-point warning: a sample that is not finite is refused where it
+is read, by the metrics fit or `uniwkb dump`.
 """
 
 import math
@@ -42,6 +45,9 @@ from .wkb_core import airy_variable, terms_many
 # downstream inherits that accuracy
 PHASE_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
 PHASE_RESIDUAL_TOL = 1e-11
+# the samplers' arithmetic raises no floating-point warning: a sample that
+# overflows is refused where it is read (the metrics fit, `dump`)
+QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 class QuantizationError(RuntimeError):
@@ -222,14 +228,17 @@ def assemble(potential, e_sp, n):
                          + slope_hi * np.maximum(x - t_hi, 0.0))
             return amp, phase - math.pi / 3.0
 
-        def local(q):
-            """x, amp, cos(theta), sin(theta), mean, phase, mean', phase'
-            at q from one F.jet, with mean the slope past a cut."""
+        def local(q, order=2):
+            """x, amp, cos(theta), sin(theta), mean, phase at q from one
+            F.jet of this order, with mean the slope past a cut; order 2
+            adds mean' and phase'."""
             x = np.asarray(q, dtype=float)
-            values, (mean, phase), (dmean, dphase) = F.jet(x)
+            rows = F.jet(x, order)
+            values, (mean, phase) = rows[:2]
             amp, theta = polar(x, *values)
             mean = np.where(x < t_lo, slope_lo, np.where(x > t_hi, slope_hi, mean))
-            return x, amp, np.cos(theta), np.sin(theta), mean, phase, dmean, dphase
+            out = (x, amp, np.cos(theta), np.sin(theta), mean, phase)
+            return out + tuple(rows[2]) if order == 2 else out
 
         # u, u' and Hu from local's outputs: every sampler and `state` form
         # them here, so state's rows are the samplers' values bit for bit
@@ -252,8 +261,9 @@ def assemble(potential, e_sp, n):
             im_part = dphase + 2.0 * mean * phase
             return V * u(amp, cos) - pref * (amp * (re_part * cos - im_part * sin))
 
+        @QUIET
         def moments(q):
-            x, amp, cos, sin, mean, phase, _, _ = local(q)
+            x, amp, cos, sin, mean, phase = local(q, 1)
             uq, duq = u(amp, cos), du(amp, cos, sin, mean, phase)
             return np.stack([uq * uq, pref * duq * duq + potential_at(x) * uq * uq])
 
@@ -270,19 +280,23 @@ def assemble(potential, e_sp, n):
                 "level n=%d: its assembled energy %.10g is at or "
                 "above the energy ceiling %.10g" % (n, e_bar, ceiling))
 
+        @QUIET
         def psi(q):
             """c*u from F alone: a two-row Clenshaw pass, no jet."""
             x = np.asarray(q, dtype=float)
             amp, theta = polar(x, *F(x))
             return c * u(amp, np.cos(theta))
 
+        @QUIET
         def dpsi(q):
-            _, amp, cos, sin, mean, phase, _, _ = local(q)
+            _, amp, cos, sin, mean, phase = local(q, 1)
             return c * du(amp, cos, sin, mean, phase)
 
+        @QUIET
         def h_psi(q):
             return c * hu(*local(q))
 
+        @QUIET
         def state(q):
             """(psi, dpsi, h_psi) at q from one F.jet and one Q bundle."""
             at = local(q)

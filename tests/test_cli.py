@@ -502,6 +502,25 @@ def test_unreachable_rel_tol_exits_four_quickly():
     assert "quantizing level n=0: " in proc.stderr
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["solve"], "computing the metrics of level n=0: "),
+    (["dump", "--grid", "11"], "dumping level n=0: h_psi is not finite"),
+], ids=["solve", "dump"])
+def test_unresolvable_samples_exit_four_without_warnings(argv, stage):
+    """At hbar = 1e-200 level 0's samples overflow: solve's metrics fit and
+    dump refuse them with exit 4 naming the stage, and with warnings as
+    errors no floating-point warning escapes as a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "uniwkb"]
+        + argv[:1] + ["--potential", "harmonic", "--levels", "0",
+                      "--hbar", "1e-200"] + argv[1:],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.startswith("uniwkb: solver failure: " + stage), proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("kind", ["harmonic", "morse", "poschl-teller"])
 def test_smallest_rel_tol_solves_the_builtin_wells(kind, capsys):
     """--rel-tol 1e-13, the smallest accepted, is within reach of every

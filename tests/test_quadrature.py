@@ -462,6 +462,23 @@ def test_clenshaw_blocks_change_no_bit(rows, monkeypatch):
             assert one.tobytes() == many[:, i].tobytes(), x
 
 
+def test_jet_order_one_is_its_leading_rows_bit_for_bit():
+    """jet(x, 1) is (F, f) of jet(x) to the bit on a shuffled call, on a
+    2-D call and past both ends, so the points that come out of panel
+    order take the sorted path; F(x) keeps x's shape."""
+    F = CumulativeCheb(lambda x: np.stack([f(x) for f in _BLOCK_ROWS]),
+                       [0.0, 1.0, 2.0, 3.5])
+    xs = np.concatenate([np.linspace(-0.5, 4.0, 361), F.edges, [-2.0, 9.0]])
+    np.random.default_rng(5).shuffle(xs)
+    for x in (xs, xs[:360].reshape(18, 20), 9.0, 1.0):
+        full, lead = F.jet(x), F.jet(x, 1)
+        assert len(lead) == 2
+        for got, want in zip(lead, full[:2], strict=True):
+            assert got.shape == (4,) + np.shape(x)
+            assert got.tobytes() == want.tobytes()
+        assert F(x).tobytes() == full[0].tobytes()
+
+
 def test_cumulative_stall_names_first_stalling_panel():
     # jumps inside the first and last panels never converge in Chebyshev
     f = lambda x: np.where(x < 0.3, 0.0, 1.0) + np.where(x < 2.7, 0.0, 1.0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from uniwkb import potentials, spectral, wkb_core
+from uniwkb import potentials, quadrature, spectral, wkb_core
 from uniwkb.metrics import METRIC_SPEC, discrepancy_d, level_metrics
 from uniwkb.potentials import (bound_count, find_turning_points, make_builtin,
                                parse_potential, q_bundle)
@@ -213,6 +213,34 @@ def test_state_is_the_samplers_bit_for_bit():
             for row, one in zip(rows, sol.state(grid[i]), strict=True):
                 assert np.shape(one) == ()
                 assert np.asarray(one).tobytes() == row[i].tobytes(), (key, i)
+
+
+def test_dpsi_is_state_bit_for_bit_on_a_shuffled_grid():
+    """dpsi, from F and f alone, is state's dpsi row to the bit on a dense
+    grid past both cuts, shuffled out of panel order."""
+    sol = get_solution("morse", 3)
+    grid = np.linspace(sol.q_lo - 1.0, sol.q_hi + 1.0, 20001)
+    np.random.default_rng(3).shuffle(grid)
+    assert sol.dpsi(grid).tobytes() == sol.state(grid)[1].tobytes()
+
+
+def test_dpsi_evaluates_no_derivative_rows(monkeypatch):
+    """dpsi reads F and f only: its Clenshaw work (rows x coefficients x
+    points) is at most 2/3 of h_psi's, which also reads f'."""
+    sol = get_solution("morse", 3)
+    grid = np.linspace(sol.q_lo, sol.q_hi, 20001)
+    work = []
+    clenshaw = quadrature._clenshaw
+
+    def counted(coeffs, t):
+        work[-1] += coeffs.size * t.size
+        return clenshaw(coeffs, t)
+
+    monkeypatch.setattr(quadrature, "_clenshaw", counted)
+    for sampler in (sol.dpsi, sol.h_psi):
+        work.append(0)
+        sampler(grid)
+    assert 0 < 3 * work[0] <= 2 * work[1], work
 
 
 def test_assemble_moments_run_no_airy_kernels(monkeypatch):
