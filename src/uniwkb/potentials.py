@@ -13,6 +13,7 @@ elements one at a time.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -150,6 +151,19 @@ def bound_count(kind, params):
         raise ValueError("no closed-form spectrum for kind %r" % (kind,))
     c = math.ceil(x)
     return int(c if c > x else x)
+
+
+def level_index(n):
+    """n as an int; ValueError unless it is a non-negative integer, so that
+    no eigensolve runs for a level that cannot exist (-1, 1.5)."""
+    try:
+        i = operator.index(n)
+    except TypeError:
+        i = -1
+    if i < 0:
+        raise ValueError("level index must be a non-negative integer, got %r"
+                         % (n,))
+    return i
 
 
 def _check_units(**units):

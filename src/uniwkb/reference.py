@@ -17,12 +17,12 @@ and its every other node, all below the well's energy ceiling.
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
 import numpy as np
 
-from .potentials import bound_count, find_turning_points, march_tail
+from .potentials import (bound_count, find_turning_points, level_index,
+                         march_tail)
 # unused here, kept importable: perfbench/tracer.py wraps reference.q_bundle
 from .potentials import q_bundle  # noqa: F401
 # unused here, kept importable: perfbench/tracer.py wraps reference.integrate
@@ -261,15 +261,18 @@ def _grid(potential, E):
 
 
 def _coefficients(V, E, h, mass, hbar):
-    """c_i of Numerov's recurrence z_{i+1} + z_{i-1} = c_i z_i, as a list.
+    """c_i of Numerov's recurrence z_{i+1} + z_{i-1} = c_i z_i, as a
+    memoryview of their float64 array.
 
     z = w y with w = 1 - h^2 Q / (12 hbar^2), and c = (12 - 10 w) / w.
+    The marches iterate and slice the view, which yields the array's floats
+    one at a time: no grid-length list of Python floats is built.
     """
     c = (V - E) * (-h * h * mass / (6.0 * hbar * hbar))
     c += 1.0
     np.divide(12.0, c, out=c)
     c -= 10.0
-    return c.tolist()
+    return memoryview(c)
 
 
 def _march(coeffs):
@@ -301,8 +304,8 @@ def _casoratian(c, k):
 
     It changes sign exactly at the grid's eigenvalues.
     """
-    z_k, z_k1 = _march(islice(c, 1, k + 1))
-    u_k1, u_k = _march(islice(reversed(c), 1, len(c) - 1 - k))
+    z_k, z_k1 = _march(c[1:k + 1])
+    u_k1, u_k = _march(c[len(c) - 2:k:-1])
     return ((z_k * u_k1 - z_k1 * u_k)
             / (math.hypot(z_k, z_k1) * math.hypot(u_k, u_k1)))
 
@@ -325,8 +328,11 @@ def numerov_solve(potential, n):
     finds the zero of the normalized Casoratian of the solutions marched
     outward and inward to q+ at the bracket's midpoint, on that grid (E_h)
     and on every other node of it (E_2h), and Richardson's
-    E_h + (E_h - E_2h) / 15 removes Numerov's O(h^4) error.
+    E_h + (E_h - E_2h) / 15 removes Numerov's O(h^4) error.  A level index
+    that is not a non-negative integer is refused with ValueError before
+    any sweep.
     """
+    n = level_index(n)
     hbar, mass = potential.hbar, potential.mass
     well = potential.well
     curv = potential.eval(well.q_m)[2]

@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import (TurningPoints, find_turning_points, q_bundle_many,
-                         tail_cut)
+from .potentials import (TurningPoints, find_turning_points, level_index,
+                         q_bundle_many, tail_cut)
 # unused here, kept importable: perfbench/tracer.py wraps both by name here
 from .potentials import find_minimum, q_bundle  # noqa: F401
 from .quadrature import (CumulativeCheb, QuadratureError, QuadratureSpec,
@@ -134,14 +134,15 @@ def _first_order_phase(potential, E):
 def solve_quantization(potential, n):
     """Energy where the accumulated phase equals pi*(n + 2/3).
 
-    Level n is refused when the first-order phase Phi1 at the energy
-    ceiling falls short of pi*(n + 1/2).  Otherwise steps out from the root
-    of Phi1 = pi*(n + 1/2), doubling from a twentieth of its height above
-    v_min per level and clamped inside (v_min, ceiling], bracket the root.
+    A level index that is not a non-negative integer is refused with
+    ValueError.  Level n is refused when the first-order phase Phi1 at the
+    energy ceiling falls short of pi*(n + 1/2).  Otherwise steps out from
+    the root of Phi1 = pi*(n + 1/2), doubling from a twentieth of its
+    height above v_min per level and clamped inside (v_min, ceiling],
+    bracket the root.
     A QuadratureError from inside is re-raised naming the level.
     """
-    if n < 0:
-        raise ValueError("level index must be non-negative")
+    n = level_index(n)
     with stage("quantizing level n=%d" % n):
         # no energy above the ceiling has both turning points in the search reach
         v_min, ceiling = potential.well.v_min, potential.well.ceiling

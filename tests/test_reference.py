@@ -3,12 +3,13 @@
 import json
 import math
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uniwkb import reference
+from uniwkb import reference, spectral
 from uniwkb.potentials import (HARMONIC_SENTINEL, bound_count,
                                find_turning_points, make_builtin,
                                parse_potential)
@@ -249,6 +250,15 @@ NUMEROV_GOLDEN = {
 }
 
 
+# and of two expression wells, run as jet programs: the quartic's levels
+# 0-3 and the ground state below the cubic's barrier
+NUMEROV_EXPR_GOLDEN = {
+    "q^4/4 + q^2/2": ("0x1.3dea25cc86835p-1", "0x1.0352dbf8edf15p+1",
+                      "0x1.d966d1efdbd32p+1", "0x1.63af5805c75f5p+2"),
+    "q^2/2 - q^3/100": ("0x1.ffdbeac2259dfp-2",),
+}
+
+
 def test_numerov_golden_cells():
     """All twelve golden cells, well inside ACCEPTANCE 6's 1e-8, and each
     energy exactly the pinned one: how the level is bracketed must not
@@ -260,6 +270,46 @@ def test_numerov_golden_cells():
             ex = exact_energy(kind, params, n)
             assert abs(e - ex) / abs(ex) <= 2e-10, (kind, n, e, ex)
             assert e.hex() == NUMEROV_GOLDEN[kind][n], (kind, n, e.hex())
+
+
+def test_numerov_expression_wells_bit_for_bit():
+    """The oracle's energies of expression wells are pinned to the bit too,
+    so the march over a jet program's V cannot move unnoticed."""
+    for expr, pins in NUMEROV_EXPR_GOLDEN.items():
+        pot = parse_potential(expr, {})
+        for n, pin in enumerate(pins):
+            e = numerov_solve(pot, n)
+            assert e.hex() == pin, (expr, n, e.hex())
+
+
+def _iterator_casoratian(c, k):
+    """_casoratian over a list of floats, marching through islice and
+    reversed: the reference for the sliced view.  islice refuses the stop
+    of -1 at k = len(c), where the inward march is empty, as it is for
+    every k >= len(c) - 2, so that stop is clamped at 0."""
+    z_k, z_k1 = reference._march(islice(c, 1, k + 1))
+    u_k1, u_k = reference._march(islice(reversed(c), 1,
+                                        max(len(c) - 1 - k, 0)))
+    return ((z_k * u_k1 - z_k1 * u_k)
+            / (math.hypot(z_k, z_k1) * math.hypot(u_k, u_k1)))
+
+
+def test_casoratian_slices_match_the_iterators():
+    """Slicing the coefficients' memoryview marches the same floats in the
+    same order as islice and reversed did over their list: the Casoratian
+    is equal, not just close, at every k of every length."""
+    rng = np.random.default_rng(7)
+    for m in list(range(10)) + [4097]:
+        # Numerov coefficients lie near 2; the zeros flip the march's sign
+        c = 2.0 + 0.01 * rng.standard_normal(m)
+        if m:
+            c[rng.integers(0, m, size=m // 100 + 1)] = 0.0
+        listed = c.tolist()
+        for k in range(m + 1):
+            got = reference._casoratian(memoryview(c), k)
+            want = _iterator_casoratian(listed, k)
+            assert math.isfinite(want), (m, k)
+            assert got == want, (m, k, got, want)
 
 
 def _count_work(monkeypatch):
@@ -337,3 +387,23 @@ def test_numerov_rejects_unbound_level(monkeypatch):
         with pytest.raises(NumerovError, match="level n=%d is not bound" % n):
             numerov_solve(make_builtin(kind, params), n)
         assert len(work["sweeps"]) <= sweeps, (kind, work)
+
+
+@pytest.mark.parametrize("solve,n", [(numerov_solve, -1),
+                                     (numerov_solve, 1.5),
+                                     (spectral.solve_quantization, 1.5)])
+def test_bad_level_index_is_refused_up_front(monkeypatch, solve, n):
+    """An index that is not a non-negative integer names no level: both
+    solvers refuse it before any node sweep or phase integral, rather than
+    searching for it (61 sweeps for 1.5) or quantizing it to an energy."""
+    work = _count_work(monkeypatch)
+    phases = []
+    for name in ("phase_integral", "_first_order_phase"):
+        monkeypatch.setattr(spectral, name,
+                            lambda *args, _name=name: phases.append(_name))
+    pot = make_builtin("morse", {"gamma": 4.5})
+    with pytest.raises(ValueError, match="level index must be a non-negative "
+                                         "integer, got %r" % (n,)):
+        solve(pot, n)
+    assert work == {"sweeps": [], "marches": 0}
+    assert phases == []
