@@ -162,9 +162,7 @@ def _metric_spec(config):
 def _config_echo(config, potential):
     # only the problem-defining fields: the same physics request must yield
     # byte-identical documents regardless of where the output goes
-    pot = {"kind": config.kind,
-           "params": {k: v for k, v in sorted(potential.params.items())
-                      if not k.startswith("_")}}
+    pot = {"kind": config.kind, "params": dict(sorted(potential.params.items()))}
     if config.expr is not None:
         pot["expr"] = config.expr
     return {"potential": pot, "hbar": config.hbar, "mass": config.mass,
@@ -219,7 +217,7 @@ def render_document(doc, fmt):
     return buf.getvalue()
 
 
-def cmd_verify(loose=False):
+def cmd_verify():
     """Recompute the benchmark table and band-check it against the golden data.
 
     Returns (report text, exit code): 0 when every cell passes, 1 otherwise.
@@ -235,7 +233,7 @@ def cmd_verify(loose=False):
         for metric in METRIC_NAMES:
             computed = getattr(row, metric)
             gold = golden[(row.potential, row.n, metric)]
-            ok, rel, band = check_cell(metric, computed, gold, loose)
+            ok, rel, band = check_cell(metric, computed, gold)
             if not ok:
                 failures += 1
             lines.append("%-13s %2d  %-15s % 13.6e % 10.2e  %7.3f%% %4.0f%%  %s"
@@ -244,8 +242,7 @@ def cmd_verify(loose=False):
                             "pass" if ok else "FAIL"))
     total = len(rows) * len(METRIC_NAMES)
     lines.append("-" * len(header))
-    lines.append("%d/%d cells within bands%s"
-                 % (total - failures, total, " (loose)" if loose else ""))
+    lines.append("%d/%d cells within bands" % (total - failures, total))
     return "\n".join(lines) + "\n", (0 if failures == 0 else 1)
 
 
@@ -328,10 +325,8 @@ def build_parser():
     p_solve.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
                          help="relative tolerance for the comparison quadratures")
 
-    p_verify = sub.add_parser("verify", help="recompute the benchmark table "
-                                             "and check it against golden data")
-    p_verify.add_argument("--tol-loose", action="store_true", dest="tol_loose",
-                          help="double the acceptance bands")
+    sub.add_parser("verify", help="recompute the benchmark table and check "
+                                  "it against golden data")
 
     p_dump = sub.add_parser("dump", help="dump one solved level on a grid as CSV")
     _add_problem_args(p_dump)
@@ -357,7 +352,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            report, code = cmd_verify(loose=args.tol_loose)
+            report, code = cmd_verify()
             sys.stdout.write(report)
             return code
         config = config_from_args(args)

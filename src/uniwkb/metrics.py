@@ -215,14 +215,14 @@ def load_golden(path=None):
     return table
 
 
-def check_cell(metric, computed, golden, loose=False):
+def check_cell(metric, computed, golden):
     """Band comparison for one golden cell: (ok, rel_err, band).
 
     Entries at or above 1e-5 in magnitude get a 2% relative band; smaller,
     numerically delicate entries get 10%.  The signed energy metric must
     also match the golden sign exactly.
     """
-    band = (0.02 if abs(golden) >= 1e-5 else 0.10) * (2.0 if loose else 1.0)
+    band = 0.02 if abs(golden) >= 1e-5 else 0.10
     rel = abs(computed - golden) / abs(golden)
     ok = rel <= band
     if metric == "delta_e":

@@ -100,7 +100,6 @@ class PotentialModel:
 
 @dataclass(frozen=True)
 class QBundle:
-    q: float
     Q: float
     dQ: float
     d2Q: float
@@ -234,8 +233,7 @@ def parse_potential(expr, params, hbar=1.0, mass=1.0):
     _check_units(hbar=hbar, mass=mass)
     params = {k: float(v) for k, v in params.items()}
     ev = exprparse.compile_expr(expr, params)
-    return PotentialModel("expression", dict(params, _expr=expr), hbar, mass,
-                          ev, alpha=1.0)
+    return PotentialModel("expression", params, hbar, mass, ev, alpha=1.0)
 
 
 def q_bundle(potential, q, E, mass):
@@ -250,7 +248,7 @@ def q_bundle(potential, q, E, mass):
     m2, E = 2.0 * mass, float(E)
     fields = (m2 * (V - E), m2 * V1, m2 * V2)
     exprparse.check_finite(q, fields)
-    return QBundle(q, *fields)
+    return QBundle(*fields)
 
 
 def q_bundle_many(potential, q, E, mass):
@@ -267,15 +265,13 @@ def q_bundle_many(potential, q, E, mass):
         fields[0] -= E
         fields *= 2.0 * mass
     exprparse.check_finite(q, fields)
-    return QBundle(q, *fields)
+    return QBundle(*fields)
 
 
-def march_tail(potential, E, q_start, direction, step, target, cap=np.inf,
-               max_steps=None):
+def march_tail(potential, E, q_start, direction, step, target, cap):
     """March from q_start into a forbidden tail in equal steps until the
     trapezoid integral of kappa = sqrt(max(Q, 0))/hbar reaches target or
-    the distance |q - q_start| reaches cap; returns that point, or None
-    when max_steps steps do neither.
+    the distance |q - q_start| reaches cap, and return that point.
 
     A step whose Q bundle cannot be evaluated (raises, or is not finite)
     stops the march at the last point before it, the stop rule of the
@@ -288,10 +284,9 @@ def march_tail(potential, E, q_start, direction, step, target, cap=np.inf,
     """
     d = direction * step
     q, kappa_int, k_prev = q_start, 0.0, 0.0
-    taken, block = 0, 64
-    while max_steps is None or taken < max_steps:
-        size = block if max_steps is None else min(block, max_steps - taken)
-        qs = np.cumsum(np.concatenate(([q], np.full(size, d))))[1:]
+    block = 64
+    while True:
+        qs = np.cumsum(np.concatenate(([q], np.full(block, d))))[1:]
         try:
             Q = q_bundle_many(potential, qs, E, potential.mass).Q
         except (ArithmeticError, ValueError):
@@ -306,18 +301,18 @@ def march_tail(potential, E, q_start, direction, step, target, cap=np.inf,
         if hit.size:
             return float(qs[hit[0]])
         q, kappa_int, k_prev = qs[-1], kap[-1], k[-1]
-        taken += size
         block = 2 * block if block > 1 else 1
-    return None
 
 
 def tail_cut(potential, E, q_start, direction, width):
     """Truncation point of the forbidden tail beyond the turning point
     q_start, where the decay exponent reaches TAIL_DECAY: march_tail in
-    steps of a fiftieth of the well width."""
-    q = march_tail(potential, E, q_start, direction, max(width / 50.0, 1e-4),
-                   TAIL_DECAY, max_steps=200000)
-    if q is None:
+    steps of a fiftieth of the well width, capped at 200,000 steps.  A
+    march that stops at the cap raises QuadratureError."""
+    step = max(width / 50.0, 1e-4)
+    cap = 200000 * step
+    q = march_tail(potential, E, q_start, direction, step, TAIL_DECAY, cap)
+    if abs(q - q_start) >= cap:
         raise QuadratureError("forbidden tail failed to reach the decay target")
     return q
 

@@ -32,7 +32,6 @@ from .rootfind import BracketError, hybrid_root
 
 @dataclass(frozen=True)
 class ExactLevel:
-    n: int
     energy: float
     psi: Callable
     dpsi: Callable
@@ -43,8 +42,12 @@ class LevelIndexError(IndexError):
 
 
 def exact_energy(kind, params, n, hbar=1.0, mass=1.0):
+    """Energy of level n of a builtin well.  A level past the spectrum's
+    ends is refused with LevelIndexError, and an index that is not an
+    integer (1.5) with level_index's ValueError."""
     if not 0 <= n < bound_count(kind, params):
         raise LevelIndexError("level n=%d out of range for %s" % (n, kind))
+    n = level_index(n)
     if kind == "harmonic":
         omega = math.sqrt(2.0 * params["k"] / mass)
         return hbar * omega * (n + 0.5)
@@ -190,7 +193,7 @@ def exact_wavefunction(potential, n):
     def dpsi(q, _c=c):
         return _c * du(q)
 
-    return ExactLevel(n, energy, psi, dpsi)
+    return ExactLevel(energy, psi, dpsi)
 
 
 # ---- Numerov oracle ----
@@ -206,18 +209,19 @@ class NumerovError(RuntimeError):
     """Eigenvalue search failed to bracket or converge."""
 
 
-def _tail_margin(potential, E, q_start, direction, width, target):
-    """Distance beyond a turning point where the decay exponent hits target,
-    and whether that distance is the length cap.
+def _tail_margin(potential, E, q_start, direction, width):
+    """Distance beyond a turning point where the decay exponent reaches
+    TAIL_EXPONENT, and whether that distance is the length cap.
 
-    Length-capped: a hard wall four well-widths out shifts eigenvalues by
-    far less than the solver tolerance, so there is no point marching into
-    nearly-flat tails near the dissociation threshold.
+    Length-capped at four well widths and forty steps, about five widths:
+    a hard wall that far out shifts deep levels by far less than the
+    solver tolerance, so there is no point marching into nearly-flat tails
+    near the dissociation threshold.
     """
     step = max(width / 40.0, 1e-4)
     cap = 4.0 * width + 40.0 * step
-    d = abs(march_tail(potential, E, q_start, direction, step, target,
-                       cap=cap) - q_start)
+    d = abs(march_tail(potential, E, q_start, direction, step, TAIL_EXPONENT,
+                       cap) - q_start)
     return d, d >= cap
 
 
@@ -230,10 +234,8 @@ def _extent(potential, E):
     """
     tp = find_turning_points(potential, E)
     width = tp.q_plus - tp.q_minus
-    dl, capped_l = _tail_margin(potential, E, tp.q_minus, -1.0, width,
-                                TAIL_EXPONENT)
-    dr, capped_r = _tail_margin(potential, E, tp.q_plus, +1.0, width,
-                                TAIL_EXPONENT)
+    dl, capped_l = _tail_margin(potential, E, tp.q_minus, -1.0, width)
+    dr, capped_r = _tail_margin(potential, E, tp.q_plus, +1.0, width)
     return tp.q_minus - dl, tp.q_plus + dr, capped_l or capped_r
 
 

@@ -70,23 +70,24 @@ class EigenSolution:
     (psi, dpsi, h_psi) at q, bit for bit theirs, from one evaluation of the
     fit: the sampler for a caller that needs more than psi.  breaks is
     (q_lo, q-, q_m, q+, q_hi): the panel edges of the fit and of every
-    integral over the state.
+    integral over the state.  q_lo, q_hi (the tail cuts) and turning are
+    read from it.
     """
     n: int
     e_sp: float
     e_bar: float
-    norm_c: float
-    turning: TurningPoints
     psi: Callable
     dpsi: Callable
     h_psi: Callable
     state: Callable
     potential: object
-    q_lo: float
-    q_hi: float
     breaks: tuple
     hbar = property(lambda self: self.potential.hbar)
     mass = property(lambda self: self.potential.mass)
+    q_lo = property(lambda self: self.breaks[0])
+    q_hi = property(lambda self: self.breaks[-1])
+    turning = property(lambda self: TurningPoints(
+        q_minus=self.breaks[1], q_plus=self.breaks[3], q_m=self.breaks[2]))
 
 
 def _terms_at(potential, q, E, region):
@@ -305,10 +306,9 @@ def assemble(potential, e_sp, n):
             return (c * u(amp, cos), c * du(amp, cos, sin, mean, phase),
                     c * hu(*at))
 
-        return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, norm_c=c,
-                             turning=tp, psi=psi, dpsi=dpsi, h_psi=h_psi,
-                             state=state, potential=potential, q_lo=t_lo,
-                             q_hi=t_hi, breaks=tuple(edges))
+        return EigenSolution(n=n, e_sp=float(e_sp), e_bar=e_bar, psi=psi,
+                             dpsi=dpsi, h_psi=h_psi, state=state,
+                             potential=potential, breaks=tuple(edges))
 
 
 def expectation_h2(solution, spec):

@@ -151,8 +151,10 @@ def test_3_matching_continuity_and_energy_sensitivity(capsys):
         pot = make_builtin(kind, params)
         for n in LEVELS:
             sol = _solution(kind, n)
-            amp_plus = abs(sol.psi(sol.turning.q_plus)) + 0.1 * abs(sol.norm_c)
-            for qt, amp in ((sol.turning.q_minus, abs(sol.norm_c)),
+            # the envelope c: u(q-) = cos(-pi/3) = 1/2, so psi(q-) = c/2
+            c = 2.0 * abs(sol.psi(sol.turning.q_minus))
+            amp_plus = abs(sol.psi(sol.turning.q_plus)) + 0.1 * c
+            for qt, amp in ((sol.turning.q_minus, c),
                             (sol.turning.q_plus, amp_plus)):
                 dscale = abs(sol.dpsi(qt)) + amp
                 mis = abs(sol.psi(qt - d) - sol.psi(qt + d)) / amp

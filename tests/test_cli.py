@@ -388,6 +388,15 @@ def test_verify_passes_all_cells(capsys):
     assert out.count(" pass") == 60
 
 
+def test_verify_takes_no_options(capsys):
+    """Every line prints its cell's rel_err and band; the bands are fixed,
+    and an option to widen them is refused as unknown."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tol-loose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-loose" in capsys.readouterr().err
+
+
 # ---- dump ----
 
 def test_dump_grid_regions_and_exact_column():

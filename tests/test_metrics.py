@@ -232,8 +232,6 @@ def test_check_cell_banding():
     assert not ok
     ok, _, band = check_cell("d", 7.31e-7 * 1.08, 7.31e-7)
     assert ok and band == 0.10
-    ok, _, _ = check_cell("delta_psi", 2.16e-4 * 1.035, 2.16e-4, loose=True)
-    assert ok
     ok, _, _ = check_cell("delta_e", -1.45e-3, 1.45e-3)
     assert not ok
 

@@ -74,6 +74,12 @@ def test_level_index_error():
         exact_energy("morse", {"gamma": 4.5, "alpha": 1.0}, 4)
     with pytest.raises(LevelIndexError):
         exact_wavefunction(make_builtin("poschl_teller", {"lambda": 5.0}), -1)
+    # an index inside the range that is no integer names no level
+    bad = "level index must be a non-negative integer, got 1.5"
+    with pytest.raises(ValueError, match=bad):
+        exact_energy("morse", {"gamma": 4.5, "alpha": 1.0}, 1.5)
+    with pytest.raises(ValueError, match=bad):
+        exact_wavefunction(make_builtin("poschl_teller", {"lambda": 5.0}), 1.5)
 
 
 def test_harmonic_ground_state_value():
@@ -391,19 +397,23 @@ def test_numerov_rejects_unbound_level(monkeypatch):
 
 @pytest.mark.parametrize("solve,n", [(numerov_solve, -1),
                                      (numerov_solve, 1.5),
-                                     (spectral.solve_quantization, 1.5)])
+                                     (spectral.solve_quantization, 1.5),
+                                     (exact_wavefunction, 1.5)])
 def test_bad_level_index_is_refused_up_front(monkeypatch, solve, n):
     """An index that is not a non-negative integer names no level: both
     solvers refuse it before any node sweep or phase integral, rather than
-    searching for it (61 sweeps for 1.5) or quantizing it to an energy."""
+    searching for it (61 sweeps for 1.5) or quantizing it to an energy, and
+    the exact states before any recurrence."""
     work = _count_work(monkeypatch)
-    phases = []
-    for name in ("phase_integral", "_first_order_phase"):
-        monkeypatch.setattr(spectral, name,
-                            lambda *args, _name=name: phases.append(_name))
+    called = []
+    for module, name in ((spectral, "phase_integral"),
+                         (spectral, "_first_order_phase"),
+                         (reference, "_raw_state")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, _name=name: called.append(_name))
     pot = make_builtin("morse", {"gamma": 4.5})
     with pytest.raises(ValueError, match="level index must be a non-negative "
                                          "integer, got %r" % (n,)):
         solve(pot, n)
     assert work == {"sweeps": [], "marches": 0}
-    assert phases == []
+    assert called == []

@@ -13,7 +13,7 @@ from scipy.integrate import simpson
 from uniwkb import potentials, quadrature, spectral, wkb_core
 from uniwkb.metrics import METRIC_SPEC, discrepancy_d, level_metrics
 from uniwkb.potentials import (bound_count, find_turning_points, make_builtin,
-                               parse_potential, q_bundle)
+                               parse_potential, q_bundle, tail_cut)
 from uniwkb.quadrature import QuadratureError, integrate
 from uniwkb.reference import exact_wavefunction, numerov_solve
 from uniwkb.rootfind import hybrid_root
@@ -484,6 +484,22 @@ def test_tail_cut_stops_where_the_potential_overflows():
     assert abs(got.e_bar / want.e_bar - 1.0) < 1e-11
 
 
+def test_tail_cut_raises_when_its_march_stops_at_the_cap():
+    """q^2/2 - q^3/10 at E = 0.5000827427, a resonance: past the barrier
+    the potential falls away and the right tail's decay exponent stalls
+    near 4.56, so its march stops at the cap of 200,000 steps and raises.
+    The left tail rises for good and cuts where the exponent reaches
+    TAIL_DECAY."""
+    pot = parse_potential("q^2/2 - q^3/10", {})
+    E = 0.5000827427
+    tp = find_turning_points(pot, E)
+    width = tp.q_plus - tp.q_minus
+    with pytest.raises(QuadratureError, match="forbidden tail failed to "
+                                              "reach the decay target"):
+        tail_cut(pot, E, tp.q_plus, +1.0, width)
+    assert tail_cut(pot, E, tp.q_minus, -1.0, width) == -8.077781157282073
+
+
 def _right_tail_parity(sol):
     return np.sign(sol.psi(sol.q_hi)) == (-1) ** sol.n * np.sign(sol.psi(sol.q_lo))
 
@@ -805,8 +821,10 @@ def test_continuity_at_turning_points(kind):
     d = 1e-12
     for n in range(4):
         sol = get_solution(kind, n)
-        amp_plus = abs(sol.psi(sol.turning.q_plus)) + abs(sol.norm_c) * 0.1
-        for qt, amp in ((sol.turning.q_minus, sol.norm_c),
+        # the envelope c: u(q-) = cos(-pi/3) = 1/2, so psi(q-) = c/2
+        c = 2.0 * abs(sol.psi(sol.turning.q_minus))
+        amp_plus = abs(sol.psi(sol.turning.q_plus)) + c * 0.1
+        for qt, amp in ((sol.turning.q_minus, c),
                         (sol.turning.q_plus, amp_plus)):
             dpsi_scale = abs(sol.dpsi(qt)) + amp
             assert abs(sol.psi(qt - d) - sol.psi(qt + d)) < 1e-9 * amp
