@@ -277,16 +277,20 @@ def march_tail(potential, E, q_start, direction, step, target, cap):
     stops the march at the last point before it, the stop rule of the
     energy ceiling's walk: beyond it the tail has no potential to decay in.
 
-    Blocks of steps (64, then doubling) are evaluated with one array call
-    each.  Positions and running integrals are formed by np.cumsum, which
-    adds in order, so the result is bit-identical to stepping one point at
-    a time.  A block whose evaluation raises is retried one step at a time.
+    Blocks of steps (64, then doubling, the last cut to the steps left
+    before the cap) are evaluated with one array call each.  Positions and
+    running integrals are formed by np.cumsum, which adds in order, so the
+    result is bit-identical to stepping one point at a time.  A block whose
+    evaluation raises is retried one step at a time.
     """
     d = direction * step
     q, kappa_int, k_prev = q_start, 0.0, 0.0
     block = 64
     while True:
-        qs = np.cumsum(np.concatenate(([q], np.full(block, d))))[1:]
+        # one step past the cap's distance covers the rounding of the sums
+        left = (cap - abs(q - q_start)) / step + 1.0
+        size = int(min(block, max(left, 1.0)))
+        qs = np.cumsum(np.concatenate(([q], np.full(size, d))))[1:]
         try:
             Q = q_bundle_many(potential, qs, E, potential.mass).Q
         except (ArithmeticError, ValueError):

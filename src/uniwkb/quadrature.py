@@ -1,46 +1,26 @@
 """Integration over break panels: one adaptive Chebyshev fit per panel
-between consecutive edges, which gives definite integrals (`integrate`)
-and antiderivatives evaluated as functions of their upper limit
+between consecutive edges gives definite integrals (`integrate`) and
+antiderivatives evaluated as functions of their upper limit
 (`CumulativeCheb`, which also evaluates the fitted integrand and its
-derivative) alike.
+derivative).  README, "Library entry points", states the rules in full.
 
-Each panel's integrand is interpolated at the N = n + 1 first-kind
-Chebyshev points mid + half*cos(pi*(j + 1/2)/N), for degrees n = 64, 128,
-..., 1024, until the last three coefficients of every row are at most
-max(abs_tol, rel_tol*max|c|) of that row, its budget.  One FFT gives the
-coefficients (a DCT-II after Makhoul's even/odd reordering).  The schedule
-starts at 64 because an integrand call costs mostly fixed numpy overhead,
-whatever its number of nodes, and nearly every panel the solver fits has
-converged by then, so most integrals take one call.  A converged panel then
-drops the trailing coefficients whose absolute sum is at most 1/100 of each
-row's budget (chopping, as in Aurentz & Trefethen, ACM TOMS 43 (2017) 33),
-so antiderivatives evaluate at the degree the panel needs, within a
-hundredth of the budget of the full interpolant.  Panels are never split: a
-panel still over its budget at degree 1024 raises QuadratureError, which
-names the panel and, for several rows, the row furthest over its budget.
-The points never include a panel end, so a value that an integrand takes
-only at a break, such as one end of a stitched piece, is never sampled.
-On smooth panels a Chebyshev rule is as accurate as Gauss for the same
-number of points (Clenshaw & Curtis, Numer. Math. 2 (1960) 197; Trefethen,
-SIAM Review 50 (2008) 67-87); place breaks at every known kink.  A jump
-far below the budget, such as a switch between two evaluation routes that
-agree to about 1e-12, is not one: the fit converges across it.
+A panel's integrand is interpolated at the n + 1 first-kind Chebyshev
+points, never at a panel end, for n = 64, 128, ..., 1024 until the last
+three coefficients of every row are within its budget
+max(abs_tol, rel_tol*max|c|), then chopped (Aurentz & Trefethen, ACM TOMS
+43 (2017) 33); Clenshaw & Curtis, Numer. Math. 2 (1960) 197.  Integrands
+must be elementwise: every panel still growing is sampled in one call.
 
-Integrands take numpy arrays of nodes and must be elementwise: a node's
-value may not depend on which other nodes share the call.  Every panel
-still growing at a trial degree is sampled in one call.  Called with n
-nodes, f may return shape (m, n) instead of (n,); the m rows then share
-each panel's degree.  A panel's integral is its antiderivative at the
-right edge, and `integrate` returns the sum that `CumulativeCheb.total`
-returns for the same panels.
-
-`CumulativeCheb` finds each call's panels once, as one slice of points
-per panel (stably sorted when out of panel order), and runs Clenshaw's
-recurrence (Math. Tables Aids Comput. 9 (1955) 118) on each, skipping rows
-that are all zero there, in cache-sized blocks.  Rows recur independently,
-and a point goes through the same operations whatever its block or order,
-so F(x) at a point is bit for bit its one-point call, and `jet` evaluates
-only the rows its caller reads.
+The work runs on all panels at once.  The fit test and the chop reduce
+along the coefficient axis (max, cumsum), which adds in a panel's own
+order; the sums whose order depends on length (b_0, the panel integrals)
+are taken per row at the exact length.  A call on several panels whose
+rows x points fit one CLENSHAW_BUDGET block runs one Clenshaw recurrence
+(Math. Tables Aids Comput. 9 (1955) 118) across them, each padded with
+zero terms on top, which keep the recurrence at +0.0; other calls run
+each panel at its own length on its live rows.  A point goes through the
+same operations either way, so F(x) at a point is bit for bit its
+one-point call.
 """
 
 import math
@@ -87,11 +67,6 @@ class QuadratureSpec:
                              % MIN_REL_TOL)
 
 
-def _per_row(fn, a):
-    """fn of each last-axis row of a: a stacked reduction may sum in another order."""
-    return np.reshape([fn(r) for r in a.reshape(-1, a.shape[-1])], a.shape[:-1])
-
-
 def _cheb_coeffs(v):
     """Chebyshev coefficients, along the last axis, of the interpolant through
     the values v at the first-kind points cos(pi*(j + 1/2)/N), j < N: the
@@ -105,74 +80,52 @@ def _cheb_coeffs(v):
 
 
 def _cheb_fits(f, edges, spec):
-    """Chebyshev coefficients of f on each panel between edges, shape
-    rows + (degree + 1,) for f returning rows + (n,) on n nodes.
+    """Chebyshev coefficients of f on each panel between edges, one array
+    rows + (degree + 1,) per panel for f returning rows + (n,) on n nodes.
 
     All rows of a panel share its degree, grown until the tail of every
-    row's coefficient sequence is negligible.  Every panel still growing at
-    a trial degree is sampled in one call of f.  A growing panel whose tail
-    is not finite (a sample of f was not) raises at that degree, since no
-    higher degree can fit it.
+    row's coefficients is within its budget; a converged panel keeps the
+    shortest head whose dropped terms sum, in absolute value, to at most
+    CHOP_FRACTION of every row's budget.  The first panel that is still
+    growing at MAX_DEGREE, or whose tail is not finite (a sample of f was
+    not, so no degree can fit it), raises.
     """
-    coeffs = [None] * (len(edges) - 1)
-    growing = list(range(len(edges) - 1))
+    e = np.array(edges)
+    mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
+    coeffs = [None] * len(mid)
+    growing = np.arange(len(mid))
     n = FIRST_DEGREE
-    while growing:
+    while growing.size:
         t = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
-        x = [0.5 * (edges[i] + edges[i + 1]) + 0.5 * (edges[i + 1] - edges[i]) * t
-             for i in growing]      # mid + half*t per panel
-        y = np.asarray(f(np.concatenate(x)))    # rows + (panels * (n + 1),)
-        c_all = _cheb_coeffs(y.reshape(y.shape[:-1] + (len(growing), n + 1)))
-        still = []
-        for i, c in zip(growing, np.moveaxis(c_all, -2, 0)):
-            scale = np.max(np.abs(c), axis=-1) + 1e-300
-            tail = np.max(np.abs(c[..., -3:]), axis=-1)
-            tol = np.maximum(spec.rel_tol * scale, spec.abs_tol)
-            if np.all(tail <= tol):
-                coeffs[i] = _chop(c, tol)
-            elif not np.all(np.isfinite(tail)):
+        y = np.asarray(f(np.ravel(mid[growing, None] + half[growing, None] * t)))
+        # (panels, rows flattened, n + 1)
+        c = _cheb_coeffs(y.reshape(-1, growing.size, n + 1)).transpose(1, 0, 2)
+        ac = np.abs(c)
+        tol = np.maximum(spec.rel_tol * (ac.max(axis=-1) + 1e-300), spec.abs_tol)
+        tail = ac[..., -3:].max(axis=-1)
+        done = (tail <= tol).all(axis=1)
+        finite = np.isfinite(tail).all(axis=1)
+        bad = np.flatnonzero(~done & (~finite | (n >= MAX_DEGREE)))
+        if bad.size:
+            j = bad[0]
+            a, b = edges[growing[j]], edges[growing[j] + 1]
+            if not finite[j]:
                 raise QuadratureError(
                     "Chebyshev fit on [%g, %g]: samples are not finite at "
-                    "degree %d" % (edges[i], edges[i + 1], n))
-            elif n >= MAX_DEGREE:
-                where = ""
-                if tail.ndim:   # name the row furthest over its budget
-                    r = int(np.argmax((tail / tol).ravel()))
-                    where = " in component %d of %d" % (r, tail.size)
-                    tail, tol = tail.ravel()[r], tol.ravel()[r]
-                raise QuadratureError(
-                    "Chebyshev fit on [%g, %g] stalled at degree %d%s "
-                    "(tail %.2e, tol %.2e)" % (edges[i], edges[i + 1], n, where,
-                                               tail, tol))
-            else:
-                still.append(i)
-        growing = still
+                    "degree %d" % (a, b, n))
+            r = int(np.argmax(tail[j] / tol[j]))   # the row furthest over its budget
+            where = " in component %d of %d" % (r, tail.shape[1]) if y.ndim > 1 else ""
+            raise QuadratureError(
+                "Chebyshev fit on [%g, %g] stalled at degree %d%s "
+                "(tail %.2e, tol %.2e)" % (a, b, n, where, tail[j, r], tol[j, r]))
+        dropped = np.cumsum(ac[..., ::-1], axis=-1)[..., ::-1]  # sum_{j>=k}|c_j|
+        # dropped never grows with k, so the k that pass form a suffix
+        keep = n + 1 - (dropped <= CHOP_FRACTION * tol[..., None]).all(axis=1).sum(axis=1)
+        for j in np.flatnonzero(done):
+            coeffs[growing[j]] = c[j, :, :max(keep[j], 1)].reshape(y.shape[:-1] + (-1,))
+        growing = growing[~done]
         n *= 2
     return coeffs
-
-
-def _chop(c, tol):
-    """c[..., :k] for the smallest k >= 1 at which every row's dropped
-    coefficients sum, in absolute value, to at most CHOP_FRACTION of its tol."""
-    dropped = np.cumsum(np.abs(c[..., ::-1]), axis=-1)[..., ::-1]  # sum_{j>=k}|c_j|
-    ok = (dropped <= CHOP_FRACTION * tol[..., None]).reshape(-1, c.shape[-1])
-    # dropped never grows with k, so the k that pass form a suffix
-    k = c.shape[-1] - int(np.sum(np.all(ok, axis=0)))
-    return c[..., :max(k, 1)]
-
-
-def _antiderivative_coeffs(c, half_width):
-    """Coefficients of the antiderivative vanishing at the left panel edge,
-    along the last axis of c."""
-    n = c.shape[-1] - 1
-    cp = np.concatenate([c, np.zeros(c.shape[:-1] + (2,))], axis=-1)
-    b = np.zeros(c.shape[:-1] + (n + 2,))
-    k = np.arange(1, n + 2)
-    b[..., 1:] = half_width * (cp[..., 0:n + 1] - cp[..., 2:n + 3]) / (2 * k)
-    b[..., 1] = half_width * (2 * cp[..., 0] - cp[..., 2]) / 2.0  # T_0 -> T_1 whole
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
-    b[..., 0] = -_per_row(lambda r: signs @ r, b[..., 1:])
-    return b
 
 
 def _derivative_coeffs(c, half_width):
@@ -197,26 +150,28 @@ def _derivative_coeffs(c, half_width):
 
 
 def _clenshaw(coeffs, t):
-    """Chebyshev series, one per row of the 2-D coeffs, at the 1-D points
-    t: shape (rows, len(t)), on blocks of CLENSHAW_BUDGET // rows points."""
-    rows = coeffs.shape[0]
-    out = np.empty((rows, t.size))
-    block = max(CLENSHAW_BUDGET // max(rows, 1), 1)
-    b1, b2, tmp = (np.empty((rows, min(block, t.size))) for _ in range(3))
-    for s in range(0, t.size, block):
-        tb = t[s:s + block]
-        x1, x2, w = (v[:, :tb.size] for v in (b1, b2, tmp))
+    """Chebyshev series, one per row and panel of coeffs (terms, rows,
+    panels), at each panel's points t (panels, points): shape (rows,
+    panels, points), on blocks of CLENSHAW_BUDGET // (rows * panels) points."""
+    _, rows, panels = coeffs.shape
+    size = t.shape[-1]
+    out = np.empty((rows, panels, size))
+    block = max(CLENSHAW_BUDGET // max(rows * panels, 1), 1)
+    b1, b2 = (np.empty((rows, panels, min(block, size))) for _ in range(2))
+    for s in range(0, size, block):
+        tb = t[:, s:s + block]
+        w = out[..., s:s + tb.shape[-1]]    # the block's result, scratch until then
+        x1, x2 = (v[..., :tb.shape[-1]] for v in (b1, b2))
         x1.fill(0.0)
         x2.fill(0.0)
         t2 = 2.0 * tb
         # x1, x2 = 2t*x1 - x2 + ck, x1 in place: fresh temporaries cost more
-        for ck in coeffs[:, :0:-1].T:
+        for ck in coeffs[:0:-1]:
             np.subtract(np.multiply(t2, x1, out=w), x2, out=x2)
-            x2 += ck[:, None]
+            x2 += ck[..., None]
             x1, x2 = x2, x1
-        o = out[:, s:s + tb.size]
-        np.subtract(np.multiply(tb, x1, out=w), x2, out=o)
-        o += coeffs[:, :1]
+        np.subtract(np.multiply(tb, x1, out=w), x2, out=w)
+        w += coeffs[0][..., None]
     return out
 
 
@@ -252,10 +207,12 @@ class CumulativeCheb:
     positive length.  Evaluation outside the covered range clamps to the
     nearest endpoint.
 
-    Each panel keeps its chopped fit of f (`fits`) beside the antiderivative
-    (`coeffs`), so `jet` gives the fitted f, the exact derivative of F
-    inside the covered range, and f', its exact derivative, along with F
-    in one pass.
+    `coeffs` (panels, rows, terms) holds every panel's antiderivative,
+    vanishing at its left edge and zero-padded on top to the longest,
+    `terms` their lengths, and `base` the integrals from the first edge to
+    every edge.  `fits` keeps each chopped fit of f, padded alike, so `jet`
+    gives the fitted f, the exact derivative of F inside the covered range,
+    and f', its exact derivative, along with F.
     """
 
     def __init__(self, f, breakpoints, spec=QuadratureSpec()):
@@ -263,76 +220,100 @@ class CumulativeCheb:
         if len(edges) < 2:
             raise ValueError("breakpoints span no interval")
         self.edges = np.array(edges)
-        self.fits = _cheb_fits(f, edges, spec)
-        # per panel, the antiderivative vanishing at its left edge; base holds
-        # the integrals from edges[0] to every edge, with panel integral F(+1)
-        self.coeffs = [_antiderivative_coeffs(c, 0.5 * (b - a)) for a, b, c in
-                       zip(edges[:-1], edges[1:], self.fits)]
-        self.rows = self.coeffs[0].shape[:-1]
-        self.base = np.cumsum([np.zeros(self.rows)] + [
-            _per_row(np.sum, bc[..., 1:]) + bc[..., 0] for bc in self.coeffs], axis=0)
+        fits = _cheb_fits(f, edges, spec)
+        self.rows = fits[0].shape[:-1]
+        self.terms = np.array([c.shape[-1] + 1 for c in fits])
+        size = self.terms.max()
+        # the fits, zero-padded past the two terms the antiderivative reads on top
+        c = np.zeros((len(fits), math.prod(self.rows), size + 1))
+        for ci, fit in zip(c, fits):
+            ci[:, :fit.shape[-1]] = fit.reshape(len(ci), -1)
+        half = 0.5 * np.diff(self.edges)[:, None, None]
+        k = np.arange(1, size)
+        b = np.zeros(c.shape[:-1] + (size,))
+        b[..., 1:] = half * (c[..., :-2] - c[..., 2:]) / (2 * k)
+        b[..., 1] = half[..., 0] * (2 * c[..., 0] - c[..., 2]) / 2.0  # T_0 -> T_1 whole
+        signs = (-1.0) ** k
+        # b_0 by one dot per row and each panel's integral F(+1) by one
+        # pairwise sum per row, both at the exact length: padded, or as one
+        # matrix product, they would add in another order
+        base = np.zeros((len(b) + 1, b.shape[1]))
+        for bi, total, n in zip(b, base[1:], self.terms):
+            for row in bi:
+                row[0] = -(signs[:n - 1] @ row[1:n])
+            np.add(np.add.reduce(bi[:, 1:n], axis=-1), bi[:, 0], out=total)
+        self.coeffs, self.fits = b, c[..., :size]
+        self.base = np.cumsum(base, axis=0).reshape((len(base),) + self.rows)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self._evaluate(x, self.coeffs, self.base)
-        return out.reshape(self.rows + x.shape)[()]
+        return self.jet(x, 0)[0]
 
     def jet(self, x, order=2):
         """(F(x), f(x), f'(x)) with f the fitted integrand and f' its
-        derivative, from one Clenshaw pass per panel over those rows of
-        `_jet_table`; order 1 evaluates and returns (F, f) only, the same
-        bits.  F is bit for bit F(x); f and f' are 0 outside the covered
-        range, where F clamps."""
+        derivative, from one Clenshaw pass over those rows of `_jet_table`;
+        order 1 evaluates and returns (F, f) only and order 0 (F,), the
+        same bits.  f and f' are 0 outside the covered range, where F
+        clamps."""
         x = np.asarray(x, dtype=float)
         coeffs, base = self._jet_table
         k = base.shape[1] // 3
         r = (order + 1) * k
-        out = self._evaluate(x, [c[:r] for c in coeffs], base[:, :r])
+        out = self._evaluate(x, coeffs[:, :r], base[:, :r])
         out[k:, np.ravel((x < self.edges[0]) | (x > self.edges[-1]))] = 0.0
         return tuple(v[()] for v in out.reshape((order + 1,) + self.rows + x.shape))
 
     @cached_property
     def _jet_table(self):
-        """Per panel, F's rows over f's over f''s, the fit zero-padded to the
-        antiderivative's length, and the base widened by zero rows for f
-        and f': built on the first `jet` call and kept."""
-        k = int(np.prod(self.rows))
-        coeffs = []
-        for a, b, bc, c in zip(self.edges[:-1], self.edges[1:], self.coeffs,
-                               self.fits):
-            c = np.pad(c.reshape(k, -1), ((0, 0), (0, 1)))  # one term short of F's
-            coeffs.append(np.concatenate([bc.reshape(k, -1), c,
-                                          _derivative_coeffs(c, 0.5 * (b - a))]))
-        base = np.concatenate([self.base.reshape(-1, k),
-                               np.zeros((len(self.base), 2 * k))], axis=1)
-        return coeffs, base
+        """F's rows over f's over f''s (terms, rows, panels), and the base
+        widened by zero rows for f and f': built on the first `jet` call
+        and kept."""
+        d = _derivative_coeffs(self.fits, 0.5 * np.diff(self.edges)[:, None, None])
+        coeffs = np.concatenate([self.coeffs, self.fits, d], axis=1).transpose(2, 1, 0)
+        base = self.base.reshape(len(self.base), -1)
+        base = np.concatenate([base, np.zeros((len(base), 2 * base.shape[1]))], axis=1)
+        return np.ascontiguousarray(coeffs), base
 
     def _evaluate(self, x, coeffs, base):
-        """Rows (flattened) of base[i] plus the series coeffs[i] of the panel
-        holding each point of the flattened x, clamped to the covered range."""
-        xf = np.clip(np.ravel(x), self.edges[0], self.edges[-1])
-        idx = np.clip(np.searchsorted(self.edges, xf, side="right") - 1,
-                      0, len(coeffs) - 1)
+        """Rows of base[i] plus the series coeffs[:, :, i] of the panel i
+        holding each point of the flattened x, clamped to the covered range;
+        a row all zero on a panel is its base there."""
+        e = self.edges
+        xf = np.clip(np.ravel(x), e[0], e[-1])
+        idx = np.clip(np.searchsorted(e, xf, side="right") - 1, 0, len(e) - 2)
         perm = None
         if np.any(idx[1:] < idx[:-1]):
             perm = np.argsort(idx, kind="stable")
             xf, idx = xf[perm], idx[perm]
-        ends = np.searchsorted(idx, np.arange(len(coeffs) + 1))
-        out = np.empty((base[0].size, xf.size))
+        ends = np.searchsorted(idx, np.arange(len(e)))
         # only the panels that hold a point: one fit may span many panels
-        for i in np.flatnonzero(np.diff(ends)):
-            a, b = self.edges[i], self.edges[i + 1]
-            s = slice(ends[i], ends[i + 1])
-            t = (2.0 * xf[s] - (a + b)) / (b - a)
-            # a row that is all zero on this panel stays at its base there
-            c = coeffs[i].reshape(-1, coeffs[i].shape[-1])
-            live = np.any(c, axis=-1)
-            if live.all():
-                v = _clenshaw(c, t)
-            else:
-                v = np.zeros((len(c), t.size))
-                v[live] = _clenshaw(c[live], t)
-            np.add(v, base[i].reshape(-1, 1), out=out[:, s])
+        held = np.flatnonzero(np.diff(ends))
+        rows = coeffs.shape[1]
+        base = base.reshape(len(base), rows)
+        if held.size > 1 and rows * xf.size <= CLENSHAW_BUDGET:
+            # one recurrence over (rows, panels, slots); a panel's spare
+            # slots repeat its first point
+            width = np.diff(ends)[held].max()
+            pos = np.searchsorted(held, idx) * width + np.arange(xf.size) - ends[idx]
+            xs = np.repeat(xf[ends[held]], width)
+            xs[pos] = xf
+            a, b = e[held, None], e[held + 1, None]
+            c = coeffs[:self.terms[held].max(), :, held]
+            v = _clenshaw(c, (2.0 * xs.reshape(held.size, width) - (a + b)) / (b - a))
+            v[~np.any(c, axis=0)] = 0.0
+            out = (v + base[held].T[:, :, None]).reshape(rows, -1)[:, pos]
+        else:
+            out = np.empty((rows, xf.size))
+            for i in held:
+                s = slice(ends[i], ends[i + 1])
+                t = (2.0 * xf[s] - (e[i] + e[i + 1])) / (e[i + 1] - e[i])
+                c = coeffs[:self.terms[i], :, i, None]
+                live = np.any(c, axis=(0, 2))
+                if live.all():
+                    v = _clenshaw(c, t[None])
+                else:
+                    v = np.zeros((rows, 1, t.size))
+                    v[live] = _clenshaw(c[:, live], t[None])
+                np.add(v[:, 0], base[i][:, None], out=out[:, s])
         if perm is None:
             return out
         back = np.empty_like(out)

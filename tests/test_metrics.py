@@ -283,6 +283,70 @@ def test_benchmark_full_rows_match_examples():
     _cell_ok("poschl_teller", 1, "delta_e", -1.62e-4)
 
 
+# benchmark_table()'s 60 values and each cell's e_sp and e_bar, to the bit.
+# A change that means to move them updates these pins and says why.
+GOLDEN_ROWS_BITS = {
+    ("harmonic", 0): ("0x1.c4b099067d000p-13", "0x1.2d9b6e1f9c600p-8", "0x1.da978c4a01b81p-5",
+                      "0x1.b41f3b34a75d2p-5", "0x1.2801962654400p-8"),
+    ("harmonic", 1): ("0x1.092d4338c0000p-16", "0x1.2a917fd174000p-14", "0x1.16f05530bd125p-13",
+                      "0x1.fe9b278ffd761p-15", "0x1.d896eea938000p-15"),
+    ("harmonic", 2): ("0x1.032aa75000000p-18", "0x1.5f8e0d7d50000p-17", "0x1.f17e619df1208p-17",
+                      "0x1.01ca1d0ba3ae0p-18", "0x1.de0928b080000p-18"),
+    ("harmonic", 3): ("0x1.93b87f4200000p-20", "0x1.9fbf5b6880000p-19", "0x1.13e42ffa80d20p-18",
+                      "0x1.81a84d6f2f7fcp-21", "0x1.fb047e4d00000p-20"),
+    ("morse", 0): ("0x1.2149f4ee8e000p-12", "0x1.87d093b00c900p-8", "0x1.2ced1c3358caap-8",
+                   "0x1.7a49fc4f68488p-8", "-0x1.7d318b6f71e00p-10"),
+    ("morse", 1): ("0x1.9fa32ed888000p-15", "0x1.eb2c25fe5a000p-13", "0x1.010ca4d0ad348p-12",
+                   "0x1.7533507fe7fa2p-12", "-0x1.502a0adea9000p-13"),
+    ("morse", 2): ("0x1.7ac7604b58000p-16", "0x1.58ae8d3bcc000p-14", "0x1.86798f0b98bc9p-12",
+                   "0x1.d8a51e222ed3cp-12", "-0x1.a75225dd5e000p-14"),
+    ("morse", 3): ("0x1.29f6771898000p-16", "0x1.0d95d285c4000p-14", "0x1.338126defd099p-9",
+                   "0x1.45fd42ae038d8p-9", "-0x1.4ce4135c17000p-13"),
+    ("poschl_teller", 0): ("0x1.e3fecb8347000p-13", "0x1.b05a645c10c00p-8",
+                           "0x1.2642c53d28563p-8", "0x1.759db11b0f63bp-8",
+                           "-0x1.79665ac6c8800p-10"),
+    ("poschl_teller", 1): ("0x1.e8eaa429a8000p-16", "0x1.b82b85d6fd000p-13",
+                           "0x1.5761bba58a9a7p-13", "0x1.37555b8eeeed1p-12",
+                           "-0x1.545d23aa80000p-13"),
+    ("poschl_teller", 2): ("0x1.4c2ca1d980000p-16", "0x1.02b3dbe218000p-14",
+                           "0x1.ef6e46463803ep-13", "0x1.4d6172887972fp-12",
+                           "-0x1.a9aa4671e4000p-14"),
+    ("poschl_teller", 3): ("0x1.b65eda97b8000p-15", "0x1.9b16e25fec000p-15",
+                           "0x1.ff217a5e68570p-10", "0x1.0c2274685352fp-9",
+                           "-0x1.367859aad1000p-13"),
+}
+GOLDEN_ENERGY_BITS = {   # (e_sp, e_bar)
+    ("harmonic", 0): ("0x1.05a91d906cd5cp-1", "0x1.0128019626544p-1"),
+    ("harmonic", 1): ("0x1.810e68365ce9bp+0", "0x1.800589c4cbfbap+0"),
+    ("harmonic", 2): ("0x1.404de5638def3p+1", "0x1.40009562dcb73p+1"),
+    ("harmonic", 3): ("0x1.c034d836643a2p+1", "0x1.c00037747dd06p+1"),
+    ("morse", 0): ("-0x1.fd5ffe0721bdbp+2", "-0x1.ff41673a48471p+2"),
+    ("morse", 1): ("-0x1.1f935765d0421p+2", "-0x1.1ff42e859e2c1p+2"),
+    ("morse", 2): ("-0x1.003834ed4168fp+1", "-0x1.fff2c56ed1151p+0"),
+    ("morse", 3): ("-0x1.02744add5d883p-1", "-0x1.ffeb31beca3e9p-2"),
+    ("poschl_teller", 0): ("-0x1.f6a86372c0f82p+2", "-0x1.ff434cd29c9bcp+2"),
+    ("poschl_teller", 1): ("-0x1.1b41d98e06da8p+2", "-0x1.1ff408b9bf018p+2"),
+    ("poschl_teller", 2): ("-0x1.f74a430830d71p+0", "-0x1.fff2b2adcc70ep+0"),
+    ("poschl_teller", 3): ("-0x1.fadb1e208593fp-2", "-0x1.ffec987a6552fp-2"),
+}
+
+
+def test_benchmark_table_bit_for_bit():
+    """Every golden-table value and each cell's e_sp and e_bar equal their
+    pins to the bit, so a change meant to be exact is checked as one."""
+    rows = get_rows()
+    assert sorted(rows) == sorted(GOLDEN_ROWS_BITS)
+    for key, pins in GOLDEN_ROWS_BITS.items():
+        got = tuple(getattr(rows[key], m).hex() for m in METRIC_NAMES)
+        assert got == pins, key
+    for kind, params in BENCH_PARAMS:
+        pot = make_builtin(kind, params)
+        for n in BENCH_LEVELS:
+            e_sp = solve_quantization(pot, n)
+            got = (e_sp.hex(), assemble(pot, e_sp, n).e_bar.hex())
+            assert got == GOLDEN_ENERGY_BITS[(kind, n)], (kind, n)
+
+
 def test_row_values_lie_in_range():
     for row in get_rows().values():
         assert 0.0 <= row.delta_psi <= 1.0

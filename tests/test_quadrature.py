@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_refs import derivative_coeffs_loop_ref
+from quadrature_refs import (PerPanelCheb, antiderivative_coeffs,
+                             cheb_fits_loop_ref, clenshaw, per_row)
 from uniwkb import quadrature
 from uniwkb.quadrature import (
     CHOP_FRACTION,
+    CLENSHAW_BUDGET,
     FIRST_DEGREE,
     CumulativeCheb,
     QuadratureError,
     QuadratureSpec,
-    _antiderivative_coeffs,
     _cheb_fits,
-    _per_row,
     integrate,
 )
 
@@ -133,6 +134,12 @@ def test_zero_length_intervals_add_nothing_and_sample_nothing():
 
 def _bits(value):
     return np.asarray(value, dtype=float).tobytes()
+
+
+def _panels(F):
+    """F's antiderivative coefficients per panel, rows + (terms,), cut from
+    its table at each panel's own length."""
+    return [F.coeffs[i, :, :n].reshape(F.rows + (n,)) for i, n in enumerate(F.terms)]
 
 
 @st.composite
@@ -276,7 +283,7 @@ def _cosine_sum_coeffs(vals):
     N = vals.shape[-1]
     j = np.arange(N)
     cos = np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * N)) / (2 * N))  # [k, j]
-    c = 2.0 / N * np.moveaxis(np.stack([_per_row(lambda r: np.sum(r * ck), vals)
+    c = 2.0 / N * np.moveaxis(np.stack([per_row(lambda r: np.sum(r * ck), vals)
                                         for ck in cos]), 0, -1)
     c[..., 0] *= 0.5
     return c
@@ -311,9 +318,9 @@ def test_cumulative_coefficients_equal_per_panel_fits(f, edges):
     largest, which is what summing N terms in two orders allows."""
     spec = QuadratureSpec(rel_tol=1e-12)
     F = CumulativeCheb(f, edges, spec)
-    assert len(F.coeffs) == len(edges) - 1
-    for a, b, got in zip(edges[:-1], edges[1:], F.coeffs):
-        want = _antiderivative_coeffs(_panel_fit(f, a, b, spec), 0.5 * (b - a))
+    assert len(F.terms) == len(edges) - 1
+    for a, b, got in zip(edges[:-1], edges[1:], _panels(F)):
+        want = antiderivative_coeffs(_panel_fit(f, a, b, spec), 0.5 * (b - a))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
@@ -330,7 +337,7 @@ def test_fit_converged_by_first_degree_takes_one_call():
     F = CumulativeCheb(f, [0.0, 1.0, 2.5, 4.0])
     assert sizes == [3 * (FIRST_DEGREE + 1)]
     # an antiderivative has one coefficient more than the fit it integrates
-    assert all(c.shape[-1] - 1 < FIRST_DEGREE + 1 for c in F.coeffs)
+    assert all(c.shape[-1] - 1 < FIRST_DEGREE + 1 for c in _panels(F))
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,7 +406,7 @@ def test_cumulative_zero_row_leaves_first_row_bit_equal(f, edges):
     any bit of the other row's fit, sums or values."""
     one = CumulativeCheb(f, edges)
     two = CumulativeCheb(lambda x: np.stack([f(x), np.zeros_like(x)]), edges)
-    for c1, c2 in zip(one.coeffs, two.coeffs):
+    for c1, c2 in zip(_panels(one), _panels(two)):
         assert c2[0].tobytes() == c1.tobytes()
         assert not np.any(c2[1])
     xs = np.linspace(edges[0], edges[-1], 97)
@@ -407,32 +414,49 @@ def test_cumulative_zero_row_leaves_first_row_bit_equal(f, edges):
     assert two.total()[0] == one.total()
 
 
-def test_clenshaw_runs_only_on_live_rows(monkeypatch):
-    """A row whose coefficients are all zero on a panel, as the phase row of
-    an assembled state is on every tail panel, is not summed there: its
-    values are the panel base, and _clenshaw sees only the other rows."""
+def _live_rows_call(budget, monkeypatch):
+    """F(xs) of three rows on two panels, row 1 zero on both and row 2 on
+    the first, under a block budget: checks that it equals summing every
+    row on each panel, bit for bit, and returns the (rows, panels) shapes
+    that _clenshaw saw."""
     f = lambda x: np.stack([np.cos(x), np.zeros_like(x),
                             np.where(x < 1.0, 0.0, np.sin(x))])
     F = CumulativeCheb(f, [0.0, 1.0, 2.0])
     xs = np.linspace(0.0, 2.0, 41)
-    clenshaw = quadrature._clenshaw
     want = np.empty((3, xs.size))   # every row summed, as if none were skipped
     for i, m in enumerate([xs < 1.0, xs >= 1.0]):
         a, b = F.edges[i], F.edges[i + 1]
         t = (2.0 * xs[m] - (a + b)) / (b - a)
-        want[:, m] = F.base[i][:, None] + clenshaw(F.coeffs[i], t)
-    rows = []
+        want[:, m] = F.base[i][:, None] + clenshaw(_panels(F)[i], t)
+    seen = []
+    inner = quadrature._clenshaw
 
     def spy(coeffs, t):
-        rows.append(coeffs.shape[0])
-        return clenshaw(coeffs, t)
+        seen.append(coeffs.shape[1:])
+        return inner(coeffs, t)
 
     monkeypatch.setattr(quadrature, "_clenshaw", spy)
+    monkeypatch.setattr(quadrature, "CLENSHAW_BUDGET", budget)
     got = F(xs)
-    assert rows == [1, 2]       # panel [0, 1]: row 0; panel [1, 2]: rows 0, 2
     assert got.tobytes() == want.tobytes()
     assert not np.any(got[1])
     assert np.all(got[2][xs < 1.0] == 0.0)
+    return seen
+
+
+def test_clenshaw_runs_only_on_live_rows(monkeypatch):
+    """A row whose coefficients are all zero on a panel, as the phase row of
+    an assembled state is on every tail panel, has the panel base as its
+    values there, bit for bit the values of summing every row.  A call
+    that fits one block sums both panels and all rows in one recurrence."""
+    assert _live_rows_call(CLENSHAW_BUDGET, monkeypatch) == [(3, 2)]
+
+
+def test_large_calls_sum_each_panel_on_its_live_rows(monkeypatch):
+    """A call of more rows x points than one block sums each panel alone,
+    on the rows that are not all zero there: row 0 on [0, 1], rows 0 and 2
+    on [1, 2].  The values are those of summing every row, to the bit."""
+    assert _live_rows_call(3 * 41 - 1, monkeypatch) == [(1, 1), (2, 1)]
 
 
 # the first row is zero on [0, 1], so it is dead on that panel in every fit
@@ -484,6 +508,90 @@ def test_cumulative_stall_names_first_stalling_panel():
     f = lambda x: np.where(x < 0.3, 0.0, 1.0) + np.where(x < 2.7, 0.0, 1.0)
     with pytest.raises(QuadratureError, match=r"\[0, 1\] stalled at degree 1024"):
         CumulativeCheb(f, [0.0, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("nan_at, step_at", [(0.5, 2.5), (2.5, 0.5), (0.5, 0.7)])
+def test_fit_errors_name_the_first_failing_panel(nan_at, step_at, stacked):
+    """Samples that are not finite on one panel and a step that stalls
+    another: the error is the per-panel loop's, word for word.  A panel
+    that is not finite raises at the first degree, before a stall can, and
+    where both are in one panel the samples are named."""
+    def f(x):
+        v = np.where(np.abs(x - nan_at) < 0.1, math.nan, np.cos(x)) + _step(x, step_at)
+        return np.stack([np.exp(-x), v]) if stacked else v
+
+    edges = [0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(QuadratureError) as want:
+        cheb_fits_loop_ref(f, edges, QuadratureSpec())
+    assert "samples are not finite at degree %d" % FIRST_DEGREE in str(want.value)
+    a = math.floor(nan_at)
+    assert str(want.value).startswith("Chebyshev fit on [%g, %g]" % (a, a + 1))
+    with pytest.raises(QuadratureError) as got:
+        CumulativeCheb(f, edges)
+    assert str(got.value) == str(want.value)
+
+
+@st.composite
+def panel_calls(draw):
+    """(f, edges, spec, x): 1-6 rows on 1-6 panels, each row zero on some
+    panels, and points with unequal counts per panel, out of order or not,
+    on and past the edges, a NaN or not, and as many as fill the block
+    budget of F's rows or of the jet table's, or one more, or few."""
+    panels, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.05, 2.0), min_size=panels, max_size=panels))
+    edges = draw(st.floats(-3.0, 1.0)) + np.cumsum([0.0] + widths)
+    waves = [(draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 6.0)),
+              draw(st.floats(0.0, 6.3)),
+              list(draw(st.sets(st.integers(0, panels - 1), max_size=panels))))
+             for _ in range(rows)]
+    flat = rows == 1 and draw(st.booleans())
+
+    def f(x):
+        panel = np.searchsorted(edges, x, side="right") - 1
+        v = np.stack([np.where(np.isin(panel, dead), 0.0,
+                               a * np.cos(w * x + p) * np.exp(-0.1 * x * x))
+                      for a, w, p, dead in waves])
+        return v[0] if flat else v
+
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = draw(st.lists(st.integers(0, 30), min_size=panels, max_size=panels))
+    x = [a + (b - a) * rng.random(n) for a, b, n in zip(edges, edges[1:], counts)]
+    if draw(st.booleans()):
+        x.append(np.concatenate([edges, [edges[0] - 1.0, edges[-1] + 0.5]]))
+    if draw(st.booleans()):
+        x.append([math.nan])
+    x = np.concatenate(x + [[edges[0] + 0.5 * widths[0]]])
+    fill = draw(st.sampled_from([0, 1, 3])) * rows
+    if fill:
+        more = CLENSHAW_BUDGET // fill + draw(st.integers(0, 1)) - x.size
+        x = np.concatenate([x, rng.uniform(edges[0] - 0.5, edges[-1] + 0.5, max(more, 0))])
+    if draw(st.booleans()):
+        rng.shuffle(x)
+    spec = QuadratureSpec(rel_tol=draw(st.sampled_from([1e-11, 1e-8])))
+    return f, edges, spec, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(panel_calls())
+def test_across_panels_equals_per_panel_bit_for_bit(call):
+    """Fits, antiderivatives, bases, F(x) and jet at orders 1 and 2 equal
+    the per-panel engine's to the bit, on calls that take one recurrence
+    across panels and on calls too large for one block, which sum each
+    panel alone."""
+    f, edges, spec, x = call
+    F, ref = CumulativeCheb(f, edges, spec), PerPanelCheb(f, edges, spec)
+    assert _bits(F.base) == _bits(ref.base)
+    for i, (got, want, fit) in enumerate(zip(_panels(F), ref.coeffs, ref.fits,
+                                             strict=True)):
+        assert got.tobytes() == want.tobytes()
+        assert F.fits[i, :, :fit.shape[-1]].tobytes() == fit.tobytes()
+        assert not np.any(F.fits[i, :, fit.shape[-1]:])
+    assert F(x).tobytes() == ref(x).tobytes()
+    assert _bits(F(x[0])) == _bits(ref(x[0]))
+    for order in (1, 2):
+        for got, want in zip(F.jet(x, order), ref.jet(x, order), strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_cumulative_matches_antiderivative():

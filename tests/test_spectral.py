@@ -500,6 +500,28 @@ def test_tail_cut_raises_when_its_march_stops_at_the_cap():
     assert tail_cut(pot, E, tp.q_minus, -1.0, width) == -8.077781157282073
 
 
+def test_tail_cut_march_evaluates_no_point_past_its_cap(monkeypatch):
+    """The refusal above evaluates the potential at no more than the
+    200,000 steps of the cap and the one that rounding of the summed
+    positions may add: the march's last block is cut to the steps left
+    before the cap."""
+    pot = parse_potential("q^2/2 - q^3/10", {})
+    E = 0.5000827427
+    tp = find_turning_points(pot, E)
+    points = []
+    inner = potentials.q_bundle_many
+
+    def counted(potential, q, *args):
+        points.append(np.size(q))
+        return inner(potential, q, *args)
+
+    monkeypatch.setattr(potentials, "q_bundle_many", counted)
+    with pytest.raises(QuadratureError, match="forbidden tail failed to "
+                                              "reach the decay target"):
+        tail_cut(pot, E, tp.q_plus, +1.0, tp.q_plus - tp.q_minus)
+    assert 200000 <= sum(points) <= 200001, sum(points)
+
+
 def _right_tail_parity(sol):
     return np.sign(sol.psi(sol.q_hi)) == (-1) ** sol.n * np.sign(sol.psi(sol.q_lo))
 
